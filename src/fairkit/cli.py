@@ -173,22 +173,30 @@ def _model_to_json(model: ferm.KernelModel) -> dict:
         else [[float(v) for v in row] for row in model.training_inputs],
         "constraint_report": model.constraint_report,
         "objective_value": model.objective_value,
+        "solver": model.solver,
     }
 
 
 def _model_from_json(doc: dict) -> ferm.KernelModel:
-    spec = ferm.KernelSpec(kind=doc["kernel"]["kind"], gamma=doc["kernel"]["gamma"])
-    return ferm.KernelModel(
-        kernel=spec,
-        include_sensitive=doc["include_sensitive"],
-        coef=None if doc["coef"] is None else np.array(doc["coef"]),
-        dual_coef=None if doc["dual_coef"] is None else np.array(doc["dual_coef"]),
-        training_inputs=None
-        if doc["training_inputs"] is None
-        else np.array(doc["training_inputs"]),
-        constraint_report=doc["constraint_report"],
-        objective_value=doc["objective_value"],
-    )
+    def array(key):
+        return None if doc[key] is None else np.array(doc[key], dtype=float)
+
+    try:
+        spec = ferm.KernelSpec(kind=doc["kernel"]["kind"], gamma=doc["kernel"]["gamma"])
+        return ferm.KernelModel(
+            kernel=spec,
+            include_sensitive=doc["include_sensitive"],
+            coef=array("coef"),
+            dual_coef=array("dual_coef"),
+            training_inputs=array("training_inputs"),
+            constraint_report=doc["constraint_report"],
+            objective_value=doc["objective_value"],
+            solver=doc.get("solver"),
+        )
+    except KeyError as exc:
+        raise ds.DatasetError(f"model document lacks the field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ds.DatasetError(f"model document has an ill-typed field: {exc}") from None
 
 
 def cmd_ferm_train(args) -> int:
@@ -205,7 +213,11 @@ def cmd_ferm_train(args) -> int:
     grid = ds.make_grid(data, args.grid_k, args.grid_q)
     model = ferm.train_gferm(problem, data, grid)
     _write_text(args.model_output, json.dumps(_model_to_json(model), sort_keys=True, indent=2) + "\n")
-    results = {"constraint_report": model.constraint_report, "objective_value": model.objective_value}
+    results = {
+        "constraint_report": model.constraint_report,
+        "objective_value": model.objective_value,
+        "solver": model.solver,
+    }
     if args.epsilon_sweep:
         rows = []
         for eps in (float(e) for e in args.epsilon_sweep.split(",")):
@@ -439,9 +451,7 @@ def cmd_datasets(args) -> int:
 
 def _add_common(parser):
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1, help="parallelism bound (1 keeps runs deterministic)")
     parser.add_argument("--output", default="-", help="report path, - for stdout")
-    parser.add_argument("--format", choices=["json"], default="json")
 
 
 def build_parser() -> _Parser:
@@ -551,7 +561,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         sys.stderr.write(str(exc).rstrip() + "\n")
         return 1
-    except ferm.SolverError as exc:
+    except (ferm.SolverError, np.linalg.LinAlgError) as exc:
         sys.stderr.write(f"solver failure: {exc}\n")
         return 3
     except (

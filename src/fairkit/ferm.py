@@ -5,14 +5,17 @@ an L1 bound on the vector of per-cell mean-score differences: for every
 outcome bin, the mean feature vectors of any two non-empty sensitive cells
 are collected into constraint columns, and the constraint reads
 ``||A^T w||_1 <= epsilon``.  A zero budget turns the bound into exact
-linear equalities, solved by null-space elimination; a positive budget is
-handled by projected gradient (or subgradient for the hinge) with an
-active-face refinement for the squared loss.
+linear equalities, solved by null-space elimination; a positive budget
+goes through an exact L1-constrained quadratic program (a dual active-set
+method over the facets of the L1 ball).  The squared loss is one such
+solve; the logistic and the (quadratically smoothed) hinge losses run
+damped Newton steps over the same feasible set until the Newton decrement
+vanishes, and a run that does not converge raises SolverError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
@@ -146,6 +149,8 @@ def project_l1_ball(z: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection onto the L1 ball of the given radius."""
     if radius < 0:
         raise FermError("radius must be >= 0")
+    if not (np.all(np.isfinite(z)) and np.isfinite(radius)):
+        raise FermError("L1-ball projection needs finite input")
     a = np.abs(z)
     if a.sum() <= radius:
         return z.copy()
@@ -166,44 +171,51 @@ def _null_basis(M: np.ndarray) -> np.ndarray:
     return u[:, rank:]
 
 
-def _feasibility_correction(beta: np.ndarray, M: np.ndarray, eps: float) -> np.ndarray:
-    """Smallest-norm shift of beta making ||M^T beta||_1 <= eps exact."""
-    z = M.T @ beta
-    if np.abs(z).sum() <= eps:
-        return beta
-    target = project_l1_ball(z, eps)
-    shift, *_ = np.linalg.lstsq(M.T, z - target, rcond=None)
-    return beta - shift
+# Quadratic smoothing widths of the hinge, coarse to fine; the last one
+# bounds the hinge objective's excess over the optimum by n * 1e-6 / 2.
+_HINGE_WIDTHS = (1.0, 0.1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 
 
 class _Objective:
-    """Sum-loss objective J(beta) = sum_n loss((D beta)_n, y_n) + beta^T R beta."""
+    """Sum-loss objective J(beta) = sum_n loss((D beta)_n, y_n) + beta^T R beta.
 
-    def __init__(self, D, y, R, loss):
-        self.D, self.y, self.R, self.loss = D, y, R, loss
+    With ``delta > 0`` the hinge max(0, r), r = 1 - y f, is replaced by its
+    quadratic smoothing (r^2 / (2 delta) for 0 < r <= delta, r - delta/2
+    above), which lies at most delta/2 below it and has a Hessian.
+    """
+
+    def __init__(self, D, y, R, loss, delta=0.0):
+        self.D, self.y, self.R, self.loss, self.delta = D, y, R, loss, delta
 
     def value(self, beta: np.ndarray) -> float:
         f = self.D @ beta
         if self.loss == "squared":
             data = np.sum((f - self.y) ** 2)
         elif self.loss == "hinge":
-            data = np.sum(np.maximum(0.0, 1.0 - self.y * f))
+            r = 1.0 - self.y * f
+            if self.delta > 0:
+                band = np.maximum(r, 0.0) ** 2 / (2.0 * self.delta)
+                data = np.sum(np.where(r > self.delta, r - self.delta / 2.0, band))
+            else:
+                data = np.sum(np.maximum(0.0, r))
         else:
             m = -self.y * f
             data = np.sum(np.logaddexp(0.0, m))
         return float(data + beta @ self.R @ beta)
 
-    def subgradient(self, beta: np.ndarray) -> np.ndarray:
-        f = self.D @ beta
-        if self.loss == "squared":
-            g = 2.0 * self.D.T @ (f - self.y)
-        elif self.loss == "hinge":
-            active = (self.y * f) < 1.0
-            g = -self.D.T @ (self.y * active)
+    def derivatives(self, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient and Hessian of the logistic or the smoothed-hinge objective."""
+        m = self.y * (self.D @ beta)
+        if self.loss == "logistic":
+            slope = -np.exp(-np.logaddexp(0.0, m))  # d loss / d margin = -sigmoid(-m)
+            curve = -slope * (1.0 + slope)
         else:
-            margins = np.clip(self.y * f, -500.0, 500.0)
-            g = self.D.T @ (-self.y / (1.0 + np.exp(margins)))
-        return g + 2.0 * self.R @ beta
+            r = 1.0 - m
+            slope = -np.clip(r / self.delta, 0.0, 1.0)
+            curve = ((r > 0.0) & (r <= self.delta)) / self.delta
+        grad = self.D.T @ (self.y * slope) + 2.0 * self.R @ beta
+        hess = (self.D.T * (self.y * self.y * curve)) @ self.D + 2.0 * self.R
+        return grad, hess
 
 
 def _solve_quadratic(P: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -213,35 +225,128 @@ def _solve_quadratic(P: np.ndarray, q: np.ndarray) -> np.ndarray:
         return np.linalg.lstsq(P, q, rcond=None)[0]
 
 
-def _solve_squared_equality(P, q, E, e) -> np.ndarray:
-    """KKT solve of min b^T P b - 2 q^T b subject to E^T b = e."""
-    p = P.shape[0]
-    m = E.shape[1]
-    if m == 0:
-        return _solve_quadratic(P, q)
-    kkt = np.block([[2.0 * P, E], [E.T, np.zeros((m, m))]])
-    rhs = np.concatenate([2.0 * q, e])
-    sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-    return sol[:p]
+def _whiten(P: np.ndarray) -> np.ndarray:
+    """T with T^T P T = I on the numerical range of the PSD matrix P.
+
+    Eigenvalues at the rounding level are dropped, so T @ (T.T @ q) is the
+    minimizer of 1/2 b^T P b - q^T b that has no component along the
+    directions where P is numerically flat (null(K) of a kernel problem).
+    """
+    evals, evecs = np.linalg.eigh(P)
+    keep = evals > evals[-1] * P.shape[0] * np.finfo(float).eps
+    return evecs[:, keep] / np.sqrt(evals[keep])
 
 
-def _polish_squared(P, q, M, eps, beta, objective) -> np.ndarray:
-    """Refine a squared-loss iterate by solving the active-face KKT system."""
-    z = M.T @ beta
-    scale = max(np.abs(z).max(initial=0.0), eps, 1.0)
-    pinned = np.abs(z) <= 1e-7 * scale
-    sigma = np.sign(z)
-    cols = [M[:, j] for j in range(M.shape[1]) if pinned[j]]
-    face = M[:, ~pinned] @ sigma[~pinned]
-    E = np.column_stack(cols + [face]) if cols else face[:, None]
-    e = np.concatenate([np.zeros(len(cols)), [eps]])
-    candidate = _solve_squared_equality(P, q, E, e)
-    zc = M.T @ candidate
-    ok_signs = np.all(np.sign(zc[~pinned]) == sigma[~pinned])
-    feasible = np.abs(zc).sum() <= eps * (1 + 1e-9) + 1e-12
-    if ok_signs and feasible and objective.value(candidate) <= objective.value(beta) + 1e-9:
-        return candidate
-    return beta
+def _qp_l1(P: np.ndarray, q: np.ndarray, M: np.ndarray, eps: float) -> np.ndarray:
+    """Exact minimizer of 1/2 b^T P b - q^T b subject to ||M^T b||_1 <= eps > 0.
+
+    The L1 ball is the intersection of the 2^m facets s^T M^T b <= eps,
+    s in {-1, 1}^m, and the most violated one at b is s = sign(M^T b), so
+    the facets are never listed.  In the coordinates of `_whiten` (q and
+    the columns of M lie in the numerical range of P for every caller) the
+    problem is the Euclidean projection of T^T q onto the polytope.  It is
+    solved by the dual active-set method of Goldfarb and Idnani (1983):
+    from the unconstrained minimizer, add the most violated facet until
+    none is violated by more than 1e-12 of the problem's scale, then
+    project the result onto the final active facets, which undoes the
+    rounding drift of the incremental updates.
+    """
+    T = _whiten(P)
+    A = T.T @ M
+    g = T.T @ q
+    u = g
+    tol = 1e-12 * (eps + float(np.abs(g) @ np.abs(A).sum(axis=1)))
+    active = np.zeros((A.shape[0], 0))  # normals A s of the active facets
+    mult = np.zeros(0)
+    steps_left = 10 * (A.shape[0] + A.shape[1]) + 100
+    while np.abs(z := A.T @ u).sum() - eps > tol:
+        if steps_left <= 0:
+            raise SolverError("L1-constrained QP did not terminate", last_iterate=T @ u)
+        added = _add_facet(active, mult, u, A @ np.sign(z), eps, steps_left)
+        if added is None:
+            break
+        active, mult, u, steps_left = added
+    if active.shape[1]:
+        Q, Rq = np.linalg.qr(active)
+        u = u - Q @ (Q.T @ u - np.linalg.solve(Rq.T, np.full(active.shape[1], eps)))
+    return T @ u
+
+
+def _add_facet(active, mult, u, normal, eps, steps_left):
+    """One major step of the dual active-set method: make normal^T u <= eps active.
+
+    Moves u along the component of ``normal`` orthogonal to the active
+    normals, dropping an active facet whenever its multiplier would turn
+    negative first; each step raises the dual objective.  A normal lying
+    in the span of the active ones (below 1e-9 of its length off it) moves
+    only the multipliers.  Returns the new (active, mult, u, steps_left), or
+    None when the normal is a non-positive combination of the active ones:
+    then it cannot be violated in exact arithmetic (b = 0 is feasible), so
+    its violation is rounding.
+    """
+    added = 0.0
+    while steps_left > 0:
+        steps_left -= 1
+        if active.shape[1]:
+            Q, Rq = np.linalg.qr(active)
+            w = Q.T @ normal
+            step = normal - Q @ w
+            r = np.linalg.solve(Rq, w)
+        else:
+            step, r = normal, np.zeros(0)
+        sq = float(step @ step)
+        full = (normal @ u - eps) / sq if sq > 1e-18 * float(normal @ normal) else np.inf
+        pos = np.nonzero(r > 0.0)[0]
+        ratios = mult[pos] / r[pos]
+        partial = ratios.min() if pos.size else np.inf
+        t = min(full, partial)
+        if not np.isfinite(t):
+            return None
+        if np.isfinite(full):
+            u = u - t * step
+        mult = mult - t * r
+        added += t
+        if full <= partial:
+            return np.column_stack([active, normal]), np.append(mult, added), u, steps_left
+        drop = pos[np.argmin(ratios)]
+        active, mult = np.delete(active, drop, axis=1), np.delete(mult, drop)
+    return active, mult, u, steps_left
+
+
+def _newton(obj: _Objective, beta: np.ndarray, minimize_model, steps: int, max_iter: int):
+    """Damped Newton on obj from the feasible beta.
+
+    ``minimize_model(P, q)`` returns the feasible minimizer of the local
+    quadratic model 1/2 b^T P b - q^T b.  The step to it is backtracked
+    until the Armijo condition holds, so every iterate stays feasible.  The
+    run stops when the Newton decrement -g^T d is at most 1e-12 (1 + |J|),
+    or at most the rounding error of evaluating J (which bounds what any
+    step can resolve; it dominates only for ill-conditioned kernels).
+    Returns the final iterate and the running count of steps taken.
+    """
+    abs_d, abs_r = np.abs(obj.D), np.abs(obj.R)
+    value = obj.value(beta)
+    while True:
+        grad, hess = obj.derivatives(beta)
+        d = minimize_model(hess, hess @ beta - grad) - beta
+        decrement = -float(grad @ d)
+        if not (np.isfinite(value) and np.isfinite(decrement)):
+            raise SolverError("non-finite Newton objective or step", last_iterate=beta)
+        size = np.abs(beta)
+        rounding = 1e-14 * float((abs_d @ size).sum() + size @ abs_r @ size)
+        if decrement <= max(1e-12 * (1.0 + abs(value)), rounding):
+            return beta, steps
+        if steps >= max_iter:
+            raise SolverError(f"Newton did not converge within max_iter={max_iter} steps",
+                              last_iterate=beta)
+        t = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing trial is rejected
+            while not (trial := obj.value(beta + t * d)) <= value - 1e-4 * t * decrement:
+                t *= 0.5
+                if t < 1e-15:
+                    raise SolverError("Newton line search found no decrease", last_iterate=beta)
+        beta, value = beta + t * d, trial
+        steps += 1
 
 
 def _solve_constrained(
@@ -252,105 +357,57 @@ def _solve_constrained(
     loss: str,
     epsilon: float | None,
     max_iter: int = 10_000,
-) -> np.ndarray:
+) -> tuple[np.ndarray, dict]:
     """Minimize the sum-loss ridge objective under ||M^T beta||_1 <= epsilon.
 
-    epsilon=None drops the constraint; epsilon=0 eliminates it exactly via
-    an orthonormal null-space basis.  For a positive budget the squared
-    loss runs projected gradient with a final active-face refinement, and
-    the hinge/logistic losses run a fixed-budget (sub)gradient scheme with
-    averaged iterates; every returned iterate is made exactly feasible.
+    epsilon=None drops the constraint; epsilon=0 restricts beta to an
+    orthonormal null-space basis of M^T, where the constraint holds
+    exactly; a positive budget goes through the exact L1-constrained QP
+    `_qp_l1`.  The squared loss is one quadratic solve on that set.  The
+    logistic and hinge losses run damped Newton (`_newton`), each step
+    minimizing the local quadratic model on the same set and on the
+    numerical range of the Hessian (`_whiten`); the hinge is
+    smoothed over the widths in `_HINGE_WIDTHS` in turn, each run
+    warm-started from the last.  max_iter caps the total number of Newton
+    steps, and reaching it raises SolverError.
+
+    Returns beta and the solver trace {"iterations", "stop_reason"}.
     """
     if loss not in LOSSES:
         raise FermError(f"unknown loss {loss!r}")
-    obj = _Objective(D, y, R, loss)
+    if epsilon is not None and epsilon < 0:
+        raise FermError("epsilon must be >= 0")
     p = D.shape[1]
     unconstrained = epsilon is None or M.shape[1] == 0
+    basis = _null_basis(M) if not unconstrained and epsilon == 0.0 else None
 
-    def fit_quadratic(basis: np.ndarray | None) -> np.ndarray:
-        P = D.T @ D + R
-        q = D.T @ y
+    def newton_model(P: np.ndarray, q: np.ndarray) -> np.ndarray:
+        if not unconstrained and basis is None:
+            return _qp_l1(P, q, M, epsilon)
         if basis is None:
-            return _solve_quadratic(P, q)
-        if basis.shape[1] == 0:
+            T = _whiten(P)
+        elif basis.shape[1] == 0:
             return np.zeros(p)
-        return basis @ _solve_quadratic(basis.T @ P @ basis, basis.T @ q)
-
-    def fit_iterative(basis: np.ndarray | None, project) -> np.ndarray:
-        dim = p if basis is None else basis.shape[1]
-        if dim == 0:
-            return np.zeros(p)
-        v = np.zeros(dim)
-        lift = (lambda v: v) if basis is None else (lambda v: basis @ v)
-        lower = (lambda g: g) if basis is None else (lambda g: basis.T @ g)
-        n = D.shape[0]
-        if loss == "logistic":
-            # smooth: fixed-step gradient descent
-            lip = np.linalg.norm(D, 2) ** 2 / 4.0 + 2.0 * np.linalg.norm(R, 2)
-            step = 1.0 / lip
-            for _ in range(max_iter):
-                v = v - step * lower(obj.subgradient(lift(v)))
-                v = project(v)
-            return lift(project(v))
-        # hinge: strongly convex subgradient with averaged tail iterates
-        mu = 2.0 * np.linalg.norm(R, 2) / max(n, 1)
-        if mu <= 0:
-            raise FermError("hinge loss needs a positive ridge penalty")
-        avg = np.zeros(dim)
-        kept = 0
-        for it in range(max_iter):
-            g = lower(obj.subgradient(lift(v))) / n
-            v = project(v - g / (mu * (it + 1)))
-            if it >= max_iter // 2:
-                avg += v
-                kept += 1
-        v = avg / max(kept, 1)
-        return lift(project(v))
-
-    if unconstrained:
-        if loss == "squared":
-            beta = fit_quadratic(None)
         else:
-            beta = fit_iterative(None, lambda v: v)
-    elif epsilon == 0.0:
-        basis = _null_basis(M)
-        if loss == "squared":
-            beta = fit_quadratic(basis)
-        else:
-            beta = fit_iterative(basis, lambda v: v)
-    else:
-        if epsilon < 0:
-            raise FermError("epsilon must be >= 0")
-        gram = M.T @ M
-        gram_inv = np.linalg.pinv(gram)
+            T = basis @ _whiten(basis.T @ P @ basis)
+        return T @ (T.T @ q)
 
-        def project(b: np.ndarray) -> np.ndarray:
-            z = M.T @ b
-            l1 = np.abs(z).sum()
-            if l1 <= epsilon:
-                return b
-            return b - M @ (gram_inv @ (z - project_l1_ball(z, epsilon)))
-
-        if loss == "squared":
-            P = D.T @ D + R
-            q = D.T @ y
+    if loss == "squared":
+        P, q = D.T @ D + R, D.T @ y
+        if unconstrained:
             beta = _solve_quadratic(P, q)
-            if np.abs(M.T @ beta).sum() > epsilon:
-                lip = 2.0 * np.linalg.norm(P, 2)
-                step = 1.0 / lip
-                beta = project(beta)
-                prev = obj.value(beta)
-                for it in range(max_iter):
-                    beta = project(beta - step * (2.0 * (P @ beta) - 2.0 * q))
-                    if it % 25 == 24:
-                        cur = obj.value(beta)
-                        if abs(prev - cur) <= 1e-13 * (1.0 + abs(cur)):
-                            break
-                        prev = cur
-                beta = _polish_squared(P, q, M, epsilon, beta, obj)
+        elif basis is None:
+            beta = _qp_l1(P, q, M, epsilon)
+        elif basis.shape[1] == 0:
+            beta = np.zeros(p)
         else:
-            beta = fit_iterative(None, project)
-        beta = _feasibility_correction(beta, M, epsilon)
+            beta = basis @ _solve_quadratic(basis.T @ P @ basis, basis.T @ q)
+        trace = {"iterations": 0, "stop_reason": "closed_form"}
+    else:
+        beta, steps = np.zeros(p), 0
+        for delta in _HINGE_WIDTHS if loss == "hinge" else (0.0,):
+            beta, steps = _newton(_Objective(D, y, R, loss, delta), beta, newton_model, steps, max_iter)
+        trace = {"iterations": steps, "stop_reason": "converged"}
 
     if not np.all(np.isfinite(beta)):
         raise SolverError(
@@ -358,15 +415,15 @@ def _solve_constrained(
             last_iterate=beta,
             residuals=None if unconstrained else M.T @ beta,
         )
-    if not unconstrained and epsilon is not None:
+    if not unconstrained:
         achieved = float(np.abs(M.T @ beta).sum())
         if achieved > epsilon + 1e-6:
             raise SolverError(
-                f"constraint violated after {max_iter} iterations: {achieved} > {epsilon}",
+                f"constraint violated: {achieved} > {epsilon}",
                 last_iterate=beta,
                 residuals=M.T @ beta,
             )
-    return beta
+    return beta, trace
 
 
 @dataclass(frozen=True)
@@ -390,7 +447,12 @@ class FairERMProblem:
 
 @dataclass(frozen=True, eq=False)
 class KernelModel:
-    """Trained model: primal weights (linear) or dual coefficients (rbf)."""
+    """Trained model: primal weights (linear) or dual coefficients (rbf).
+
+    ``solver`` is the deterministic solver trace: the number of Newton
+    steps and the stop reason, "closed_form" (squared loss, solved
+    directly) or "converged"; None for a model document without one.
+    """
 
     kernel: KernelSpec
     include_sensitive: bool
@@ -399,6 +461,7 @@ class KernelModel:
     training_inputs: np.ndarray | None
     constraint_report: Mapping[str, object]
     objective_value: float
+    solver: Mapping[str, object] | None = None
 
     def decision_function(self, Z: np.ndarray) -> np.ndarray:
         Z = np.asarray(Z, dtype=float)
@@ -428,7 +491,7 @@ def _train(Z, y, C, pairs, degenerate, loss, lam, epsilon, kernel, include_sensi
         K = kernel_matrix(kernel, Z)
         D, R, M = K, lam * K, K @ C
     eff_epsilon = None if degenerate else epsilon
-    beta = _solve_constrained(D, y, R, M, loss, eff_epsilon, max_iter=max_iter)
+    beta, trace = _solve_constrained(D, y, R, M, loss, eff_epsilon, max_iter=max_iter)
     obj = _Objective(D, y, R, loss)
     return KernelModel(
         kernel=kernel,
@@ -438,6 +501,7 @@ def _train(Z, y, C, pairs, degenerate, loss, lam, epsilon, kernel, include_sensi
         training_inputs=None if kernel.kind == "linear" else Z,
         constraint_report=_report(M, beta, epsilon, pairs, degenerate),
         objective_value=obj.value(beta),
+        solver=trace,
     )
 
 
@@ -449,8 +513,9 @@ def train_gferm(
 ) -> KernelModel:
     """Train under the full per-bin cell-difference constraint system.
 
-    Training is deterministic: the solvers use closed forms or fixed
-    zero-initialized iterations, so no seed is consumed.
+    Training is deterministic: the solvers use closed forms or Newton
+    iterations started from zero, so no seed is consumed.  max_iter caps
+    the Newton steps of the hinge and logistic losses.
     """
     Z = design_matrix(dataset, problem.include_sensitive)
     cs = build_constraints(dataset, grid)
@@ -488,15 +553,7 @@ def train_ferm_binary(
     gap = model.constraint_report["constraint_values"][0]
     report = dict(model.constraint_report)
     report["positive_class_linear_loss_gap"] = -0.5 * gap
-    return KernelModel(
-        kernel=model.kernel,
-        include_sensitive=model.include_sensitive,
-        coef=model.coef,
-        dual_coef=model.dual_coef,
-        training_inputs=model.training_inputs,
-        constraint_report=report,
-        objective_value=model.objective_value,
-    )
+    return replace(model, constraint_report=report)
 
 
 @dataclass(frozen=True, eq=False)

@@ -53,6 +53,32 @@ class TestExitCodes:
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["metrics", "--input", str(tmp_path / "none.csv")]) == 2
 
+    def test_vanishing_ridge_hinge_is_solver_error(self, tmp_path, capsys):
+        data, schema = write_classification_csv(tmp_path / "train.csv", np.random.default_rng(4))
+        code = main([
+            "ferm-train", "--input", str(data), "--schema", schema, "--loss", "hinge",
+            "--lambda", "1e-300", "--epsilon", "0.1",
+            "--model-output", str(tmp_path / "m.json"), "--output", str(tmp_path / "r.json"),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure:") and err.count("\n") == 1
+
+    def test_nan_feature_is_solver_error(self, tmp_path, capsys):
+        data, schema = write_classification_csv(tmp_path / "train.csv", np.random.default_rng(4))
+        lines = data.read_text().splitlines()
+        row = lines[5].split(",")
+        row[1] = "nan"
+        lines[5] = ",".join(row)
+        data.write_text("\n".join(lines) + "\n")
+        code = main([
+            "ferm-train", "--input", str(data), "--schema", schema,
+            "--model-output", str(tmp_path / "m.json"), "--output", str(tmp_path / "r.json"),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure:") and err.count("\n") == 1
+
 
 class TestDatasets:
     def test_describe_compas(self, tmp_path, capsys):
@@ -163,6 +189,54 @@ class TestFermCommands:
         with open(scores_out) as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 120
+
+    def test_solver_trace_in_report_and_model(self, tmp_path):
+        rng = np.random.default_rng(4)
+        data, schema = write_classification_csv(tmp_path / "train.csv", rng)
+        traces = {}
+        for loss in ("squared", "logistic"):
+            model, report = tmp_path / f"{loss}.model.json", tmp_path / f"{loss}.json"
+            assert main([
+                "ferm-train", "--input", str(data), "--schema", schema, "--loss", loss,
+                "--epsilon", "0.1", "--model-output", str(model), "--output", str(report),
+            ]) == 0
+            traces[loss] = json.loads(report.read_text())["results"]["solver"]
+            assert json.loads(model.read_text())["solver"] == traces[loss]
+        assert traces["squared"] == {"iterations": 0, "stop_reason": "closed_form"}
+        assert traces["logistic"]["stop_reason"] == "converged"
+        assert traces["logistic"]["iterations"] > 0
+        # documents written before the trace existed still load
+        doc = json.loads(model.read_text())
+        del doc["solver"]
+        model.write_text(json.dumps(doc))
+        assert main([
+            "ferm-predict", "--model", str(model), "--input", str(data), "--schema", schema,
+            "--scores-output", str(tmp_path / "scores.csv"),
+        ]) == 0
+
+    @pytest.mark.parametrize("breakage", ["missing", "ill-typed"])
+    def test_broken_model_document_is_data_error(self, tmp_path, capsys, breakage):
+        rng = np.random.default_rng(4)
+        data, schema = write_classification_csv(tmp_path / "train.csv", rng, n=40)
+        model = tmp_path / "model.json"
+        assert main([
+            "ferm-train", "--input", str(data), "--schema", schema,
+            "--model-output", str(model), "--output", str(tmp_path / "r.json"),
+        ]) == 0
+        doc = json.loads(model.read_text())
+        if breakage == "missing":
+            del doc["kernel"]["gamma"]
+        else:
+            doc["coef"] = "abc"
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main([
+            "ferm-predict", "--model", str(model), "--input", str(data), "--schema", schema,
+            "--scores-output", str(tmp_path / "scores.csv"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: model document") and err.count("\n") == 1
 
     def test_epsilon_sweep_plot_csv(self, tmp_path):
         rng = np.random.default_rng(5)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fairkit.dataset import dataset_from_columns, make_grid
 from fairkit.ferm import (
     FairERMProblem,
     FermError,
     KernelSpec,
+    SolverError,
     binary_positive_constraint,
     build_constraints,
     design_matrix,
@@ -16,7 +18,7 @@ from fairkit.ferm import (
     train_ferm_binary,
     train_gferm,
 )
-from fairkit.ferm import _Objective, _solve_constrained  # white-box solver checks
+from fairkit.ferm import _Objective, _qp_l1, _solve_constrained  # white-box solver checks
 from fairkit.metrics import ScoreSet, general_fairness_gap, loss_general_fairness_gap
 
 from oracles import dense_weight_grid_search, reference_constrained_erm
@@ -38,6 +40,33 @@ def classification_dataset(rng, n=80, d=4, shift=1.5):
     # make sure every (k, q) cell is populated
     assert build_constraints(data, make_grid(data, 2, 2)).n_constraints == 2
     return data
+
+
+def benchmark_classification(seed, n=20_000):
+    """The classification table of the benchmark's fair_train workload.
+
+    Group 1 is shifted along four of the five features, so the two per-bin
+    constraint columns are nearly parallel.
+    """
+    rng = np.random.default_rng([seed, 2])
+    s = (rng.random(n) < 0.4).astype(int)
+    X = rng.standard_normal((n, 5)) + s[:, None] * np.array([0.8, -0.5, 0.3, 0.0, 0.6])
+    w = rng.uniform(-1.0, 1.0, 5)
+    y = np.where(X @ w + 0.5 * s + 0.5 * rng.standard_normal(n) > 0, 1.0, -1.0)
+    cols = {"s": s.astype(float), "y": y, **{f"x{j}": X[:, j] for j in range(5)}}
+    roles = {"s": "sensitive", "y": "outcome", **{f"x{j}": "feature" for j in range(5)}}
+    return dataset_from_columns(cols, roles, outcome_kind="classification")
+
+
+def squared_value(X, y, lam, w):
+    return float(np.sum((X @ w - y) ** 2) + lam * w @ w)
+
+
+def feasible_reference(X, y, lam, A, epsilon):
+    """The SLSQP reference, scaled into the budget it may overshoot slightly."""
+    w, _ = reference_constrained_erm(X, y, lam, A, epsilon, loss="squared")
+    l1 = np.abs(A.T @ w).sum()
+    return w * (epsilon / l1) if l1 > epsilon else w
 
 
 class TestConstraintConstruction:
@@ -106,6 +135,35 @@ class TestL1Projection:
                 c = c / max(np.abs(c).sum() / radius, 1.0)
                 assert np.linalg.norm(z - p) <= np.linalg.norm(z - c) + 1e-9
 
+    def test_non_finite_input_rejected(self):
+        with pytest.raises(FermError, match="finite"):
+            project_l1_ball(np.array([np.nan, 1.0]), 0.1)
+
+
+class TestQpL1:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(1, 4),
+        m=st.integers(1, 4),
+        near_parallel=st.booleans(),
+        budget=st.floats(1e-6, 1.0),
+        lam=st.floats(1e-3, 10.0),
+    )
+    def test_feasible_and_not_above_reference(self, seed, p, m, near_parallel, budget, lam):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(3 * p + 2, p))
+        y = rng.normal(size=X.shape[0])
+        A = rng.normal(size=(p, m))
+        if near_parallel and m > 1:
+            A[:, 1] = A[:, 0] + 1e-3 * rng.normal(size=p)
+        P, q = X.T @ X + lam * np.eye(p), X.T @ y
+        epsilon = budget * np.abs(A.T @ np.linalg.solve(P, q)).sum()
+        beta = _qp_l1(P, q, A, epsilon)
+        assert np.abs(A.T @ beta).sum() <= epsilon + 1e-9
+        ref = squared_value(X, y, lam, feasible_reference(X, y, lam, A, epsilon))
+        assert squared_value(X, y, lam, beta) <= ref + 1e-9 * (1.0 + ref)
+
 
 class TestUnconstrainedAndEquality:
     def test_unconstrained_matches_ridge(self):
@@ -128,7 +186,7 @@ class TestUnconstrainedAndEquality:
         )
         X, y = data.features, data.outcome
         M = np.array([[1.0], [1.0]])
-        beta = _solve_constrained(X, y, np.eye(2), M, "squared", 0.0)
+        beta, _ = _solve_constrained(X, y, np.eye(2), M, "squared", 0.0)
         np.testing.assert_allclose(beta, [0.5, -0.5], atol=1e-10)
 
     def test_equality_mode_residual(self):
@@ -146,10 +204,10 @@ class TestUnconstrainedAndEquality:
         cs = build_constraints(data, grid)
         X, y = data.features, data.outcome
         lam = 0.3
-        w = _solve_constrained(X, y, lam * np.eye(X.shape[1]), X.T @ cs.cell_weights,
-                               "squared", 0.0)
+        w, _ = _solve_constrained(X, y, lam * np.eye(X.shape[1]), X.T @ cs.cell_weights,
+                                  "squared", 0.0)
         K = X @ X.T
-        alpha = _solve_constrained(K, y, lam * K, K @ cs.cell_weights, "squared", 0.0)
+        alpha, _ = _solve_constrained(K, y, lam * K, K @ cs.cell_weights, "squared", 0.0)
         X_new = rng.normal(size=(15, X.shape[1]))
         np.testing.assert_allclose(X_new @ w, (X_new @ X.T) @ alpha, atol=1e-8)
 
@@ -190,6 +248,67 @@ class TestBudgetedSolver:
             FairERMProblem(loss="logistic", lam=0.5, epsilon=0.1), data, grid, max_iter=5000
         )
         assert model.constraint_report["achieved_l1"] <= 0.1 + 1e-6
+
+    def test_wide_grid_more_constraints_than_features(self):
+        # a 10 x 10 grid over 4 features: 450 constraint columns, m > p
+        rng = np.random.default_rng(0)
+        n = 2000
+        s = rng.standard_normal(n)
+        X = rng.standard_normal((n, 4)) + s[:, None] * np.array([0.4, -0.3, 0.2, 0.0])
+        y = X @ rng.uniform(-1.0, 1.0, 4) + 0.3 * s + rng.standard_normal(n)
+        data = dataset_from_columns(
+            {"s": s, "y": y, **{f"x{j}": X[:, j] for j in range(4)}},
+            {"s": "sensitive", "y": "outcome", **{f"x{j}": "feature" for j in range(4)}},
+        )
+        grid = make_grid(data, 10, 10)
+        A = X.T @ build_constraints(data, grid).cell_weights
+        assert A.shape == (4, 450)
+        # the 450 equalities leave only beta = 0 at a zero budget
+        previous = train_gferm(FairERMProblem(lam=1.0, epsilon=0.0), data, grid).objective_value
+        for epsilon in (0.05, 0.5, 5.0):
+            model = train_gferm(FairERMProblem(lam=1.0, epsilon=epsilon), data, grid)
+            assert model.constraint_report["achieved_l1"] <= epsilon + 1e-9
+            assert model.objective_value <= previous
+            previous = model.objective_value
+        ref = squared_value(X, y, 1.0, feasible_reference(X, y, 1.0, A, 5.0))
+        assert model.objective_value <= ref + 1e-9 * ref
+
+    def test_benchmark_geometry_not_above_feasible_points(self):
+        data = benchmark_classification(137)
+        grid = make_grid(data, 2, 2)
+        X, y = data.features, data.outcome
+        A = X.T @ build_constraints(data, grid).cell_weights
+        cosine = A[:, 0] @ A[:, 1] / np.linalg.norm(A, axis=0).prod()
+        assert abs(cosine) > 0.99
+        sq0 = train_gferm(FairERMProblem(lam=1.0, epsilon=0.0), data, grid).coef
+        for loss in ("hinge", "logistic"):
+            model = train_gferm(FairERMProblem(loss=loss, lam=1.0, epsilon=0.05), data, grid)
+            assert model.constraint_report["achieved_l1"] <= 0.05 + 1e-9
+            obj = _Objective(X, y, np.eye(X.shape[1]), loss)
+            assert model.objective_value <= obj.value(np.zeros(X.shape[1]))
+            assert model.objective_value <= obj.value(sq0)
+
+    @pytest.mark.parametrize("loss", ["hinge", "logistic"])
+    def test_newton_step_cap_raises(self, loss):
+        rng = np.random.default_rng(10)
+        data = classification_dataset(rng, n=50)
+        grid = make_grid(data, 2, 2)
+        with pytest.raises(SolverError, match="did not converge within max_iter=1"):
+            train_gferm(FairERMProblem(loss=loss, lam=0.5, epsilon=0.1), data, grid, max_iter=1)
+
+    def test_solver_trace(self):
+        rng = np.random.default_rng(10)
+        data = classification_dataset(rng, n=50)
+        grid = make_grid(data, 2, 2)
+        for epsilon in (0.0, 0.1, None):
+            model = train_gferm(FairERMProblem(lam=0.5, epsilon=epsilon), data, grid)
+            assert model.solver == {"iterations": 0, "stop_reason": "closed_form"}
+            for loss in ("hinge", "logistic"):
+                problem = FairERMProblem(loss=loss, lam=0.5, epsilon=epsilon)
+                model = train_gferm(problem, data, grid)
+                assert model.solver["stop_reason"] == "converged"
+                assert 0 < model.solver["iterations"] <= 200
+                assert train_gferm(problem, data, grid).solver == model.solver
 
     def test_risk_non_increasing_in_budget(self):
         rng = np.random.default_rng(11)
