@@ -10,7 +10,9 @@ outputs.  Exit codes: 0 success, 1 usage error, 2 data/validation error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import dataclasses
 import json
 import sys
 
@@ -38,6 +40,17 @@ def _write_text(path, text: str):
             fh.write(text)
 
 
+def _write_csv(path, header: list[str], rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_sweep(path, rows) -> None:
+    _write_csv(path, ["x", "series", "value"], ([repr(float(x)), s, repr(float(v))] for x, s, v in rows))
+
+
 def _report_doc(command: str, seed: int, results: dict) -> str:
     doc = {"schema_version": SCHEMA_VERSION, "command": command, "seed": seed, "results": results}
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -51,6 +64,25 @@ def _parse_schema(text: str) -> dict:
     if not isinstance(schema, dict):
         raise ds.DatasetError("schema must be a JSON object mapping column -> role")
     return schema
+
+
+def _float_list(text: str) -> list[float]:
+    """argparse type of --sweep and --epsilon-sweep: comma-separated numbers."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+
+
+@contextlib.contextmanager
+def _document(kind: str):
+    """Report a missing or ill-typed field of a JSON document as a data error."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ds.DatasetError(f"{kind} document lacks the field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ds.DatasetError(f"{kind} document has an ill-typed field: {exc}") from None
 
 
 def _read_scores_csv(path):
@@ -67,32 +99,15 @@ def _read_scores_csv(path):
         raise ds.DatasetError("no score rows")
     ids = [r.get("id", str(i)) for i, r in enumerate(rows)]
     groups = [r["group"].strip() for r in rows]
-    try:
-        scores = np.array([float(r["score"]) for r in rows])
-    except ValueError as exc:
-        raise ds.DatasetError(f"unparseable score: {exc}") from None
-    outcome = None
-    if "y" in fields:
-        try:
-            outcome = np.array([float(r["y"]) for r in rows])
-        except ValueError as exc:
-            raise ds.DatasetError(f"unparseable outcome: {exc}") from None
+    scores = ds.parse_numbers([r["score"] for r in rows], "score")
+    outcome = ds.parse_numbers([r["y"] for r in rows], "y") if "y" in fields else None
     return ids, np.array(groups), scores, outcome
-
-
-def _group_codes(groups: np.ndarray) -> np.ndarray:
-    codes = {g: i for i, g in enumerate(dict.fromkeys(groups.tolist()))}
-    return np.array([codes[g] for g in groups], dtype=float)
 
 
 def cmd_metrics(args) -> int:
     ids, groups, scores, outcome = _read_scores_csv(args.input)
-    scoreset = metrics.ScoreSet(
-        scores=scores,
-        group=_group_codes(groups),
-        outcome=outcome,
-        threshold=args.threshold,
-    )
+    codes = ds.factorize(groups).codes.astype(float)
+    scoreset = metrics.ScoreSet(scores=scores, group=codes, outcome=outcome, threshold=args.threshold)
     grid = None
     outcome_kind = "regression"
     if args.grid_k and outcome is not None:
@@ -100,7 +115,7 @@ def cmd_metrics(args) -> int:
         outcome_kind = kind
         y = outcome if kind == "regression" else np.where(outcome > 0, 1.0, -1.0)
         table = ds.dataset_from_columns(
-            {"group": _group_codes(groups), "score": scores, "y": y},
+            {"group": codes, "score": scores, "y": y},
             {"group": "sensitive", "score": "feature", "y": "outcome"},
             outcome_kind=kind,
         )
@@ -112,46 +127,35 @@ def cmd_metrics(args) -> int:
 
 def cmd_repair(args) -> int:
     ids, groups, scores, _ = _read_scores_csv(args.input)
+    enc = ds.factorize(groups)
     repaired, plan = transport.geodesic_repair(
-        scores, groups, t=args.t, bins=args.bins, order=args.order, weights=args.weights
+        scores, enc.codes, t=args.t, bins=args.bins, order=args.order, weights=args.weights
     )
     if args.scores_output:
-        with open(args.scores_output, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["id", "group", "score", "repaired_score"])
-            for i, g, s, r in zip(ids, groups, scores, repaired):
-                writer.writerow([i, g, repr(float(s)), repr(float(r))])
+        _write_csv(args.scores_output, ["id", "group", "score", "repaired_score"],
+                   ([i, g, repr(float(s)), repr(float(r))] for i, g, s, r in zip(ids, groups, scores, repaired)))
     bary = plan.barycenter_distribution()
     summary = {"trade_off": plan.trade_off, "bins": plan.bins, "order": plan.order, "groups": {}}
-    for code in plan.group_codes:
-        mask = groups == code
-        before = transport.EmpiricalDistribution.from_samples(scores[mask], bins=plan.bins)
-        after = transport.EmpiricalDistribution.from_samples(repaired[mask], bins=plan.bins)
-        summary["groups"][str(code)] = {
-            "count": int(mask.sum()),
-            "w_to_barycenter_before": transport.wasserstein(before, bary, order=plan.order),
+    for code, idx in zip(plan.group_codes, enc.members):
+        after = transport.EmpiricalDistribution.from_samples(repaired[idx], bins=plan.bins)
+        summary["groups"][str(enc.labels[code])] = {
+            "count": int(idx.size),
+            "w_to_barycenter_before": transport.wasserstein(
+                plan.group_distributions[code], bary, order=plan.order),
             "w_to_barycenter_after": transport.wasserstein(after, bary, order=plan.order),
         }
     if args.sweep:
-        t_values = [float(t) for t in args.sweep.split(",")]
         rows = []
-        codes = plan.group_codes
-        for t in t_values:
-            swept, _ = transport.geodesic_repair(
-                scores, groups, t=t, bins=args.bins, order=args.order, weights=args.weights
-            )
-            dists = {
-                c: transport.EmpiricalDistribution.from_samples(swept[groups == c], bins=plan.bins)
-                for c in codes
-            }
-            for i, a in enumerate(codes):
-                for b in codes[i + 1:]:
-                    rows.append((t, f"w1:{a}-{b}", transport.wasserstein(dists[a], dists[b], order=1)))
-        with open(args.sweep_output, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "series", "value"])
-            for x, series, value in rows:
-                writer.writerow([repr(float(x)), series, repr(float(value))])
+        pairs = [f"w1:{a}-{b}" for i, a in enumerate(enc.labels) for b in enc.labels[i + 1:]]
+        for t in args.sweep:
+            swept = dataclasses.replace(plan, trade_off=t)
+            dists = [
+                transport.EmpiricalDistribution.from_samples(
+                    swept.map_scores(code, scores[idx]), bins=plan.bins)
+                for code, idx in zip(plan.group_codes, enc.members)
+            ]
+            rows.extend((t, pair, w) for pair, w in zip(pairs, transport.pairwise_wasserstein(dists, order=1)))
+        _write_sweep(args.sweep_output, rows)
     _write_text(args.output, _report_doc("repair", args.seed, summary))
     return 0
 
@@ -177,26 +181,22 @@ def _model_to_json(model: ferm.KernelModel) -> dict:
     }
 
 
+@_document("model")
 def _model_from_json(doc: dict) -> ferm.KernelModel:
     def array(key):
         return None if doc[key] is None else np.array(doc[key], dtype=float)
 
-    try:
-        spec = ferm.KernelSpec(kind=doc["kernel"]["kind"], gamma=doc["kernel"]["gamma"])
-        return ferm.KernelModel(
-            kernel=spec,
-            include_sensitive=doc["include_sensitive"],
-            coef=array("coef"),
-            dual_coef=array("dual_coef"),
-            training_inputs=array("training_inputs"),
-            constraint_report=doc["constraint_report"],
-            objective_value=doc["objective_value"],
-            solver=doc.get("solver"),
-        )
-    except KeyError as exc:
-        raise ds.DatasetError(f"model document lacks the field {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ds.DatasetError(f"model document has an ill-typed field: {exc}") from None
+    spec = ferm.KernelSpec(kind=doc["kernel"]["kind"], gamma=doc["kernel"]["gamma"])
+    return ferm.KernelModel(
+        kernel=spec,
+        include_sensitive=doc["include_sensitive"],
+        coef=array("coef"),
+        dual_coef=array("dual_coef"),
+        training_inputs=array("training_inputs"),
+        constraint_report=doc["constraint_report"],
+        objective_value=doc["objective_value"],
+        solver=doc.get("solver"),
+    )
 
 
 def cmd_ferm_train(args) -> int:
@@ -219,22 +219,12 @@ def cmd_ferm_train(args) -> int:
         "solver": model.solver,
     }
     if args.epsilon_sweep:
-        rows = []
-        for eps in (float(e) for e in args.epsilon_sweep.split(",")):
-            swept = ferm.train_gferm(
-                ferm.FairERMProblem(
-                    loss=args.loss, lam=args.lam, epsilon=eps, kernel=kernel,
-                    include_sensitive=args.use_sensitive,
-                ),
-                data, grid,
-            )
-            risk = swept.objective_value
-            rows.append((eps, "objective", risk))
-        with open(args.sweep_output, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "series", "value"])
-            for x, series, value in rows:
-                writer.writerow([repr(float(x)), series, repr(float(value))])
+        rows = [
+            (eps, "objective",
+             ferm.train_gferm(dataclasses.replace(problem, epsilon=eps), data, grid).objective_value)
+            for eps in args.epsilon_sweep
+        ]
+        _write_sweep(args.sweep_output, rows)
     _write_text(args.output, _report_doc("ferm-train", args.seed, results))
     return 0
 
@@ -244,11 +234,8 @@ def cmd_ferm_predict(args) -> int:
         model = _model_from_json(json.load(fh))
     data = _load_dataset(args)
     scores = model.predict_dataset(data)
-    with open(args.scores_output, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "group", "score"])
-        for i, (g, s) in enumerate(zip(data.sensitive, scores)):
-            writer.writerow([i, repr(float(g)), repr(float(s))])
+    _write_csv(args.scores_output, ["id", "group", "score"],
+               ([i, repr(float(g)), repr(float(s))] for i, (g, s) in enumerate(zip(data.sensitive, scores))))
     return 0
 
 
@@ -277,6 +264,7 @@ def _sem_to_json(sem: causal.LinearSEM) -> dict:
     }
 
 
+@_document("SEM")
 def _sem_from_json(doc: dict) -> causal.LinearSEM:
     return causal.LinearSEM(
         sensitive=doc["sensitive"],
@@ -364,11 +352,9 @@ def cmd_sem(args) -> int:
             sem, score_fn, cols, paths, args.a_bar,
             mc_samples=args.mc_samples or 1, seed=args.seed,
         )
-        with open(args.scores_output, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["id", "group", "score", "corrected_score"])
-            for i, (g, s, c) in enumerate(zip(data.sensitive, original, corrected)):
-                writer.writerow([i, repr(float(g)), repr(float(s)), repr(float(c))])
+        _write_csv(args.scores_output, ["id", "group", "score", "corrected_score"], (
+            [i, repr(float(g)), repr(float(s)), repr(float(c))]
+            for i, (g, s, c) in enumerate(zip(data.sensitive, original, corrected))))
         return 0
     raise UsageError(f"unknown sem subcommand {args.sem_command!r}")
 
@@ -396,11 +382,12 @@ def cmd_mtl(args) -> int:
     if args.mtl_command == "transfer":
         with open(args.model, encoding="utf-8") as fh:
             doc = json.load(fh)
-        rep = multitask.RepresentationModel(
-            A=np.array(doc["A"]), B=np.array(doc["B"]), r=doc["r"], lam=doc["lam"],
-            constraint=doc["constraint"], penalty=None, gap_vectors=(),
-            objective_history=tuple(doc["objective_history"]),
-        )
+        with _document("representation"):
+            rep = multitask.RepresentationModel(
+                A=np.array(doc["A"], dtype=float), B=np.array(doc["B"], dtype=float),
+                r=doc["r"], lam=doc["lam"], constraint=doc["constraint"], penalty=None,
+                gap_vectors=(), objective_history=tuple(doc["objective_history"]),
+            )
         data = _load_dataset(args)
         result = multitask.transfer(rep, multitask.task_from_dataset(data), lam=args.lam)
         results = {
@@ -474,7 +461,8 @@ def build_parser() -> _Parser:
     p.add_argument("--order", type=int, choices=[1, 2], default=2)
     p.add_argument("--weights", choices=["empirical", "uniform"], default="empirical")
     p.add_argument("--scores-output", default=None)
-    p.add_argument("--sweep", default=None, help="comma-separated t values for a plot CSV")
+    p.add_argument("--sweep", type=_float_list, default=None,
+                   help="comma-separated t values for a plot CSV")
     p.add_argument("--sweep-output", default="sweep.csv")
     _add_common(p)
     p.set_defaults(func=cmd_repair)
@@ -492,7 +480,7 @@ def build_parser() -> _Parser:
     p.add_argument("--grid-q", type=int, default=2)
     p.add_argument("--use-sensitive", action="store_true")
     p.add_argument("--model-output", default="model.json")
-    p.add_argument("--epsilon-sweep", default=None)
+    p.add_argument("--epsilon-sweep", type=_float_list, default=None)
     p.add_argument("--sweep-output", default="sweep.csv")
     _add_common(p)
     p.set_defaults(func=cmd_ferm_train)

@@ -3,7 +3,7 @@
 A dataset is an immutable collection of columns with declared roles.  The
 grid machinery discretizes the outcome and the sensitive attribute into
 half-open cells [t_k, t_{k+1}) x [s_q, s_{q+1}); every other module consumes
-the resulting cell index.
+the resulting cell index and the one group encoding, ``factorize``.
 """
 
 from __future__ import annotations
@@ -20,8 +20,11 @@ __all__ = [
     "ColumnSpec",
     "TabularDataset",
     "DiscretizationGrid",
+    "GroupCodes",
     "GroupIndex",
     "SplitResult",
+    "factorize",
+    "parse_numbers",
     "load_csv",
     "to_csv",
     "dataset_from_columns",
@@ -163,11 +166,48 @@ class TabularDataset:
         )
 
 
-def _parse_float(cell: str, row: int, name: str) -> float:
-    try:
-        return float(cell)
-    except ValueError:
-        raise DatasetError(f"row {row}, column {name!r}: cannot parse {cell!r} as a number") from None
+@dataclass(frozen=True, eq=False)
+class GroupCodes:
+    """Distinct labels in first-appearance order, each record's label index, and group sizes."""
+
+    labels: tuple
+    codes: np.ndarray
+    counts: np.ndarray
+
+    @cached_property
+    def members(self) -> list[np.ndarray]:
+        """Record indices of each group, ascending."""
+        order = np.argsort(self.codes, kind="stable")
+        return np.split(order, np.cumsum(self.counts)[:-1])
+
+
+def factorize(values) -> GroupCodes:
+    """Encode labels by first appearance, the one group encoding of the package.
+
+    Labels are the keys of a Python dict filled from ``values.tolist()``:
+    each is taken from the record where it first appears, labels that compare
+    equal (-0.0 and 0.0) collapse to the first, and every NaN is its own.
+    """
+    values = np.asarray(values).ravel()
+    _, first, inverse, counts = np.unique(
+        values, return_index=True, return_inverse=True, return_counts=True, equal_nan=False
+    )
+    order = np.argsort(first)  # sorted position -> first-appearance rank is its inverse
+    return GroupCodes(tuple(values[first[order]].tolist()), np.argsort(order)[inverse], counts[order])
+
+
+def parse_numbers(cells: Sequence[str], name: str) -> np.ndarray:
+    """Finite floats from CSV cells; errors name the row (the header is row 1) and column."""
+    values = np.empty(len(cells))
+    for i, cell in enumerate(cells):
+        try:
+            values[i] = float(cell)
+        except ValueError:
+            raise DatasetError(f"row {i + 2}, column {name!r}: cannot parse {cell!r} as a number") from None
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise DatasetError(f"row {bad[0] + 2}, column {name!r}: non-finite value {cells[bad[0]]!r}")
+    return values
 
 
 def _classification_labels(values: np.ndarray, name: str) -> np.ndarray:
@@ -184,7 +224,7 @@ def load_csv(path, schema: Mapping[str, str], outcome_kind: str = "regression") 
 
     ``schema`` maps column name -> role in {sensitive, feature, outcome,
     task, ignore}; columns absent from the mapping are an error, as are
-    missing cells, unparseable cells, and ragged rows.  Non-numeric
+    missing, unparseable or non-finite cells, and ragged rows.  Non-numeric
     sensitive or feature columns (detected from their first cell) are coded
     as categoricals in first-appearance order; categorical features are
     one-hot expanded when the feature matrix is built.  Row numbers in error
@@ -227,15 +267,7 @@ def load_csv(path, schema: Mapping[str, str], outcome_kind: str = "regression") 
             columns[name] = np.array(cells, dtype=object)
             continue
         if role == "task":
-            ids = []
-            for i, c in enumerate(cells):
-                try:
-                    ids.append(int(float(c)))
-                except ValueError:
-                    raise DatasetError(
-                        f"row {i + 2}, column {name!r}: task ids must be integers, got {c!r}"
-                    ) from None
-            columns[name] = np.array(ids, dtype=int)
+            columns[name] = parse_numbers(cells, name).astype(int)
             continue
         numeric = True
         if role in ("sensitive", "feature"):
@@ -244,15 +276,14 @@ def load_csv(path, schema: Mapping[str, str], outcome_kind: str = "regression") 
             except ValueError:
                 numeric = False
         if numeric:
-            values = np.array([_parse_float(c, i + 2, name) for i, c in enumerate(cells)])
+            values = parse_numbers(cells, name)
             if role == "outcome" and outcome_kind == "classification":
                 values = _classification_labels(values, name)
             columns[name] = values
         else:
-            cats = list(dict.fromkeys(cells))
-            code = {c: i for i, c in enumerate(cats)}
-            columns[name] = np.array([code[c] for c in cells], dtype=int)
-            categories[name] = tuple(cats)
+            enc = factorize(np.array(cells))
+            columns[name] = enc.codes
+            categories[name] = enc.labels
 
     spec = tuple(ColumnSpec(name, schema[name]) for name in header)
     return TabularDataset(schema=spec, outcome_kind=outcome_kind, columns=columns, categories=categories)
@@ -343,6 +374,13 @@ class DiscretizationGrid:
         s = np.asarray(s, dtype=float)
         return self._locate(self.y_edges, y, "outcome"), self._locate(self.s_edges, s, "sensitive")
 
+    def cell_ids(self, y: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Flat cell id k * Q + q of every record and the (K, Q) table of cell counts."""
+        k, q = self.cell_of(y, s)
+        cell = k * self.n_s_bins + q
+        counts = np.bincount(cell, minlength=self.n_y_bins * self.n_s_bins)
+        return cell, counts.reshape(self.n_y_bins, self.n_s_bins)
+
 
 def _axis_edges(values: np.ndarray, bins: int, what: str) -> np.ndarray:
     distinct = np.unique(values)
@@ -397,38 +435,22 @@ def make_grid(
 
 @dataclass(frozen=True, eq=False)
 class GroupIndex:
-    """Record indices per (k, q) cell plus group marginals."""
+    """Each record's flat cell id k * Q + q, the (K, Q) cell counts, group marginals."""
 
-    cells: Mapping[tuple[int, int], np.ndarray]
+    cell: np.ndarray
     counts: np.ndarray
     group_counts: np.ndarray
     group_probs: np.ndarray
 
     def indices(self, k: int, q: int) -> np.ndarray:
-        return self.cells.get((k, q), np.empty(0, dtype=int))
-
-    def nonempty(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.cells))
+        return np.flatnonzero(self.cell == k * self.counts.shape[1] + q)
 
 
 def partition(dataset: TabularDataset, grid: DiscretizationGrid) -> GroupIndex:
-    """Assign every record to its half-open (k, q) cell."""
-    k_idx, q_idx = grid.cell_of(dataset.outcome, dataset.sensitive)
-    counts = np.zeros((grid.n_y_bins, grid.n_s_bins), dtype=int)
-    cells: dict[tuple[int, int], np.ndarray] = {}
-    for k in range(grid.n_y_bins):
-        for q in range(grid.n_s_bins):
-            idx = np.nonzero((k_idx == k) & (q_idx == q))[0]
-            counts[k, q] = idx.size
-            if idx.size:
-                cells[(k, q)] = idx
+    """Assign every record to its half-open (k, q) cell by one bincount."""
+    cell, counts = grid.cell_ids(dataset.outcome, dataset.sensitive)
     group_counts = counts.sum(axis=0)
-    return GroupIndex(
-        cells=cells,
-        counts=counts,
-        group_counts=group_counts,
-        group_probs=group_counts / dataset.n_records,
-    )
+    return GroupIndex(cell, counts, group_counts, group_counts / dataset.n_records)
 
 
 class SplitResult(NamedTuple):

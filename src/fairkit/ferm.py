@@ -87,21 +87,39 @@ def design_matrix(dataset: TabularDataset, include_sensitive: bool) -> np.ndarra
 
 @dataclass(frozen=True, eq=False)
 class ConstraintSystem:
-    """Cell-difference constraints as averaging weights over training rows.
+    """Cell-difference constraints as per-record averaging weights.
 
-    Column j of ``cell_weights`` carries +1/N_{k,p} on the records of cell
-    (k, p) and -1/N_{k,q} on those of cell (k, q), so X^T C reproduces the
-    per-cell mean-feature differences for any design X (and K C its
-    kernelized counterpart).
+    Record i lies in the flat cell ``cell[i]`` = k * Q + q, Q = ``n_s_bins``,
+    and ``cell_weights[i]`` is 1/N of that cell, or 0 when the cell enters no
+    constraint.  Constraint (k, p, q) is the mean over cell (k, p) minus the
+    mean over (k, q); `mean_differences` gives X^T C without building C.
     """
 
-    cell_weights: np.ndarray
+    cell: np.ndarray
     pairs: tuple[tuple[int, int, int], ...]
-    degenerate: bool
+    cell_weights: np.ndarray
+    n_s_bins: int
 
     @property
     def n_constraints(self) -> int:
-        return self.cell_weights.shape[1]
+        return len(self.pairs)
+
+    @property
+    def degenerate(self) -> bool:
+        return not self.pairs
+
+    def mean_differences(self, X: np.ndarray) -> np.ndarray:
+        """X^T C: per-cell weighted sums of X's rows differenced over ``pairs``.
+
+        Applied to a symmetric kernel matrix K this is K C.  Each cell's sum
+        is one matrix-vector product, as accurate as the dense X^T C.
+        """
+        order = np.argsort(self.cell, kind="stable")
+        members = np.split(order, np.cumsum(np.bincount(self.cell))[:-1])
+        sums = np.array([self.cell_weights[idx] @ X[idx] for idx in members])
+        plus = [k * self.n_s_bins + p for k, p, _ in self.pairs]
+        minus = [k * self.n_s_bins + q for k, _, q in self.pairs]
+        return (sums[plus] - sums[minus]).T
 
 
 def build_constraints(dataset: TabularDataset, grid: DiscretizationGrid) -> ConstraintSystem:
@@ -112,37 +130,32 @@ def build_constraints(dataset: TabularDataset, grid: DiscretizationGrid) -> Cons
     unconstrained ridge).
     """
     index = partition(dataset, grid)
-    n = dataset.n_records
-    columns = []
+    counts = index.counts
     pairs = []
-    for k in range(index.counts.shape[0]):
-        present = [q for q in range(index.counts.shape[1]) if index.counts[k, q] > 0]
-        for i, p in enumerate(present):
-            for q in present[i + 1:]:
-                col = np.zeros(n)
-                col[index.indices(k, p)] = 1.0 / index.counts[k, p]
-                col[index.indices(k, q)] = -1.0 / index.counts[k, q]
-                columns.append(col)
-                pairs.append((k, p, q))
-    if not columns:
-        return ConstraintSystem(np.zeros((n, 0)), (), True)
-    return ConstraintSystem(np.column_stack(columns), tuple(pairs), False)
+    for k, row in enumerate(counts):
+        present = np.flatnonzero(row).tolist()
+        pairs.extend((k, p, q) for i, p in enumerate(present) for q in present[i + 1:])
+    constrained = (counts > 0) & (np.count_nonzero(counts, axis=1) >= 2)[:, None]
+    weights = np.where(constrained, 1.0 / np.maximum(counts, 1), 0.0).ravel()
+    return ConstraintSystem(index.cell, tuple(pairs), weights[index.cell], grid.n_s_bins)
 
 
-def binary_positive_constraint(dataset: TabularDataset) -> np.ndarray:
-    """Single-column weights for the positive-class group-mean difference."""
-    y = dataset.outcome
-    s = dataset.sensitive
-    codes = np.unique(s)
+def binary_positive_constraint(dataset: TabularDataset) -> ConstraintSystem:
+    """The positive-class group-mean difference as the one pair (0, 0, 1).
+
+    Cell (0, g) holds the positive records of the g-th smallest group code,
+    cell (1, g) its other records, which enter no constraint.
+    """
+    codes, group = np.unique(dataset.sensitive, return_inverse=True)
     if codes.size != 2:
         raise FermError("binary training needs exactly two sensitive groups")
-    col = np.zeros(dataset.n_records)
-    for code, sign in zip(codes, (1.0, -1.0)):
-        mask = (s == code) & (y > 0)
-        if not mask.any():
-            raise FermError(f"group {code!r} has no positive-labeled records")
-        col[mask] = sign / mask.sum()
-    return col[:, None]
+    positive = dataset.outcome > 0
+    cell = np.where(positive, group, group + 2)
+    counts = np.bincount(cell, minlength=4)
+    if not counts[:2].all():
+        raise FermError(f"group {codes[np.argmin(counts[:2])]!r} has no positive-labeled records")
+    weights = np.where(positive, 1.0 / counts[group], 0.0)
+    return ConstraintSystem(cell, ((0, 0, 1),), weights, 2)
 
 
 def project_l1_ball(z: np.ndarray, radius: float) -> np.ndarray:
@@ -473,24 +486,22 @@ class KernelModel:
         return self.decision_function(design_matrix(dataset, self.include_sensitive))
 
 
-def _report(M, beta, epsilon, pairs, degenerate) -> dict:
+def _report(M, beta, epsilon, cs: ConstraintSystem) -> dict:
     values = M.T @ beta
     return {
         "epsilon": epsilon,
         "achieved_l1": float(np.abs(values).sum()),
         "constraint_values": [float(v) for v in values],
-        "pairs": [list(p) for p in pairs],
-        "degenerate": bool(degenerate),
+        "pairs": [list(p) for p in cs.pairs],
+        "degenerate": cs.degenerate,
     }
 
 
-def _train(Z, y, C, pairs, degenerate, loss, lam, epsilon, kernel, include_sensitive, max_iter):
-    if kernel.kind == "linear":
-        D, R, M = Z, lam * np.eye(Z.shape[1]), Z.T @ C
-    else:
-        K = kernel_matrix(kernel, Z)
-        D, R, M = K, lam * K, K @ C
-    eff_epsilon = None if degenerate else epsilon
+def _train(Z, y, cs, loss, lam, epsilon, kernel, include_sensitive, max_iter):
+    D = Z if kernel.kind == "linear" else kernel_matrix(kernel, Z)
+    R = lam * (np.eye(Z.shape[1]) if kernel.kind == "linear" else D)
+    M = cs.mean_differences(D)
+    eff_epsilon = None if cs.degenerate else epsilon
     beta, trace = _solve_constrained(D, y, R, M, loss, eff_epsilon, max_iter=max_iter)
     obj = _Objective(D, y, R, loss)
     return KernelModel(
@@ -499,7 +510,7 @@ def _train(Z, y, C, pairs, degenerate, loss, lam, epsilon, kernel, include_sensi
         coef=beta if kernel.kind == "linear" else None,
         dual_coef=None if kernel.kind == "linear" else beta,
         training_inputs=None if kernel.kind == "linear" else Z,
-        constraint_report=_report(M, beta, epsilon, pairs, degenerate),
+        constraint_report=_report(M, beta, epsilon, cs),
         objective_value=obj.value(beta),
         solver=trace,
     )
@@ -520,8 +531,7 @@ def train_gferm(
     Z = design_matrix(dataset, problem.include_sensitive)
     cs = build_constraints(dataset, grid)
     return _train(
-        Z, dataset.outcome, cs.cell_weights, cs.pairs, cs.degenerate,
-        problem.loss, problem.lam, problem.epsilon, problem.kernel,
+        Z, dataset.outcome, cs, problem.loss, problem.lam, problem.epsilon, problem.kernel,
         problem.include_sensitive, max_iter,
     )
 
@@ -545,9 +555,8 @@ def train_ferm_binary(
         raise FermError("binary training needs a classification outcome")
     kernel = kernel or KernelSpec()
     Z = design_matrix(dataset, include_sensitive)
-    C = binary_positive_constraint(dataset)
     model = _train(
-        Z, dataset.outcome, C, ((0, 0, 1),), False,
+        Z, dataset.outcome, binary_positive_constraint(dataset),
         loss, lam, epsilon, kernel, include_sensitive, max_iter,
     )
     gap = model.constraint_report["constraint_values"][0]

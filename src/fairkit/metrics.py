@@ -11,12 +11,13 @@ and reported, never imputed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .dataset import DiscretizationGrid
-from .transport import EmpiricalDistribution, default_bins, wasserstein
+from .dataset import DiscretizationGrid, GroupCodes, factorize
+from .transport import EmpiricalDistribution, default_bins, pairwise_wasserstein
 
 __all__ = [
     "MetricError",
@@ -67,10 +68,12 @@ class ScoreSet:
             raise MetricError("scores must be a non-empty vector")
         if group.shape != scores.shape:
             raise MetricError("group must align with scores")
+        if group.dtype.kind in "fc" and np.isnan(group).any():
+            raise MetricError("group labels must not be NaN")
 
-    @property
-    def codes(self) -> tuple:
-        return tuple(dict.fromkeys(self.group.tolist()))
+    @cached_property
+    def encoding(self) -> GroupCodes:
+        return factorize(self.group)
 
     @property
     def predictions(self) -> np.ndarray:
@@ -78,27 +81,31 @@ class ScoreSet:
             raise MetricError("this criterion needs a threshold")
         return (self.scores > self.threshold).astype(float)
 
-    def group_mask(self, code) -> np.ndarray:
-        return self.group == code
+
+def _outcome_table(scores: ScoreSet) -> np.ndarray:
+    """Records per (group, prediction, outcome sign): a (G, 2, 3) count table.
+
+    The last axis counts negative, zero (or absent) and positive outcomes.
+    Every threshold criterion is a ratio of sums of these counts, the same
+    value as the mean of the 0/1 indicators it replaces.
+    """
+    enc = scores.encoding
+    n_groups = len(enc.labels)
+    y = scores.outcome
+    sign = 1 if y is None else 1 + (y > 0).astype(int) - (y < 0)
+    cell = (enc.codes * 2 + (scores.predictions > 0)) * 3 + sign
+    return np.bincount(cell, minlength=6 * n_groups).reshape(n_groups, 2, 3)
 
 
-def _max_pairwise_gap(values: Mapping[object, float]) -> float:
-    rates = list(values.values())
-    if len(rates) < 2:
-        return 0.0
-    return float(max(abs(a - b) for i, a in enumerate(rates) for b in rates[i + 1:]))
+def _max_pairwise_gap(rates: np.ndarray) -> float:
+    # max |a - b| over pairs is max - min: rounding is monotone, so no pair rounds above it
+    return float(rates.max() - rates.min()) if rates.size else 0.0
 
 
 def demographic_parity_gap(scores: ScoreSet) -> float:
     """Largest pairwise gap in positive prediction rates across groups."""
-    pred = scores.predictions
-    rates = {}
-    for code in scores.codes:
-        mask = scores.group_mask(code)
-        if not mask.any():
-            raise MetricError(f"empty group {code!r}")
-        rates[code] = float(pred[mask].mean())
-    return _max_pairwise_gap(rates)
+    table = _outcome_table(scores)
+    return _max_pairwise_gap(table[:, 1].sum(axis=1) / scores.encoding.counts)
 
 
 class StrongDPResult(NamedTuple):
@@ -114,20 +121,13 @@ class StrongDPResult(NamedTuple):
 
 
 def strong_demographic_parity(scores: ScoreSet, bins: int | None = None) -> StrongDPResult:
-    codes = scores.codes
-    sizes = [int(scores.group_mask(c).sum()) for c in codes]
-    b = default_bins(sizes) if bins is None else int(bins)
-    dists = {
-        c: EmpiricalDistribution.from_samples(scores.scores[scores.group_mask(c)], bins=b)
-        for c in codes
-    }
+    enc = scores.encoding
+    b = default_bins(enc.counts) if bins is None else int(bins)
+    dists = [EmpiricalDistribution.from_samples(scores.scores[idx], bins=b) for idx in enc.members]
     d_pair = 0.0
-    max_w1 = 0.0
-    for i, a in enumerate(codes):
-        for c in codes[i + 1:]:
-            d_pair += 2.0 * wasserstein(dists[a], dists[c], order=2)
-            max_w1 = max(max_w1, wasserstein(dists[a], dists[c], order=1))
-    return StrongDPResult(d_pair=d_pair, max_w1=max_w1)
+    for cost in pairwise_wasserstein(dists, order=2):
+        d_pair += 2.0 * cost
+    return StrongDPResult(d_pair=d_pair, max_w1=max(pairwise_wasserstein(dists, order=1), default=0.0))
 
 
 class OddsGaps(NamedTuple):
@@ -144,21 +144,13 @@ def equalized_odds_gaps(scores: ScoreSet) -> OddsGaps:
     """
     if scores.outcome is None:
         raise MetricError("equalized odds needs outcomes")
-    pred = scores.predictions
-    y = scores.outcome
-    fpr: dict[object, float] = {}
-    fnr: dict[object, float] = {}
-    excluded = []
-    for code in scores.codes:
-        mask = scores.group_mask(code)
-        neg = mask & (y < 0)
-        pos = mask & (y > 0)
-        if not neg.any() or not pos.any():
-            excluded.append(code)
-            continue
-        fpr[code] = float(pred[neg].mean())
-        fnr[code] = float(1.0 - pred[pos].mean())
-    return OddsGaps(_max_pairwise_gap(fpr), _max_pairwise_gap(fnr), tuple(excluded))
+    table = _outcome_table(scores)
+    neg, pos = table[:, :, 0].sum(axis=1), table[:, :, 2].sum(axis=1)
+    keep = (neg > 0) & (pos > 0)
+    fpr = table[keep, 1, 0] / neg[keep]
+    fnr = 1.0 - table[keep, 1, 2] / pos[keep]
+    excluded = tuple(label for label, kept in zip(scores.encoding.labels, keep) if not kept)
+    return OddsGaps(_max_pairwise_gap(fpr), _max_pairwise_gap(fnr), excluded)
 
 
 class PredictiveParityResult(NamedTuple):
@@ -170,17 +162,12 @@ def predictive_parity_gap(scores: ScoreSet) -> PredictiveParityResult:
     """Max pairwise precision gap among groups with positive predictions."""
     if scores.outcome is None:
         raise MetricError("predictive parity needs outcomes")
-    pred = scores.predictions
-    y = scores.outcome
-    precision: dict[object, float] = {}
-    excluded = []
-    for code in scores.codes:
-        mask = scores.group_mask(code) & (pred > 0)
-        if not mask.any():
-            excluded.append(code)
-            continue
-        precision[code] = float((y[mask] > 0).mean())
-    return PredictiveParityResult(_max_pairwise_gap(precision), tuple(excluded))
+    table = _outcome_table(scores)
+    predicted = table[:, 1].sum(axis=1)
+    keep = predicted > 0
+    precision = table[keep, 1, 2] / predicted[keep]
+    excluded = tuple(label for label, kept in zip(scores.encoding.labels, keep) if not kept)
+    return PredictiveParityResult(_max_pairwise_gap(precision), excluded)
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,17 +208,27 @@ def _cell_gap(table: np.ndarray, counts: np.ndarray) -> tuple[float, tuple, int]
     return value, skipped, pairs
 
 
-def _cell_layout(scores: ScoreSet, grid: DiscretizationGrid):
+def _cell_layout(scores: ScoreSet, grid: DiscretizationGrid, model_outputs):
+    f = scores.scores if model_outputs is None else np.asarray(model_outputs, dtype=float)
+    if f.shape != scores.scores.shape:
+        raise MetricError("model_outputs must align with the score set")
     if scores.outcome is None:
         raise MetricError("cell-based criteria need outcomes")
     try:
         group_values = scores.group.astype(float)
     except ValueError:
         raise MetricError("cell-based criteria need numeric group codes") from None
-    k_idx, q_idx = grid.cell_of(scores.outcome, group_values)
-    counts = np.zeros((grid.n_y_bins, grid.n_s_bins), dtype=int)
-    np.add.at(counts, (k_idx, q_idx), 1)
-    return k_idx, q_idx, counts
+    return (f, *grid.cell_ids(scores.outcome, group_values))
+
+
+def _cell_result(cell: np.ndarray, counts: np.ndarray, values: np.ndarray) -> CellGapResult:
+    """Per-cell means of ``values`` (NaN for empty cells) and their gap."""
+    sums = np.bincount(cell, weights=values, minlength=counts.size).reshape(counts.shape)
+    table = np.full(counts.shape, np.nan)
+    nz = counts > 0
+    table[nz] = sums[nz] / counts[nz]
+    value, skipped, pairs = _cell_gap(table, counts)
+    return CellGapResult(value, table, skipped, pairs)
 
 
 def general_fairness_gap(
@@ -245,19 +242,10 @@ def general_fairness_gap(
     falls inside the cell's own outcome bin.  In the binary setting this
     averages the false-positive and false-negative rate gaps.
     """
-    f = scores.scores if model_outputs is None else np.asarray(model_outputs, dtype=float)
-    if f.shape != scores.scores.shape:
-        raise MetricError("model_outputs must align with the score set")
-    k_idx, q_idx, counts = _cell_layout(scores, grid)
+    f, cell, counts = _cell_layout(scores, grid, model_outputs)
+    k_idx = cell // grid.n_s_bins
     edges = grid.y_edges
-    in_bin = (f >= edges[k_idx]) & (f < edges[k_idx + 1])
-    table = np.full(counts.shape, np.nan)
-    hits = np.zeros(counts.shape, dtype=int)
-    np.add.at(hits, (k_idx, q_idx), in_bin.astype(int))
-    nz = counts > 0
-    table[nz] = hits[nz] / counts[nz]
-    value, skipped, pairs = _cell_gap(table, counts)
-    return CellGapResult(value, table, skipped, pairs)
+    return _cell_result(cell, counts, (f >= edges[k_idx]) & (f < edges[k_idx + 1]))
 
 
 def loss_general_fairness_gap(
@@ -280,22 +268,15 @@ def loss_general_fairness_gap(
         return CellGapResult(base.value, 1.0 - base.table, base.skipped_cells, base.included_pairs)
     if loss != "linear":
         raise MetricError(f"unknown loss kind {loss!r}")
-    f = scores.scores if model_outputs is None else np.asarray(model_outputs, dtype=float)
+    f, cell, counts = _cell_layout(scores, grid, model_outputs)
     y = scores.outcome
-    k_idx, q_idx, counts = _cell_layout(scores, grid)
     if outcome_kind == "classification":
         losses = (1.0 - f * y) / 2.0
     elif outcome_kind == "regression":
         losses = f - y
     else:
         raise MetricError(f"unknown outcome kind {outcome_kind!r}")
-    sums = np.zeros(counts.shape)
-    np.add.at(sums, (k_idx, q_idx), losses)
-    table = np.full(counts.shape, np.nan)
-    nz = counts > 0
-    table[nz] = sums[nz] / counts[nz]
-    value, skipped, pairs = _cell_gap(table, counts)
-    return CellGapResult(value, table, skipped, pairs)
+    return _cell_result(cell, counts, losses)
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,6 +298,10 @@ class FairnessReport:
         return out
 
 
+def _entry(value: float, skipped=()) -> dict:
+    return {"value": value, "table": None, "skipped_cells": list(skipped)}
+
+
 def _cell_entry(result: CellGapResult) -> dict:
     return {
         "value": result.value,
@@ -334,36 +319,15 @@ def full_report(
     """Evaluate every criterion the inputs support."""
     criteria: dict[str, dict] = {}
     sdp = strong_demographic_parity(scores, bins=bins)
-    criteria["strong_demographic_parity"] = {
-        "value": sdp.max_w1,
-        "table": None,
-        "skipped_cells": [],
-        "d_pair": sdp.d_pair,
-    }
+    criteria["strong_demographic_parity"] = {**_entry(sdp.max_w1), "d_pair": sdp.d_pair}
     if scores.threshold is not None:
-        criteria["demographic_parity"] = {
-            "value": demographic_parity_gap(scores),
-            "table": None,
-            "skipped_cells": [],
-        }
+        criteria["demographic_parity"] = _entry(demographic_parity_gap(scores))
         if scores.outcome is not None:
             odds = equalized_odds_gaps(scores)
-            criteria["equal_false_positive_rates"] = {
-                "value": odds.fpr_gap,
-                "table": None,
-                "skipped_cells": list(odds.excluded),
-            }
-            criteria["equal_false_negative_rates"] = {
-                "value": odds.fnr_gap,
-                "table": None,
-                "skipped_cells": list(odds.excluded),
-            }
+            criteria["equal_false_positive_rates"] = _entry(odds.fpr_gap, odds.excluded)
+            criteria["equal_false_negative_rates"] = _entry(odds.fnr_gap, odds.excluded)
             pp = predictive_parity_gap(scores)
-            criteria["predictive_parity"] = {
-                "value": pp.gap,
-                "table": None,
-                "skipped_cells": list(pp.excluded),
-            }
+            criteria["predictive_parity"] = _entry(pp.gap, pp.excluded)
     if grid is not None and scores.outcome is not None:
         criteria["general_fairness"] = _cell_entry(general_fairness_gap(scores, grid))
         criteria["loss_general_fairness_hard"] = _cell_entry(

@@ -16,6 +16,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .dataset import factorize
+
 __all__ = [
     "TransportError",
     "EmpiricalDistribution",
@@ -23,6 +25,7 @@ __all__ = [
     "quantile",
     "inverse_quantile",
     "wasserstein",
+    "pairwise_wasserstein",
     "barycenter",
     "geodesic_repair",
     "expected_prediction_changes",
@@ -112,6 +115,11 @@ def wasserstein(p: EmpiricalDistribution, q: EmpiricalDistribution, order: int =
     return float(np.mean(np.abs(p.quantiles - q.quantiles) ** order))
 
 
+def pairwise_wasserstein(dists: Sequence[EmpiricalDistribution], order: int) -> list[float]:
+    """Transport costs of every unordered pair (i < j), in row-major order."""
+    return [wasserstein(p, q, order=order) for i, p in enumerate(dists) for q in dists[i + 1:]]
+
+
 def _weighted_lower_median(values: np.ndarray, weights: np.ndarray) -> float:
     order = np.argsort(values, kind="stable")
     cum = np.cumsum(weights[order])
@@ -155,13 +163,15 @@ def barycenter(
 
 @dataclass(frozen=True, eq=False)
 class RepairPlan:
-    """Per-group quantile tables plus the barycenter table for one repair.
+    """Per-group distributions plus the barycenter table for one repair.
 
     ``map_scores`` sends a score through its group's partially repaired
     quantile map: the score's own bin index i is looked up, and the output
     is the interpolated quantile (1-t) * q_group(i) + t * q_barycenter(i).
     At t=0 this reproduces the group's own quantiles (identity up to bin
     quantization) and at t=1 it lands exactly on the barycenter table.
+    Only ``trade_off`` depends on t, so ``dataclasses.replace(plan,
+    trade_off=t)`` re-interpolates a plan at another t.
     """
 
     group_codes: tuple
@@ -169,18 +179,22 @@ class RepairPlan:
     order: int
     bins: int
     weights: np.ndarray
-    group_tables: Mapping[object, np.ndarray]
+    group_distributions: Mapping[object, EmpiricalDistribution]
     barycenter_table: np.ndarray
+
+    def __post_init__(self):
+        if not 0.0 <= self.trade_off <= 1.0:
+            raise TransportError(f"trade-off t={self.trade_off!r} outside [0, 1]")
 
     def interpolated_table(self, code) -> np.ndarray:
         t = self.trade_off
-        return (1.0 - t) * self.group_tables[code] + t * self.barycenter_table
+        return (1.0 - t) * self.group_distributions[code].quantiles + t * self.barycenter_table
 
     def map_scores(self, code, values) -> np.ndarray:
-        if code not in self.group_tables:
+        if code not in self.group_distributions:
             raise TransportError(f"unknown group code {code!r}")
         v = np.asarray(values, dtype=float)
-        idx = np.searchsorted(self.group_tables[code], v, side="right")
+        idx = np.searchsorted(self.group_distributions[code].quantiles, v, side="right")
         idx = np.clip(idx, 1, self.bins)
         return self.interpolated_table(code)[idx - 1]
 
@@ -209,7 +223,8 @@ def geodesic_repair(
     weights : "empirical" (group frequencies), "uniform", or an explicit
         mapping code -> weight.
 
-    Returns the repaired scores (aligned with the input) and the plan.
+    Returns the repaired scores (aligned with the input) and the plan, whose
+    groups are in first-appearance order.
     """
     v = np.asarray(values, dtype=float).ravel()
     g = np.asarray(groups).ravel()
@@ -217,19 +232,18 @@ def geodesic_repair(
         raise TransportError("values and groups must align")
     if v.size == 0:
         raise TransportError("no scores to repair")
-    if not 0.0 <= t <= 1.0:
-        raise TransportError(f"trade-off t={t!r} outside [0, 1]")
-    codes = [c for c in dict.fromkeys(g.tolist())]  # first-appearance order
-    masks = {c: g == c for c in codes}
-    sizes = [int(masks[c].sum()) for c in codes]
-    b = default_bins(sizes) if bins is None else int(bins)
+    if g.dtype.kind in "fc" and np.isnan(g).any():
+        raise TransportError("group labels must not be NaN")
+    enc = factorize(g)
+    codes = enc.labels
+    b = default_bins(enc.counts) if bins is None else int(bins)
     if b < 1:
         raise TransportError("bins must be >= 1")
-    dists = {c: EmpiricalDistribution.from_samples(v[masks[c]], bins=b) for c in codes}
+    dists = [EmpiricalDistribution.from_samples(v[idx], bins=b) for idx in enc.members]
 
     if isinstance(weights, str):
         if weights == "empirical":
-            w = np.array(sizes, dtype=float) / v.size
+            w = enc.counts / v.size
         elif weights == "uniform":
             w = np.full(len(codes), 1.0 / len(codes))
         else:
@@ -241,19 +255,18 @@ def geodesic_repair(
             raise TransportError("weights must have positive sum")
         w = w / total
 
-    bary = barycenter([dists[c] for c in codes], w, order=order)
     plan = RepairPlan(
-        group_codes=tuple(codes),
+        group_codes=codes,
         trade_off=float(t),
         order=order,
         bins=b,
         weights=w,
-        group_tables={c: dists[c].quantiles for c in codes},
-        barycenter_table=bary.quantiles,
+        group_distributions=dict(zip(codes, dists)),
+        barycenter_table=barycenter(dists, w, order=order).quantiles,
     )
     repaired = np.empty_like(v)
-    for c in codes:
-        repaired[masks[c]] = plan.map_scores(c, v[masks[c]])
+    for c, idx in zip(codes, enc.members):
+        repaired[idx] = plan.map_scores(c, v[idx])
     return repaired, plan
 
 

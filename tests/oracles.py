@@ -95,6 +95,37 @@ def cell_metric_double_loop(scores, groups, outcomes, y_edges, s_edges, statisti
     return value, table, counts
 
 
+def dense_constraint_matrix(outcomes, groups, y_edges, s_edges):
+    """The n x m cell-difference matrix C and its (k, p, q) pairs, built densely.
+
+    One column per outcome bin k and unordered pair p < q of non-empty
+    sensitive cells, holding +1/N_kp on the records of cell (k, p) and
+    -1/N_kq on those of (k, q); X^T C is then the per-pair difference of
+    cell means of X.
+    """
+    n = len(outcomes)
+    members = {}
+    for k in range(len(y_edges) - 1):
+        for q in range(len(s_edges) - 1):
+            idx = [
+                i for i in range(n)
+                if y_edges[k] <= outcomes[i] < y_edges[k + 1] and s_edges[q] <= groups[i] < s_edges[q + 1]
+            ]
+            if idx:
+                members[(k, q)] = idx
+    columns, pairs = [], []
+    for k in range(len(y_edges) - 1):
+        present = [q for q in range(len(s_edges) - 1) if (k, q) in members]
+        for i, p in enumerate(present):
+            for q in present[i + 1:]:
+                col = np.zeros(n)
+                col[members[(k, p)]] = 1.0 / len(members[(k, p)])
+                col[members[(k, q)]] = -1.0 / len(members[(k, q)])
+                columns.append(col)
+                pairs.append((k, p, q))
+    return (np.column_stack(columns) if columns else np.zeros((n, 0))), pairs
+
+
 def reference_constrained_erm(X, y, lam, A, epsilon, loss="squared"):
     """Solve min sum_loss + lam ||w||^2 s.t. ||A^T w||_1 <= epsilon via SLSQP.
 

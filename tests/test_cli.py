@@ -1,10 +1,14 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fairkit.cli import main
+from fairkit.transport import EmpiricalDistribution, geodesic_repair, wasserstein
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def write_scores(path, rng, n_per_group=200, with_outcome=True):
@@ -64,7 +68,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("solver failure:") and err.count("\n") == 1
 
-    def test_nan_feature_is_solver_error(self, tmp_path, capsys):
+    def test_nan_feature_is_data_error(self, tmp_path, capsys):
         data, schema = write_classification_csv(tmp_path / "train.csv", np.random.default_rng(4))
         lines = data.read_text().splitlines()
         row = lines[5].split(",")
@@ -75,9 +79,52 @@ class TestExitCodes:
             "ferm-train", "--input", str(data), "--schema", schema,
             "--model-output", str(tmp_path / "m.json"), "--output", str(tmp_path / "r.json"),
         ])
-        assert code == 3
+        assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("solver failure:") and err.count("\n") == 1
+        assert err == "error: row 6, column 'x0': non-finite value 'nan'\n"
+
+
+    def test_non_finite_score_is_data_error(self, tmp_path, capsys):
+        scores = write_scores(tmp_path / "scores.csv", np.random.default_rng(0), n_per_group=5)
+        lines = scores.read_text().splitlines()
+        lines[3] = "2,a,inf,1.0"
+        scores.write_text("\n".join(lines) + "\n")
+        assert main(["metrics", "--input", str(scores)]) == 2
+        assert capsys.readouterr().err == "error: row 4, column 'score': non-finite value 'inf'\n"
+
+    def test_sem_document_without_pi_is_data_error(self, tmp_path, capsys):
+        doc = tmp_path / "sem.json"
+        doc.write_text(json.dumps({"sensitive": "A"}))
+        assert main(["sem", "pse", "--sem", str(doc)]) == 2
+        assert capsys.readouterr().err == "error: SEM document lacks the field 'pi'\n"
+
+    def test_representation_document_without_a_is_data_error(self, tmp_path, capsys):
+        data, schema = write_multitask_csv(tmp_path / "one.csv", np.random.default_rng(0), T=1, n=10)
+        doc = tmp_path / "rep.json"
+        doc.write_text(json.dumps({"B": []}))
+        code = main(["mtl", "transfer", "--model", str(doc), "--input", str(data), "--schema", schema])
+        assert code == 2
+        assert capsys.readouterr().err == "error: representation document lacks the field 'A'\n"
+
+    @pytest.mark.parametrize("command", [
+        ["repair", "--input", "s.csv", "--t", "1", "--sweep", "0,abc"],
+        ["ferm-train", "--input", "d.csv", "--schema", "{}", "--epsilon-sweep", "0,abc"],
+    ])
+    def test_bad_sweep_number_is_usage_error(self, command, capsys):
+        assert main(command) == 1
+        err = capsys.readouterr().err
+        flag = command[-2]
+        assert f"argument {flag}: expected comma-separated numbers, got '0,abc'" in err
+        assert "Traceback" not in err
+
+    def test_sweep_t_outside_range_is_data_error(self, tmp_path, capsys):
+        scores = write_scores(tmp_path / "scores.csv", np.random.default_rng(1), n_per_group=20)
+        code = main([
+            "repair", "--input", str(scores), "--t", "0.5", "--sweep", "0,1.5",
+            "--sweep-output", str(tmp_path / "sweep.csv"), "--output", str(tmp_path / "r.json"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: trade-off t=1.5 outside [0, 1]\n"
 
 
 class TestDatasets:
@@ -164,6 +211,50 @@ class TestRepairCommand:
         lines = sweep.read_text().strip().splitlines()
         assert lines[0] == "x,series,value"
         assert len(lines) == 6  # one pair, five trade-off values
+
+
+    def test_sweep_matches_one_repair_per_t(self, tmp_path):
+        sweep = tmp_path / "sweep.csv"
+        ts = (0.0, 0.25, 0.5, 1.0)
+        assert main([
+            "repair", "--input", str(GOLDEN / "scores.csv"), "--t", "0.7", "--order", "1",
+            "--sweep", ",".join(map(str, ts)), "--sweep-output", str(sweep),
+            "--output", str(tmp_path / "r.json"),
+        ]) == 0
+        with open(GOLDEN / "scores.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        groups = np.array([r["group"] for r in rows])
+        values = np.array([float(r["score"]) for r in rows])
+        labels = list(dict.fromkeys(groups.tolist()))
+        expected = ["x,series,value"]
+        for t in ts:
+            repaired, plan = geodesic_repair(values, groups, t=t, order=1)
+            dists = [EmpiricalDistribution.from_samples(repaired[groups == g], bins=plan.bins)
+                     for g in labels]
+            expected += [
+                f"{t!r},w1:{a}-{b},{wasserstein(dists[i], dists[j], order=1)!r}"
+                for i, a in enumerate(labels) for j, b in enumerate(labels) if i < j
+            ]
+        assert sweep.read_text().splitlines() == expected
+
+
+class TestGoldenReports:
+    """Reports on a committed 600-row, 6-group scores file, byte for byte as first written."""
+
+    def test_metrics_and_repairs_reproduce_golden_outputs(self, tmp_path):
+        scores = str(GOLDEN / "scores.csv")
+        for argv in (
+            ["metrics", "--input", scores, "--threshold", "0.5", "--grid-k", "2", "--grid-q", "6",
+             "--output", str(tmp_path / "metrics.json")],
+            ["repair", "--input", scores, "--t", "1", "--scores-output", str(tmp_path / "repaired.csv"),
+             "--sweep", "0,0.5,1", "--sweep-output", str(tmp_path / "sweep.csv"),
+             "--output", str(tmp_path / "repair_full.json")],
+            ["repair", "--input", scores, "--t", "0.5", "--order", "1",
+             "--output", str(tmp_path / "repair_half.json")],
+        ):
+            assert main(argv) == 0
+        for name in ("metrics.json", "repaired.csv", "sweep.csv", "repair_full.json", "repair_half.json"):
+            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 class TestFermCommands:

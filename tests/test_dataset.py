@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fairkit.dataset import (
     DatasetError,
     dataset_from_columns,
     describe_dataset,
+    factorize,
     load_csv,
     make_grid,
     partition,
@@ -46,6 +48,18 @@ class TestLoadCsv:
         path = write(tmp_path, "gender,x1,y\nf,1.0,1\n")
         with pytest.raises(DatasetError, match="missing columns: x2"):
             load_csv(path, BASIC_SCHEMA)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_cell_names_row(self, tmp_path, cell):
+        path = write(tmp_path, f"gender,x1,x2,y\nf,1.0,2.0,1\nm,0.5,{cell},-1\n")
+        with pytest.raises(DatasetError, match=rf"row 3, column 'x2': non-finite value '{cell}'"):
+            load_csv(path, BASIC_SCHEMA, outcome_kind="classification")
+
+    def test_non_finite_task_id_names_row(self, tmp_path):
+        path = write(tmp_path, "t,gender,x1,y\n0,f,1.0,1\ninf,m,0.5,-1\n")
+        schema = {"t": "task", "gender": "sensitive", "x1": "feature", "y": "outcome"}
+        with pytest.raises(DatasetError, match=r"row 3, column 't': non-finite"):
+            load_csv(path, schema)
 
     def test_ragged_row(self, tmp_path):
         path = write(tmp_path, "gender,x1,x2,y\nf,1.0,2.0,1\nm,0.5,-1\n")
@@ -95,6 +109,27 @@ class TestLoadCsv:
         path = write(tmp_path, "g,x,y\n0,1.0,3\n1,2.0,4\n")
         with pytest.raises(DatasetError, match="classification labels"):
             load_csv(path, {"g": "sensitive", "x": "feature", "y": "outcome"}, "classification")
+
+
+class TestFactorize:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.lists(st.sampled_from(["a", "b", "zz", "", "B", "a b", "é"]), min_size=1, max_size=40),
+        st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.5, -2.0, np.inf, -np.inf, np.nan]),
+                           st.floats(allow_nan=True)), min_size=1, max_size=40),
+    ))
+    def test_matches_dict_fromkeys(self, raw):
+        values = np.array(raw)
+        enc = factorize(values)
+        listed = values.tolist()  # a new object per NaN, so each NaN is its own key
+        reference = {label: i for i, label in enumerate(dict.fromkeys(listed))}
+        assert [repr(v) for v in enc.labels] == [repr(v) for v in reference]
+        assert [type(v) for v in enc.labels] == [type(v) for v in reference]
+        expected = [reference[v] for v in listed]
+        assert enc.codes.tolist() == expected
+        assert enc.counts.tolist() == np.bincount(expected).tolist()
+        for g, idx in enumerate(enc.members):
+            assert idx.tolist() == [i for i, c in enumerate(expected) if c == g]
 
 
 def toy_dataset(y, s, **extra):
@@ -169,6 +204,11 @@ class TestPartition:
                     ):
                         brute[k, q] += 1
         np.testing.assert_array_equal(index.counts, brute)
+        for k in range(3):
+            for q in range(3):
+                np.testing.assert_array_equal(index.indices(k, q), np.flatnonzero(
+                    (grid.y_edges[k] <= y) & (y < grid.y_edges[k + 1])
+                    & (grid.s_edges[q] <= s) & (s < grid.s_edges[q + 1])))
         assert index.counts.sum() == 1000
         assert index.group_probs.sum() == pytest.approx(1.0)
 

@@ -21,7 +21,7 @@ from fairkit.ferm import (
 from fairkit.ferm import _Objective, _qp_l1, _solve_constrained  # white-box solver checks
 from fairkit.metrics import ScoreSet, general_fairness_gap, loss_general_fairness_gap
 
-from oracles import dense_weight_grid_search, reference_constrained_erm
+from oracles import dense_constraint_matrix, dense_weight_grid_search, reference_constrained_erm
 
 
 def classification_dataset(rng, n=80, d=4, shift=1.5):
@@ -98,7 +98,7 @@ class TestConstraintConstruction:
         grid = make_grid(data, 2, 2)
         cs = build_constraints(data, grid)
         X = data.features
-        A = X.T @ cs.cell_weights
+        A = cs.mean_differences(X)
         y, s = data.outcome, data.sensitive
         for j, (k, p, q) in enumerate(cs.pairs):
             y_mask = (y > 0) if k == 1 else (y < 0)
@@ -106,12 +106,41 @@ class TestConstraintConstruction:
             uq = X[y_mask & (s == q)].mean(axis=0)
             np.testing.assert_allclose(A[:, j], up - uq, atol=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 120),
+        k_bins=st.integers(1, 5),
+        q_bins=st.integers(1, 5),
+        p=st.integers(1, 6),
+    )
+    def test_mean_differences_match_dense_matrix(self, seed, n, k_bins, q_bins, p):
+        # few distinct group values on random edges leave some cells empty; m may exceed p
+        rng = np.random.default_rng(seed)
+        y = rng.uniform(-1.0, 1.0, n)
+        s = rng.integers(0, 4, n).astype(float)
+        X = rng.normal(size=(n, p))
+        data = dataset_from_columns(
+            {"s": s, "y": y, **{f"x{j}": X[:, j] for j in range(p)}},
+            {"s": "sensitive", "y": "outcome", **{f"x{j}": "feature" for j in range(p)}},
+        )
+        y_edges = np.concatenate(([-1.0], np.sort(rng.uniform(-1.0, 1.0, k_bins - 1)), [1.0]))
+        s_edges = np.concatenate(([-0.5], np.sort(rng.uniform(-0.5, 3.5, q_bins - 1)), [3.5]))
+        grid = make_grid(data, 0, 0, strategy="explicit", y_edges=y_edges, s_edges=s_edges)
+        cs = build_constraints(data, grid)
+        C, pairs = dense_constraint_matrix(y, s, y_edges, s_edges)
+        assert list(cs.pairs) == pairs
+        assert cs.degenerate == (not pairs)
+        np.testing.assert_array_equal(cs.cell_weights, np.abs(C).max(axis=1, initial=0.0))
+        np.testing.assert_allclose(cs.mean_differences(X), X.T @ C, rtol=0, atol=1e-12)
+        K = X @ X.T
+        np.testing.assert_allclose(cs.mean_differences(K), K @ C, rtol=0, atol=1e-12 * np.abs(K).max())
+
     def test_binary_positive_constraint(self):
         rng = np.random.default_rng(3)
         data = classification_dataset(rng)
-        col = binary_positive_constraint(data)
         X = data.features
-        u = (X.T @ col).ravel()
+        u = binary_positive_constraint(data).mean_differences(X).ravel()
         y, s = data.outcome, data.sensitive
         direct = X[(y > 0) & (s == 0)].mean(axis=0) - X[(y > 0) & (s == 1)].mean(axis=0)
         np.testing.assert_allclose(u, direct, atol=1e-12)
@@ -204,10 +233,10 @@ class TestUnconstrainedAndEquality:
         cs = build_constraints(data, grid)
         X, y = data.features, data.outcome
         lam = 0.3
-        w, _ = _solve_constrained(X, y, lam * np.eye(X.shape[1]), X.T @ cs.cell_weights,
+        w, _ = _solve_constrained(X, y, lam * np.eye(X.shape[1]), cs.mean_differences(X),
                                   "squared", 0.0)
         K = X @ X.T
-        alpha, _ = _solve_constrained(K, y, lam * K, K @ cs.cell_weights, "squared", 0.0)
+        alpha, _ = _solve_constrained(K, y, lam * K, cs.mean_differences(K), "squared", 0.0)
         X_new = rng.normal(size=(15, X.shape[1]))
         np.testing.assert_allclose(X_new @ w, (X_new @ X.T) @ alpha, atol=1e-8)
 
@@ -222,7 +251,7 @@ class TestBudgetedSolver:
         assert model.constraint_report["achieved_l1"] <= epsilon + 1e-6
         cs = build_constraints(data, grid)
         X, y = data.features, data.outcome
-        A = X.T @ cs.cell_weights
+        A = cs.mean_differences(X)
         _, ref_obj = reference_constrained_erm(X, y, 0.4, A, epsilon, loss="squared")
         assert model.objective_value <= ref_obj * (1 + 1e-6) + 1e-9
 
@@ -236,7 +265,7 @@ class TestBudgetedSolver:
         assert model.constraint_report["achieved_l1"] <= 0.1 + 1e-6
         cs = build_constraints(data, grid)
         X, y = data.features, data.outcome
-        A = X.T @ cs.cell_weights
+        A = cs.mean_differences(X)
         _, ref_obj = reference_constrained_erm(X, y, 0.5, A, 0.1, loss="hinge")
         assert model.objective_value <= ref_obj + 1e-3 * (1 + abs(ref_obj))
 
@@ -261,7 +290,7 @@ class TestBudgetedSolver:
             {"s": "sensitive", "y": "outcome", **{f"x{j}": "feature" for j in range(4)}},
         )
         grid = make_grid(data, 10, 10)
-        A = X.T @ build_constraints(data, grid).cell_weights
+        A = build_constraints(data, grid).mean_differences(X)
         assert A.shape == (4, 450)
         # the 450 equalities leave only beta = 0 at a zero budget
         previous = train_gferm(FairERMProblem(lam=1.0, epsilon=0.0), data, grid).objective_value
@@ -277,7 +306,7 @@ class TestBudgetedSolver:
         data = benchmark_classification(137)
         grid = make_grid(data, 2, 2)
         X, y = data.features, data.outcome
-        A = X.T @ build_constraints(data, grid).cell_weights
+        A = build_constraints(data, grid).mean_differences(X)
         cosine = A[:, 0] @ A[:, 1] / np.linalg.norm(A, axis=0).prod()
         assert abs(cosine) > 0.99
         sq0 = train_gferm(FairERMProblem(lam=1.0, epsilon=0.0), data, grid).coef
@@ -434,7 +463,7 @@ class TestBinaryTraining:
         )
         epsilon = 0.1
         model = train_ferm_binary(data, lam=1.0, epsilon=epsilon)
-        u = (X.T @ binary_positive_constraint(data)).ravel()
+        u = binary_positive_constraint(data).mean_differences(X).ravel()
         unconstrained = train_ferm_binary(data, lam=1.0, epsilon=None)
         assert model.objective_value >= unconstrained.objective_value - 1e-9
         _, grid_obj = dense_weight_grid_search(X, y, 1.0, u, epsilon)

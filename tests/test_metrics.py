@@ -76,6 +76,33 @@ class TestDemographicParity:
             demographic_parity_gap(ScoreSet(np.array([0.5]), np.array([0])))
 
 
+class TestGroupTable:
+    def test_rates_equal_per_group_mask_means(self):
+        # the count table must give the same bits as the 0/1 means over masks it replaced
+        rng = np.random.default_rng(11)
+        group = rng.choice(["c", "a", "b", "d"], size=500, p=[0.4, 0.3, 0.2, 0.1])
+        y = rng.choice([-1.0, 0.0, 1.0], size=500)
+        scores = ScoreSet(rng.uniform(size=500), group, y, threshold=0.4)
+        pred = scores.predictions
+        labels = list(dict.fromkeys(group.tolist()))
+        masks = [group == label for label in labels]
+
+        def gap(rates):
+            return max(abs(a - b) for i, a in enumerate(rates) for b in rates[i + 1:])
+
+        assert demographic_parity_gap(scores) == gap([pred[m].mean() for m in masks])
+        odds = equalized_odds_gaps(scores)
+        assert odds.fpr_gap == gap([pred[m & (y < 0)].mean() for m in masks])
+        assert odds.fnr_gap == gap([1.0 - pred[m & (y > 0)].mean() for m in masks])
+        assert predictive_parity_gap(scores).gap == gap(
+            [(y[m & (pred > 0)] > 0).mean() for m in masks])
+
+    @pytest.mark.parametrize("group", [[np.nan, 0.0, 1.0, np.nan], [0.0, np.nan, 1.0, 1.0]])
+    def test_nan_group_labels_rejected(self, group):
+        with pytest.raises(MetricError, match="NaN"):
+            ScoreSet(np.array([0.1, 0.9, 0.4, 0.6]), np.array(group), threshold=0.5)
+
+
 class TestStrongDemographicParity:
     def test_identical_groups(self):
         scores = ScoreSet(np.array([0.1, 0.5, 0.1, 0.5]), np.repeat([0, 1], 2))

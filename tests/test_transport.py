@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -232,6 +234,25 @@ class TestGeodesicRepair:
     def test_invalid_tradeoff(self):
         with pytest.raises(TransportError):
             geodesic_repair([0.1, 0.2], [0, 1], t=1.5, bins=1)
+
+    def test_nan_group_labels_rejected(self):
+        with pytest.raises(TransportError, match="NaN"):
+            geodesic_repair([0.1, 0.2, 0.3, 0.4], [np.nan, 0.0, np.nan, 0.0], t=1.0, bins=1)
+
+    def test_replaced_trade_off_matches_a_fresh_repair(self):
+        # a sweep re-interpolates one plan; every t must give a fresh repair's bits
+        rng = np.random.default_rng(44)
+        values = rng.uniform(size=300)
+        groups = rng.choice(["u", "v", "w"], size=300)
+        _, plan = geodesic_repair(values, groups, t=1.0, bins=20, order=1)
+        for t in (0.0, 0.3, 0.5, 1.0):
+            fresh, _ = geodesic_repair(values, groups, t=t, bins=20, order=1)
+            swept = replace(plan, trade_off=t)
+            for code in plan.group_codes:
+                mask = groups == code
+                np.testing.assert_array_equal(swept.map_scores(code, values[mask]), fresh[mask])
+        with pytest.raises(TransportError, match=r"trade-off t=1\.5 outside \[0, 1\]"):
+            replace(plan, trade_off=1.5)
 
     def test_monotone_interpolated_tables(self):
         rng = np.random.default_rng(43)
