@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import json
 import sys
@@ -40,15 +39,10 @@ def _write_text(path, text: str):
             fh.write(text)
 
 
-def _write_csv(path, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _write_sweep(path, rows) -> None:
-    _write_csv(path, ["x", "series", "value"], ([repr(float(x)), s, repr(float(v))] for x, s, v in rows))
+    x, series, value = zip(*rows)
+    ds.write_table(path, ["x", "series", "value"],
+                   [np.array(x, dtype=float), np.array(series, dtype=object), np.array(value, dtype=float)])
 
 
 def _report_doc(command: str, seed: int, results: dict) -> str:
@@ -86,22 +80,17 @@ def _document(kind: str):
 
 
 def _read_scores_csv(path):
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ds.DatasetError("empty scores file")
-        fields = [f.strip() for f in reader.fieldnames]
+    def check_header(header):
         for required in ("group", "score"):
-            if required not in fields:
+            if required not in header:
                 raise ds.DatasetError(f"scores file needs a {required!r} column")
-        rows = list(reader)
-    if not rows:
-        raise ds.DatasetError("no score rows")
-    ids = [r.get("id", str(i)) for i, r in enumerate(rows)]
-    groups = [r["group"].strip() for r in rows]
-    scores = ds.parse_numbers([r["score"] for r in rows], "score")
-    outcome = ds.parse_numbers([r["y"] for r in rows], "y") if "y" in fields else None
-    return ids, np.array(groups), scores, outcome
+
+    _, table = ds.read_table(path, ("score", "y"), check_header)
+    groups = table["group"]
+    ids = table["id"] if "id" in table else np.array(list(map(str, range(groups.size))), dtype=object)
+    scores = ds.parse_numbers(table["score"], "score")
+    outcome = ds.parse_numbers(table["y"], "y") if "y" in table else None
+    return ids, groups.astype(str), scores, outcome
 
 
 def cmd_metrics(args) -> int:
@@ -132,8 +121,7 @@ def cmd_repair(args) -> int:
         scores, enc.codes, t=args.t, bins=args.bins, order=args.order, weights=args.weights
     )
     if args.scores_output:
-        _write_csv(args.scores_output, ["id", "group", "score", "repaired_score"],
-                   ([i, g, repr(float(s)), repr(float(r))] for i, g, s, r in zip(ids, groups, scores, repaired)))
+        ds.write_table(args.scores_output, ["id", "group", "score", "repaired_score"], [ids, groups, scores, repaired])
     bary = plan.barycenter_distribution()
     summary = {"trade_off": plan.trade_off, "bins": plan.bins, "order": plan.order, "groups": {}}
     for code, idx in zip(plan.group_codes, enc.members):
@@ -234,8 +222,8 @@ def cmd_ferm_predict(args) -> int:
         model = _model_from_json(json.load(fh))
     data = _load_dataset(args)
     scores = model.predict_dataset(data)
-    _write_csv(args.scores_output, ["id", "group", "score"],
-               ([i, repr(float(g)), repr(float(s))] for i, (g, s) in enumerate(zip(data.sensitive, scores))))
+    ds.write_table(args.scores_output, ["id", "group", "score"],
+                   [np.arange(data.n_records), data.sensitive, np.asarray(scores, dtype=float)])
     return 0
 
 
@@ -352,9 +340,9 @@ def cmd_sem(args) -> int:
             sem, score_fn, cols, paths, args.a_bar,
             mc_samples=args.mc_samples or 1, seed=args.seed,
         )
-        _write_csv(args.scores_output, ["id", "group", "score", "corrected_score"], (
-            [i, repr(float(g)), repr(float(s)), repr(float(c))]
-            for i, (g, s, c) in enumerate(zip(data.sensitive, original, corrected))))
+        ds.write_table(args.scores_output, ["id", "group", "score", "corrected_score"], [
+            np.arange(data.n_records), data.sensitive,
+            np.asarray(original, dtype=float), np.asarray(corrected, dtype=float)])
         return 0
     raise UsageError(f"unknown sem subcommand {args.sem_command!r}")
 

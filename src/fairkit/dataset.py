@@ -9,6 +9,7 @@ the resulting cell index and the one group encoding, ``factorize``.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
@@ -25,6 +26,8 @@ __all__ = [
     "SplitResult",
     "factorize",
     "parse_numbers",
+    "read_table",
+    "write_table",
     "load_csv",
     "to_csv",
     "dataset_from_columns",
@@ -37,6 +40,11 @@ __all__ = [
 
 ROLES = ("sensitive", "feature", "outcome", "task", "ignore")
 OUTCOME_KINDS = ("regression", "classification")
+# Largest feature matrix (n x width float64) built, one-hot blocks included.
+MAX_FEATURE_BYTES = 2**30
+# Rows formatted per write, which bounds the cell strings alive at once.
+_BLOCK_ROWS = 4096
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
 class DatasetError(ValueError):
@@ -130,6 +138,15 @@ class TabularDataset:
 
     @cached_property
     def features(self) -> np.ndarray:
+        width = len(self.feature_names)
+        if self.n_records * width * 8 > MAX_FEATURE_BYTES:
+            coded = {c.name: len(self.categories[c.name]) for c in self.schema
+                     if c.role == "feature" and c.name in self.categories}
+            widest = max(coded, key=coded.get, default=None)
+            raise DatasetError(
+                f"feature matrix of {self.n_records} x {width} needs {self.n_records * width * 8 / 2**30:.1f} GiB,"
+                f" above the {MAX_FEATURE_BYTES / 2**30:g} GiB limit"
+                + (f"; column {widest!r} has {coded[widest]} categories" if widest else ""))
         blocks: list[np.ndarray] = []
         for col in self.schema:
             if col.role != "feature":
@@ -196,8 +213,14 @@ def factorize(values) -> GroupCodes:
     return GroupCodes(tuple(values[first[order]].tolist()), np.argsort(order)[inverse], counts[order])
 
 
-def parse_numbers(cells: Sequence[str], name: str) -> np.ndarray:
-    """Finite floats from CSV cells; errors name the row (the header is row 1) and column."""
+def parse_numbers(cells, name: str) -> np.ndarray:
+    """Finite floats of a ``read_table`` column; errors name the row (the header is row 1) and column.
+
+    A column numpy's reader parsed passes through.  String cells are parsed
+    one by one with ``float``, which also takes ``1_000`` and non-ASCII digits.
+    """
+    if isinstance(cells, np.ndarray) and cells.dtype == np.float64:
+        return cells
     values = np.empty(len(cells))
     for i, cell in enumerate(cells):
         try:
@@ -210,6 +233,14 @@ def parse_numbers(cells: Sequence[str], name: str) -> np.ndarray:
     return values
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def _classification_labels(values: np.ndarray, name: str) -> np.ndarray:
     got = set(np.unique(values))
     if got <= {-1.0, 1.0}:
@@ -219,100 +250,170 @@ def _classification_labels(values: np.ndarray, name: str) -> np.ndarray:
     raise DatasetError(f"column {name!r}: classification labels must be in {{-1,+1}} or {{0,1}}, got {sorted(got)}")
 
 
+def _check_missing(cells: Mapping[str, np.ndarray]) -> None:
+    """Reject the first empty cell of the string columns, row by row."""
+    hits = [(np.argmax(v == ""), j, name) for j, (name, v) in enumerate(cells.items())
+            if v.dtype == object and (v == "").any()]
+    if hits:
+        row, _, name = min(hits)
+        raise DatasetError(f"row {row + 2}, column {name!r}: missing value")
+
+
+def _bulk_columns(path, header, skip: int, floats: list[bool]) -> dict | None:
+    """Columns parsed by numpy's reader; None when it fails or its records are not the file's lines."""
+    dtype = [(f"c{j}", np.float64 if f else object) for j, f in enumerate(floats)]
+    try:
+        table = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, quotechar='"',
+                           skiprows=skip, encoding="utf-8", ndmin=1)
+    except ValueError:
+        return None
+    # numpy skips blank lines and joins quoted line breaks: a record per line shows it did neither
+    lines, last = 0, "\n"
+    with open(path, encoding="utf-8") as fh:  # universal newlines end every line in LF
+        for chunk in iter(lambda: fh.read(1 << 20), ""):
+            lines, last = lines + chunk.count("\n"), chunk[-1]
+    if len(table) != lines + (last != "\n") - skip:
+        return None
+    return {h: table[f"c{j}"].copy() if f else np.fromiter(map(str.strip, table[f"c{j}"]), object, len(table))
+            for j, (h, f) in enumerate(zip(header, floats))}
+
+
+def _read_cells(path, header) -> dict[str, np.ndarray]:
+    """Every column as stripped strings from csv.reader, for the files numpy's reader does not take."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    ragged = np.flatnonzero(np.fromiter(map(len, rows), np.intp, len(rows)) != len(header))
+    end = ragged[0] if ragged.size else len(rows)
+    cells = dict(zip(header, (np.fromiter(map(str.strip, col), object, end) for col in zip(*rows[:end]))))
+    _check_missing(cells)
+    if ragged.size:
+        raise DatasetError(f"row {end + 2}: expected {len(header)} cells, found {len(rows[end])}")
+    return cells
+
+
+def read_table(path, numeric, check_header) -> tuple[tuple[str, ...], dict[str, np.ndarray]]:
+    """Header and columns of a comma-separated UTF-8 file with a header row and csv quoting.
+
+    Header names are stripped and distinct; ``check_header`` may reject them.
+    Each row needs one cell per name (a blank line has none) and no cell may
+    be empty once stripped.  ``numeric`` columns come back as float64 when
+    numpy's reader parses them to finite values, all others as object arrays
+    of stripped strings for ``parse_numbers``.  The header is row 1.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise DatasetError("empty file")
+        header = tuple(h.strip() for h in header)
+        check_header(header)
+        if len(set(header)) < len(header):
+            raise DatasetError(f"duplicate columns: {', '.join(sorted({h for h in header if header.count(h) > 1}))}")
+        skip, first = reader.line_num, next(reader, None)
+    if first is None:
+        raise DatasetError("no data rows")
+    # the first row picks each column's dtype for numpy; a wrong pick only costs the fallback
+    floats = [h in numeric and (j >= len(first) or _is_number(first[j])) for j, h in enumerate(header)]
+    columns = _bulk_columns(path, header, skip, floats) if first else None
+    failed = header if columns is None else [
+        h for h, f in zip(header, floats) if f and not np.isfinite(columns[h]).all()]
+    if failed:
+        cells = _read_cells(path, header)
+        columns = {h: cells[h] if h in failed else columns[h] for h in header}
+    else:
+        _check_missing(columns)
+    return header, columns
+
+
 def load_csv(path, schema: Mapping[str, str], outcome_kind: str = "regression") -> TabularDataset:
     """Load and validate a comma-separated UTF-8 file with a header row.
 
     ``schema`` maps column name -> role in {sensitive, feature, outcome,
     task, ignore}; columns absent from the mapping are an error, as are
-    missing, unparseable or non-finite cells, and ragged rows.  Non-numeric
-    sensitive or feature columns (detected from their first cell) are coded
-    as categoricals in first-appearance order; categorical features are
-    one-hot expanded when the feature matrix is built.  Row numbers in error
-    messages count the header as row 1.
+    missing, unparseable or non-finite cells, ragged rows and blank lines
+    (see ``read_table``).  Non-numeric sensitive or feature columns
+    (detected from their first cell) are coded as categoricals in
+    first-appearance order; categorical features are one-hot expanded when
+    the feature matrix is built.
     """
     for name, role in schema.items():
         if role not in ROLES:
             raise DatasetError(f"column {name!r}: unknown role {role!r}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError("empty file") from None
-        header = [h.strip() for h in header]
+
+    def check_header(header):
         missing = [name for name in schema if name not in header]
         if missing:
             raise DatasetError(f"missing columns: {', '.join(sorted(missing))}")
         extra = [h for h in header if h not in schema]
         if extra:
             raise DatasetError(f"columns without a declared role: {', '.join(extra)}")
-        raw: dict[str, list[str]] = {h: [] for h in header}
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DatasetError(f"row {lineno}: expected {len(header)} cells, found {len(row)}")
-            for name, cell in zip(header, row):
-                cell = cell.strip()
-                if cell == "":
-                    raise DatasetError(f"row {lineno}, column {name!r}: missing value")
-                raw[name].append(cell)
-    if not raw[header[0]]:
-        raise DatasetError("no data rows")
 
+    header, table = read_table(path, {n for n, role in schema.items() if role != "ignore"}, check_header)
     columns: dict[str, np.ndarray] = {}
     categories: dict[str, tuple[str, ...]] = {}
     for name in header:
-        role = schema[name]
-        cells = raw[name]
+        role, values = schema[name], table[name]
         if role == "ignore":
-            columns[name] = np.array(cells, dtype=object)
-            continue
-        if role == "task":
-            columns[name] = parse_numbers(cells, name).astype(int)
-            continue
-        numeric = True
-        if role in ("sensitive", "feature"):
-            try:
-                float(cells[0])
-            except ValueError:
-                numeric = False
-        if numeric:
-            values = parse_numbers(cells, name)
-            if role == "outcome" and outcome_kind == "classification":
-                values = _classification_labels(values, name)
             columns[name] = values
-        else:
-            enc = factorize(np.array(cells))
+        elif role in ("sensitive", "feature") and values.dtype == object and not _is_number(values[0]):
+            enc = factorize(values.astype(str))
             columns[name] = enc.codes
             categories[name] = enc.labels
+        else:
+            values = parse_numbers(values, name)
+            if role == "task":
+                values = values.astype(int)
+            elif role == "outcome" and outcome_kind == "classification":
+                values = _classification_labels(values, name)
+            columns[name] = values
 
     spec = tuple(ColumnSpec(name, schema[name]) for name in header)
     return TabularDataset(schema=spec, outcome_kind=outcome_kind, columns=columns, categories=categories)
 
 
+def _cells(values: np.ndarray, whole_as_int: bool) -> list[str]:
+    """CSV cells of a column block, as csv.writer writes them."""
+    if values.dtype.kind not in "iuf":
+        cells = list(map(str, values.tolist()))
+        if _NEEDS_QUOTES.search("".join(cells)):
+            cells = [f'"{c.replace(chr(34), chr(34) * 2)}"' if _NEEDS_QUOTES.search(c) else c for c in cells]
+        return cells
+    x = values.astype(float)
+    whole = (whole_as_int or values.dtype.kind != "f") & (x == np.round(x)) & (np.abs(x) < 1e15)
+    whole &= (x != 0) | ~np.signbit(x)
+    cells = np.empty(x.size, dtype=object)
+    cells[whole] = list(map(repr, x[whole].astype(np.int64).tolist()))
+    cells[~whole] = list(map(repr, x[~whole].tolist()))
+    return cells.tolist()
+
+
+def write_table(path, header: Sequence[str], columns: Sequence, whole_as_int: bool = False) -> None:
+    """Write a header and two or more equal-length columns as csv.writer would, a block of rows at a time.
+
+    Floats are written with ``repr`` and integers as ints; with ``whole_as_int``
+    so is every whole float below 1e15 but -0.0.  Text is csv-quoted.
+    """
+    columns = [np.asarray(c) for c in columns]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(_cells(np.array(header, dtype=object), False)) + "\r\n")
+        for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = zip(*(_cells(c[lo:lo + _BLOCK_ROWS], whole_as_int) for c in columns))
+            fh.write("\r\n".join(map(",".join, block)) + "\r\n")
+
+
 def to_csv(dataset: TabularDataset, path) -> None:
     """Re-emit a dataset with its original column order.
 
-    Numeric cells are written with ``repr`` so finite values reload
-    bit-exactly; categorical codes are written back as their category
-    strings.
+    Numeric cells are written with ``repr``, a whole number below 1e15 as
+    an int, so finite values reload bit-exactly; categorical codes are
+    written back as their category strings.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([c.name for c in dataset.schema])
-        names = [c.name for c in dataset.schema]
-        for i in range(dataset.n_records):
-            row = []
-            for name in names:
-                value = dataset.columns[name][i]
-                if name in dataset.categories:
-                    row.append(dataset.categories[name][int(value)])
-                elif isinstance(value, str):
-                    row.append(value)
-                elif float(value).is_integer() and abs(float(value)) < 1e15:
-                    row.append(repr(int(value)))
-                else:
-                    row.append(repr(float(value)))
-            writer.writerow(row)
+    columns = [
+        np.asarray(dataset.categories[c.name], dtype=object)[np.asarray(dataset.columns[c.name], dtype=int)]
+        if c.name in dataset.categories else dataset.columns[c.name]
+        for c in dataset.schema
+    ]
+    write_table(path, [c.name for c in dataset.schema], columns, whole_as_int=True)
 
 
 def dataset_from_columns(

@@ -4,10 +4,13 @@ Nothing here shares code with the library paths it checks: transport
 quantities are recomputed from first principles (couplings, CDF sweeps,
 grid search), cell metrics by explicit double loops, and the constrained
 ridge problems by a general-purpose NLP solver on a smooth reformulation.
+The CSV loader is the row-at-a-time loop (csv.reader, one Python ``float``
+per cell) that the bulk reader replaced.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 
 import numpy as np
@@ -248,3 +251,87 @@ def common_mean_objective(X, y, groups, codes, w0, devs, theta, lam, rho) -> flo
         group_risk += float(np.mean((Xs @ ws - ys) ** 2)) / k
         reg += rho * (1.0 - lam) / k * float(devs[code] @ devs[code])
     return theta * shared_risk + (1.0 - theta) * group_risk + reg
+
+
+class ReferenceCsvError(ValueError):
+    """A file the reference loader rejects; the message is the one the library gives."""
+
+
+def reference_load_csv(path, schema, outcome_kind="regression"):
+    """Row-at-a-time CSV loading: (header, columns, categories), or ReferenceCsvError.
+
+    Cells are read by csv.reader, checked row by row, and parsed one at a time
+    with ``float``; non-numeric sensitive/feature columns (by their first
+    cell) become codes in first-appearance order.
+    """
+
+    def numbers(cells, name):
+        values = np.empty(len(cells))
+        for i, cell in enumerate(cells):
+            try:
+                values[i] = float(cell)
+            except ValueError:
+                raise ReferenceCsvError(f"row {i + 2}, column {name!r}: cannot parse {cell!r} as a number") from None
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ReferenceCsvError(f"row {bad[0] + 2}, column {name!r}: non-finite value {cells[bad[0]]!r}")
+        return values
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ReferenceCsvError("empty file") from None
+        header = [h.strip() for h in header]
+        missing = [name for name in schema if name not in header]
+        if missing:
+            raise ReferenceCsvError(f"missing columns: {', '.join(sorted(missing))}")
+        extra = [h for h in header if h not in schema]
+        if extra:
+            raise ReferenceCsvError(f"columns without a declared role: {', '.join(extra)}")
+        raw = {h: [] for h in header}
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise ReferenceCsvError(f"row {lineno}: expected {len(header)} cells, found {len(row)}")
+            for name, cell in zip(header, row):
+                cell = cell.strip()
+                if cell == "":
+                    raise ReferenceCsvError(f"row {lineno}, column {name!r}: missing value")
+                raw[name].append(cell)
+    if not raw[header[0]]:
+        raise ReferenceCsvError("no data rows")
+
+    columns, categories = {}, {}
+    for name in header:
+        role, cells = schema[name], raw[name]
+        if role == "ignore":
+            columns[name] = np.array(cells, dtype=object)
+            continue
+        if role == "task":
+            columns[name] = numbers(cells, name).astype(int)
+            continue
+        numeric = True
+        if role in ("sensitive", "feature"):
+            try:
+                float(cells[0])
+            except ValueError:
+                numeric = False
+        if not numeric:
+            labels = np.array(cells).tolist()
+            index = {label: i for i, label in enumerate(dict.fromkeys(labels))}
+            columns[name] = np.array([index[label] for label in labels])
+            categories[name] = tuple(index)
+            continue
+        values = numbers(cells, name)
+        if role == "outcome" and outcome_kind == "classification":
+            got = set(np.unique(values))
+            if got <= {-1.0, 1.0}:
+                pass
+            elif got <= {0.0, 1.0}:
+                values = np.where(values > 0, 1.0, -1.0)
+            else:
+                raise ReferenceCsvError(
+                    f"column {name!r}: classification labels must be in {{-1,+1}} or {{0,1}}, got {sorted(got)}")
+        columns[name] = values
+    return header, columns, categories

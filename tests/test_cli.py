@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fairkit.cli import main
+from fairkit.dataset import MAX_FEATURE_BYTES
 from fairkit.transport import EmpiricalDistribution, geodesic_repair, wasserstein
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -91,6 +92,40 @@ class TestExitCodes:
         scores.write_text("\n".join(lines) + "\n")
         assert main(["metrics", "--input", str(scores)]) == 2
         assert capsys.readouterr().err == "error: row 4, column 'score': non-finite value 'inf'\n"
+
+    def test_short_scores_row_is_data_error(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("id,group,score\n0,a,0.5\n1,b\n")
+        assert main(["metrics", "--input", str(scores)]) == 2
+        assert capsys.readouterr().err == "error: row 3: expected 3 cells, found 2\n"
+
+    def test_blank_line_in_scores_file_is_data_error(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("id,group,score\n0,a,0.5\n\n1,b,inf\n")
+        assert main(["metrics", "--input", str(scores)]) == 2
+        assert capsys.readouterr().err == "error: row 3: expected 3 cells, found 0\n"
+
+    def test_padded_scores_header_reads_like_load_csv(self, tmp_path, capsys):
+        plain = write_scores(tmp_path / "plain.csv", np.random.default_rng(2), n_per_group=20)
+        lines = plain.read_text().splitlines()
+        padded = tmp_path / "padded.csv"
+        padded.write_text("\n".join(["id, group ,score,y"] + lines[1:]) + "\n")
+        for path in (plain, padded):
+            assert main(["metrics", "--input", str(path), "--output", str(path.with_suffix(".json"))]) == 0
+        assert padded.with_suffix(".json").read_text() == plain.with_suffix(".json").read_text()
+
+    def test_one_hot_too_wide_is_data_error(self, tmp_path, capsys):
+        n = int(np.sqrt(MAX_FEATURE_BYTES / 8)) + 1
+        rows = [f"{i % 2},np.float64({i}),{1 if i % 3 else -1}" for i in range(n)]
+        data = tmp_path / "wide.csv"
+        data.write_text("\n".join(["g,x0,y"] + rows) + "\n")
+        schema = json.dumps({"g": "sensitive", "x0": "feature", "y": "outcome"})
+        code = main(["ferm-train", "--input", str(data), "--schema", schema,
+                     "--model-output", str(tmp_path / "m.json"), "--output", str(tmp_path / "r.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: feature matrix of {n} x {n} needs 1.0 GiB, above the 1 GiB limit")
+        assert err.endswith(f"; column 'x0' has {n} categories\n") and err.count("\n") == 1
 
     def test_sem_document_without_pi_is_data_error(self, tmp_path, capsys):
         doc = tmp_path / "sem.json"

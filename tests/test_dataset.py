@@ -1,8 +1,11 @@
+import csv
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fairkit.dataset import (
+    MAX_FEATURE_BYTES,
     DatasetError,
     dataset_from_columns,
     describe_dataset,
@@ -12,7 +15,9 @@ from fairkit.dataset import (
     partition,
     split,
     to_csv,
+    write_table,
 )
+from oracles import ReferenceCsvError, reference_load_csv
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -109,6 +114,152 @@ class TestLoadCsv:
         path = write(tmp_path, "g,x,y\n0,1.0,3\n1,2.0,4\n")
         with pytest.raises(DatasetError, match="classification labels"):
             load_csv(path, {"g": "sensitive", "x": "feature", "y": "outcome"}, "classification")
+
+    @pytest.mark.parametrize("text,row", [
+        ("gender,x1,x2,y\nf,1.0,2.0,1\n\nm,0.5,1.5,-1\n", 3),
+        ("gender,x1,x2,y\r\nf,1.0,2.0,1\r\n\r\nm,0.5,1.5,-1\r\n", 3),
+        ("gender,x1,x2,y\nf,1.0,2.0,1\nm,0.5,1.5,-1\n\n", 4),
+    ])
+    def test_blank_line_is_a_row_of_no_cells(self, tmp_path, text, row):
+        with pytest.raises(DatasetError, match=rf"^row {row}: expected 4 cells, found 0$"):
+            load_csv(write(tmp_path, text), BASIC_SCHEMA, outcome_kind="classification")
+
+    def test_python_number_syntax_numpy_does_not_take(self, tmp_path):
+        text = "gender,x1,x2,y\nf,1_000,\u0661\u0662,1\nm,0.5,1.5,-1\n"
+        data = load_csv(write(tmp_path, text), BASIC_SCHEMA, outcome_kind="classification")
+        np.testing.assert_array_equal(data.column("x1"), [1000.0, 0.5])
+        np.testing.assert_array_equal(data.column("x2"), [12.0, 1.5])
+
+    def test_duplicate_column_names(self, tmp_path):
+        path = write(tmp_path, "gender,x1,x1,y\nf,1.0,2.0,1\n")
+        with pytest.raises(DatasetError, match="duplicate columns: x1"):
+            load_csv(path, {"gender": "sensitive", "x1": "feature", "y": "outcome"})
+
+    def test_one_hot_size_checked_before_allocation(self):
+        n = int(np.sqrt(MAX_FEATURE_BYTES / 8)) + 1
+        data = dataset_from_columns(
+            {"s": np.zeros(n), "x": np.arange(n), "y": np.zeros(n)},
+            {"s": "sensitive", "x": "feature", "y": "outcome"},
+            categories={"x": tuple(str(i) for i in range(n))},
+        )
+        with pytest.raises(DatasetError, match=rf"feature matrix of {n} x {n} needs .* GiB.*column 'x' has {n} categories"):
+            data.features
+
+
+# Cells of random tables for the reader-equivalence test: numbers in Python
+# and numpy syntax, labels that need csv quoting, and faults in each class.
+NUMBER_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["1_000", "\u0661\u0662", " 2.5 ", '"3.25"', '" -1 "', "+7", ".5", "1e3", "-0.0"]),
+)
+LABEL_CELLS = st.sampled_from(["a", "b", " padded ", '"x,y"', '"say ""hi"""', "\u00e9", "two words",
+                               '"multi\nline"', "q\"r"])
+FAULT_CELLS = st.sampled_from(["", "  ", "oops", "nan", "inf", "-Infinity", "1e400", '""'])
+ROLES = {"g": "sensitive", "x0": "feature", "x1": "feature", "t": "task", "note": "ignore", "y": "outcome"}
+
+
+@st.composite
+def csv_tables(draw):
+    names = draw(st.permutations(["g", "y"] + draw(st.lists(st.sampled_from(["x0", "x1", "t", "note"]), unique=True))))
+    kind = draw(st.sampled_from(["regression", "classification"]))
+    faulty = draw(st.booleans())
+    labels = draw(st.sampled_from([["1", "-1"], ["0", "1"], ["1", "-1", "0", "2"] if faulty else ["1"]]))
+    pools = {
+        "y": st.sampled_from(labels) if kind == "classification" else NUMBER_CELLS,
+        "t": st.sampled_from(["0", "1", "2", "2.0"]),
+        "note": LABEL_CELLS,
+    }
+    for name in ("g", "x0", "x1"):
+        pools[name] = draw(st.sampled_from([NUMBER_CELLS, LABEL_CELLS]))
+    if faulty:
+        pools = {name: st.one_of(pool, FAULT_CELLS) for name, pool in pools.items()}
+    rows = draw(st.lists(st.tuples(*(pools[name] for name in names)).map(list), min_size=1, max_size=6))
+    if faulty:
+        for _ in range(draw(st.integers(0, 2))):
+            i = draw(st.integers(0, len(rows)))
+            rows.insert(i, draw(st.sampled_from([[], ["   "], rows[min(i, len(rows) - 1)][:-1],
+                                                  rows[min(i, len(rows) - 1)] + ["1"]])))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(",".join(row) for row in [names] + rows) + draw(st.sampled_from([end, ""]))
+    return text, {name: ROLES[name] for name in names}, kind
+
+
+def _loaded(fn):
+    try:
+        return fn()
+    except (DatasetError, ReferenceCsvError) as exc:
+        return str(exc)
+
+
+class TestCsvProperties:
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(csv_tables())
+    def test_reader_matches_row_at_a_time_reference(self, tmp_path, table):
+        text, schema, kind = table
+        path = write(tmp_path, text)
+        expected = _loaded(lambda: reference_load_csv(path, schema, kind))
+        got = _loaded(lambda: load_csv(path, schema, kind))
+        if isinstance(expected, str):
+            assert got == expected
+            return
+        assert not isinstance(got, str), got
+        header, columns, categories = expected
+        assert [c.name for c in got.schema] == header
+        assert dict(got.categories) == categories
+        for name in header:
+            assert got.columns[name].dtype.kind == columns[name].dtype.kind
+            assert got.columns[name].tolist() == columns[name].tolist()
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_to_csv_load_csv_round_trip_is_bit_exact(self, tmp_path, data):
+        n = data.draw(st.integers(1, 8))
+        floats = st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from([-0.0, 0.0, 1e15 - 1, 1e15, -1e15, 2.0**53 + 2, 5e-324, 2.2250738585072014e-308, 7.0]),
+        )
+        column = st.lists(floats, min_size=n, max_size=n)
+        text = st.text(st.sampled_from('ab ,"\n\u00e9'), min_size=1, max_size=5)
+        label = text.filter(lambda v: v == v.strip() and v and not _parses(v))
+        picked = data.draw(st.lists(label, min_size=n, max_size=n))
+        index = {v: i for i, v in enumerate(dict.fromkeys(picked))}
+        dataset = dataset_from_columns(
+            {"t": np.array(data.draw(st.lists(st.integers(0, 10**15), min_size=n, max_size=n))),
+             "g": np.array(data.draw(column)), "x0": np.array(data.draw(column)),
+             "c": np.array([index[v] for v in picked]), "y": np.array(data.draw(column))},
+            {"t": "task", "g": "sensitive", "x0": "feature", "c": "feature", "y": "outcome"},
+            categories={"c": tuple(index)},
+        )
+        path = tmp_path / "echo.csv"
+        to_csv(dataset, path)
+        back = load_csv(path, {c.name: c.role for c in dataset.schema})
+        assert dict(back.categories) == {"c": tuple(index)}
+        for name, values in dataset.columns.items():
+            assert back.columns[name].dtype.kind == values.dtype.kind
+            assert back.columns[name].tobytes() == values.tobytes(), name
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(st.text(min_size=0, max_size=6), st.floats(), st.integers(-10**9, 10**9)),
+                    min_size=1, max_size=8))
+    def test_writer_bytes_match_csv_writer(self, tmp_path, rows):
+        text, floats, ints = (list(col) for col in zip(*rows))
+        path = tmp_path / "out.csv"
+        write_table(path, ["text", "float,x", 'q"'], [np.array(text, dtype=object), np.array(floats), np.array(ints)])
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["text", "float,x", 'q"'])
+            writer.writerows([t, repr(f), i] for t, f, i in rows)
+        assert path.read_bytes() == expected.read_bytes()
+
+
+def _parses(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 class TestFactorize:
