@@ -2,11 +2,20 @@
 
 A model has one Bernoulli root (the sensitive attribute) and a sequence of
 linear equations with independent Gaussian noise, each edge labeled fair or
-unfair.  Counterfactual evaluation follows abduction -> action -> prediction:
-per-record noise is recovered from the observed values, selected causal
-paths are switched to the counterfactual sensitive value, and the equations
-are replayed with the shared noise (the factual and counterfactual worlds
-are evaluated side by side, so untouched variables reproduce exactly).
+unfair.  Every computation replays the equations in order (``_replay``,
+vectorized over records): a variable is its intercept, plus each
+coefficient times its parent's value, plus its noise.  A parent is read from
+the replayed world along the active edges, and from an observed table
+elsewhere when one is given.
+
+- Sampling, reconstruction and the reference world of the Monte-Carlo
+  effect replay the model's own world from the root, with no observed table.
+- Abduction recovers per-record noise as the observed values minus a
+  replay of the observed parents without a noise term.
+- A counterfactual follows abduction -> action -> prediction: the root
+  takes the counterfactual sensitive value, the edges of the selected paths
+  are active and the abducted noise is shared, so the other variables
+  reproduce their observed values.
 
 Path selections are sets of directed paths starting at the sensitive node;
 they are realized by activating the union of their edges, which matches the
@@ -15,7 +24,7 @@ path semantics whenever selected paths do not share edges beyond the root.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -130,9 +139,7 @@ class PathSelection:
         an ambiguous continuation is an error and requires the full path.
         """
         edges = set(sem.edges)
-        children: dict[str, list[str]] = {}
-        for u, v in edges:
-            children.setdefault(u, []).append(v)
+        children = _children(sem)
         out = []
         for path in self.paths:
             if len(path) < 2:
@@ -160,6 +167,14 @@ class PathSelection:
         return frozenset(pairs)
 
 
+def _children(sem: LinearSEM) -> dict[str, list[str]]:
+    """Each variable's children, in the order of ``sem.edges``."""
+    children: dict[str, list[str]] = {}
+    for u, v in sem.edges:
+        children.setdefault(u, []).append(v)
+    return children
+
+
 @dataclass(frozen=True)
 class AbductedNoise:
     """Per-equation residuals recovered from one record."""
@@ -167,42 +182,59 @@ class AbductedNoise:
     residuals: Mapping[str, float]
 
 
+def _replay(
+    sem: LinearSEM,
+    root: np.ndarray,
+    noise: Mapping[str, np.ndarray | float],
+    observed: Mapping[str, np.ndarray] | None = None,
+    active: frozenset[tuple[str, str]] = frozenset(),
+) -> dict[str, np.ndarray]:
+    """Every variable's values under the structural equations, given the root's.
+
+    An equation reads a parent from the replayed world when the edge is
+    active or there is no ``observed`` table, and from ``observed``
+    otherwise.  An equation with no entry in ``noise`` gets no noise term:
+    adding a zero would turn -0.0 into +0.0.
+    """
+    world = {sem.sensitive: root}
+    for eq in sem.equations:
+        value = np.full(np.shape(root), eq.intercept, dtype=float)
+        for p, c in zip(eq.parents, eq.coeffs):
+            value += c * (world if observed is None or (p, eq.name) in active else observed)[p]
+        if eq.name in noise:
+            value += noise[eq.name]
+        world[eq.name] = value
+    return world
+
+
+def _residuals(sem: LinearSEM, observed: Mapping[str, np.ndarray], names) -> dict[str, np.ndarray]:
+    """Abducted noise of the named equations: observed values minus their noiseless replay."""
+    fitted = _replay(sem, observed[sem.sensitive], {}, observed)
+    return {name: observed[name] - fitted[name] for name in names}
+
+
 def simulate(sem: LinearSEM, n: int, seed: int | np.random.Generator = 0) -> dict[str, np.ndarray]:
-    """Ancestral sampling of every variable, deterministic per seed."""
+    """Ancestral sampling of every variable, deterministic per seed.
+
+    The draws are one uniform per record for the root, then one standard
+    normal per record for each equation in order.
+    """
     if n < 1:
         raise CausalError("n must be >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     v0, v1 = sem.sensitive_values
-    cols: dict[str, np.ndarray] = {
-        sem.sensitive: np.where(rng.random(n) < sem.pi, v1, v0)
-    }
-    for eq in sem.equations:
-        value = np.full(n, eq.intercept, dtype=float)
-        for p, c in zip(eq.parents, eq.coeffs):
-            value += c * cols[p]
-        value += eq.noise_std * rng.standard_normal(n)
-        cols[eq.name] = value
-    return cols
+    root = np.where(rng.random(n) < sem.pi, v1, v0)
+    return _replay(sem, root, {eq.name: eq.noise_std * rng.standard_normal(n) for eq in sem.equations})
 
 
 def sample(sem: LinearSEM, n: int, seed: int = 0) -> TabularDataset:
     """Sample a dataset of the observed variables (sensitive, features, outcome)."""
     cols = simulate(sem, n, seed)
-    roles = {}
-    order = []
-    for name in sem.variables:
-        if name in sem.unobserved:
-            continue
-        order.append(name)
-        if name == sem.sensitive:
-            roles[name] = "sensitive"
-        elif name == sem.outcome:
-            roles[name] = "outcome"
-        else:
-            roles[name] = "feature"
-    return dataset_from_columns(
-        {name: cols[name] for name in order}, roles, outcome_kind="regression", order=order
-    )
+    order = [name for name in sem.variables if name not in sem.unobserved]
+    roles = {name: "feature" for name in order}
+    roles.update({sem.sensitive: "sensitive", sem.outcome: "outcome"})
+    columns = {name: cols[name] for name in order}
+    return dataset_from_columns(columns, roles, outcome_kind="regression", order=order)
 
 
 def _data_columns(data) -> Mapping[str, np.ndarray]:
@@ -241,24 +273,10 @@ def fit(data, skeleton: LinearSEM) -> LinearSEM:
             raise CausalError(f"{eq.name}: rank-deficient design matrix")
         resid = cols[eq.name] - design @ coef
         dof = max(n - d, 1)
-        equations.append(
-            Equation(
-                name=eq.name,
-                intercept=float(coef[0]),
-                parents=eq.parents,
-                coeffs=tuple(float(c) for c in coef[1:]),
-                noise_std=float(np.sqrt(resid @ resid / dof)),
-            )
-        )
-    return LinearSEM(
-        sensitive=skeleton.sensitive,
-        pi=pi,
-        equations=tuple(equations),
-        outcome=skeleton.outcome,
-        edge_labels=dict(skeleton.edge_labels),
-        sensitive_values=skeleton.sensitive_values,
-        unobserved=skeleton.unobserved,
-    )
+        equations.append(replace(
+            eq, intercept=float(coef[0]), coeffs=tuple(float(c) for c in coef[1:]),
+            noise_std=float(np.sqrt(resid @ resid / dof))))
+    return replace(skeleton, pi=pi, equations=tuple(equations), edge_labels=dict(skeleton.edge_labels))
 
 
 def path_specific_effect(sem: LinearSEM, paths: PathSelection, a: float, a_bar: float) -> float:
@@ -275,31 +293,6 @@ def path_specific_effect(sem: LinearSEM, paths: PathSelection, a: float, a_bar: 
             prod *= eq.coeffs[eq.parents.index(u)]
         total += prod
     return float(total * (a_bar - a))
-
-
-def _twin_eval(
-    sem: LinearSEM,
-    ref_cols: Mapping[str, np.ndarray],
-    a_bar: float,
-    active: frozenset[tuple[str, str]],
-    noises: Mapping[str, np.ndarray],
-) -> dict[str, np.ndarray]:
-    """Counterfactual values for all equations, sharing the given noise.
-
-    Each equation reads its parents from the counterfactual world along
-    active edges and from the reference world elsewhere; the sensitive
-    value is a_bar along active edges out of the root.
-    """
-    n = ref_cols[sem.sensitive].size
-    cf: dict[str, np.ndarray] = {sem.sensitive: np.full(n, a_bar, dtype=float)}
-    for eq in sem.equations:
-        value = np.full(n, eq.intercept, dtype=float)
-        for p, c in zip(eq.parents, eq.coeffs):
-            source = cf if (p, eq.name) in active else ref_cols
-            value += c * source[p]
-        value += noises[eq.name]
-        cf[eq.name] = value
-    return cf
 
 
 def path_specific_effect_mc(
@@ -319,36 +312,42 @@ def path_specific_effect_mc(
         raise CausalError("n must be >= 2")
     rng = np.random.default_rng(seed)
     active = paths.edge_set(sem)
-    noises = {eq.name: eq.noise_std * rng.standard_normal(n) for eq in sem.equations}
-    ref: dict[str, np.ndarray] = {sem.sensitive: np.full(n, float(a))}
-    for eq in sem.equations:
-        value = np.full(n, eq.intercept, dtype=float)
-        for p, c in zip(eq.parents, eq.coeffs):
-            value += c * ref[p]
-        ref[eq.name] = value + noises[eq.name]
-    cf = _twin_eval(sem, ref, float(a_bar), active, noises)
+    noise = {eq.name: eq.noise_std * rng.standard_normal(n) for eq in sem.equations}
+    ref = _replay(sem, np.full(n, float(a)), noise)
+    cf = _replay(sem, np.full(n, float(a_bar)), noise, ref, active)
     return float(np.mean(cf[sem.outcome]) - np.mean(ref[sem.outcome]))
+
+
+def _record_columns(sem: LinearSEM, record: Mapping[str, float]) -> dict[str, np.ndarray]:
+    for name in sem.variables:
+        if name not in record:
+            raise CausalError(f"record lacks variable {name!r}")
+    return {k: np.atleast_1d(np.asarray(record[k], dtype=float)) for k in sem.variables}
+
+
+def _average_over_noise(evaluate: Callable, residuals: Mapping, draw, mc_samples: int, seed: int):
+    """``evaluate(residuals)``, or its mean over ``mc_samples`` ``draw(rng)`` overrides of some residuals."""
+    if draw is None:
+        return evaluate(residuals)
+    if mc_samples < 1:
+        raise CausalError("mc_samples must be >= 1 when sampling noise")
+    rng = np.random.default_rng(seed)
+    total = 0.0
+    for _ in range(mc_samples):
+        total = total + evaluate({**residuals, **draw(rng)})
+    return total / mc_samples
 
 
 def abduct(sem: LinearSEM, record: Mapping[str, float]) -> AbductedNoise:
     """Recover each equation's noise from one fully observed record."""
-    for name in sem.variables:
-        if name not in record:
-            raise CausalError(f"record lacks variable {name!r}")
-    residuals = {}
-    for eq in sem.equations:
-        pred = eq.intercept + sum(c * float(record[p]) for p, c in zip(eq.parents, eq.coeffs))
-        residuals[eq.name] = float(record[eq.name]) - pred
-    return AbductedNoise(residuals=residuals)
+    residuals = _residuals(sem, _record_columns(sem, record), [eq.name for eq in sem.equations])
+    return AbductedNoise(residuals={k: float(v[0]) for k, v in residuals.items()})
 
 
 def reconstruct(sem: LinearSEM, sensitive_value: float, noise: AbductedNoise) -> dict[str, float]:
     """Replay the structural equations under the given noise."""
-    cols = {sem.sensitive: float(sensitive_value)}
-    for eq in sem.equations:
-        value = eq.intercept + sum(c * cols[p] for p, c in zip(eq.parents, eq.coeffs))
-        cols[eq.name] = value + noise.residuals[eq.name]
-    return cols
+    world = _replay(sem, np.full(1, float(sensitive_value)), noise.residuals)
+    return {k: float(v[0]) for k, v in world.items()}
 
 
 def counterfactual(
@@ -369,22 +368,13 @@ def counterfactual(
     """
     active = paths.edge_set(sem)
     base = abduct(sem, record)
-    ref_cols = {k: np.atleast_1d(np.asarray(record[k], dtype=float)) for k in sem.variables}
-    if noise_sampler is None:
-        noises = {k: np.atleast_1d(v) for k, v in base.residuals.items()}
-        cf = _twin_eval(sem, ref_cols, float(a_bar), active, noises)
-        return float(cf[sem.outcome][0])
-    if mc_samples < 1:
-        raise CausalError("mc_samples must be >= 1 when sampling noise")
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    for _ in range(mc_samples):
-        draw = dict(base.residuals)
-        draw.update(noise_sampler(rng, record, base))
-        noises = {k: np.atleast_1d(np.asarray(v, dtype=float)) for k, v in draw.items()}
-        cf = _twin_eval(sem, ref_cols, float(a_bar), active, noises)
-        total += float(cf[sem.outcome][0])
-    return total / mc_samples
+    observed, root = _record_columns(sem, record), np.full(1, float(a_bar))
+
+    def outcome(noise) -> float:
+        return float(_replay(sem, root, noise, observed, active)[sem.outcome][0])
+
+    draw = None if noise_sampler is None else (lambda rng: noise_sampler(rng, record, base))
+    return _average_over_noise(outcome, base.residuals, draw, mc_samples, seed)
 
 
 def correct_scores(
@@ -408,38 +398,19 @@ def correct_scores(
     """
     cols = _data_columns(data)
     active = paths.edge_set(sem)
-    input_eqs = [eq for eq in sem.equations if eq.name != sem.outcome]
-    for name in [sem.sensitive] + [eq.name for eq in input_eqs]:
+    inputs = [sem.sensitive] + [eq.name for eq in sem.equations if eq.name != sem.outcome]
+    for name in inputs:
         if name not in cols:
             raise CausalError(f"data lacks variable {name!r}")
     n = cols[sem.sensitive].size
-    residuals: dict[str, np.ndarray] = {}
-    for eq in input_eqs:
-        pred = np.full(n, eq.intercept, dtype=float)
-        for p, c in zip(eq.parents, eq.coeffs):
-            pred += c * cols[p]
-        residuals[eq.name] = cols[eq.name] - pred
+    root = np.full(n, float(a_bar))
 
-    def corrected_inputs(noise: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-        cf: dict[str, np.ndarray] = {sem.sensitive: np.full(n, float(a_bar))}
-        for eq in input_eqs:
-            value = np.full(n, eq.intercept, dtype=float)
-            for p, c in zip(eq.parents, eq.coeffs):
-                source = cf if (p, eq.name) in active else cols
-                value += c * source[p]
-            cf[eq.name] = value + noise[eq.name]
+    def evaluate(noise) -> np.ndarray:
+        cf = _replay(sem, root, noise, cols, active)
         # the model sees corrected values only along edges into the outcome
-        out: dict[str, np.ndarray] = {}
-        out[sem.sensitive] = (
-            cf[sem.sensitive] if (sem.sensitive, sem.outcome) in active else cols[sem.sensitive]
-        )
-        for eq in input_eqs:
-            out[eq.name] = cf[eq.name] if (eq.name, sem.outcome) in active else cols[eq.name]
-        return out
-
-    def evaluate(inputs) -> np.ndarray:
+        corrected = {k: cf[k] if (k, sem.outcome) in active else cols[k] for k in inputs}
         try:
-            scores = np.asarray(model(inputs), dtype=float)
+            scores = np.asarray(model(corrected), dtype=float)
         except Exception as exc:
             raise CausalError(f"model evaluation failed: {exc}") from exc
         if scores.shape != (n,):
@@ -449,25 +420,14 @@ def correct_scores(
             raise CausalError(f"model returned a non-finite score for record {bad}")
         return scores
 
-    if noise_sampler is None:
-        return evaluate(corrected_inputs(residuals))
-    if mc_samples < 1:
-        raise CausalError("mc_samples must be >= 1 when sampling noise")
-    rng = np.random.default_rng(seed)
-    total = np.zeros(n)
-    for _ in range(mc_samples):
-        draw = dict(residuals)
-        draw.update(noise_sampler(rng, cols, residuals))
-        total += evaluate(corrected_inputs(draw))
-    return total / mc_samples
+    residuals = _residuals(sem, cols, inputs[1:])
+    draw = None if noise_sampler is None else (lambda rng: noise_sampler(rng, cols, residuals))
+    return _average_over_noise(evaluate, residuals, draw, mc_samples, seed)
 
 
 def all_unfair_paths(sem: LinearSEM) -> PathSelection:
     """All sensitive-to-outcome paths containing at least one unfair edge."""
-    children: dict[str, list[str]] = {}
-    for u, v in sem.edges:
-        children.setdefault(u, []).append(v)
-
+    children = _children(sem)
     paths: list[tuple[str, ...]] = []
 
     def walk(path: tuple[str, ...]):

@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -283,7 +284,38 @@ def _resolve_sem(args) -> causal.LinearSEM:
     raise UsageError("sem: provide --scenario or --sem")
 
 
+# options each sem subcommand cannot run without, besides --scenario or --sem
+SEM_REQUIRED = {
+    "fit": ("--input", "--schema"),
+    "counterfactual": ("--record",),
+    "correct-scores": ("--model", "--input", "--schema"),
+}
+
+
+def _parse_record(text: str) -> dict[str, float]:
+    record = json.loads(text)
+    if not isinstance(record, dict):
+        raise causal.CausalError(f"--record must be a JSON object of variable values, got {text!r}")
+    for name, value in record.items():
+        try:
+            number = float(value)
+        except (TypeError, ValueError, OverflowError):
+            number = math.nan
+        if not math.isfinite(number):
+            raise causal.CausalError(f"--record: {name!r} must be a finite number, got {value!r}")
+        record[name] = number
+    return record
+
+
 def cmd_sem(args) -> int:
+    for flag in SEM_REQUIRED.get(args.sem_command, ()):
+        if getattr(args, flag[2:].replace("-", "_")) is None:
+            raise UsageError(f"sem {args.sem_command}: {flag} is required")
+    if args.mc_samples is not None and args.sem_command != "pse":
+        raise UsageError(f"sem {args.sem_command}: --mc-samples applies to pse only")
+    for flag, value in (("--a", args.a), ("--a-bar", args.a_bar)):
+        if not math.isfinite(value):
+            raise causal.CausalError(f"{flag} must be finite, got {value!r}")
     if args.sem_command == "sample":
         sem = _resolve_sem(args)
         data = causal.sample(sem, args.n, seed=args.seed)
@@ -311,10 +343,8 @@ def cmd_sem(args) -> int:
         _write_text(args.output, _report_doc("sem pse", args.seed, results))
         return 0
     if args.sem_command == "counterfactual":
-        record = {k: float(v) for k, v in json.loads(args.record).items()}
-        value = causal.counterfactual(
-            sem, record, paths, args.a_bar, mc_samples=args.mc_samples or 1, seed=args.seed
-        )
+        record = _parse_record(args.record)
+        value = causal.counterfactual(sem, record, paths, args.a_bar)
         results = {"record": record, "counterfactual_outcome": value}
         _write_text(args.output, _report_doc("sem counterfactual", args.seed, results))
         return 0
@@ -336,10 +366,7 @@ def cmd_sem(args) -> int:
 
         cols = {c.name: data.column(c.name) for c in data.schema if c.role != "ignore"}
         original = score_fn({k: np.asarray(v, dtype=float) for k, v in cols.items()})
-        corrected = causal.correct_scores(
-            sem, score_fn, cols, paths, args.a_bar,
-            mc_samples=args.mc_samples or 1, seed=args.seed,
-        )
+        corrected = causal.correct_scores(sem, score_fn, cols, paths, args.a_bar)
         ds.write_table(args.scores_output, ["id", "group", "score", "corrected_score"], [
             np.arange(data.n_records), data.sensitive,
             np.asarray(original, dtype=float), np.asarray(corrected, dtype=float)])
@@ -490,7 +517,8 @@ def build_parser() -> _Parser:
     p.add_argument("--a", type=float, default=0.0)
     p.add_argument("--a-bar", type=float, default=1.0)
     p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--mc-samples", type=int, default=0)
+    p.add_argument("--mc-samples", type=int, default=None,
+                   help="pse only: also estimate the effect from this many Monte-Carlo samples")
     p.add_argument("--record", default=None, help="JSON object of variable values")
     p.add_argument("--model", default=None, help="trained model JSON for correct-scores")
     p.add_argument("--input", default=None)

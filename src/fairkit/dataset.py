@@ -294,35 +294,39 @@ def _read_cells(path, header) -> dict[str, np.ndarray]:
 def read_table(path, numeric, check_header) -> tuple[tuple[str, ...], dict[str, np.ndarray]]:
     """Header and columns of a comma-separated UTF-8 file with a header row and csv quoting.
 
-    Header names are stripped and distinct; ``check_header`` may reject them.
-    Each row needs one cell per name (a blank line has none) and no cell may
-    be empty once stripped.  ``numeric`` columns come back as float64 when
+    A leading byte-order mark is dropped; bytes that are not UTF-8 are a
+    ``DatasetError``.  Header names are stripped and distinct;
+    ``check_header`` may reject them.  Each row needs one cell per name (a
+    blank line has none) and no cell may be empty once stripped.  ``numeric`` columns come back as float64 when
     numpy's reader parses them to finite values, all others as object arrays
     of stripped strings for ``parse_numbers``.  The header is row 1.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DatasetError("empty file")
-        header = tuple(h.strip() for h in header)
-        check_header(header)
-        if len(set(header)) < len(header):
-            raise DatasetError(f"duplicate columns: {', '.join(sorted({h for h in header if header.count(h) > 1}))}")
-        skip, first = reader.line_num, next(reader, None)
-    if first is None:
-        raise DatasetError("no data rows")
-    # the first row picks each column's dtype for numpy; a wrong pick only costs the fallback
-    floats = [h in numeric and (j >= len(first) or _is_number(first[j])) for j, h in enumerate(header)]
-    columns = _bulk_columns(path, header, skip, floats) if first else None
-    failed = header if columns is None else [
-        h for h, f in zip(header, floats) if f and not np.isfinite(columns[h]).all()]
-    if failed:
-        cells = _read_cells(path, header)
-        columns = {h: cells[h] if h in failed else columns[h] for h in header}
-    else:
-        _check_missing(columns)
-    return header, columns
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise DatasetError("empty file")
+            header = tuple(h.strip() for h in header)
+            check_header(header)
+            if len(set(header)) < len(header):
+                raise DatasetError(f"duplicate columns: {', '.join(sorted({h for h in header if header.count(h) > 1}))}")
+            skip, first = reader.line_num, next(reader, None)
+        if first is None:
+            raise DatasetError("no data rows")
+        # the first row picks each column's dtype for numpy; a wrong pick only costs the fallback
+        floats = [h in numeric and (j >= len(first) or _is_number(first[j])) for j, h in enumerate(header)]
+        columns = _bulk_columns(path, header, skip, floats) if first else None
+        failed = header if columns is None else [
+            h for h, f in zip(header, floats) if f and not np.isfinite(columns[h]).all()]
+        if failed:
+            cells = _read_cells(path, header)
+            columns = {h: cells[h] if h in failed else columns[h] for h in header}
+        else:
+            _check_missing(columns)
+        return header, columns
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"not a UTF-8 text file: cannot decode byte 0x{exc.object[exc.start]:02x}") from None
 
 
 def load_csv(path, schema: Mapping[str, str], outcome_kind: str = "regression") -> TabularDataset:

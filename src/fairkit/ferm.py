@@ -39,7 +39,6 @@ __all__ = [
     "LinearFairMap",
     "fair_linear_transform",
     "surrogate_fairness_gap",
-    "project_l1_ball",
 ]
 
 LOSSES = ("squared", "hinge", "logistic")
@@ -156,22 +155,6 @@ def binary_positive_constraint(dataset: TabularDataset) -> ConstraintSystem:
         raise FermError(f"group {codes[np.argmin(counts[:2])]!r} has no positive-labeled records")
     weights = np.where(positive, 1.0 / counts[group], 0.0)
     return ConstraintSystem(cell, ((0, 0, 1),), weights, 2)
-
-
-def project_l1_ball(z: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection onto the L1 ball of the given radius."""
-    if radius < 0:
-        raise FermError("radius must be >= 0")
-    if not (np.all(np.isfinite(z)) and np.isfinite(radius)):
-        raise FermError("L1-ball projection needs finite input")
-    a = np.abs(z)
-    if a.sum() <= radius:
-        return z.copy()
-    u = np.sort(a)[::-1]
-    css = np.cumsum(u)
-    k = np.nonzero(u * np.arange(1, z.size + 1) > css - radius)[0][-1]
-    tau = (css[k] - radius) / (k + 1.0)
-    return np.sign(z) * np.maximum(a - tau, 0.0)
 
 
 def _null_basis(M: np.ndarray) -> np.ndarray:

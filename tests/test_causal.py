@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fairkit.causal import (
     CausalError,
@@ -327,3 +328,71 @@ class TestScenarios:
     def test_unknown_scenario(self):
         with pytest.raises(CausalError):
             scenario("casino")
+
+
+@st.composite
+def small_sems(draw, noise=True):
+    """Linear SEMs with 1-4 equations, each over a random subset of the earlier variables."""
+    names = ["A"] + [f"V{i}" for i in range(draw(st.integers(1, 4)))]
+    number = st.floats(-2.0, 2.0)
+    equations, labels = [], {}
+    for i, name in enumerate(names[1:], start=1):
+        parents = tuple(p for p in names[:i] if draw(st.booleans()))
+        coeffs = tuple(draw(number) for _ in parents)
+        noise_std = draw(st.floats(0.0, 2.0)) if noise else 0.0
+        equations.append(Equation(name, draw(number), parents, coeffs, noise_std))
+        labels.update({(p, name): draw(st.sampled_from(["fair", "unfair"])) for p in parents})
+    values = draw(st.sampled_from([(0.0, 1.0), (-1.0, 1.0)]))
+    return LinearSEM("A", 0.5, tuple(equations), names[-1], labels, values)
+
+
+def all_paths(sem):
+    """Every directed path from the sensitive variable to the outcome."""
+    found, stack = [], [(sem.sensitive,)]
+    while stack:
+        path = stack.pop()
+        if path[-1] == sem.outcome:
+            found.append(path)
+        stack.extend(path + (v,) for u, v in sem.edges if u == path[-1])
+    return found
+
+
+class TestDocstringInvariants:
+    """The abduction, correction and effect invariants the module docstring states, on random small SEMs."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sem=small_sems(), data=st.data())
+    def test_reconstruct_inverts_abduct(self, sem, data):
+        record = {name: data.draw(st.floats(-10.0, 10.0)) for name in sem.variables}
+        record[sem.sensitive] = data.draw(st.sampled_from(sem.sensitive_values))
+        rebuilt = reconstruct(sem, record[sem.sensitive], abduct(sem, record))
+        for name in sem.variables:
+            assert abs(rebuilt[name] - record[name]) <= 1e-12, name
+
+    @settings(max_examples=100, deadline=None)
+    @given(sem=small_sems(), seed=st.integers(0, 2**32 - 1))
+    def test_empty_selection_changes_nothing(self, sem, seed):
+        cols = simulate(sem, 20, seed=seed)
+        weights = dict(zip(sem.variables[:-1], np.random.default_rng(seed).normal(size=len(sem.variables))))
+
+        def model(c):
+            return sum(w * np.asarray(c[k]) for k, w in weights.items())
+
+        v0, v1 = sem.sensitive_values
+        none = PathSelection(())
+        np.testing.assert_array_equal(correct_scores(sem, model, cols, none, v1), model(cols))
+        for i in range(3):
+            record = {k: float(v[i]) for k, v in cols.items()}
+            a_bar = v0 if record[sem.sensitive] == v1 else v1
+            assert counterfactual(sem, record, none, a_bar) == pytest.approx(record[sem.outcome], abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sem=small_sems(noise=False), pick=st.integers(0, 99),
+           a=st.floats(-2.0, 2.0), a_bar=st.floats(-2.0, 2.0))
+    def test_zero_noise_monte_carlo_is_closed_form(self, sem, pick, a, a_bar):
+        # one path, or all of them: the selections whose edge union adds no other path
+        paths = all_paths(sem)
+        chosen = paths if pick % (len(paths) + 1) == len(paths) else [paths[pick % (len(paths) + 1)]]
+        selection = PathSelection(tuple(chosen))
+        mc = path_specific_effect_mc(sem, selection, a, a_bar, n=5, seed=pick)
+        assert mc == pytest.approx(path_specific_effect(sem, selection, a, a_bar), rel=1e-9, abs=1e-12)

@@ -553,6 +553,46 @@ class TestSemCommands:
     def test_requires_scenario_or_model(self):
         assert main(["sem", "pse"]) == 1
 
+    @pytest.mark.parametrize("argv,message", [
+        (["counterfactual"], "sem counterfactual: --record is required"),
+        (["fit", "--input", "s.csv"], "sem fit: --schema is required"),
+        (["correct-scores", "--input", "s.csv", "--schema", "{}"], "sem correct-scores: --model is required"),
+        (["counterfactual", "--record", "{}", "--mc-samples", "5"],
+         "sem counterfactual: --mc-samples applies to pse only"),
+        (["correct-scores", "--model", "m.json", "--input", "s.csv", "--schema", "{}", "--mc-samples", "5"],
+         "sem correct-scores: --mc-samples applies to pse only"),
+    ])
+    def test_missing_or_misplaced_option_is_usage_error(self, argv, message, capsys):
+        assert main(["sem", *argv, "--scenario", "college"]) == 1
+        assert capsys.readouterr().err == message + "\n"
+
+    def test_help_says_mc_samples_is_for_pse(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["sem", "--help"])
+        assert "--mc-samples MC_SAMPLES pse only:" in " ".join(capsys.readouterr().out.split())
+
+    @pytest.mark.parametrize("argv,message", [
+        (["counterfactual", "--record", "[1, 2]"],
+         "--record must be a JSON object of variable values, got '[1, 2]'"),
+        (["counterfactual", "--record", '{"A": 0, "Q": "x", "D": 1, "Y": 2}'],
+         "--record: 'Q' must be a finite number, got 'x'"),
+        (["counterfactual", "--record", '{"A": 0, "Q": NaN, "D": 1, "Y": 2}'],
+         "--record: 'Q' must be a finite number, got nan"),
+        (["pse", "--a-bar", "nan"], "--a-bar must be finite, got nan"),
+        (["counterfactual", "--record", '{"A": 0, "Q": 1, "D": 1, "Y": 2}', "--a=-inf"],
+         "--a must be finite, got -inf"),
+    ])
+    def test_bad_or_non_finite_value_is_data_error(self, argv, message, capsys):
+        assert main(["sem", *argv, "--scenario", "college"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_file_that_is_not_utf8_is_data_error(self, tmp_path, capsys):
+        sample = tmp_path / "sample.csv"
+        sample.write_bytes(b"A,Q,D,Y\n0,1.0,\xff,2.0\n")
+        schema = json.dumps({"A": "sensitive", "Q": "feature", "D": "feature", "Y": "outcome"})
+        assert main(["sem", "fit", "--scenario", "college", "--input", str(sample), "--schema", schema]) == 2
+        assert capsys.readouterr().err == "error: not a UTF-8 text file: cannot decode byte 0xff\n"
+
 
 def write_multitask_csv(path, rng, T=3, n=60, d=4):
     header = ["task", "g"] + [f"x{j}" for j in range(d)] + ["y"]

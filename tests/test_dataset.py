@@ -130,6 +130,25 @@ class TestLoadCsv:
         np.testing.assert_array_equal(data.column("x1"), [1000.0, 0.5])
         np.testing.assert_array_equal(data.column("x2"), [12.0, 1.5])
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        plain = load_csv(write(tmp_path, BASIC), BASIC_SCHEMA, outcome_kind="classification")
+        marked = load_csv(write(tmp_path, "\ufeff" + BASIC, "bom.csv"), BASIC_SCHEMA,
+                          outcome_kind="classification")
+        assert marked.schema == plain.schema
+        for c in plain.schema:
+            np.testing.assert_array_equal(marked.column(c.name), plain.column(c.name))
+
+    @pytest.mark.parametrize("body", [
+        b"gender,x1,x2,y\nf,1.0,\xff2.0,1\n",  # in the first row, read with the header
+        b"gender,x1,x2,y\n" + b"f,1.0,2.0,1\n" * 5000 + b"m,\xff,1.5,-1\n",  # past the header's read buffer
+        b"gender,x1,\xffx2,y\nf,1.0,2.0,1\n",  # in a header name
+    ])
+    def test_bytes_that_are_not_utf8(self, tmp_path, body):
+        path = tmp_path / "data.csv"
+        path.write_bytes(body)
+        with pytest.raises(DatasetError, match=r"^not a UTF-8 text file: cannot decode byte 0xff$"):
+            load_csv(path, BASIC_SCHEMA, outcome_kind="classification")
+
     def test_duplicate_column_names(self, tmp_path):
         path = write(tmp_path, "gender,x1,x1,y\nf,1.0,2.0,1\n")
         with pytest.raises(DatasetError, match="duplicate columns: x1"):

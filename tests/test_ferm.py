@@ -13,7 +13,6 @@ from fairkit.ferm import (
     design_matrix,
     fair_linear_transform,
     kernel_matrix,
-    project_l1_ball,
     surrogate_fairness_gap,
     train_ferm_binary,
     train_gferm,
@@ -144,29 +143,6 @@ class TestConstraintConstruction:
         y, s = data.outcome, data.sensitive
         direct = X[(y > 0) & (s == 0)].mean(axis=0) - X[(y > 0) & (s == 1)].mean(axis=0)
         np.testing.assert_allclose(u, direct, atol=1e-12)
-
-
-class TestL1Projection:
-    def test_inside_ball_untouched(self):
-        z = np.array([0.2, -0.1])
-        np.testing.assert_array_equal(project_l1_ball(z, 1.0), z)
-
-    def test_projection_properties(self):
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            z = rng.normal(size=rng.integers(1, 8)) * 3
-            radius = float(rng.uniform(0.1, 2.0))
-            p = project_l1_ball(z, radius)
-            assert np.abs(p).sum() <= radius + 1e-12
-            # no feasible point is closer (spot-check random candidates)
-            for _ in range(20):
-                c = rng.normal(size=z.size)
-                c = c / max(np.abs(c).sum() / radius, 1.0)
-                assert np.linalg.norm(z - p) <= np.linalg.norm(z - c) + 1e-9
-
-    def test_non_finite_input_rejected(self):
-        with pytest.raises(FermError, match="finite"):
-            project_l1_ball(np.array([np.nan, 1.0]), 0.1)
 
 
 class TestQpL1:
