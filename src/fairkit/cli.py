@@ -374,6 +374,37 @@ def cmd_sem(args) -> int:
     raise UsageError(f"unknown sem subcommand {args.sem_command!r}")
 
 
+def _rep_to_json(model: multitask.RepresentationModel) -> dict:
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "A": [[float(v) for v in row] for row in model.A],
+        "B": [[float(v) for v in row] for row in model.B],
+        "r": model.r,
+        "lam": model.lam,
+        "constraint": model.constraint,
+        "penalty": model.penalty,
+        "gap_vectors": [[float(v) for v in c] for c in model.gap_vectors],
+        "max_gap_alignment": model.max_gap_alignment(),
+        "objective_history": list(model.objective_history),
+        "solver": model.solver,
+    }
+
+
+@_document("representation")
+def _rep_from_json(doc: dict) -> multitask.RepresentationModel:
+    A, B = np.array(doc["A"], dtype=float), np.array(doc["B"], dtype=float)
+    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
+        raise ValueError("A must be a d x r and B an r x T matrix")
+    gaps = tuple(np.array(c, dtype=float) for c in doc.get("gap_vectors", ()))
+    if any(c.shape != A.shape[:1] for c in gaps):
+        raise ValueError("each gap vector needs one entry per row of A")
+    return multitask.RepresentationModel(
+        A=A, B=B, r=doc["r"], lam=doc["lam"],
+        constraint=doc["constraint"], penalty=doc.get("penalty"), gap_vectors=gaps,
+        objective_history=tuple(doc["objective_history"]), solver=doc.get("solver"),
+    )
+
+
 def cmd_mtl(args) -> int:
     if args.mtl_command == "train-rep":
         data = _load_dataset(args)
@@ -382,27 +413,11 @@ def cmd_mtl(args) -> int:
             tasks, r=args.r, lam=args.lam, constraint=args.mode,
             penalty=args.penalty, epsilon=args.eps, seed=args.seed,
         )
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "A": [[float(v) for v in row] for row in model.A],
-            "B": [[float(v) for v in row] for row in model.B],
-            "r": model.r,
-            "lam": model.lam,
-            "constraint": model.constraint,
-            "max_gap_alignment": model.max_gap_alignment(),
-            "objective_history": list(model.objective_history),
-        }
-        _write_text(args.output, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        _write_text(args.output, json.dumps(_rep_to_json(model), sort_keys=True, indent=2) + "\n")
         return 0
     if args.mtl_command == "transfer":
         with open(args.model, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        with _document("representation"):
-            rep = multitask.RepresentationModel(
-                A=np.array(doc["A"], dtype=float), B=np.array(doc["B"], dtype=float),
-                r=doc["r"], lam=doc["lam"], constraint=doc["constraint"], penalty=None,
-                gap_vectors=(), objective_history=tuple(doc["objective_history"]),
-            )
+            rep = _rep_from_json(json.load(fh))
         data = _load_dataset(args)
         result = multitask.transfer(rep, multitask.task_from_dataset(data), lam=args.lam)
         results = {

@@ -20,6 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
+from . import dataset as ds
 from .dataset import DiscretizationGrid, TabularDataset, partition
 from .metrics import MetricError, ScoreSet, general_fairness_gap, loss_general_fairness_gap
 
@@ -70,7 +71,13 @@ class KernelSpec:
 
 
 def kernel_matrix(spec: KernelSpec, X: np.ndarray, Z: np.ndarray | None = None) -> np.ndarray:
+    """Gram matrix k(x_i, z_j), refused above the ``dataset.MAX_FEATURE_BYTES`` cap."""
     Z = X if Z is None else Z
+    size = X.shape[0] * Z.shape[0] * 8
+    if size > ds.MAX_FEATURE_BYTES:
+        raise FermError(
+            f"{spec.kind} kernel matrix of {X.shape[0]} x {Z.shape[0]} needs {size / 2**30:.1f} GiB,"
+            f" above the {ds.MAX_FEATURE_BYTES / 2**30:g} GiB limit")
     if spec.kind == "linear":
         return X @ Z.T
     sq = np.sum(X * X, axis=1)[:, None] + np.sum(Z * Z, axis=1)[None, :] - 2.0 * X @ Z.T

@@ -4,7 +4,10 @@ Two families live here.  The shared-representation route factorizes the
 task weight matrix as W = A B and alternates exact ridge solves for B (per
 task, decoupled) and for A (one linear system over vec(A)), keeping every
 column of A orthogonal to each task's group-mean gap vector either exactly
-(null-space parametrization) or through a quadratic penalty.  The
+(null-space parametrization) or through a quadratic penalty.  Both
+half-steps and the objective read only per-task sufficient statistics
+(X^T X, X^T y, y^T y, n), computed once before the loop, so an iteration
+costs the same whatever the number of rows.  The
 common-mean route learns a shared weight vector plus per-group deviations
 under linear equalized-odds constraints, optionally defining groups by a
 learned sensitive-attribute predictor instead of the true attribute.
@@ -18,6 +21,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .dataset import TabularDataset
+from .ferm import _null_basis
 
 __all__ = [
     "MtlError",
@@ -124,7 +128,13 @@ def conditional_mean_gap(task: Task) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RepresentationModel:
-    """Shared representation A (d x r) and per-task coefficients B (r x T)."""
+    """Shared representation A (d x r) and per-task coefficients B (r x T).
+
+    ``penalty`` is the gap-penalty weight applied (relaxed mode only, the
+    final one after escalation).  ``solver`` is the alternating loop's
+    trace: the number of alternations and the stop reason, "converged" or
+    "max_iter"; None for a model document without one.
+    """
 
     A: np.ndarray
     B: np.ndarray
@@ -134,6 +144,7 @@ class RepresentationModel:
     penalty: float | None
     gap_vectors: tuple[np.ndarray, ...]
     objective_history: tuple[float, ...]
+    solver: Mapping[str, object] | None = None
 
     @property
     def task_weights(self) -> np.ndarray:
@@ -155,42 +166,54 @@ class RepresentationModel:
         )
 
 
-def _objective(tasks, A, B, lam, penalty_matrix=None) -> float:
-    """Training objective; includes the gap penalty in relaxed mode."""
+class _TaskStats(NamedTuple):
+    """Sufficient statistics of one task's squared loss."""
+
+    gram: np.ndarray  # X^T X
+    xty: np.ndarray  # X^T y
+    yty: float  # y^T y
+    scale: float  # 2 / (T n), the task's weight in the half-step systems
+
+
+def _task_stats(tasks: Sequence[Task]) -> tuple[_TaskStats, ...]:
     T = len(tasks)
+    return tuple(
+        _TaskStats(t.features.T @ t.features, t.features.T @ t.outcome,
+                   float(t.outcome @ t.outcome), 2.0 / (T * t.n))
+        for t in tasks
+    )
+
+
+def _objective(stats, A, B, lam, penalty_matrix=None) -> float:
+    """Training objective; includes the gap penalty in relaxed mode."""
     total = 0.0
-    for t, task in enumerate(tasks):
-        resid = task.outcome - task.features @ A @ B[:, t]
-        total += resid @ resid / (T * task.n)
+    for t, st in enumerate(stats):
+        w = A @ B[:, t]  # ||y - X w||^2 expanded
+        total += 0.5 * st.scale * (st.yty - 2.0 * w @ st.xty + w @ st.gram @ w)
     total += 0.5 * lam * (np.sum(A * A) + np.sum(B * B))
     if penalty_matrix is not None:
         total += np.sum(A * (penalty_matrix @ A))
     return float(total)
 
 
-def _b_step(tasks, A, lam) -> np.ndarray:
-    T = len(tasks)
+def _b_step(stats, A, lam) -> np.ndarray:
     r = A.shape[1]
-    B = np.zeros((r, T))
-    for t, task in enumerate(tasks):
-        XA = task.features @ A
-        scale = 2.0 / (T * task.n)
-        P = scale * XA.T @ XA + lam * np.eye(r)
-        B[:, t] = np.linalg.solve(P, scale * XA.T @ task.outcome)
+    B = np.zeros((r, len(stats)))
+    for t, st in enumerate(stats):
+        P = st.scale * A.T @ st.gram @ A + lam * np.eye(r)
+        B[:, t] = np.linalg.solve(P, st.scale * A.T @ st.xty)
     return B
 
 
-def _a_step(tasks, B, lam, basis, penalty_matrix) -> np.ndarray:
-    d = tasks[0].d
+def _a_step(stats, B, lam, basis, penalty_matrix) -> np.ndarray:
+    d = stats[0].gram.shape[0]
     r = B.shape[0]
-    T = len(tasks)
     H = np.zeros((d * r, d * r))
     g = np.zeros(d * r)
-    for t, task in enumerate(tasks):
-        M = np.kron(B[:, t][None, :], task.features)  # (n, r*d), blocks b_j * X
-        scale = 2.0 / (T * task.n)
-        H += scale * M.T @ M
-        g += scale * M.T @ task.outcome
+    for t, st in enumerate(stats):
+        b = B[:, t]  # vec(X A b) = (b^T kron X) vec(A), blocks b_j * X
+        H += st.scale * np.kron(np.outer(b, b), st.gram)
+        g += st.scale * np.kron(b, st.xty)
     H += lam * np.eye(d * r)
     if penalty_matrix is not None:
         H += 2.0 * np.kron(np.eye(r), penalty_matrix)
@@ -200,6 +223,36 @@ def _a_step(tasks, B, lam, basis, penalty_matrix) -> np.ndarray:
     else:
         vec = np.linalg.solve(H, g)
     return vec.reshape((d, r), order="F")
+
+
+def _no_worse(old, obj_old, new, obj_new, half):
+    """The half-step's new iterate, or the old one if the objective rose.
+
+    An exact half-step cannot raise the objective, so a rise beyond rounding
+    is an error; a rise within it means the loop has converged to rounding
+    precision, and keeping the old iterate keeps the history non-increasing.
+    """
+    if obj_new > obj_old + 1e-9 * (1.0 + abs(obj_old)):
+        raise MtlError(f"objective increased on {half} half-step")
+    return (new, obj_new) if obj_new <= obj_old else (old, obj_old)
+
+
+def _alternate(stats, A, lam, basis, penalty_matrix, max_iter, tol):
+    """Alternate exact B and A half-steps from A; returns A, B, history, trace."""
+    B = np.zeros((A.shape[1], len(stats)))
+    history = [_objective(stats, A, B, lam, penalty_matrix)]
+    iterations, stop_reason = 0, "max_iter"
+    while iterations < max_iter:
+        iterations += 1
+        B_new = _b_step(stats, A, lam)
+        B, obj_b = _no_worse(B, history[-1], B_new, _objective(stats, A, B_new, lam, penalty_matrix), "a B")
+        A_new = _a_step(stats, B, lam, basis, penalty_matrix)
+        A, obj_a = _no_worse(A, obj_b, A_new, _objective(stats, A_new, B, lam, penalty_matrix), "an A")
+        history.extend([obj_b, obj_a])
+        if abs(history[-3] - obj_a) <= tol * (1.0 + abs(obj_a)):
+            stop_reason = "converged"
+            break
+    return A, B, tuple(history), {"iterations": iterations, "stop_reason": stop_reason}
 
 
 def train_representation(
@@ -216,13 +269,17 @@ def train_representation(
     """Alternating minimization for the constrained factorization.
 
     Each half-step is an exact ridge solve, so the objective is
-    non-increasing throughout (asserted).  Equality mode parametrizes A on
-    an orthonormal basis of the joint orthogonal complement of the task
-    gap vectors, which makes A^T c(tau_t) = 0 hold to machine precision;
-    relaxed mode adds the quadratic penalty (penalty / T) sum_t
-    ||A^T c(tau_t)||^2 instead.  Passing ``epsilon`` in relaxed mode
-    escalates the penalty until the mean squared alignment
-    (1/T) sum_t ||A^T c(tau_t)||^2 drops to the tolerance.
+    non-increasing throughout (asserted).  The loop sees the data only
+    through each task's (X^T X, X^T y, y^T y, n), computed once, so an
+    alternation costs O(T r^2 d^2 + r^3 d^3) whatever the number of rows.
+    Equality mode parametrizes A on an orthonormal basis of the joint
+    orthogonal complement of the task gap vectors, which makes
+    A^T c(tau_t) = 0 hold to machine precision; relaxed mode adds the
+    quadratic penalty (penalty / T) sum_t ||A^T c(tau_t)||^2 instead.
+    Passing ``epsilon`` in relaxed mode escalates the penalty tenfold,
+    retraining from the same start, until the mean squared alignment
+    (1/T) sum_t ||A^T c(tau_t)||^2 drops to the tolerance; the result is
+    the direct relaxed fit at the final penalty.
     """
     if r < 1:
         raise MtlError("r must be >= 1")
@@ -230,27 +287,13 @@ def train_representation(
         raise MtlError("lam must be > 0")
     if constraint not in ("equality", "relaxed", "none"):
         raise MtlError(f"unknown constraint mode {constraint!r}")
-    if constraint == "relaxed" and epsilon is not None:
-        if epsilon <= 0:
-            raise MtlError("epsilon must be > 0")
-        weight = penalty if penalty and penalty > 0 else 1.0
-        for _ in range(40):
-            model = train_representation(
-                data, r, lam, constraint="relaxed", penalty=weight,
-                seed=seed, max_iter=max_iter, tol=tol,
-            )
-            mean_sq = float(
-                np.mean([np.sum((model.A.T @ c) ** 2) for c in model.gap_vectors])
-            )
-            if mean_sq <= epsilon:
-                return model
-            weight *= 10.0
-        raise MtlError(f"could not reach the relaxed tolerance {epsilon}")
+    escalate = constraint == "relaxed" and epsilon is not None
+    if escalate and epsilon <= 0:
+        raise MtlError("epsilon must be > 0")
     tasks = data.tasks
     d = data.d
     gaps: tuple[np.ndarray, ...] = ()
     basis = None
-    penalty_matrix = None
     if constraint != "none":
         if data.missing_group_tasks():
             raise MtlError(
@@ -258,48 +301,47 @@ def train_representation(
             )
         gaps = tuple(conditional_mean_gap(t) for t in tasks)
     if constraint == "equality":
-        C = np.column_stack(gaps) if gaps else np.zeros((d, 0))
-        u, s, _ = np.linalg.svd(C, full_matrices=True)
-        rank = int(np.sum(s > (s[0] * max(C.shape) * np.finfo(float).eps))) if s.size else 0
-        if rank >= d:
+        basis = _null_basis(np.column_stack(gaps))
+        if basis.shape[1] == 0:
             raise MtlError(
                 "group-mean gaps span the whole input space; equality mode is "
                 "infeasible, use the relaxed mode"
             )
-        basis = u[:, rank:]
-    elif constraint == "relaxed":
-        if penalty is None or penalty <= 0:
-            raise MtlError("relaxed mode needs a positive penalty")
-        penalty_matrix = (penalty / len(tasks)) * sum(np.outer(c, c) for c in gaps)
+    elif constraint == "relaxed" and not escalate and (penalty is None or penalty <= 0):
+        raise MtlError("relaxed mode needs a positive penalty")
 
+    stats = _task_stats(tasks)
+    gap_outer = sum(np.outer(c, c) for c in gaps)
     rng = np.random.default_rng(seed)
-    A = np.linalg.qr(rng.standard_normal((d, max(r, 1))))[0][:, :r]
+    A0 = np.linalg.qr(rng.standard_normal((d, r)))[0][:, :r]
     if basis is not None:
-        A = basis @ basis.T @ A  # start feasible
-    B = np.zeros((r, len(tasks)))
-    history = [_objective(tasks, A, B, lam, penalty_matrix)]
-    for _ in range(max_iter):
-        B = _b_step(tasks, A, lam)
-        obj_b = _objective(tasks, A, B, lam, penalty_matrix)
-        if obj_b > history[-1] + 1e-9 * (1.0 + abs(history[-1])):
-            raise MtlError("objective increased on a B half-step")
-        A = _a_step(tasks, B, lam, basis, penalty_matrix)
-        obj_a = _objective(tasks, A, B, lam, penalty_matrix)
-        if obj_a > obj_b + 1e-9 * (1.0 + abs(obj_b)):
-            raise MtlError("objective increased on an A half-step")
-        history.extend([obj_b, obj_a])
-        if abs(history[-3] - obj_a) <= tol * (1.0 + abs(obj_a)):
-            break
-    return RepresentationModel(
-        A=A,
-        B=B,
-        r=r,
-        lam=lam,
-        constraint=constraint,
-        penalty=penalty,
-        gap_vectors=gaps,
-        objective_history=tuple(history),
-    )
+        A0 = basis @ basis.T @ A0  # start feasible
+
+    def fit(weight):
+        penalty_matrix = None if weight is None else (weight / len(tasks)) * gap_outer
+        A, B, history, trace = _alternate(stats, A0, lam, basis, penalty_matrix, max_iter, tol)
+        return RepresentationModel(
+            A=A,
+            B=B,
+            r=r,
+            lam=lam,
+            constraint=constraint,
+            penalty=weight,
+            gap_vectors=gaps,
+            objective_history=history,
+            solver=trace,
+        )
+
+    if not escalate:
+        return fit(penalty if constraint == "relaxed" else None)
+    weight = penalty if penalty and penalty > 0 else 1.0
+    for _ in range(40):
+        model = fit(weight)
+        mean_sq = float(np.mean([np.sum((model.A.T @ c) ** 2) for c in gaps]))
+        if mean_sq <= epsilon:
+            return model
+        weight *= 10.0
+    raise MtlError(f"could not reach the relaxed tolerance {epsilon}")
 
 
 class TransferResult(NamedTuple):

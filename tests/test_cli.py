@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairkit.cli import main
-from fairkit.dataset import MAX_FEATURE_BYTES
+from fairkit.cli import _rep_from_json, _rep_to_json, main
+from fairkit.dataset import MAX_FEATURE_BYTES, load_csv
+from fairkit.multitask import tasks_from_dataset, train_representation
 from fairkit.transport import EmpiricalDistribution, geodesic_repair, wasserstein
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -126,6 +127,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: feature matrix of {n} x {n} needs 1.0 GiB, above the 1 GiB limit")
         assert err.endswith(f"; column 'x0' has {n} categories\n") and err.count("\n") == 1
+
+    def test_rbf_kernel_above_cap_is_data_error(self, tmp_path, capsys, monkeypatch):
+        rng = np.random.default_rng(4)
+        small, schema = write_classification_csv(tmp_path / "small.csv", rng, n=40)
+        large, _ = write_classification_csv(tmp_path / "large.csv", rng, n=120)
+        monkeypatch.setattr("fairkit.dataset.MAX_FEATURE_BYTES", 50 * 50 * 8)
+        model = tmp_path / "m.json"
+
+        def train(path):
+            return main(["ferm-train", "--input", str(path), "--schema", schema, "--kernel", "rbf",
+                         "--gamma", "0.5", "--epsilon", "0", "--model-output", str(model),
+                         "--output", str(tmp_path / "r.json")])
+
+        def assert_one_line(shape):
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: rbf kernel matrix of {shape} needs ") and err.count("\n") == 1
+
+        assert train(large) == 2
+        assert_one_line("120 x 120")
+        assert train(small) == 0
+        assert main(["ferm-predict", "--model", str(model), "--input", str(large), "--schema", schema,
+                     "--scores-output", str(tmp_path / "s.csv")]) == 2
+        assert_one_line("120 x 40")
 
     def test_sem_document_without_pi_is_data_error(self, tmp_path, capsys):
         doc = tmp_path / "sem.json"
@@ -633,6 +657,41 @@ class TestMtlCommands:
         ])
         assert code == 0
         assert "fairness_diagnostic" in json.loads(report.read_text())["results"]
+
+    def test_train_rep_document_round_trip(self, tmp_path):
+        data, schema = write_multitask_csv(tmp_path / "tasks.csv", np.random.default_rng(9))
+        model = tmp_path / "rep.json"
+        assert main(["mtl", "train-rep", "--input", str(data), "--schema", schema, "--r", "2",
+                     "--lambda", "0.1", "--mode", "relaxed", "--penalty", "0.5", "--output", str(model)]) == 0
+        doc = json.loads(model.read_text())
+        assert doc["penalty"] == 0.5 and len(doc["gap_vectors"]) == 3
+        assert doc["solver"]["stop_reason"] == "converged"
+        read = _rep_from_json(doc)
+        tasks = tasks_from_dataset(load_csv(data, json.loads(schema)))
+        trained = train_representation(tasks, r=2, lam=0.1, constraint="relaxed", penalty=0.5, seed=0)
+        assert read.max_gap_alignment() == trained.max_gap_alignment() > 0.0
+        for t, task in enumerate(tasks.tasks):
+            np.testing.assert_array_equal(read.predict(t, task.features), trained.predict(t, task.features))
+        assert _rep_to_json(read) == doc
+        # a document written before these fields existed still loads
+        for key in ("penalty", "gap_vectors", "solver"):
+            del doc[key]
+        old = _rep_from_json(doc)
+        assert (old.penalty, old.gap_vectors, old.solver) == (None, (), None)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"gap_vectors": [[1.0, 2.0]]}, "each gap vector needs one entry per row of A"),
+        ({"A": [1.0, 2.0, 3.0, 4.0]}, "A must be a d x r and B an r x T matrix"),
+        ({"B": [[1.0], [2.0]]}, "A must be a d x r and B an r x T matrix"),
+    ])
+    def test_misshapen_representation_document_is_data_error(self, tmp_path, capsys, fields, message):
+        data, schema = write_multitask_csv(tmp_path / "one.csv", np.random.default_rng(0), T=1, n=10)
+        doc = tmp_path / "rep.json"
+        doc.write_text(json.dumps({"A": [[1.0]] * 4, "B": [[1.0]], "r": 1, "lam": 0.1, "constraint": "equality",
+                                   "objective_history": [1.0], **fields}))
+        code = main(["mtl", "transfer", "--model", str(doc), "--input", str(data), "--schema", schema])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: representation document has an ill-typed field: {message}\n"
 
     def test_train_common(self, tmp_path):
         rng = np.random.default_rng(8)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fairkit.multitask import (
     MtlError,
@@ -118,9 +119,9 @@ class TestTrainRepresentation:
         u, s, _ = np.linalg.svd(C, full_matrices=True)
         basis = u[:, (s > 1e-10).sum():]
         A_proj = basis @ basis.T @ free.A
-        from fairkit.multitask import _b_step  # noqa: PLC0415
+        from fairkit.multitask import _b_step, _task_stats  # noqa: PLC0415
 
-        B_proj = _b_step(data.tasks, A_proj, 0.1)
+        B_proj = _b_step(_task_stats(data.tasks), A_proj, 0.1)
         pairs = [(t.features, t.outcome) for t in data.tasks]
         assert mtl_objective(pairs, model.A, model.B, 0.1) <= mtl_objective(
             pairs, A_proj, B_proj, 0.1
@@ -155,6 +156,67 @@ class TestTrainRepresentation:
         )
         mean_sq = float(np.mean([np.sum((model.A.T @ c) ** 2) for c in model.gap_vectors]))
         assert mean_sq <= epsilon
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        T=st.integers(1, 4), d=st.integers(2, 6), r_frac=st.floats(0.0, 1.0),
+        sizes=st.lists(st.integers(2, 12), min_size=4, max_size=4),
+        mode=st.sampled_from(["equality", "relaxed", "none"]),
+        lam=st.floats(1e-3, 1.0), penalty=st.floats(1e-2, 100.0),
+        noise=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_objective_and_monotone_history_property(self, T, d, r_frac, sizes, mode, lam, penalty, noise, seed):
+        # sizes from 2 rows (fewer than d) upwards; both groups in every task
+        assume(mode != "equality" or T < d)
+        rng = np.random.default_rng(seed)
+        tasks = []
+        for n in sizes[:T]:
+            s = np.concatenate([[0.0, 1.0], rng.integers(0, 2, n - 2)])
+            X = rng.normal(size=(n, d)) + np.outer(s, rng.normal(size=d))
+            tasks.append(Task(s, X, X @ rng.normal(size=d) + noise * rng.standard_normal(n)))
+        data = MultiTaskDataset(tuple(tasks))
+        r = 1 + int(r_frac * (d - 1))
+        model = train_representation(data, r=r, lam=lam, constraint=mode, penalty=penalty, seed=seed)
+        want = mtl_objective([(t.features, t.outcome) for t in tasks], model.A, model.B, lam)
+        if mode == "relaxed":
+            want += penalty / T * sum(float(np.sum((model.A.T @ c) ** 2)) for c in model.gap_vectors)
+        assert model.objective_history[-1] == pytest.approx(want, rel=1e-10)
+        assert np.all(np.diff(model.objective_history) <= 0.0)
+        assert model.penalty == (penalty if mode == "relaxed" else None)
+
+    def test_rise_within_rounding_keeps_previous_iterate(self):
+        # the last exact A half-step lowers the objective by less than its
+        # rounding error, and the expanded residual reports a rise of 1e-15
+        rng = np.random.default_rng(2667)
+        s = np.concatenate([[0.0, 1.0], rng.integers(0, 2, 2)])
+        X = rng.normal(size=(4, 2)) * 0.10220066413326939 + np.outer(s, rng.normal(size=2))
+        data = MultiTaskDataset((Task(s, X, X @ rng.normal(size=2)),))
+        model = train_representation(data, r=2, lam=0.295014108428684, constraint="equality", seed=2667)
+        assert np.all(np.diff(model.objective_history) <= 0.0)
+        assert model.solver["stop_reason"] == "converged"
+
+    def test_solver_trace(self):
+        data = synthetic_tasks(np.random.default_rng(22), T=2, n=60)
+        done = train_representation(data, r=2, lam=0.1, constraint="equality", seed=1)
+        iterations = (len(done.objective_history) - 1) // 2
+        assert done.solver == {"iterations": iterations, "stop_reason": "converged"}
+        cut = train_representation(data, r=2, lam=0.1, constraint="equality", seed=1, max_iter=1)
+        assert cut.solver == {"iterations": 1, "stop_reason": "max_iter"}
+        np.testing.assert_array_equal(cut.objective_history, done.objective_history[:3])
+
+    def test_escalation_equals_direct_fit_at_final_penalty(self):
+        data = synthetic_tasks(np.random.default_rng(21), T=3, n=100)
+        escalated = train_representation(
+            data, r=3, lam=0.1, constraint="relaxed", penalty=0.5, epsilon=1e-4, seed=4
+        )
+        assert escalated.penalty == 500.0  # 0.5, 5 and 50 miss the tolerance
+        direct = train_representation(
+            data, r=3, lam=0.1, constraint="relaxed", penalty=escalated.penalty, seed=4
+        )
+        np.testing.assert_array_equal(escalated.A, direct.A)
+        np.testing.assert_array_equal(escalated.B, direct.B)
+        assert escalated.objective_history == direct.objective_history
+        assert escalated.solver == direct.solver
 
     def test_full_span_needs_relaxed_mode(self):
         rng = np.random.default_rng(7)
