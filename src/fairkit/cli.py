@@ -407,6 +407,8 @@ def _rep_from_json(doc: dict) -> multitask.RepresentationModel:
 
 def cmd_mtl(args) -> int:
     if args.mtl_command == "train-rep":
+        if args.eps is not None and args.mode != "relaxed":
+            raise UsageError(f"mtl train-rep: --eps applies to --mode relaxed only, not {args.mode}")
         data = _load_dataset(args)
         tasks = multitask.tasks_from_dataset(data)
         model = multitask.train_representation(

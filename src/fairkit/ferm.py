@@ -10,7 +10,10 @@ goes through an exact L1-constrained quadratic program (a dual active-set
 method over the facets of the L1 ball).  The squared loss is one such
 solve; the logistic and the (quadratically smoothed) hinge losses run
 damped Newton steps over the same feasible set until the Newton decrement
-vanishes, and a run that does not converge raises SolverError.
+vanishes, and a run that does not converge raises SolverError.  The rbf
+kernel's squared loss, at a zero budget or unconstrained, is instead
+solved on K + lambda I and an m x m system for the multipliers, which
+fixes the dual coefficients even where K is numerically singular.
 """
 
 from __future__ import annotations
@@ -80,8 +83,14 @@ def kernel_matrix(spec: KernelSpec, X: np.ndarray, Z: np.ndarray | None = None) 
             f" above the {ds.MAX_FEATURE_BYTES / 2**30:g} GiB limit")
     if spec.kind == "linear":
         return X @ Z.T
-    sq = np.sum(X * X, axis=1)[:, None] + np.sum(Z * Z, axis=1)[None, :] - 2.0 * X @ Z.T
-    return np.exp(-spec.gamma * np.maximum(sq, 0.0))
+    # |x|^2 + |z|^2 - (2 x) . z, in place after the sum; 2 (X Z^T) would
+    # let numpy take syrk for X is Z, which rounds differently
+    cross = (2.0 * X) @ Z.T
+    out = np.sum(X * X, axis=1)[:, None] + np.sum(Z * Z, axis=1)[None, :]
+    out -= cross
+    np.maximum(out, 0.0, out=out)
+    out *= -spec.gamma
+    return np.exp(out, out=out)
 
 
 def design_matrix(dataset: TabularDataset, include_sensitive: bool) -> np.ndarray:
@@ -98,7 +107,8 @@ class ConstraintSystem:
     Record i lies in the flat cell ``cell[i]`` = k * Q + q, Q = ``n_s_bins``,
     and ``cell_weights[i]`` is 1/N of that cell, or 0 when the cell enters no
     constraint.  Constraint (k, p, q) is the mean over cell (k, p) minus the
-    mean over (k, q); `mean_differences` gives X^T C without building C.
+    mean over (k, q); `mean_differences` gives X^T C without building C,
+    and `matrix` builds the n x m matrix C itself.
     """
 
     cell: np.ndarray
@@ -123,9 +133,20 @@ class ConstraintSystem:
         order = np.argsort(self.cell, kind="stable")
         members = np.split(order, np.cumsum(np.bincount(self.cell))[:-1])
         sums = np.array([self.cell_weights[idx] @ X[idx] for idx in members])
-        plus = [k * self.n_s_bins + p for k, p, _ in self.pairs]
-        minus = [k * self.n_s_bins + q for k, _, q in self.pairs]
+        plus, minus = self._pair_cells()
         return (sums[plus] - sums[minus]).T
+
+    def matrix(self) -> np.ndarray:
+        """The n x m matrix C: +w_i where record i is in the pair's first cell, -w_i in its second."""
+        plus, minus = self._pair_cells()
+        C = (self.cell[:, None] == plus) * self.cell_weights[:, None]
+        C -= (self.cell[:, None] == minus) * self.cell_weights[:, None]
+        return C
+
+    def _pair_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat ids of each pair's first and second cell."""
+        kpq = np.array(self.pairs, dtype=np.intp).reshape(-1, 3)
+        return kpq[:, 0] * self.n_s_bins + kpq[:, 1], kpq[:, 0] * self.n_s_bins + kpq[:, 2]
 
 
 def build_constraints(dataset: TabularDataset, grid: DiscretizationGrid) -> ConstraintSystem:
@@ -219,13 +240,6 @@ class _Objective:
         grad = self.D.T @ (self.y * slope) + 2.0 * self.R @ beta
         hess = (self.D.T * (self.y * self.y * curve)) @ self.D + 2.0 * self.R
         return grad, hess
-
-
-def _solve_quadratic(P: np.ndarray, q: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.solve(P, q)
-    except np.linalg.LinAlgError:
-        return np.linalg.lstsq(P, q, rcond=None)[0]
 
 
 def _whiten(P: np.ndarray) -> np.ndarray:
@@ -326,11 +340,27 @@ def _newton(obj: _Objective, beta: np.ndarray, minimize_model, steps: int, max_i
     or at most the rounding error of evaluating J (which bounds what any
     step can resolve; it dominates only for ill-conditioned kernels).
     Returns the final iterate and the running count of steps taken.
+
+    Two safeguards serve a vanishing ridge.  Every loss is non-negative,
+    so J >= 0 and no step length t with 1e-4 t (-g^T d) > 2 J can meet the
+    Armijo condition: backtracking starts at the first halving of 1 below
+    that bound.  This bounds the step of a model that is flat but for the
+    ridge (no hinge record inside the smoothing band, a step about 1/lambda
+    long), and it never changes a run that starting at t = 1 completes.
+    Where the ridge is below the Hessian's rounding level, `_whiten` would
+    drop the directions that only the ridge curves, gradient and all, and
+    stop short of the optimum; there the model's curvature is floored at
+    g^T g / (2 J), the least curvature of a quadratic that stays
+    non-negative along -g, and at twice the rounding level.
     """
     abs_d, abs_r = np.abs(obj.D), np.abs(obj.R)
     value = obj.value(beta)
+    ridge = float(np.max(np.diag(obj.R)))
     while True:
         grad, hess = obj.derivatives(beta)
+        level = hess.shape[0] * np.finfo(float).eps * float(np.trace(hess))
+        if ridge < level:
+            hess[np.diag_indices_from(hess)] += max(float(grad @ grad) / (2.0 * value), 2.0 * level)
         d = minimize_model(hess, hess @ beta - grad) - beta
         decrement = -float(grad @ d)
         if not (np.isfinite(value) and np.isfinite(decrement)):
@@ -343,10 +373,13 @@ def _newton(obj: _Objective, beta: np.ndarray, minimize_model, steps: int, max_i
             raise SolverError(f"Newton did not converge within max_iter={max_iter} steps",
                               last_iterate=beta)
         t = 1.0
+        while 1e-4 * t * decrement > 2.0 * value:
+            t *= 0.5
+        shortest = 1e-15 * t
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing trial is rejected
             while not (trial := obj.value(beta + t * d)) <= value - 1e-4 * t * decrement:
                 t *= 0.5
-                if t < 1e-15:
+                if t < shortest:
                     raise SolverError("Newton line search found no decrease", last_iterate=beta)
         beta, value = beta + t * d, trial
         steps += 1
@@ -366,13 +399,16 @@ def _solve_constrained(
     epsilon=None drops the constraint; epsilon=0 restricts beta to an
     orthonormal null-space basis of M^T, where the constraint holds
     exactly; a positive budget goes through the exact L1-constrained QP
-    `_qp_l1`.  The squared loss is one quadratic solve on that set.  The
-    logistic and hinge losses run damped Newton (`_newton`), each step
-    minimizing the local quadratic model on the same set and on the
-    numerical range of the Hessian (`_whiten`); the hinge is
-    smoothed over the widths in `_HINGE_WIDTHS` in turn, each run
-    warm-started from the last.  max_iter caps the total number of Newton
-    steps, and reaching it raises SolverError.
+    `_qp_l1`.  The squared loss is one quadratic solve on that set.  Where
+    that is a linear solve (no budget or a zero one), D^T D + R is positive
+    definite: the rbf kernel's squared loss there, where K^2 + lambda K can
+    be singular, goes to `_solve_kernel_squared` instead.  The logistic
+    and hinge losses run damped Newton (`_newton`), each step minimizing
+    the local quadratic model on the same set and on the numerical range
+    of the Hessian (`_whiten`); the hinge is smoothed over the widths in
+    `_HINGE_WIDTHS` in turn, each run warm-started from the last.  max_iter
+    caps the total number of Newton steps, and reaching it raises
+    SolverError.
 
     Returns beta and the solver trace {"iterations", "stop_reason"}.
     """
@@ -398,27 +434,56 @@ def _solve_constrained(
     if loss == "squared":
         P, q = D.T @ D + R, D.T @ y
         if unconstrained:
-            beta = _solve_quadratic(P, q)
+            beta = np.linalg.solve(P, q)
         elif basis is None:
             beta = _qp_l1(P, q, M, epsilon)
         elif basis.shape[1] == 0:
             beta = np.zeros(p)
         else:
-            beta = basis @ _solve_quadratic(basis.T @ P @ basis, basis.T @ q)
+            beta = basis @ np.linalg.solve(basis.T @ P @ basis, basis.T @ q)
         trace = {"iterations": 0, "stop_reason": "closed_form"}
     else:
         beta, steps = np.zeros(p), 0
         for delta in _HINGE_WIDTHS if loss == "hinge" else (0.0,):
             beta, steps = _newton(_Objective(D, y, R, loss, delta), beta, newton_model, steps, max_iter)
         trace = {"iterations": steps, "stop_reason": "converged"}
+    return _checked(beta, M, None if unconstrained else epsilon), trace
 
+
+def _solve_kernel_squared(
+    K: np.ndarray, y: np.ndarray, lam: float, M: np.ndarray, C: np.ndarray | None,
+) -> tuple[np.ndarray, dict]:
+    """Kernel squared loss under M^T beta = 0 (M = K C), or unconstrained when C is None.
+
+    Every term carries the factor K (D = K, R = lam K, M = K C), so the
+    KKT conditions K ((K + lam I) beta - y + C nu) = 0, M^T beta = 0 are
+    met by (K + lam I) beta = y - C nu.  One solve of the positive definite
+    K + lam I against [y, C] gives S y and S C, nu solves the m x m system
+    (M^T S C) nu = M^T S y (by least squares: pairs of one bin can be
+    redundant), and beta = S y - S C nu.  Unlike a solve with K^2 + lam K,
+    this determines beta even where K is numerically singular.
+    """
+    A = K.copy()
+    A[np.diag_indices_from(A)] += lam
+    if C is None:
+        beta = np.linalg.solve(A, y)
+    else:
+        S = np.linalg.solve(A, np.column_stack([y, C]))
+        nu = np.linalg.lstsq(M.T @ S[:, 1:], M.T @ S[:, 0], rcond=None)[0]
+        beta = S[:, 0] - S[:, 1:] @ nu
+    trace = {"iterations": 0, "stop_reason": "closed_form"}
+    return _checked(beta, M, None if C is None else 0.0), trace
+
+
+def _checked(beta: np.ndarray, M: np.ndarray, epsilon: float | None) -> np.ndarray:
+    """beta, once it is finite and, unless epsilon is None, within the budget."""
     if not np.all(np.isfinite(beta)):
         raise SolverError(
             "solver diverged",
             last_iterate=beta,
-            residuals=None if unconstrained else M.T @ beta,
+            residuals=None if epsilon is None else M.T @ beta,
         )
-    if not unconstrained:
+    if epsilon is not None:
         achieved = float(np.abs(M.T @ beta).sum())
         if achieved > epsilon + 1e-6:
             raise SolverError(
@@ -426,7 +491,7 @@ def _solve_constrained(
                 last_iterate=beta,
                 residuals=M.T @ beta,
             )
-    return beta, trace
+    return beta
 
 
 @dataclass(frozen=True)
@@ -489,10 +554,15 @@ def _report(M, beta, epsilon, cs: ConstraintSystem) -> dict:
 
 def _train(Z, y, cs, loss, lam, epsilon, kernel, include_sensitive, max_iter):
     D = Z if kernel.kind == "linear" else kernel_matrix(kernel, Z)
-    R = lam * (np.eye(Z.shape[1]) if kernel.kind == "linear" else D)
     M = cs.mean_differences(D)
     eff_epsilon = None if cs.degenerate else epsilon
-    beta, trace = _solve_constrained(D, y, R, M, loss, eff_epsilon, max_iter=max_iter)
+    if kernel.kind == "rbf" and loss == "squared" and eff_epsilon in (None, 0.0):
+        C = None if eff_epsilon is None else cs.matrix()
+        beta, trace = _solve_kernel_squared(D, y, lam, M, C)
+        R = lam * D
+    else:
+        R = lam * (np.eye(Z.shape[1]) if kernel.kind == "linear" else D)
+        beta, trace = _solve_constrained(D, y, R, M, loss, eff_epsilon, max_iter=max_iter)
     obj = _Objective(D, y, R, loss)
     return KernelModel(
         kernel=kernel,

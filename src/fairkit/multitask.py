@@ -159,11 +159,11 @@ class RepresentationModel:
             return self.A
         return self.A / norm
 
-    def max_gap_alignment(self) -> float:
-        return max(
-            (float(np.linalg.norm(self.A.T @ c)) for c in self.gap_vectors),
-            default=0.0,
-        )
+    def max_gap_alignment(self) -> float | None:
+        """max_t ||A^T c(tau_t)||, or None when no gap was computed (mode none)."""
+        if not self.gap_vectors:
+            return None
+        return max(float(np.linalg.norm(self.A.T @ c)) for c in self.gap_vectors)
 
 
 class _TaskStats(NamedTuple):
@@ -276,7 +276,7 @@ def train_representation(
     orthogonal complement of the task gap vectors, which makes
     A^T c(tau_t) = 0 hold to machine precision; relaxed mode adds the
     quadratic penalty (penalty / T) sum_t ||A^T c(tau_t)||^2 instead.
-    Passing ``epsilon`` in relaxed mode escalates the penalty tenfold,
+    Passing ``epsilon`` (relaxed mode only) escalates the penalty tenfold,
     retraining from the same start, until the mean squared alignment
     (1/T) sum_t ||A^T c(tau_t)||^2 drops to the tolerance; the result is
     the direct relaxed fit at the final penalty.
@@ -287,7 +287,9 @@ def train_representation(
         raise MtlError("lam must be > 0")
     if constraint not in ("equality", "relaxed", "none"):
         raise MtlError(f"unknown constraint mode {constraint!r}")
-    escalate = constraint == "relaxed" and epsilon is not None
+    if epsilon is not None and constraint != "relaxed":
+        raise MtlError(f"epsilon applies to the relaxed mode only, not {constraint!r}")
+    escalate = epsilon is not None
     if escalate and epsilon <= 0:
         raise MtlError("epsilon must be > 0")
     tasks = data.tasks

@@ -2,8 +2,9 @@
 
 Nothing here shares code with the library paths it checks: transport
 quantities are recomputed from first principles (couplings, CDF sweeps,
-grid search), cell metrics by explicit double loops, and the constrained
-ridge problems by a general-purpose NLP solver on a smooth reformulation.
+grid search), cell metrics by explicit double loops, the constrained
+ridge problems by a general-purpose NLP solver on a smooth reformulation,
+and the kernel squared loss at a zero budget by null-space elimination.
 The CSV loader is the row-at-a-time loop (csv.reader, one Python ``float``
 per cell) that the bulk reader replaced.
 """
@@ -209,6 +210,35 @@ def reference_constrained_erm(X, y, lam, A, epsilon, loss="squared"):
     else:
         obj = float(np.sum(np.maximum(0.0, 1.0 - y * (X @ w))) + lam * w @ w)
     return w, obj
+
+
+def reference_kernel_null_space(K, y, lam, M):
+    """The kernel squared-loss problem at a zero budget, by null-space elimination.
+
+    Minimizes ||K b - y||^2 + lam b^T K b subject to M^T b = 0 (M may have
+    no columns) over an orthonormal basis N of {b : M^T b = 0}, taken from
+    a full SVD of M: N^T (K^2 + lam K) N a = N^T K y and b = N a, with a
+    least-squares fallback when the reduced system is exactly singular.
+    Forming K^2 squares K's condition number, so b is only as determined as
+    that reduced system; its objective value is what a solve must match.
+    """
+    K = np.asarray(K, dtype=float)
+    n, m = M.shape
+    if m == 0:
+        N = np.eye(n)
+    else:
+        u, s, _ = np.linalg.svd(M, full_matrices=True)
+        rank = int(np.sum(s > s[0] * max(n, m) * np.finfo(float).eps))
+        N = u[:, rank:]
+    if N.shape[1] == 0:
+        return np.zeros(n)
+    reduced = N.T @ (K @ K + lam * K) @ N
+    rhs = N.T @ (K @ y)
+    try:
+        a = np.linalg.solve(reduced, rhs)
+    except np.linalg.LinAlgError:
+        a = np.linalg.lstsq(reduced, rhs, rcond=None)[0]
+    return N @ a
 
 
 def dense_weight_grid_search(X, y, lam, u, epsilon, bounds=2.0, steps=161):

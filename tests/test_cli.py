@@ -5,8 +5,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairkit.cli import _rep_from_json, _rep_to_json, main
-from fairkit.dataset import MAX_FEATURE_BYTES, load_csv
+from fairkit import causal, ferm
+from fairkit.cli import (
+    _model_from_json,
+    _model_to_json,
+    _rep_from_json,
+    _rep_to_json,
+    _sem_from_json,
+    _sem_to_json,
+    main,
+)
+from fairkit.dataset import MAX_FEATURE_BYTES, load_csv, make_grid
 from fairkit.multitask import tasks_from_dataset, train_representation
 from fairkit.transport import EmpiricalDistribution, geodesic_repair, wasserstein
 
@@ -59,16 +68,33 @@ class TestExitCodes:
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["metrics", "--input", str(tmp_path / "none.csv")]) == 2
 
-    def test_vanishing_ridge_hinge_is_solver_error(self, tmp_path, capsys):
+    def test_vanishing_ridge_hinge_trains(self, tmp_path):
+        # once no record lies inside the hinge's smoothing band, the Newton
+        # model is flat but for the 1e-300 ridge
+        for epsilon in ("0.1", "0"):
+            model = tmp_path / f"m{epsilon}.json"
+            code = main([
+                "ferm-train", "--input", str(GOLDEN / "cls.csv"), "--schema", CLS_SCHEMA,
+                "--outcome-kind", "classification", "--loss", "hinge", "--lambda", "1e-300",
+                "--epsilon", epsilon, "--model-output", str(model), "--output", str(tmp_path / "r.json"),
+            ])
+            assert code == 0
+            doc = json.loads(model.read_text())
+            assert np.all(np.isfinite(doc["coef"]))
+            assert doc["constraint_report"]["achieved_l1"] <= float(epsilon) + 1e-6
+
+    def test_solver_failure_is_exit_3(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ferm.SolverError("Newton line search found no decrease")
+
+        monkeypatch.setattr(ferm, "train_gferm", fail)
         data, schema = write_classification_csv(tmp_path / "train.csv", np.random.default_rng(4))
         code = main([
             "ferm-train", "--input", str(data), "--schema", schema, "--loss", "hinge",
-            "--lambda", "1e-300", "--epsilon", "0.1",
             "--model-output", str(tmp_path / "m.json"), "--output", str(tmp_path / "r.json"),
         ])
         assert code == 3
-        err = capsys.readouterr().err
-        assert err.startswith("solver failure:") and err.count("\n") == 1
+        assert capsys.readouterr().err == "solver failure: Newton line search found no decrease\n"
 
     def test_nan_feature_is_data_error(self, tmp_path, capsys):
         data, schema = write_classification_csv(tmp_path / "train.csv", np.random.default_rng(4))
@@ -376,8 +402,9 @@ GOLDEN_RUNS = {
         ["mtl", "train-common", "--input", "{g}/cls.csv", "--schema", CLS_SCHEMA,
          "--outcome-kind", "classification", "--theta", "0.5", "--lambda", "0.5", "--rho", "1.0",
          "--output", "{out}/mtl_common.json"], ["mtl_common.json"]),
-    # rbf dual coefficients are not determined by the inputs (the kernel is
-    # near-singular), so this run is pinned by its predictions, not its model
+    # the rbf dual coefficients are determined (one solve with K + lambda I),
+    # but the golden scores were written by a solver that left them free on
+    # the near-singular kernel, so this run stays pinned by its predictions
     "ferm_rbf": (
         ["ferm-train", "--input", "{g}/cls.csv", "--schema", CLS_SCHEMA, "--kernel", "rbf", "--gamma", "0.5",
          "--epsilon", "0", "--lambda", "0.1", "--model-output", "{out}/rbf.model.json",
@@ -408,7 +435,7 @@ class TestGoldenSubcommands:
         got = np.loadtxt(tmp_path / "rbf_scores.csv", delimiter=",", skiprows=1)
         want = np.loadtxt(GOLDEN / "rbf_scores.csv", delimiter=",", skiprows=1)
         np.testing.assert_array_equal(got[:, :2], want[:, :2])
-        # predictions are determined to about 1e-10 where the dual coefficients are not
+        # the golden scores' solver fixed predictions only to about 1e-10
         np.testing.assert_allclose(got[:, 2], want[:, 2], rtol=1e-8, atol=1e-8)
 
 
@@ -679,6 +706,30 @@ class TestMtlCommands:
         old = _rep_from_json(doc)
         assert (old.penalty, old.gap_vectors, old.solver) == (None, (), None)
 
+    @pytest.mark.parametrize("mode", ["none", "equality"])
+    def test_eps_outside_relaxed_mode_is_usage_error(self, tmp_path, capsys, mode):
+        data, schema = write_multitask_csv(tmp_path / "tasks.csv", np.random.default_rng(9))
+        code = main(["mtl", "train-rep", "--input", str(data), "--schema", schema, "--mode", mode,
+                     "--eps", "1e-6", "--output", str(tmp_path / "rep.json")])
+        assert code == 1
+        assert capsys.readouterr().err == f"mtl train-rep: --eps applies to --mode relaxed only, not {mode}\n"
+        assert not (tmp_path / "rep.json").exists()
+
+    def test_unconstrained_representation_has_no_alignment(self, tmp_path):
+        rng = np.random.default_rng(7)
+        data, schema = write_multitask_csv(tmp_path / "tasks.csv", rng)
+        model = tmp_path / "rep.json"
+        assert main(["mtl", "train-rep", "--input", str(data), "--schema", schema, "--r", "2",
+                     "--mode", "none", "--output", str(model)]) == 0
+        doc = json.loads(model.read_text())
+        assert doc["gap_vectors"] == [] and doc["max_gap_alignment"] is None
+        assert _rep_from_json(doc).max_gap_alignment() is None
+        single, single_schema = write_multitask_csv(tmp_path / "one.csv", rng, T=1)
+        report = tmp_path / "transfer.json"
+        assert main(["mtl", "transfer", "--model", str(model), "--input", str(single),
+                     "--schema", single_schema, "--output", str(report)]) == 0
+        assert np.isfinite(json.loads(report.read_text())["results"]["fairness_diagnostic"])
+
     @pytest.mark.parametrize("fields, message", [
         ({"gap_vectors": [[1.0, 2.0]]}, "each gap vector needs one entry per row of A"),
         ({"A": [1.0, 2.0, 3.0, 4.0]}, "A must be a d x r and B an r x T matrix"),
@@ -705,3 +756,32 @@ class TestMtlCommands:
         assert code == 0
         doc = json.loads(report.read_text())
         assert max(doc["results"]["constraint_residuals"]) <= 1e-8
+
+
+class TestDocumentRoundTrips:
+    """Writer then reader of each model document, without a CLI run in between."""
+
+    @pytest.mark.parametrize("kernel", [ferm.KernelSpec(), ferm.KernelSpec("rbf", gamma=0.5)])
+    def test_kernel_model(self, kernel):
+        data = load_csv(GOLDEN / "cls.csv", json.loads(CLS_SCHEMA), outcome_kind="classification")
+        problem = ferm.FairERMProblem(loss="logistic", lam=0.5, epsilon=0.1, kernel=kernel)
+        model = ferm.train_gferm(problem, data, make_grid(data, 2, 2))
+        doc = _model_to_json(model)
+        read = _model_from_json(json.loads(json.dumps(doc)))
+        assert _model_to_json(read) == doc
+        Z = np.random.default_rng(3).normal(size=(25, data.features.shape[1]))
+        np.testing.assert_array_equal(read.decision_function(Z), model.decision_function(Z))
+        np.testing.assert_array_equal(read.predict_dataset(data), model.predict_dataset(data))
+
+    def test_fitted_sem(self):
+        skeleton = causal.scenario("college")
+        fitted = causal.fit(causal.sample(skeleton, 500, seed=3), skeleton)
+        doc = _sem_to_json(fitted)
+        read = _sem_from_json(json.loads(json.dumps(doc)))
+        assert _sem_to_json(read) == doc
+        paths = causal.all_unfair_paths(fitted)
+        assert causal.path_specific_effect(read, paths, 0.0, 1.0) == causal.path_specific_effect(
+            fitted, paths, 0.0, 1.0)
+        record = {name: 0.25 * i for i, name in enumerate(fitted.variables)}
+        assert causal.counterfactual(read, record, paths, 1.0) == causal.counterfactual(
+            fitted, record, paths, 1.0)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fairkit import ferm
 from fairkit.dataset import dataset_from_columns, make_grid
 from fairkit.ferm import (
     FairERMProblem,
@@ -17,10 +18,20 @@ from fairkit.ferm import (
     train_ferm_binary,
     train_gferm,
 )
-from fairkit.ferm import _Objective, _qp_l1, _solve_constrained  # white-box solver checks
+from fairkit.ferm import (  # white-box solver checks
+    _Objective,
+    _qp_l1,
+    _solve_constrained,
+    _solve_kernel_squared,
+)
 from fairkit.metrics import ScoreSet, general_fairness_gap, loss_general_fairness_gap
 
-from oracles import dense_constraint_matrix, dense_weight_grid_search, reference_constrained_erm
+from oracles import (
+    dense_constraint_matrix,
+    dense_weight_grid_search,
+    reference_constrained_erm,
+    reference_kernel_null_space,
+)
 
 
 def classification_dataset(rng, n=80, d=4, shift=1.5):
@@ -131,6 +142,7 @@ class TestConstraintConstruction:
         assert list(cs.pairs) == pairs
         assert cs.degenerate == (not pairs)
         np.testing.assert_array_equal(cs.cell_weights, np.abs(C).max(axis=1, initial=0.0))
+        np.testing.assert_array_equal(cs.matrix(), C)
         np.testing.assert_allclose(cs.mean_differences(X), X.T @ C, rtol=0, atol=1e-12)
         K = X @ X.T
         np.testing.assert_allclose(cs.mean_differences(K), K @ C, rtol=0, atol=1e-12 * np.abs(K).max())
@@ -211,10 +223,103 @@ class TestUnconstrainedAndEquality:
         lam = 0.3
         w, _ = _solve_constrained(X, y, lam * np.eye(X.shape[1]), cs.mean_differences(X),
                                   "squared", 0.0)
-        K = X @ X.T
-        alpha, _ = _solve_constrained(K, y, lam * K, cs.mean_differences(K), "squared", 0.0)
+        K = X @ X.T  # rank 4 of 40
+        alpha, _ = _solve_kernel_squared(K, y, lam, cs.mean_differences(K), cs.matrix())
         X_new = rng.normal(size=(15, X.shape[1]))
         np.testing.assert_allclose(X_new @ w, (X_new @ X.T) @ alpha, atol=1e-8)
+
+
+def kernel_problem(seed, n, d, groups, bins, degenerate=False):
+    """Regression records with `groups` sensitive values on `bins` outcome bins.
+
+    Three or more groups in a bin make some of its pairs redundant; one
+    sensitive bin (``degenerate``) leaves no pair at all.
+    """
+    rng = np.random.default_rng(seed)
+    y = rng.uniform(-1.0, 1.0, n)
+    s = rng.integers(0, groups, n).astype(float)
+    X = rng.normal(size=(n, d))
+    data = dataset_from_columns(
+        {"s": s, "y": y, **{f"x{j}": X[:, j] for j in range(d)}},
+        {"s": "sensitive", "y": "outcome", **{f"x{j}": "feature" for j in range(d)}},
+    )
+    y_edges = np.linspace(-1.0, 1.0, bins + 1)
+    s_edges = np.array([-0.5, groups - 0.5]) if degenerate else np.arange(groups + 1) - 0.5
+    grid = make_grid(data, 0, 0, strategy="explicit", y_edges=y_edges, s_edges=s_edges)
+    return data, grid, dense_constraint_matrix(y, s, y_edges, s_edges)[0]
+
+
+class TestKernelSquared:
+    """The rbf squared loss at a zero budget, solved on K + lambda I."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(4, 60),
+        d=st.integers(1, 4),
+        groups=st.integers(2, 4),
+        bins=st.integers(1, 3),
+        gamma=st.sampled_from([0.05, 0.5, 5.0]),
+        lam=st.sampled_from([1e-3, 0.1, 1.0, 10.0]),
+        degenerate=st.booleans(),
+    )
+    def test_feasible_and_not_above_null_space_oracle(self, seed, n, d, groups, bins, gamma, lam,
+                                                      degenerate):
+        data, grid, C = kernel_problem(seed, n, d, groups, bins, degenerate)
+        spec = KernelSpec("rbf", gamma=gamma)
+        model = train_gferm(FairERMProblem(lam=lam, epsilon=0.0, kernel=spec), data, grid)
+        beta, y = model.dual_coef, data.outcome
+        K = kernel_matrix(spec, data.features)
+        M = K @ C
+        assert model.constraint_report["achieved_l1"] <= 1e-12 * np.abs(M).sum() * np.abs(beta).max()
+
+        def objective(b):
+            r = K @ b - y
+            return float(r @ r + lam * b @ K @ b)
+
+        def rounding(b):
+            # error bound of `objective` in floating point; it matters only
+            # where a near-singular K gives b entries far above 1
+            f = np.abs(K) @ np.abs(b) + np.abs(y)
+            return n * np.finfo(float).eps * float(f @ f + lam * np.abs(b) @ np.abs(K) @ np.abs(b))
+
+        sv = np.linalg.svd(M, compute_uv=False)
+        kept = sv[sv > sv[0] * max(M.shape) * np.finfo(float).eps] if sv.size else sv
+        if kept.size and kept[-1] < 1e-8 * sv[0]:
+            return  # the oracle's null basis is itself uncertain here
+        ref_beta = reference_kernel_null_space(K, y, lam, M)
+        ref = objective(ref_beta)
+        assert objective(beta) <= ref + 1e-9 * abs(ref) + rounding(beta) + rounding(ref_beta)
+
+    def test_dual_coef_determined_under_one_ulp_change(self, monkeypatch):
+        # 60 points in 2-D at gamma 0.1: K is singular to working precision,
+        # where a solve with K^2 + lambda K left beta free to move by 100%
+        rng = np.random.default_rng(5)
+        n = 60
+        s = rng.integers(0, 2, n).astype(float)
+        X = rng.normal(size=(n, 2)) + 0.5 * s[:, None]
+        y = np.where(X[:, 0] + 0.3 * rng.normal(size=n) > 0, 1.0, -1.0)
+        data = dataset_from_columns(
+            {"s": s, "y": y, "x0": X[:, 0], "x1": X[:, 1]},
+            {"s": "sensitive", "y": "outcome", "x0": "feature", "x1": "feature"},
+            outcome_kind="classification",
+        )
+        grid = make_grid(data, 2, 2)
+        problem = FairERMProblem(lam=1.0, epsilon=0.0, kernel=KernelSpec("rbf", gamma=0.1))
+        base = train_gferm(problem, data, grid).dual_coef
+        exact = ferm.kernel_matrix
+        monkeypatch.setattr(ferm, "kernel_matrix",
+                            lambda spec, A, B=None: np.nextafter(exact(spec, A, B), np.inf))
+        moved = train_gferm(problem, data, grid).dual_coef
+        assert np.linalg.norm(moved - base) < 1e-8 * np.linalg.norm(base)
+
+    def test_unconstrained_is_kernel_ridge(self):
+        data, grid, _ = kernel_problem(3, 30, 2, 2, 2, degenerate=True)
+        spec = KernelSpec("rbf", gamma=0.5)
+        model = train_gferm(FairERMProblem(lam=0.1, epsilon=0.0, kernel=spec), data, grid)
+        assert model.constraint_report["degenerate"]
+        K = kernel_matrix(spec, data.features)
+        np.testing.assert_allclose((K + 0.1 * np.eye(30)) @ model.dual_coef, data.outcome, atol=1e-10)
 
 
 class TestBudgetedSolver:
@@ -300,6 +405,21 @@ class TestBudgetedSolver:
         grid = make_grid(data, 2, 2)
         with pytest.raises(SolverError, match="did not converge within max_iter=1"):
             train_gferm(FairERMProblem(loss=loss, lam=0.5, epsilon=0.1), data, grid, max_iter=1)
+
+    @pytest.mark.parametrize("epsilon", [0.1, 0.0, None])
+    def test_vanishing_ridge_hinge_reaches_reference(self, epsilon):
+        # no record inside the finer smoothing bands: the Newton model is
+        # flat but for the 1e-300 ridge, and its curvature is floored
+        rng = np.random.default_rng(9)
+        data = classification_dataset(rng, n=50)
+        grid = make_grid(data, 2, 2)
+        model = train_gferm(FairERMProblem(loss="hinge", lam=1e-300, epsilon=epsilon), data, grid)
+        assert np.all(np.isfinite(model.coef))
+        X, y = data.features, data.outcome
+        A = build_constraints(data, grid).mean_differences(X) if epsilon is not None else None
+        _, ref_obj = reference_constrained_erm(X, y, 1e-300, A, epsilon, loss="hinge")
+        # the smoothed hinge lies at most n * 1e-6 / 2 below the hinge
+        assert model.objective_value <= ref_obj + 50 * 1e-6 / 2 + 1e-9 * ref_obj
 
     def test_solver_trace(self):
         rng = np.random.default_rng(10)
