@@ -18,12 +18,17 @@ elsewhere when one is given.
   reproduce their observed values.
 
 Path selections are sets of directed paths starting at the sensitive node;
-they are realized by activating the union of their edges, which matches the
-path semantics whenever selected paths do not share edges beyond the root.
+they are realized by activating the union of their edges.  That union can
+carry a sensitive-to-outcome path that was not selected (A>Q>D>Y and
+A>D>Z>Y together carry A>D>Y), along which the replay would act too, so
+such a selection is rejected, as is a path selected twice.  On every
+accepted selection the replay acts along exactly the selected paths, and
+the Monte-Carlo effect and counterfactuals agree with the closed-form sum.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
@@ -95,6 +100,11 @@ class LinearSEM:
             seen.add(eq.name)
         if self.outcome not in seen:
             raise CausalError(f"outcome {self.outcome!r} is not a variable")
+        if self.unobserved - seen:
+            raise CausalError(f"unobserved {sorted(map(str, self.unobserved - seen))} are not variables")
+        v = self.sensitive_values
+        if len(v) != 2 or not all(isinstance(x, numbers.Real) and np.isfinite(x) for x in v) or v[0] == v[1]:
+            raise CausalError(f"sensitive_values must be two distinct finite numbers, got {v!r}")
         edges = set(self.edges)
         for e, label in self.edge_labels.items():
             if tuple(e) not in edges:
@@ -137,6 +147,9 @@ class PathSelection:
 
         A path that stops early is extended along unique outgoing edges;
         an ambiguous continuation is an error and requires the full path.
+        A path selected twice, or a sensitive-to-outcome path that the
+        union of the selected edges carries but that is not selected, is
+        an error.
         """
         edges = set(sem.edges)
         children = _children(sem)
@@ -157,7 +170,15 @@ class PathSelection:
                         f"path {path!r} does not reach {sem.outcome!r} and has no unique continuation"
                     )
                 path = path + (nxt[0],)
+            if path in out:
+                raise CausalError(f"path {'>'.join(path)} is selected twice")
             out.append(path)
+        union = {edge for path in out for edge in zip(path, path[1:])}
+        for path in _paths_to_outcome(sem, union):
+            if path not in out:
+                raise CausalError(
+                    f"the selected paths' edges also form {'>'.join(path)}, which is not selected;"
+                    " select it too or drop a path that shares its edges")
         return tuple(out)
 
     def edge_set(self, sem: LinearSEM) -> frozenset[tuple[str, str]]:
@@ -167,12 +188,29 @@ class PathSelection:
         return frozenset(pairs)
 
 
-def _children(sem: LinearSEM) -> dict[str, list[str]]:
-    """Each variable's children, in the order of ``sem.edges``."""
+def _children(sem: LinearSEM, edges=None) -> dict[str, list[str]]:
+    """Each variable's children, in the order of ``sem.edges``, over ``edges`` only when given."""
     children: dict[str, list[str]] = {}
     for u, v in sem.edges:
-        children.setdefault(u, []).append(v)
+        if edges is None or (u, v) in edges:
+            children.setdefault(u, []).append(v)
     return children
+
+
+def _paths_to_outcome(sem: LinearSEM, edges=None) -> list[tuple[str, ...]]:
+    """Every directed sensitive-to-outcome path, over ``edges`` only when given."""
+    children = _children(sem, edges)
+    paths: list[tuple[str, ...]] = []
+
+    def walk(path: tuple[str, ...]):
+        if path[-1] == sem.outcome:
+            paths.append(path)
+            return
+        for nxt in children.get(path[-1], []):
+            walk(path + (nxt,))
+
+    walk((sem.sensitive,))
+    return paths
 
 
 @dataclass(frozen=True)
@@ -427,21 +465,9 @@ def correct_scores(
 
 def all_unfair_paths(sem: LinearSEM) -> PathSelection:
     """All sensitive-to-outcome paths containing at least one unfair edge."""
-    children = _children(sem)
-    paths: list[tuple[str, ...]] = []
-
-    def walk(path: tuple[str, ...]):
-        node = path[-1]
-        if node == sem.outcome:
-            paths.append(path)
-            return
-        for nxt in children.get(node, []):
-            walk(path + (nxt,))
-
-    walk((sem.sensitive,))
     unfair = [
         p
-        for p in paths
+        for p in _paths_to_outcome(sem)
         if any(sem.edge_labels.get((u, v)) == "unfair" for u, v in zip(p, p[1:]))
     ]
     return PathSelection(tuple(unfair))

@@ -28,6 +28,10 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # each subcommand has its own options, so a prefix could silently mean another flag
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
@@ -61,11 +65,22 @@ def _parse_schema(text: str) -> dict:
     return schema
 
 
-def _float_list(text: str) -> list[float]:
-    """argparse type of --sweep and --epsilon-sweep: comma-separated numbers."""
+def _finite(text: str) -> float:
+    """argparse type of every float option: a finite number."""
     try:
-        return [float(v) for v in text.split(",")]
+        value = float(text)
     except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _float_list(text: str) -> list[float]:
+    """argparse type of --sweep and --epsilon-sweep: comma-separated finite numbers."""
+    try:
+        return [_finite(v) for v in text.split(",")]
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
 
 
@@ -191,7 +206,7 @@ def _model_from_json(doc: dict) -> ferm.KernelModel:
 def cmd_ferm_train(args) -> int:
     data = _load_dataset(args)
     kernel = ferm.KernelSpec(kind=args.kernel, gamma=args.gamma)
-    epsilon = None if args.epsilon is None or args.epsilon < 0 else args.epsilon
+    epsilon = None if args.epsilon < 0 else args.epsilon
     problem = ferm.FairERMProblem(
         loss=args.loss,
         lam=args.lam,
@@ -276,20 +291,10 @@ def _sem_from_json(doc: dict) -> causal.LinearSEM:
 
 
 def _resolve_sem(args) -> causal.LinearSEM:
-    if args.scenario:
+    if args.scenario is not None:
         return causal.scenario(args.scenario)
-    if args.sem:
-        with open(args.sem, encoding="utf-8") as fh:
-            return _sem_from_json(json.load(fh))
-    raise UsageError("sem: provide --scenario or --sem")
-
-
-# options each sem subcommand cannot run without, besides --scenario or --sem
-SEM_REQUIRED = {
-    "fit": ("--input", "--schema"),
-    "counterfactual": ("--record",),
-    "correct-scores": ("--model", "--input", "--schema"),
-}
+    with open(args.sem, encoding="utf-8") as fh:
+        return _sem_from_json(json.load(fh))
 
 
 def _parse_record(text: str) -> dict[str, float]:
@@ -307,71 +312,64 @@ def _parse_record(text: str) -> dict[str, float]:
     return record
 
 
-def cmd_sem(args) -> int:
-    for flag in SEM_REQUIRED.get(args.sem_command, ()):
-        if getattr(args, flag[2:].replace("-", "_")) is None:
-            raise UsageError(f"sem {args.sem_command}: {flag} is required")
-    if args.mc_samples is not None and args.sem_command != "pse":
-        raise UsageError(f"sem {args.sem_command}: --mc-samples applies to pse only")
-    for flag, value in (("--a", args.a), ("--a-bar", args.a_bar)):
-        if not math.isfinite(value):
-            raise causal.CausalError(f"{flag} must be finite, got {value!r}")
-    if args.sem_command == "sample":
-        sem = _resolve_sem(args)
-        data = causal.sample(sem, args.n, seed=args.seed)
-        ds.to_csv(data, args.scores_output or "sample.csv")
-        return 0
-    if args.sem_command == "fit":
-        skeleton = _resolve_sem(args)
-        schema = _parse_schema(args.schema)
-        data = ds.load_csv(args.input, schema, outcome_kind="regression")
-        cols = {c.name: data.column(c.name) for c in data.schema if c.role != "ignore"}
-        fitted = causal.fit(cols, skeleton)
-        _write_text(args.output, json.dumps(_sem_to_json(fitted), sort_keys=True, indent=2) + "\n")
-        return 0
+def _paths(args, sem: causal.LinearSEM) -> causal.PathSelection:
+    return causal.PathSelection.parse(args.paths) if args.paths else causal.all_unfair_paths(sem)
+
+
+def cmd_sem_sample(args) -> int:
+    ds.to_csv(causal.sample(_resolve_sem(args), args.n, seed=args.seed), args.scores_output)
+    return 0
+
+
+def cmd_sem_fit(args) -> int:
+    skeleton = _resolve_sem(args)
+    data = ds.load_csv(args.input, _parse_schema(args.schema), outcome_kind="regression")
+    cols = {c.name: data.column(c.name) for c in data.schema if c.role != "ignore"}
+    fitted = causal.fit(cols, skeleton)
+    _write_text(args.output, json.dumps(_sem_to_json(fitted), sort_keys=True, indent=2) + "\n")
+    return 0
+
+
+def cmd_sem_pse(args) -> int:
     sem = _resolve_sem(args)
-    paths = causal.PathSelection.parse(args.paths) if args.paths else causal.all_unfair_paths(sem)
-    if args.sem_command == "pse":
-        results = {
-            "paths": [">".join(p) for p in paths.resolved(sem)],
-            "closed_form": causal.path_specific_effect(sem, paths, args.a, args.a_bar),
-        }
-        if args.mc_samples:
-            results["monte_carlo"] = causal.path_specific_effect_mc(
-                sem, paths, args.a, args.a_bar, n=args.mc_samples, seed=args.seed
-            )
-        _write_text(args.output, _report_doc("sem pse", args.seed, results))
-        return 0
-    if args.sem_command == "counterfactual":
-        record = _parse_record(args.record)
-        value = causal.counterfactual(sem, record, paths, args.a_bar)
-        results = {"record": record, "counterfactual_outcome": value}
-        _write_text(args.output, _report_doc("sem counterfactual", args.seed, results))
-        return 0
-    if args.sem_command == "correct-scores":
-        with open(args.model, encoding="utf-8") as fh:
-            model = _model_from_json(json.load(fh))
-        schema = _parse_schema(args.schema)
-        data = ds.load_csv(args.input, schema, outcome_kind="regression")
-        feature_vars = [
-            v for v in sem.variables
-            if v not in sem.unobserved and v not in (sem.outcome, sem.sensitive)
-        ]
+    paths = _paths(args, sem)
+    results = {
+        "paths": [">".join(p) for p in paths.resolved(sem)],
+        "closed_form": causal.path_specific_effect(sem, paths, args.a, args.a_bar),
+    }
+    if args.mc_samples:
+        results["monte_carlo"] = causal.path_specific_effect_mc(
+            sem, paths, args.a, args.a_bar, n=args.mc_samples, seed=args.seed
+        )
+    _write_text(args.output, _report_doc("sem pse", args.seed, results))
+    return 0
 
-        def score_fn(cols):
-            Z = np.column_stack([cols[v] for v in feature_vars])
-            if model.include_sensitive:
-                Z = np.hstack([np.asarray(cols[sem.sensitive])[:, None], Z])
-            return model.decision_function(Z)
 
-        cols = {c.name: data.column(c.name) for c in data.schema if c.role != "ignore"}
-        original = score_fn({k: np.asarray(v, dtype=float) for k, v in cols.items()})
-        corrected = causal.correct_scores(sem, score_fn, cols, paths, args.a_bar)
-        ds.write_table(args.scores_output, ["id", "group", "score", "corrected_score"], [
-            np.arange(data.n_records), data.sensitive,
-            np.asarray(original, dtype=float), np.asarray(corrected, dtype=float)])
-        return 0
-    raise UsageError(f"unknown sem subcommand {args.sem_command!r}")
+def cmd_sem_counterfactual(args) -> int:
+    sem = _resolve_sem(args)
+    paths = _paths(args, sem)
+    record = _parse_record(args.record)
+    value = causal.counterfactual(sem, record, paths, args.a_bar)
+    results = {"record": record, "counterfactual_outcome": value}
+    _write_text(args.output, _report_doc("sem counterfactual", args.seed, results))
+    return 0
+
+
+def cmd_sem_correct_scores(args) -> int:
+    sem = _resolve_sem(args)
+    paths = _paths(args, sem)
+    with open(args.model, encoding="utf-8") as fh:
+        model = _model_from_json(json.load(fh))
+    data = ds.load_csv(args.input, _parse_schema(args.schema), outcome_kind="regression")
+
+    def score_fn(cols):
+        return model.predict_dataset(dataclasses.replace(data, columns={**data.columns, **cols}))
+
+    cols = {c.name: data.column(c.name) for c in data.schema if c.role != "ignore"}
+    corrected = causal.correct_scores(sem, score_fn, cols, paths, args.a_bar)
+    ds.write_table(args.scores_output, ["id", "group", "score", "corrected_score"],
+                   [np.arange(data.n_records), data.sensitive, model.predict_dataset(data), corrected])
+    return 0
 
 
 def _rep_to_json(model: multitask.RepresentationModel) -> dict:
@@ -405,56 +403,58 @@ def _rep_from_json(doc: dict) -> multitask.RepresentationModel:
     )
 
 
-def cmd_mtl(args) -> int:
-    if args.mtl_command == "train-rep":
-        if args.eps is not None and args.mode != "relaxed":
-            raise UsageError(f"mtl train-rep: --eps applies to --mode relaxed only, not {args.mode}")
-        data = _load_dataset(args)
-        tasks = multitask.tasks_from_dataset(data)
-        model = multitask.train_representation(
-            tasks, r=args.r, lam=args.lam, constraint=args.mode,
-            penalty=args.penalty, epsilon=args.eps, seed=args.seed,
-        )
-        _write_text(args.output, json.dumps(_rep_to_json(model), sort_keys=True, indent=2) + "\n")
-        return 0
-    if args.mtl_command == "transfer":
-        with open(args.model, encoding="utf-8") as fh:
-            rep = _rep_from_json(json.load(fh))
-        data = _load_dataset(args)
-        result = multitask.transfer(rep, multitask.task_from_dataset(data), lam=args.lam)
-        results = {
-            "coefficients": [float(v) for v in result.coefficients],
-            "weights": [float(v) for v in result.weights],
-            "fairness_diagnostic": result.fairness_diagnostic,
-        }
-        _write_text(args.output, _report_doc("mtl transfer", args.seed, results))
-        return 0
-    if args.mtl_command == "train-common":
-        data = _load_dataset(args)
-        classes = tuple(c.strip() for c in args.classes.split(",") if c.strip())
-        model = multitask.train_common_mean(
-            data, theta=args.theta, lam=args.lam, rho=args.rho,
-            constraint_classes=classes, use_predicted_sensitive=args.predict_sensitive,
-            loss=args.loss, seed=args.seed,
-        )
-        results = {
-            "shared": [float(v) for v in model.shared],
-            "deviations": {str(k): [float(v) for v in w] for k, w in model.deviations.items()},
-            "constraint_residuals": list(model.constraint_residuals),
-            "predictor_accuracy": None
-            if model.predictor is None
-            else model.predictor.holdout_accuracy,
-        }
-        _write_text(args.output, _report_doc("mtl train-common", args.seed, results))
-        return 0
-    raise UsageError(f"unknown mtl subcommand {args.mtl_command!r}")
+def cmd_mtl_train_rep(args) -> int:
+    if args.eps is not None and args.mode != "relaxed":
+        raise UsageError(f"mtl train-rep: --eps applies to --mode relaxed only, not {args.mode}")
+    tasks = multitask.tasks_from_dataset(_load_dataset(args))
+    model = multitask.train_representation(
+        tasks, r=args.r, lam=args.lam, constraint=args.mode,
+        penalty=args.penalty, epsilon=args.eps, seed=args.seed,
+    )
+    _write_text(args.output, json.dumps(_rep_to_json(model), sort_keys=True, indent=2) + "\n")
+    return 0
 
 
-def cmd_datasets(args) -> int:
-    if args.datasets_command == "list":
-        lines = [f"{e.name}\t{e.n_samples}\t{e.n_features}\t{','.join(e.tasks)}" for e in ds.DATASET_REGISTRY.values()]
-        _write_text(args.output, "\n".join(lines) + "\n")
-        return 0
+def cmd_mtl_transfer(args) -> int:
+    with open(args.model, encoding="utf-8") as fh:
+        rep = _rep_from_json(json.load(fh))
+    result = multitask.transfer(rep, multitask.task_from_dataset(_load_dataset(args)), lam=args.lam)
+    results = {
+        "coefficients": [float(v) for v in result.coefficients],
+        "weights": [float(v) for v in result.weights],
+        "fairness_diagnostic": result.fairness_diagnostic,
+    }
+    _write_text(args.output, _report_doc("mtl transfer", args.seed, results))
+    return 0
+
+
+def cmd_mtl_train_common(args) -> int:
+    data = _load_dataset(args)
+    classes = tuple(c.strip() for c in args.classes.split(",") if c.strip())
+    model = multitask.train_common_mean(
+        data, theta=args.theta, lam=args.lam, rho=args.rho,
+        constraint_classes=classes, use_predicted_sensitive=args.predict_sensitive,
+        loss=args.loss, seed=args.seed,
+    )
+    results = {
+        "shared": [float(v) for v in model.shared],
+        "deviations": {str(k): [float(v) for v in w] for k, w in model.deviations.items()},
+        "constraint_residuals": list(model.constraint_residuals),
+        "predictor_accuracy": None
+        if model.predictor is None
+        else model.predictor.holdout_accuracy,
+    }
+    _write_text(args.output, _report_doc("mtl train-common", args.seed, results))
+    return 0
+
+
+def cmd_datasets_list(args) -> int:
+    lines = [f"{e.name}\t{e.n_samples}\t{e.n_features}\t{','.join(e.tasks)}" for e in ds.DATASET_REGISTRY.values()]
+    _write_text(args.output, "\n".join(lines) + "\n")
+    return 0
+
+
+def cmd_datasets_describe(args) -> int:
     entry = ds.describe_dataset(args.name)
     results = {
         "name": entry.name,
@@ -468,106 +468,112 @@ def cmd_datasets(args) -> int:
     return 0
 
 
-def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--output", default="-", help="report path, - for stdout")
+# options with one meaning and one default wherever a subcommand declares them
+_SHARED = {
+    "--seed": dict(type=int, default=0),
+    "--output": dict(default="-", help="report path, - for stdout"),
+    "--input": dict(required=True),
+    "--schema": dict(required=True, help="JSON object mapping column -> role, or @FILE"),
+    "--model": dict(required=True, help="trained model JSON file"),
+    "--bins": dict(type=int, default=None),
+    "--grid-q": dict(type=int, default=2),
+    "--sweep-output": dict(default="sweep.csv"),
+    "--scores-output": dict(default="scores.csv"),
+    "--paths": dict(default=None, help='e.g. "A>Y,A>D>Y"; defaults to all unfair paths'),
+    "--a-bar": dict(type=_finite, default=1.0),
+}
+_REPORT = ("--seed", "--output")
+
+
+def _leaf(sub, name: str, func, summary: str, *shared: str) -> _Parser:
+    """Subcommand ``name`` running ``func``, declaring the ``_SHARED`` options listed."""
+    p = sub.add_parser(name, help=summary)
+    p.set_defaults(func=func)
+    for flag in shared:
+        p.add_argument(flag, **_SHARED[flag])
+    return p
+
+
+def _sem_source(p: _Parser) -> _Parser:
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--scenario", help="college, music, police_a, police_b or police_c")
+    source.add_argument("--sem", help="SEM JSON file")
+    return p
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="fairkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("metrics", help="fairness report for a scores file")
-    p.add_argument("--input", required=True)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--bins", type=int, default=None)
+    p = _leaf(sub, "metrics", cmd_metrics, "fairness report for a scores file",
+              "--input", "--bins", "--grid-q", *_REPORT)
+    p.add_argument("--threshold", type=_finite, default=None)
     p.add_argument("--grid-k", type=int, default=0)
-    p.add_argument("--grid-q", type=int, default=2)
-    _add_common(p)
-    p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("repair", help="transport scores toward the group barycenter")
-    p.add_argument("--input", required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--bins", type=int, default=None)
+    p = _leaf(sub, "repair", cmd_repair, "transport scores toward the group barycenter",
+              "--input", "--bins", "--sweep-output", *_REPORT)
+    p.add_argument("--t", type=_finite, required=True)
     p.add_argument("--order", type=int, choices=[1, 2], default=2)
     p.add_argument("--weights", choices=["empirical", "uniform"], default="empirical")
     p.add_argument("--scores-output", default=None)
-    p.add_argument("--sweep", type=_float_list, default=None,
-                   help="comma-separated t values for a plot CSV")
-    p.add_argument("--sweep-output", default="sweep.csv")
-    _add_common(p)
-    p.set_defaults(func=cmd_repair)
+    p.add_argument("--sweep", type=_float_list, default=None, help="comma-separated t values for a plot CSV")
 
-    p = sub.add_parser("ferm-train", help="train the cell-constrained model")
-    p.add_argument("--input", required=True)
-    p.add_argument("--schema", required=True)
+    p = _leaf(sub, "ferm-train", cmd_ferm_train, "train the cell-constrained model",
+              "--input", "--schema", "--grid-q", "--sweep-output", *_REPORT)
     p.add_argument("--outcome-kind", choices=list(ds.OUTCOME_KINDS), default="classification")
     p.add_argument("--loss", choices=list(ferm.LOSSES), default="squared")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--epsilon", type=float, default=0.0, help="negative values drop the constraint")
+    p.add_argument("--lambda", dest="lam", type=_finite, default=1.0)
+    p.add_argument("--epsilon", type=_finite, default=0.0, help="negative values drop the constraint")
     p.add_argument("--kernel", choices=["linear", "rbf"], default="linear")
-    p.add_argument("--gamma", type=float, default=None)
+    p.add_argument("--gamma", type=_finite, default=None)
     p.add_argument("--grid-k", type=int, default=2)
-    p.add_argument("--grid-q", type=int, default=2)
     p.add_argument("--use-sensitive", action="store_true")
     p.add_argument("--model-output", default="model.json")
     p.add_argument("--epsilon-sweep", type=_float_list, default=None)
-    p.add_argument("--sweep-output", default="sweep.csv")
-    _add_common(p)
-    p.set_defaults(func=cmd_ferm_train)
 
-    p = sub.add_parser("ferm-predict", help="score a dataset with a trained model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--schema", required=True)
+    p = _leaf(sub, "ferm-predict", cmd_ferm_predict, "score a dataset with a trained model",
+              "--model", "--input", "--schema", "--scores-output")
     p.add_argument("--outcome-kind", choices=list(ds.OUTCOME_KINDS), default="classification")
-    p.add_argument("--scores-output", default="scores.csv")
-    _add_common(p)
-    p.set_defaults(func=cmd_ferm_predict)
 
-    p = sub.add_parser("sem", help="structural equation model tooling")
-    p.add_argument("sem_command", choices=["sample", "fit", "pse", "counterfactual", "correct-scores"])
-    p.add_argument("--scenario", default=None)
-    p.add_argument("--sem", default=None, help="SEM JSON file")
-    p.add_argument("--paths", default=None, help='e.g. "A>Y,A>D>Y"; defaults to all unfair paths')
-    p.add_argument("--a", type=float, default=0.0)
-    p.add_argument("--a-bar", type=float, default=1.0)
+    sem = sub.add_parser("sem", help="structural equation model tooling").add_subparsers(
+        dest="sem_command", required=True)
+    p = _sem_source(_leaf(sem, "sample", cmd_sem_sample, "sample a dataset", "--seed", "--scores-output"))
     p.add_argument("--n", type=int, default=1000)
+    _sem_source(_leaf(sem, "fit", cmd_sem_fit, "refit the coefficients to a dataset",
+                      "--input", "--schema", "--output"))
+    p = _sem_source(_leaf(sem, "pse", cmd_sem_pse, "path-specific effect", "--paths", "--a-bar", *_REPORT))
+    p.add_argument("--a", type=_finite, default=0.0)
     p.add_argument("--mc-samples", type=int, default=None,
-                   help="pse only: also estimate the effect from this many Monte-Carlo samples")
-    p.add_argument("--record", default=None, help="JSON object of variable values")
-    p.add_argument("--model", default=None, help="trained model JSON for correct-scores")
-    p.add_argument("--input", default=None)
-    p.add_argument("--schema", default=None)
-    p.add_argument("--scores-output", default="scores.csv")
-    _add_common(p)
-    p.set_defaults(func=cmd_sem)
+                   help="also estimate the effect from this many Monte-Carlo samples")
+    p = _sem_source(_leaf(sem, "counterfactual", cmd_sem_counterfactual, "counterfactual outcome of one record",
+                          "--paths", "--a-bar", *_REPORT))
+    p.add_argument("--record", required=True, help="JSON object of variable values")
+    _sem_source(_leaf(sem, "correct-scores", cmd_sem_correct_scores, "counterfactually corrected model scores",
+                      "--model", "--input", "--schema", "--paths", "--a-bar", "--scores-output"))
 
-    p = sub.add_parser("mtl", help="fair multitask training")
-    p.add_argument("mtl_command", choices=["train-rep", "transfer", "train-common"])
-    p.add_argument("--input", required=True)
-    p.add_argument("--schema", required=True)
-    p.add_argument("--outcome-kind", choices=list(ds.OUTCOME_KINDS), default="regression")
-    p.add_argument("--r", type=int, default=1)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.1)
-    p.add_argument("--mode", choices=["equality", "relaxed", "none"], default="equality")
-    p.add_argument("--penalty", type=float, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--model", default=None)
-    p.add_argument("--theta", type=float, default=0.5)
-    p.add_argument("--rho", type=float, default=1.0)
-    p.add_argument("--classes", default="+,-")
-    p.add_argument("--predict-sensitive", action="store_true")
-    p.add_argument("--loss", choices=["squared", "linear"], default="squared")
-    _add_common(p)
-    p.set_defaults(func=cmd_mtl)
+    mtl = sub.add_parser("mtl", help="fair multitask training").add_subparsers(dest="mtl_command", required=True)
+    rep = _leaf(mtl, "train-rep", cmd_mtl_train_rep, "train a shared representation", "--input", "--schema", *_REPORT)
+    rep.add_argument("--r", type=int, default=1)
+    rep.add_argument("--mode", choices=["equality", "relaxed", "none"], default="equality")
+    rep.add_argument("--penalty", type=_finite, default=None)
+    rep.add_argument("--eps", type=_finite, default=None)
+    transfer = _leaf(mtl, "transfer", cmd_mtl_transfer, "transfer a representation to a new task",
+                     "--model", "--input", "--schema", *_REPORT)
+    common = _leaf(mtl, "train-common", cmd_mtl_train_common, "common-mean multitask training",
+                   "--input", "--schema", *_REPORT)
+    common.add_argument("--theta", type=_finite, default=0.5)
+    common.add_argument("--rho", type=_finite, default=1.0)
+    common.add_argument("--classes", default="+,-")
+    common.add_argument("--predict-sensitive", action="store_true")
+    common.add_argument("--loss", choices=["squared", "linear"], default="squared")
+    for p in (rep, transfer, common):
+        p.add_argument("--outcome-kind", choices=list(ds.OUTCOME_KINDS), default="regression")
+        p.add_argument("--lambda", dest="lam", type=_finite, default=0.1)
 
-    p = sub.add_parser("datasets", help="bundled dataset registry")
-    p.add_argument("datasets_command", choices=["list", "describe"])
-    p.add_argument("name", nargs="?", default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_datasets)
+    datasets = sub.add_parser("datasets", help="bundled dataset registry").add_subparsers(
+        dest="datasets_command", required=True)
+    _leaf(datasets, "list", cmd_datasets_list, "one line per dataset", "--output")
+    _leaf(datasets, "describe", cmd_datasets_describe, "one dataset's entry", *_REPORT).add_argument("name")
 
     return parser
 
@@ -576,8 +582,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "datasets" and args.datasets_command == "describe" and not args.name:
-            raise UsageError("datasets describe: a dataset name is required")
         return args.func(args)
     except UsageError as exc:
         sys.stderr.write(str(exc).rstrip() + "\n")
@@ -592,8 +596,9 @@ def main(argv=None) -> int:
         causal.CausalError,
         ferm.FermError,
         multitask.MtlError,
-        FileNotFoundError,
         json.JSONDecodeError,
+        OSError,
+        UnicodeDecodeError,
     ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -18,6 +18,7 @@ fixes the dual coefficients even where K is numerically singular.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
@@ -69,6 +70,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "rbf"):
             raise FermError(f"unknown kernel {self.kind!r}")
+        if self.gamma is not None and not math.isfinite(self.gamma):
+            raise FermError(f"gamma must be finite, got {self.gamma!r}")
         if self.kind == "rbf" and (self.gamma is None or self.gamma <= 0):
             raise FermError("rbf kernel needs gamma > 0")
 
@@ -412,10 +415,6 @@ def _solve_constrained(
 
     Returns beta and the solver trace {"iterations", "stop_reason"}.
     """
-    if loss not in LOSSES:
-        raise FermError(f"unknown loss {loss!r}")
-    if epsilon is not None and epsilon < 0:
-        raise FermError("epsilon must be >= 0")
     p = D.shape[1]
     unconstrained = epsilon is None or M.shape[1] == 0
     basis = _null_basis(M) if not unconstrained and epsilon == 0.0 else None
@@ -507,10 +506,10 @@ class FairERMProblem:
     def __post_init__(self):
         if self.loss not in LOSSES:
             raise FermError(f"unknown loss {self.loss!r}")
-        if self.lam <= 0:
-            raise FermError("lam must be > 0")
-        if self.epsilon is not None and self.epsilon < 0:
-            raise FermError("epsilon must be >= 0 or None")
+        if not 0 < self.lam < math.inf:
+            raise FermError(f"lam must be finite and > 0, got {self.lam!r}")
+        if self.epsilon is not None and not 0 <= self.epsilon < math.inf:
+            raise FermError(f"epsilon must be finite and >= 0, or None; got {self.epsilon!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -531,9 +530,27 @@ class KernelModel:
     objective_value: float
     solver: Mapping[str, object] | None = None
 
+    def __post_init__(self):
+        if not isinstance(self.include_sensitive, bool):
+            raise FermError(f"include_sensitive must be true or false, got {self.include_sensitive!r}")
+        if self.kernel.kind == "linear":
+            arrays, fits = (self.coef,), self.coef is not None and self.coef.ndim == 1
+        else:
+            arrays = (self.dual_coef, self.training_inputs)
+            fits = (all(a is not None for a in arrays) and self.dual_coef.ndim == 1
+                    and self.training_inputs.ndim == 2 and self.training_inputs.shape[0] == self.dual_coef.size)
+        if not fits:
+            raise FermError("a linear model needs a coefficient vector, an rbf model one dual"
+                            " coefficient per row of its training inputs")
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise FermError("model coefficients and training inputs must be finite")
+
     def decision_function(self, Z: np.ndarray) -> np.ndarray:
         Z = np.asarray(Z, dtype=float)
-        if self.kernel.kind == "linear" and self.coef is not None:
+        width = self.coef.size if self.kernel.kind == "linear" else self.training_inputs.shape[1]
+        if Z.shape[1] != width:
+            raise FermError(f"the model takes {width} inputs per record, the data gives {Z.shape[1]}")
+        if self.kernel.kind == "linear":
             return Z @ self.coef
         return kernel_matrix(self.kernel, Z, self.training_inputs) @ self.dual_coef
 
@@ -552,10 +569,12 @@ def _report(M, beta, epsilon, cs: ConstraintSystem) -> dict:
     }
 
 
-def _train(Z, y, cs, loss, lam, epsilon, kernel, include_sensitive, max_iter):
+def _train(problem: FairERMProblem, dataset: TabularDataset, cs: ConstraintSystem, max_iter: int) -> KernelModel:
+    loss, lam, kernel = problem.loss, problem.lam, problem.kernel
+    Z, y = design_matrix(dataset, problem.include_sensitive), dataset.outcome
     D = Z if kernel.kind == "linear" else kernel_matrix(kernel, Z)
     M = cs.mean_differences(D)
-    eff_epsilon = None if cs.degenerate else epsilon
+    eff_epsilon = None if cs.degenerate else problem.epsilon
     if kernel.kind == "rbf" and loss == "squared" and eff_epsilon in (None, 0.0):
         C = None if eff_epsilon is None else cs.matrix()
         beta, trace = _solve_kernel_squared(D, y, lam, M, C)
@@ -566,11 +585,11 @@ def _train(Z, y, cs, loss, lam, epsilon, kernel, include_sensitive, max_iter):
     obj = _Objective(D, y, R, loss)
     return KernelModel(
         kernel=kernel,
-        include_sensitive=include_sensitive,
+        include_sensitive=problem.include_sensitive,
         coef=beta if kernel.kind == "linear" else None,
         dual_coef=None if kernel.kind == "linear" else beta,
         training_inputs=None if kernel.kind == "linear" else Z,
-        constraint_report=_report(M, beta, epsilon, cs),
+        constraint_report=_report(M, beta, problem.epsilon, cs),
         objective_value=obj.value(beta),
         solver=trace,
     )
@@ -588,12 +607,7 @@ def train_gferm(
     iterations started from zero, so no seed is consumed.  max_iter caps
     the Newton steps of the hinge and logistic losses.
     """
-    Z = design_matrix(dataset, problem.include_sensitive)
-    cs = build_constraints(dataset, grid)
-    return _train(
-        Z, dataset.outcome, cs, problem.loss, problem.lam, problem.epsilon, problem.kernel,
-        problem.include_sensitive, max_iter,
-    )
+    return _train(problem, dataset, build_constraints(dataset, grid), max_iter)
 
 
 def train_ferm_binary(
@@ -613,12 +627,8 @@ def train_ferm_binary(
     """
     if dataset.outcome_kind != "classification":
         raise FermError("binary training needs a classification outcome")
-    kernel = kernel or KernelSpec()
-    Z = design_matrix(dataset, include_sensitive)
-    model = _train(
-        Z, dataset.outcome, binary_positive_constraint(dataset),
-        loss, lam, epsilon, kernel, include_sensitive, max_iter,
-    )
+    problem = FairERMProblem(loss, lam, epsilon, kernel or KernelSpec(), include_sensitive)
+    model = _train(problem, dataset, binary_positive_constraint(dataset), max_iter)
     gap = model.constraint_report["constraint_values"][0]
     report = dict(model.constraint_report)
     report["positive_class_linear_loss_gap"] = -0.5 * gap

@@ -154,6 +154,32 @@ class TestPathSpecificEffect:
         with pytest.raises(CausalError, match="edge"):
             path_specific_effect(college(), PathSelection((("A", "Z", "Y"),)), 0.0, 1.0)
 
+    def test_selection_carrying_an_unselected_path_rejected(self):
+        # the union of A>Q>D>Y and A>D>Z>Y also carries A>D>Y and A>Q>D>Z>Y: the
+        # closed form would give 2.0 and a replay of the union 4.0
+        sem = LinearSEM("A", 0.5, (
+            Equation("Q", 0.0, ("A",), (1.0,), 0.0),
+            Equation("D", 0.0, ("A", "Q"), (1.0, 1.0), 0.0),
+            Equation("Z", 0.0, ("D",), (1.0,), 0.0),
+            Equation("Y", 0.0, ("D", "Z"), (1.0, 1.0), 0.0),
+        ), "Y")
+        selection = PathSelection.parse("A>Q>D>Y,A>D>Z>Y")
+        for effect in (
+            lambda: path_specific_effect(sem, selection, 0.0, 1.0),
+            lambda: path_specific_effect_mc(sem, selection, 0.0, 1.0, n=2),
+            lambda: counterfactual(sem, dict.fromkeys(sem.variables, 0.0), selection, 1.0),
+        ):
+            with pytest.raises(CausalError, match=r"also form A>Q>D>Z>Y, which is not selected"):
+                effect()
+        closed = PathSelection.parse("A>Q>D>Y,A>D>Z>Y,A>D>Y,A>Q>D>Z>Y")
+        assert path_specific_effect(sem, closed, 0.0, 1.0) == 4.0
+        assert path_specific_effect_mc(sem, closed, 0.0, 1.0, n=2) == 4.0
+
+    def test_path_selected_twice_rejected(self):
+        # "A>D" extends to A>D>Y, so the closed form would count that path twice
+        with pytest.raises(CausalError, match="A>D>Y is selected twice"):
+            path_specific_effect(college(), PathSelection.parse("A>D>Y,A>D"), 0.0, 1.0)
+
     def test_path_prefix_extends_uniquely(self):
         # "A>D" continues to the outcome through the only outgoing edge
         value = path_specific_effect(college(), PathSelection.parse("A>D"), 0.0, 1.0)
@@ -325,19 +351,36 @@ class TestScenarios:
             sem = scenario(name)
             assert sem.edge_labels[("A", "Y")] == "unfair"
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"unobserved": frozenset({"M"})}, r"unobserved \['M'\] are not variables"),
+        ({"sensitive_values": (0.0,)}, "two distinct finite numbers"),
+        ({"sensitive_values": (1.0, 1.0)}, "two distinct finite numbers"),
+        ({"sensitive_values": (0.0, float("nan"))}, "two distinct finite numbers"),
+        ({"sensitive_values": ("a", "b")}, "two distinct finite numbers"),
+    ])
+    def test_invalid_sem_rejected(self, fields, message):
+        sem = college()
+        with pytest.raises(CausalError, match=message):
+            LinearSEM(sem.sensitive, sem.pi, sem.equations, sem.outcome, sem.edge_labels,
+                      **{"sensitive_values": sem.sensitive_values, "unobserved": sem.unobserved, **fields})
+
     def test_unknown_scenario(self):
         with pytest.raises(CausalError):
             scenario("casino")
 
 
 @st.composite
-def small_sems(draw, noise=True):
-    """Linear SEMs with 1-4 equations, each over a random subset of the earlier variables."""
-    names = ["A"] + [f"V{i}" for i in range(draw(st.integers(1, 4)))]
+def small_sems(draw, noise=True, dense=False):
+    """Linear SEMs with 1-4 equations, each over a random subset of the earlier variables.
+
+    ``dense`` draws 3-4 equations, each reading an earlier variable with
+    probability 4/5, so that many paths share edges.
+    """
+    names = ["A"] + [f"V{i}" for i in range(draw(st.integers(3 if dense else 1, 4)))]
     number = st.floats(-2.0, 2.0)
     equations, labels = [], {}
     for i, name in enumerate(names[1:], start=1):
-        parents = tuple(p for p in names[:i] if draw(st.booleans()))
+        parents = tuple(p for p in names[:i] if (draw(st.integers(0, 4)) > 0 if dense else draw(st.booleans())))
         coeffs = tuple(draw(number) for _ in parents)
         noise_std = draw(st.floats(0.0, 2.0)) if noise else 0.0
         equations.append(Equation(name, draw(number), parents, coeffs, noise_std))
@@ -386,13 +429,20 @@ class TestDocstringInvariants:
             a_bar = v0 if record[sem.sensitive] == v1 else v1
             assert counterfactual(sem, record, none, a_bar) == pytest.approx(record[sem.outcome], abs=1e-12)
 
-    @settings(max_examples=200, deadline=None)
-    @given(sem=small_sems(noise=False), pick=st.integers(0, 99),
+    @settings(max_examples=300, deadline=None)
+    @given(sem=st.one_of(small_sems(noise=False), small_sems(noise=False, dense=True)), data=st.data(),
            a=st.floats(-2.0, 2.0), a_bar=st.floats(-2.0, 2.0))
-    def test_zero_noise_monte_carlo_is_closed_form(self, sem, pick, a, a_bar):
-        # one path, or all of them: the selections whose edge union adds no other path
+    def test_zero_noise_monte_carlo_is_closed_form(self, sem, data, a, a_bar):
         paths = all_paths(sem)
-        chosen = paths if pick % (len(paths) + 1) == len(paths) else [paths[pick % (len(paths) + 1)]]
+        chosen = data.draw(st.lists(st.sampled_from(paths), unique=True) if paths else st.just([]))
         selection = PathSelection(tuple(chosen))
-        mc = path_specific_effect_mc(sem, selection, a, a_bar, n=5, seed=pick)
+        union = {e for p in chosen for e in zip(p, p[1:])}
+        carried = [p for p in paths if set(zip(p, p[1:])) <= union]
+        if set(carried) - set(chosen):
+            with pytest.raises(CausalError, match="not selected"):
+                selection.resolved(sem)
+            return
+        mc = path_specific_effect_mc(sem, selection, a, a_bar, n=5, seed=len(chosen))
         assert mc == pytest.approx(path_specific_effect(sem, selection, a, a_bar), rel=1e-9, abs=1e-12)
+        # selecting every path is always accepted
+        PathSelection(tuple(paths)).resolved(sem)

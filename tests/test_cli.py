@@ -1,9 +1,17 @@
+import argparse
+import contextlib
 import csv
+import importlib.util
+import io
 import json
+import shlex
+import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fairkit import causal, ferm
 from fairkit.cli import (
@@ -13,13 +21,15 @@ from fairkit.cli import (
     _rep_to_json,
     _sem_from_json,
     _sem_to_json,
+    build_parser,
     main,
 )
 from fairkit.dataset import MAX_FEATURE_BYTES, load_csv, make_grid
 from fairkit.multitask import tasks_from_dataset, train_representation
 from fairkit.transport import EmpiricalDistribution, geodesic_repair, wasserstein
 
-GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def write_scores(path, rng, n_per_group=200, with_outcome=True):
@@ -211,6 +221,51 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err == "error: trade-off t=1.5 outside [0, 1]\n"
 
+    @pytest.mark.parametrize("command,flag,value", [
+        (["ferm-train", "--input", "d.csv", "--schema", "{}"], "--epsilon", "nan"),
+        (["ferm-train", "--input", "d.csv", "--schema", "{}"], "--lambda", "nan"),
+        (["repair", "--input", "s.csv"], "--t", "1e400"),
+        (["metrics", "--input", "s.csv"], "--threshold", "-inf"),
+        (["sem", "pse", "--scenario", "college"], "--a-bar", "nan"),
+        (["sem", "pse", "--scenario", "college"], "--a", "-inf"),
+    ])
+    def test_non_finite_number_is_usage_error(self, command, flag, value, capsys):
+        assert main([*command, f"{flag}={value}"]) == 1
+        assert f"argument {flag}: expected a finite number, got {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["sem", "sample", "--scenario", "college", "--record", '{"x": 1}'],
+        ["mtl", "train-common", "--input", "d.csv", "--schema", "{}", "--r", "7", "--penalty", "3"],
+        ["ferm-predict", "--model", "m.json", "--input", "d.csv", "--schema", "{}", "--seed", "1"],
+        ["datasets", "list", "--seed", "1"],
+    ])
+    def test_option_of_another_subcommand_is_usage_error(self, command, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # where a command that ran anyway would write
+        assert main(command) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--input", "--model", "--sem", "--schema"])
+    @pytest.mark.parametrize("bad", ["directory", "not-utf8"])
+    def test_unreadable_file_is_data_error(self, tmp_path, capsys, flag, bad):
+        path = tmp_path / "bad"
+        if bad == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"\xff": 1}')
+        out = str(tmp_path / "out")
+        argv = {
+            "--input": ["ferm-predict", "--model", str(GOLDEN / "ferm_logistic.model.json"), "--input", str(path),
+                        "--schema", CLS_SCHEMA, "--scores-output", out],
+            "--model": ["ferm-predict", "--model", str(path), "--input", str(GOLDEN / "cls.csv"),
+                        "--schema", CLS_SCHEMA, "--scores-output", out],
+            "--sem": ["sem", "pse", "--sem", str(path), "--output", out],
+            "--schema": ["mtl", "transfer", "--model", str(GOLDEN / "mtl_rep.json"),
+                         "--input", str(GOLDEN / "task_new.csv"), "--schema", f"@{path}", "--output", out],
+        }[flag]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestDatasets:
     def test_describe_compas(self, tmp_path, capsys):
@@ -225,6 +280,10 @@ class TestDatasets:
         doc = json.loads(capsys.readouterr().out)
         assert doc["results"]["n_samples"] == "48842"
         assert doc["results"]["n_features"] == "14"
+
+    def test_describe_needs_a_name(self, capsys):
+        assert main(["datasets", "describe"]) == 1
+        assert "the following arguments are required: name" in capsys.readouterr().err
 
     def test_list_contains_all_rows(self, capsys):
         assert main(["datasets", "list"]) == 0
@@ -321,6 +380,23 @@ class TestRepairCommand:
                 for i, a in enumerate(labels) for j, b in enumerate(labels) if i < j
             ]
         assert sweep.read_text().splitlines() == expected
+
+    def test_uniform_weights(self, tmp_path):
+        repaired = tmp_path / "repaired.csv"
+        assert main([
+            "repair", "--input", str(GOLDEN / "scores.csv"), "--t", "1", "--weights", "uniform",
+            "--scores-output", str(repaired), "--output", str(tmp_path / "r.json"),
+        ]) == 0
+        with open(GOLDEN / "scores.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        groups = np.array([r["group"] for r in rows])
+        values = np.array([float(r["score"]) for r in rows])
+        with open(repaired) as fh:
+            got = np.array([float(r["repaired_score"]) for r in csv.DictReader(fh)])
+        uniform, _ = geodesic_repair(values, groups, t=1.0, weights="uniform")
+        np.testing.assert_array_equal(got, uniform)
+        # the groups have different sizes, so the weights matter
+        assert not np.array_equal(uniform, geodesic_repair(values, groups, t=1.0)[0])
 
 
 class TestGoldenReports:
@@ -487,7 +563,7 @@ class TestFermCommands:
             "--scores-output", str(tmp_path / "scores.csv"),
         ]) == 0
 
-    @pytest.mark.parametrize("breakage", ["missing", "ill-typed"])
+    @pytest.mark.parametrize("breakage", ["missing", "ill-typed", "non-finite", "include-sensitive"])
     def test_broken_model_document_is_data_error(self, tmp_path, capsys, breakage):
         rng = np.random.default_rng(4)
         data, schema = write_classification_csv(tmp_path / "train.csv", rng, n=40)
@@ -499,8 +575,12 @@ class TestFermCommands:
         doc = json.loads(model.read_text())
         if breakage == "missing":
             del doc["kernel"]["gamma"]
-        else:
+        elif breakage == "ill-typed":
             doc["coef"] = "abc"
+        elif breakage == "non-finite":
+            doc["coef"][0] = float("nan")
+        else:
+            doc["include_sensitive"] = None
         model.write_text(json.dumps(doc))
         capsys.readouterr()
         code = main([
@@ -510,6 +590,13 @@ class TestFermCommands:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: model document") and err.count("\n") == 1
+
+    def test_model_for_other_features_is_data_error(self, tmp_path, capsys):
+        code = main(["ferm-predict", "--model", str(GOLDEN / "ferm_logistic.model.json"),
+                     "--input", str(GOLDEN / "sem_college.csv"), "--schema", SEM_SCHEMA, "--outcome-kind", "regression",
+                     "--scores-output", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: the model takes 3 inputs per record, the data gives 2\n"
 
     def test_epsilon_sweep_plot_csv(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -527,6 +614,16 @@ class TestFermCommands:
         assert len(lines) == 4
         values = [float(line.split(",")[2]) for line in lines[1:]]
         assert values[0] >= values[1] >= values[2] - 1e-9
+
+    def test_schema_from_file(self, tmp_path):
+        schema = tmp_path / "schema.json"
+        schema.write_text(CLS_SCHEMA)
+        for name, value in (("inline", CLS_SCHEMA), ("file", f"@{schema}")):
+            assert main(["ferm-train", "--input", str(GOLDEN / "cls.csv"), "--schema", value,
+                         "--model-output", str(tmp_path / f"{name}.model.json"),
+                         "--output", str(tmp_path / f"{name}.json")]) == 0
+        for suffix in (".model.json", ".json"):
+            assert (tmp_path / f"file{suffix}").read_bytes() == (tmp_path / f"inline{suffix}").read_bytes()
 
     def test_bad_schema_is_data_error(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -601,26 +698,59 @@ class TestSemCommands:
         changed = [r for r in rows if r["score"] != r["corrected_score"]]
         assert changed  # the unfair paths actually moved some scores
 
+    def test_correct_scores_match_ferm_predict_on_reordered_columns(self, tmp_path):
+        # the model was trained on the CSV's column order, not the SEM's (A, Q, D, Y)
+        with open(GOLDEN / "sem_college.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        sample = tmp_path / "sample.csv"
+        with open(sample, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, ["A", "D", "Q", "Y"])
+            writer.writeheader()
+            writer.writerows(rows)
+        model, predicted, corrected = (tmp_path / n for n in ("m.json", "predicted.csv", "corrected.csv"))
+        data = ["--input", str(sample), "--schema", SEM_SCHEMA]
+        assert main(["ferm-train", *data, "--outcome-kind", "regression", "--epsilon", "-1", "--use-sensitive",
+                     "--model-output", str(model), "--output", str(tmp_path / "r.json")]) == 0
+        assert main(["ferm-predict", "--model", str(model), *data, "--outcome-kind", "regression",
+                     "--scores-output", str(predicted)]) == 0
+        assert main(["sem", "correct-scores", "--sem", str(GOLDEN / "sem_fit.json"), "--model", str(model),
+                     *data, "--scores-output", str(corrected)]) == 0
+        with open(predicted) as fh, open(corrected) as gh:
+            assert [r["score"] for r in csv.DictReader(fh)] == [r["score"] for r in csv.DictReader(gh)]
+
     def test_requires_scenario_or_model(self):
         assert main(["sem", "pse"]) == 1
 
     @pytest.mark.parametrize("argv,message", [
-        (["counterfactual"], "sem counterfactual: --record is required"),
-        (["fit", "--input", "s.csv"], "sem fit: --schema is required"),
-        (["correct-scores", "--input", "s.csv", "--schema", "{}"], "sem correct-scores: --model is required"),
-        (["counterfactual", "--record", "{}", "--mc-samples", "5"],
-         "sem counterfactual: --mc-samples applies to pse only"),
-        (["correct-scores", "--model", "m.json", "--input", "s.csv", "--schema", "{}", "--mc-samples", "5"],
-         "sem correct-scores: --mc-samples applies to pse only"),
+        pytest.param(["counterfactual"],
+                     "fairkit sem counterfactual: the following arguments are required: --record",
+                     id="record-required"),
+        pytest.param(["fit", "--input", "s.csv"],
+                     "fairkit sem fit: the following arguments are required: --schema", id="schema-required"),
+        pytest.param(["correct-scores", "--input", "s.csv", "--schema", "{}"],
+                     "fairkit sem correct-scores: the following arguments are required: --model",
+                     id="model-required"),
+        pytest.param(["counterfactual", "--record", "{}", "--mc-samples", "5"],
+                     "fairkit: unrecognized arguments: --mc-samples 5", id="mc-samples-on-counterfactual"),
+        pytest.param(["correct-scores", "--model", "m.json", "--input", "s.csv", "--schema", "{}",
+                      "--mc-samples", "5"],
+                     "fairkit: unrecognized arguments: --mc-samples 5", id="mc-samples-on-correct-scores"),
+        # no abbreviations: --a is pse's own flag, never a prefix of --a-bar
+        pytest.param(["counterfactual", "--record", '{"A": 0, "Q": 1, "D": 1, "Y": 2}', "--a=-inf"],
+                     "fairkit: unrecognized arguments: --a=-inf", id="a-on-counterfactual"),
+        pytest.param(["pse", "--sem", "sem.json"],
+                     "fairkit sem pse: argument --scenario: not allowed with argument --sem",
+                     id="scenario-and-sem"),
     ])
     def test_missing_or_misplaced_option_is_usage_error(self, argv, message, capsys):
         assert main(["sem", *argv, "--scenario", "college"]) == 1
-        assert capsys.readouterr().err == message + "\n"
+        assert capsys.readouterr().err.split("\n")[0] == message
 
     def test_help_says_mc_samples_is_for_pse(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["sem", "--help"])
-        assert "--mc-samples MC_SAMPLES pse only:" in " ".join(capsys.readouterr().out.split())
+        for command, listed in (("pse", True), ("counterfactual", False), ("correct-scores", False)):
+            with pytest.raises(SystemExit):
+                main(["sem", command, "--help"])
+            assert ("--mc-samples" in capsys.readouterr().out) == listed
 
     @pytest.mark.parametrize("argv,message", [
         (["counterfactual", "--record", "[1, 2]"],
@@ -629,9 +759,6 @@ class TestSemCommands:
          "--record: 'Q' must be a finite number, got 'x'"),
         (["counterfactual", "--record", '{"A": 0, "Q": NaN, "D": 1, "Y": 2}'],
          "--record: 'Q' must be a finite number, got nan"),
-        (["pse", "--a-bar", "nan"], "--a-bar must be finite, got nan"),
-        (["counterfactual", "--record", '{"A": 0, "Q": 1, "D": 1, "Y": 2}', "--a=-inf"],
-         "--a must be finite, got -inf"),
     ])
     def test_bad_or_non_finite_value_is_data_error(self, argv, message, capsys):
         assert main(["sem", *argv, "--scenario", "college"]) == 2
@@ -785,3 +912,170 @@ class TestDocumentRoundTrips:
         record = {name: 0.25 * i for i, name in enumerate(fitted.variables)}
         assert causal.counterfactual(read, record, paths, 1.0) == causal.counterfactual(
             fitted, record, paths, 1.0)
+
+
+def leaf_parsers():
+    """Each leaf subcommand's parser, by its words ("sem pse")."""
+    def walk(parser, words):
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            yield " ".join(words), parser
+            return
+        for name, child in subs[0].choices.items():
+            yield from walk(child, words + (name,))
+
+    return dict(walk(build_parser(), ()))
+
+
+RECORD = '{"A": 0, "Q": 0.37, "D": -1.25, "Y": 2.3}'
+# every leaf subcommand on committed inputs, each of which runs as written
+LEAVES = {
+    "metrics": ["--input", "{g}/scores.csv", "--output", "{out}/r.json"],
+    "repair": ["--input", "{g}/scores.csv", "--t", "0.5", "--output", "{out}/r.json"],
+    "ferm-train": ["--input", "{g}/cls.csv", "--schema", CLS_SCHEMA, "--model-output", "{out}/m.json",
+                   "--output", "{out}/r.json"],
+    "ferm-predict": ["--model", "{g}/ferm_logistic.model.json", "--input", "{g}/cls.csv", "--schema", CLS_SCHEMA,
+                     "--scores-output", "{out}/s.csv"],
+    "sem sample": ["--scenario", "college", "--n", "20", "--scores-output", "{out}/s.csv"],
+    "sem fit": ["--sem", "{g}/sem_fit.json", "--input", "{g}/sem_college.csv", "--schema", SEM_SCHEMA,
+                "--output", "{out}/r.json"],
+    "sem pse": ["--sem", "{g}/sem_fit.json", "--output", "{out}/r.json"],
+    "sem counterfactual": ["--sem", "{g}/sem_fit.json", "--record", RECORD, "--output", "{out}/r.json"],
+    "sem correct-scores": ["--sem", "{g}/sem_fit.json", "--model", "{g}/sem_ferm.model.json",
+                           "--input", "{g}/sem_college.csv", "--schema", SEM_SCHEMA, "--scores-output", "{out}/s.csv"],
+    "mtl train-rep": ["--input", "{g}/tasks.csv", "--schema", MTL_SCHEMA, "--r", "2", "--output", "{out}/r.json"],
+    "mtl transfer": ["--model", "{g}/mtl_rep.json", "--input", "{g}/task_new.csv", "--schema", NEW_TASK_SCHEMA,
+                     "--output", "{out}/r.json"],
+    "mtl train-common": ["--input", "{g}/cls.csv", "--schema", CLS_SCHEMA, "--outcome-kind", "classification",
+                         "--output", "{out}/r.json"],
+    "datasets list": ["--output", "{out}/r.txt"],
+    "datasets describe": ["COMPAS", "--output", "{out}/r.json"],
+}
+# flags whose value names a file the command reads (--schema as @FILE)
+READ_FLAGS = ("--input", "--model", "--sem", "--schema")
+# fields each document reader needs; dropping one, or giving it a value of
+# another JSON kind, makes the document bad
+DOCUMENT_FIELDS = {
+    "ferm_logistic.model.json": ("kernel", "include_sensitive", "coef"),
+    "sem_ferm.model.json": ("kernel", "include_sensitive", "coef"),
+    "sem_fit.json": ("sensitive", "pi", "equations", "outcome", "edges", "sensitive_values", "unobserved"),
+    "mtl_rep.json": ("A", "B"),
+}
+
+
+def json_kind(value):
+    # true reads as the number 1, so a boolean is no other kind than a number
+    return {bool: float, int: float}.get(type(value), type(value))
+
+
+OTHER_KINDS = (None, True, 1.5, "x", [0], {"x": 0})
+
+
+@st.composite
+def bad_invocations(draw):
+    """A leaf's valid argv with one fault, and the exit code the fault must give."""
+    words = draw(st.sampled_from(sorted(LEAVES)))
+    argv, parser = list(LEAVES[words]), leaf_parsers()[words]
+    options = [a for a in parser._actions if a.option_strings and a.dest != "help"]
+    typed, chosen = [a for a in options if a.type is not None], [a for a in options if a.choices]
+    required = {s for a in options if a.required for s in a.option_strings}
+    for group in parser._mutually_exclusive_groups:
+        if group.required:
+            required.update(s for a in group._group_actions for s in a.option_strings)
+    # argv positions of required flags, and of the one positional argument (datasets describe's name)
+    needed = [i for i, a in enumerate(argv) if a in required] + [i for i, a in enumerate(argv) if a == "COMPAS"]
+    read = [i for i, a in enumerate(argv) if a in READ_FLAGS]
+    documents = [i for i in read if Path(argv[i + 1]).name in DOCUMENT_FIELDS]
+    kinds = [kind for kind, applies in (
+        ("number", typed), ("choice", chosen), ("unknown", True), ("missing", needed),
+        ("file", read), ("document", documents)) if applies]
+    kind = draw(st.sampled_from(kinds))
+    files = {}  # name in {out} -> bytes, or None for a directory
+    if kind == "number":
+        action = draw(st.sampled_from(typed))
+        value = draw(st.sampled_from(["nan", "-inf", "inf", "1e400", "NaN", "1.5x", "", "0,nan"]))
+        if action.type is int:
+            value = draw(st.sampled_from([value, "1.5", "1e3"]))
+        argv.append(f"{action.option_strings[0]}={value}")
+    elif kind == "choice":
+        action = draw(st.sampled_from(chosen))
+        value = draw(st.text(max_size=8).filter(lambda v: v not in map(str, action.choices)))
+        argv.append(f"{action.option_strings[0]}={value}")
+    elif kind == "unknown":
+        flags = {s for a in parser._actions for s in a.option_strings}
+        argv.append(draw(st.from_regex(r"--[a-z][a-z-]{0,10}", fullmatch=True).filter(lambda f: f not in flags)))
+    elif kind == "missing":
+        drop = draw(st.sampled_from(needed))
+        del argv[drop:drop + (1 if argv[drop] == "COMPAS" else 2)]
+    elif kind == "file":
+        at = draw(st.sampled_from(read)) + 1
+        content = draw(st.one_of(
+            st.just("missing"), st.just(None), st.binary(max_size=40).map(lambda b: b"\xff" + b),
+            st.text(max_size=60).map(lambda t: t.encode()),
+        ))
+        if content != "missing":
+            files["bad"] = content
+        argv[at] = ("@" if argv[at - 1] == "--schema" else "") + "{out}/bad"
+    else:
+        at = draw(st.sampled_from(documents)) + 1
+        name = Path(argv[at]).name
+        doc = json.loads((GOLDEN / name).read_text())
+        field = draw(st.sampled_from(DOCUMENT_FIELDS[name]))
+        if draw(st.booleans()):
+            del doc[field]
+        else:
+            doc[field] = draw(st.sampled_from([v for v in OTHER_KINDS if json_kind(v) != json_kind(doc[field])]))
+        files["bad.json"] = json.dumps(doc).encode()
+        argv[at] = "{out}/bad.json"
+    return words.split() + argv, files, 1 if kind in ("number", "choice", "unknown", "missing") else 2
+
+
+class TestBadInputProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(case=bad_invocations())
+    def test_bad_input_ends_in_its_exit_code_and_one_line(self, case):
+        argv, files, want = case
+        with tempfile.TemporaryDirectory() as out:
+            for name, content in files.items():
+                if content is None:
+                    (Path(out) / name).mkdir()
+                else:
+                    (Path(out) / name).write_bytes(content)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main([a.replace("{g}", str(GOLDEN)).replace("{out}", out) for a in argv])
+        err = err.getvalue()
+        assert code == want, (argv, err)
+        assert "Traceback" not in err
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+        else:
+            assert "usage: fairkit" in err, err
+
+
+class TestDocumentedCommandLines:
+    """Every command line the benchmark runs or the README shows parses."""
+
+    def test_benchmark_commands_parse(self):
+        spec = importlib.util.spec_from_file_location("perfbench_jobs", ROOT / "perfbench" / "jobs.py")
+        jobs = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = jobs  # dataclasses looks its module up
+        try:
+            spec.loader.exec_module(jobs)
+            commands = [c for make in jobs.JOBS.values() for c in make(Path("in"), Path("out"), 7)]
+        finally:
+            del sys.modules[spec.name]
+        assert len(commands) == 17
+        for command in commands:
+            build_parser().parse_args(list(command.argv))
+
+    def test_readme_commands_parse_and_cover_every_subcommand(self):
+        section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Command line", 1)[1]
+        block = section.split("```bash\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+        lines = [line for line in block.splitlines() if line.strip() and not line.lstrip().startswith("#")]
+        parsed = []
+        for line in lines:
+            argv = shlex.split(line)
+            assert argv[0] == "fairkit", line
+            parsed.append(build_parser().parse_args(argv[1:]))
+        assert {args.func for args in parsed} == {p.get_default("func") for p in leaf_parsers().values()}

@@ -629,6 +629,24 @@ class TestValidation:
         with pytest.raises(FermError):
             KernelSpec("rbf")
 
+    @pytest.mark.parametrize("build", [
+        lambda: FairERMProblem(lam=float("nan")),
+        lambda: FairERMProblem(lam=float("inf")),
+        lambda: FairERMProblem(epsilon=float("nan")),
+        lambda: FairERMProblem(epsilon=float("inf")),
+        lambda: KernelSpec(gamma=float("nan")),
+        lambda: KernelSpec("rbf", gamma=float("inf")),
+    ])
+    def test_non_finite_value_rejected(self, build):
+        with pytest.raises(FermError, match="finite"):
+            build()
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, float("nan")])
+    def test_binary_training_validates_lambda(self, lam):
+        data = classification_dataset(np.random.default_rng(22))
+        with pytest.raises(FermError, match="lam must be finite and > 0"):
+            train_ferm_binary(data, lam=lam)
+
     def test_kernel_matrix_linear(self):
         X = np.array([[1.0, 0.0], [0.0, 2.0]])
         np.testing.assert_allclose(kernel_matrix(KernelSpec(), X), X @ X.T)
