@@ -10,7 +10,6 @@ outputs.  Exit codes: 0 success, 1 usage error, 2 data/validation error,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import math
@@ -84,14 +83,24 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
 
 
-@contextlib.contextmanager
-def _document(kind: str):
-    """Report a missing or ill-typed field of a JSON document as a data error."""
+def _read_document(path, kind: str, convert):
+    """``convert`` applied to the JSON document at ``path``, with its faults as data errors.
+
+    A non-finite number (``NaN``, ``Infinity``, or a literal such as 1e999
+    that overflows to inf) is refused, as is a missing or ill-typed field.
+    """
+    def finite(text):
+        if not math.isfinite(value := float(text)):
+            raise ds.DatasetError(f"{kind} document {path} holds the non-finite number {text}")
+        return value
+
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh, parse_float=finite, parse_constant=finite)
     try:
-        yield
+        return convert(doc)
     except KeyError as exc:
         raise ds.DatasetError(f"{kind} document lacks the field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ds.DatasetError(f"{kind} document has an ill-typed field: {exc}") from None
 
 
@@ -185,7 +194,6 @@ def _model_to_json(model: ferm.KernelModel) -> dict:
     }
 
 
-@_document("model")
 def _model_from_json(doc: dict) -> ferm.KernelModel:
     def array(key):
         return None if doc[key] is None else np.array(doc[key], dtype=float)
@@ -234,8 +242,7 @@ def cmd_ferm_train(args) -> int:
 
 
 def cmd_ferm_predict(args) -> int:
-    with open(args.model, encoding="utf-8") as fh:
-        model = _model_from_json(json.load(fh))
+    model = _read_document(args.model, "model", _model_from_json)
     data = _load_dataset(args)
     scores = model.predict_dataset(data)
     ds.write_table(args.scores_output, ["id", "group", "score"],
@@ -268,7 +275,6 @@ def _sem_to_json(sem: causal.LinearSEM) -> dict:
     }
 
 
-@_document("SEM")
 def _sem_from_json(doc: dict) -> causal.LinearSEM:
     return causal.LinearSEM(
         sensitive=doc["sensitive"],
@@ -293,8 +299,7 @@ def _sem_from_json(doc: dict) -> causal.LinearSEM:
 def _resolve_sem(args) -> causal.LinearSEM:
     if args.scenario is not None:
         return causal.scenario(args.scenario)
-    with open(args.sem, encoding="utf-8") as fh:
-        return _sem_from_json(json.load(fh))
+    return _read_document(args.sem, "SEM", _sem_from_json)
 
 
 def _parse_record(text: str) -> dict[str, float]:
@@ -358,8 +363,7 @@ def cmd_sem_counterfactual(args) -> int:
 def cmd_sem_correct_scores(args) -> int:
     sem = _resolve_sem(args)
     paths = _paths(args, sem)
-    with open(args.model, encoding="utf-8") as fh:
-        model = _model_from_json(json.load(fh))
+    model = _read_document(args.model, "model", _model_from_json)
     data = ds.load_csv(args.input, _parse_schema(args.schema), outcome_kind="regression")
 
     def score_fn(cols):
@@ -388,7 +392,6 @@ def _rep_to_json(model: multitask.RepresentationModel) -> dict:
     }
 
 
-@_document("representation")
 def _rep_from_json(doc: dict) -> multitask.RepresentationModel:
     A, B = np.array(doc["A"], dtype=float), np.array(doc["B"], dtype=float)
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
@@ -416,8 +419,7 @@ def cmd_mtl_train_rep(args) -> int:
 
 
 def cmd_mtl_transfer(args) -> int:
-    with open(args.model, encoding="utf-8") as fh:
-        rep = _rep_from_json(json.load(fh))
+    rep = _read_document(args.model, "representation", _rep_from_json)
     result = multitask.transfer(rep, multitask.task_from_dataset(_load_dataset(args)), lam=args.lam)
     results = {
         "coefficients": [float(v) for v in result.coefficients],

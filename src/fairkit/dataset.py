@@ -12,7 +12,7 @@ import csv
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -22,8 +22,6 @@ __all__ = [
     "TabularDataset",
     "DiscretizationGrid",
     "GroupCodes",
-    "GroupIndex",
-    "SplitResult",
     "factorize",
     "parse_numbers",
     "read_table",
@@ -32,8 +30,6 @@ __all__ = [
     "to_csv",
     "dataset_from_columns",
     "make_grid",
-    "partition",
-    "split",
     "DATASET_REGISTRY",
     "describe_dataset",
 ]
@@ -48,7 +44,7 @@ _NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
 class DatasetError(ValueError):
-    """Schema violation, parse failure, or invalid grid/partition input."""
+    """Schema violation, parse failure, or invalid grid input."""
 
 
 @dataclass(frozen=True)
@@ -536,71 +532,6 @@ def make_grid(
         _axis_edges(dataset.outcome, k_bins, "outcome"),
         _axis_edges(dataset.sensitive, q_bins, "sensitive"),
     )
-
-
-@dataclass(frozen=True, eq=False)
-class GroupIndex:
-    """Each record's flat cell id k * Q + q, the (K, Q) cell counts, group marginals."""
-
-    cell: np.ndarray
-    counts: np.ndarray
-    group_counts: np.ndarray
-    group_probs: np.ndarray
-
-    def indices(self, k: int, q: int) -> np.ndarray:
-        return np.flatnonzero(self.cell == k * self.counts.shape[1] + q)
-
-
-def partition(dataset: TabularDataset, grid: DiscretizationGrid) -> GroupIndex:
-    """Assign every record to its half-open (k, q) cell by one bincount."""
-    cell, counts = grid.cell_ids(dataset.outcome, dataset.sensitive)
-    group_counts = counts.sum(axis=0)
-    return GroupIndex(cell, counts, group_counts, group_counts / dataset.n_records)
-
-
-class SplitResult(NamedTuple):
-    train: TabularDataset
-    test: TabularDataset
-    stratified: bool
-
-
-def split(dataset: TabularDataset, fraction: float, seed: int) -> SplitResult:
-    """Deterministic train/test split, stratified by sensitive group.
-
-    Each group with at least two records contributes round(fraction * N_g)
-    records (clamped so both sides stay non-empty) to the first split.  If
-    any group has fewer than two records the split falls back to a plain
-    shuffle and the ``stratified`` flag is False.
-    """
-    if not 0.0 < fraction < 1.0:
-        raise DatasetError("fraction must lie strictly between 0 and 1")
-    rng = np.random.default_rng(seed)
-    s = dataset.sensitive
-    codes, counts = np.unique(s, return_counts=True)
-    stratified = bool(np.all(counts >= 2)) and dataset.n_records >= 2
-
-    def take(n: int) -> int:
-        return int(np.clip(round(fraction * n), 1, n - 1))
-
-    first: list[np.ndarray] = []
-    second: list[np.ndarray] = []
-    if stratified:
-        for code in codes:
-            idx = np.nonzero(s == code)[0]
-            perm = rng.permutation(idx)
-            cut = take(idx.size)
-            first.append(perm[:cut])
-            second.append(perm[cut:])
-    else:
-        if dataset.n_records < 2:
-            raise DatasetError("cannot split fewer than two records")
-        perm = rng.permutation(dataset.n_records)
-        cut = take(dataset.n_records)
-        first.append(perm[:cut])
-        second.append(perm[cut:])
-    a = np.sort(np.concatenate(first))
-    b = np.sort(np.concatenate(second))
-    return SplitResult(dataset.subset(a), dataset.subset(b), stratified)
 
 
 @dataclass(frozen=True)

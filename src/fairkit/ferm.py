@@ -7,7 +7,10 @@ are collected into constraint columns, and the constraint reads
 ``||A^T w||_1 <= epsilon``.  A zero budget turns the bound into exact
 linear equalities, solved by null-space elimination; a positive budget
 goes through an exact L1-constrained quadratic program (a dual active-set
-method over the facets of the L1 ball).  The squared loss is one such
+method over the facets of the L1 ball).  One helper, `_minimize_on`,
+gives the least-norm minimizer of a quadratic on a subspace; it serves
+the zero budget and the unconstrained problem here and the
+equality-constrained solves of `multitask`.  The squared loss is one such
 solve; the logistic and the (quadratically smoothed) hinge losses run
 damped Newton steps over the same feasible set until the Newton decrement
 vanishes, and a run that does not converge raises SolverError.  The rbf
@@ -25,7 +28,7 @@ from typing import Mapping
 import numpy as np
 
 from . import dataset as ds
-from .dataset import DiscretizationGrid, TabularDataset, partition
+from .dataset import DiscretizationGrid, TabularDataset
 from .metrics import MetricError, ScoreSet, general_fairness_gap, loss_general_fairness_gap
 
 __all__ = [
@@ -159,15 +162,14 @@ def build_constraints(dataset: TabularDataset, grid: DiscretizationGrid) -> Cons
     system is empty and flagged degenerate (training falls back to
     unconstrained ridge).
     """
-    index = partition(dataset, grid)
-    counts = index.counts
+    cell, counts = grid.cell_ids(dataset.outcome, dataset.sensitive)
     pairs = []
     for k, row in enumerate(counts):
         present = np.flatnonzero(row).tolist()
         pairs.extend((k, p, q) for i, p in enumerate(present) for q in present[i + 1:])
     constrained = (counts > 0) & (np.count_nonzero(counts, axis=1) >= 2)[:, None]
     weights = np.where(constrained, 1.0 / np.maximum(counts, 1), 0.0).ravel()
-    return ConstraintSystem(index.cell, tuple(pairs), weights[index.cell], grid.n_s_bins)
+    return ConstraintSystem(cell, tuple(pairs), weights[cell], grid.n_s_bins)
 
 
 def binary_positive_constraint(dataset: TabularDataset) -> ConstraintSystem:
@@ -196,6 +198,19 @@ def _null_basis(M: np.ndarray) -> np.ndarray:
     u, s, _ = np.linalg.svd(M, full_matrices=True)
     rank = int(np.sum(s > s[0] * max(p, m) * np.finfo(float).eps)) if s.size else 0
     return u[:, rank:]
+
+
+def _minimize_on(P: np.ndarray, q: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Least-norm minimizer of 1/2 x^T P x - q^T x over span(basis), for a PSD P.
+
+    ``basis`` has orthonormal columns (np.eye for the whole space, a
+    `_null_basis` for linear equalities).  Directions where basis^T P basis
+    is flat at the rounding level of forming it, which is set by P's
+    largest diagonal entry, get no component (`_whiten`); an empty basis
+    gives 0.
+    """
+    T = basis @ _whiten(basis.T @ P @ basis, np.max(np.diag(P), initial=0.0))
+    return T @ (T.T @ q)
 
 
 # Quadratic smoothing widths of the hinge, coarse to fine; the last one
@@ -245,15 +260,16 @@ class _Objective:
         return grad, hess
 
 
-def _whiten(P: np.ndarray) -> np.ndarray:
-    """T with T^T P T = I on the numerical range of the PSD matrix P.
+def _whiten(P: np.ndarray, scale: float = 0.0) -> np.ndarray:
+    """T with T^T P T = I on the numerical range of the PSD n x n matrix P.
 
-    Eigenvalues at the rounding level are dropped, so T @ (T.T @ q) is the
+    Eigenvalues up to the rounding level, n eps times the largest eigenvalue
+    or ``scale`` if that is larger, are dropped, so T @ (T.T @ q) is the
     minimizer of 1/2 b^T P b - q^T b that has no component along the
     directions where P is numerically flat (null(K) of a kernel problem).
     """
     evals, evecs = np.linalg.eigh(P)
-    keep = evals > evals[-1] * P.shape[0] * np.finfo(float).eps
+    keep = evals > np.max(evals, initial=scale) * P.shape[0] * np.finfo(float).eps
     return evecs[:, keep] / np.sqrt(evals[keep])
 
 
@@ -399,47 +415,30 @@ def _solve_constrained(
 ) -> tuple[np.ndarray, dict]:
     """Minimize the sum-loss ridge objective under ||M^T beta||_1 <= epsilon.
 
-    epsilon=None drops the constraint; epsilon=0 restricts beta to an
+    epsilon=None drops the constraint and epsilon=0 restricts beta to an
     orthonormal null-space basis of M^T, where the constraint holds
-    exactly; a positive budget goes through the exact L1-constrained QP
-    `_qp_l1`.  The squared loss is one quadratic solve on that set.  Where
-    that is a linear solve (no budget or a zero one), D^T D + R is positive
-    definite: the rbf kernel's squared loss there, where K^2 + lambda K can
-    be singular, goes to `_solve_kernel_squared` instead.  The logistic
-    and hinge losses run damped Newton (`_newton`), each step minimizing
-    the local quadratic model on the same set and on the numerical range
-    of the Hessian (`_whiten`); the hinge is smoothed over the widths in
-    `_HINGE_WIDTHS` in turn, each run warm-started from the last.  max_iter
-    caps the total number of Newton steps, and reaching it raises
+    exactly; on either set a quadratic is minimized by `_minimize_on`.  A
+    positive budget goes through the exact L1-constrained QP `_qp_l1`.
+    The squared loss is one such quadratic, D^T D + R and D^T y; the rbf
+    kernel's squared loss without a positive budget goes to
+    `_solve_kernel_squared` instead.  The logistic and hinge losses run
+    damped Newton (`_newton`), each step minimizing the local quadratic
+    model on the same set; the hinge is smoothed over the widths in
+    `_HINGE_WIDTHS` in turn, each run warm-started from the last.
+    max_iter caps the total number of Newton steps, and reaching it raises
     SolverError.
 
     Returns beta and the solver trace {"iterations", "stop_reason"}.
     """
     p = D.shape[1]
     unconstrained = epsilon is None or M.shape[1] == 0
-    basis = _null_basis(M) if not unconstrained and epsilon == 0.0 else None
+    basis = np.eye(p) if unconstrained else _null_basis(M) if epsilon == 0.0 else None
 
     def newton_model(P: np.ndarray, q: np.ndarray) -> np.ndarray:
-        if not unconstrained and basis is None:
-            return _qp_l1(P, q, M, epsilon)
-        if basis is None:
-            T = _whiten(P)
-        elif basis.shape[1] == 0:
-            return np.zeros(p)
-        else:
-            T = basis @ _whiten(basis.T @ P @ basis)
-        return T @ (T.T @ q)
+        return _qp_l1(P, q, M, epsilon) if basis is None else _minimize_on(P, q, basis)
 
     if loss == "squared":
-        P, q = D.T @ D + R, D.T @ y
-        if unconstrained:
-            beta = np.linalg.solve(P, q)
-        elif basis is None:
-            beta = _qp_l1(P, q, M, epsilon)
-        elif basis.shape[1] == 0:
-            beta = np.zeros(p)
-        else:
-            beta = basis @ np.linalg.solve(basis.T @ P @ basis, basis.T @ q)
+        beta = newton_model(D.T @ D + R, D.T @ y)
         trace = {"iterations": 0, "stop_reason": "closed_form"}
     else:
         beta, steps = np.zeros(p), 0

@@ -2,7 +2,7 @@
 
 Two families live here.  The shared-representation route factorizes the
 task weight matrix as W = A B and alternates exact ridge solves for B (per
-task, decoupled) and for A (one linear system over vec(A)), keeping every
+task, decoupled) and for A (one quadratic over vec(A)), keeping every
 column of A orthogonal to each task's group-mean gap vector either exactly
 (null-space parametrization) or through a quadratic penalty.  Both
 half-steps and the objective read only per-task sufficient statistics
@@ -10,7 +10,10 @@ half-steps and the objective read only per-task sufficient statistics
 costs the same whatever the number of rows.  The
 common-mean route learns a shared weight vector plus per-group deviations
 under linear equalized-odds constraints, optionally defining groups by a
-learned sensitive-attribute predictor instead of the true attribute.
+learned sensitive-attribute predictor instead of the true attribute.  The
+A half-step and the common-mean fit minimize a quadratic on the null space
+of their equalities by `ferm._minimize_on`, whose least-norm choice fixes
+the common-mean fit where theta or lam leave the objective flat.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .dataset import TabularDataset
-from .ferm import _null_basis
+from .ferm import _minimize_on, _null_basis
 
 __all__ = [
     "MtlError",
@@ -102,10 +105,6 @@ class MultiTaskDataset:
     @property
     def d(self) -> int:
         return self.tasks[0].d
-
-    @property
-    def n_tasks(self) -> int:
-        return len(self.tasks)
 
     def missing_group_tasks(self) -> tuple[int, ...]:
         """Indices of tasks lacking one of the two sensitive groups."""
@@ -217,11 +216,7 @@ def _a_step(stats, B, lam, basis, penalty_matrix) -> np.ndarray:
     H += lam * np.eye(d * r)
     if penalty_matrix is not None:
         H += 2.0 * np.kron(np.eye(r), penalty_matrix)
-    if basis is not None:
-        lift = np.kron(np.eye(r), basis)  # columns stay inside the feasible span
-        vec = lift @ np.linalg.solve(lift.T @ H @ lift, lift.T @ g)
-    else:
-        vec = np.linalg.solve(H, g)
+    vec = _minimize_on(H, g, np.kron(np.eye(r), basis))  # every column of A inside span(basis)
     return vec.reshape((d, r), order="F")
 
 
@@ -295,7 +290,7 @@ def train_representation(
     tasks = data.tasks
     d = data.d
     gaps: tuple[np.ndarray, ...] = ()
-    basis = None
+    basis = np.eye(d)
     if constraint != "none":
         if data.missing_group_tasks():
             raise MtlError(
@@ -315,9 +310,7 @@ def train_representation(
     stats = _task_stats(tasks)
     gap_outer = sum(np.outer(c, c) for c in gaps)
     rng = np.random.default_rng(seed)
-    A0 = np.linalg.qr(rng.standard_normal((d, r)))[0][:, :r]
-    if basis is not None:
-        A0 = basis @ basis.T @ A0  # start feasible
+    A0 = basis @ basis.T @ np.linalg.qr(rng.standard_normal((d, r)))[0][:, :r]  # start feasible
 
     def fit(weight):
         penalty_matrix = None if weight is None else (weight / len(tasks)) * gap_outer
@@ -440,11 +433,13 @@ class CommonMeanModel:
     def predict(self, X: np.ndarray, groups) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         g = np.asarray(groups)
+        unknown = np.unique(g[~np.isin(g, self.classes)])
+        if unknown.size:
+            raise MtlError(f"group labels {unknown.tolist()} are not among the model's {list(self.classes)}")
         out = np.empty(X.shape[0])
         for code in self.classes:
             mask = g == code
-            if mask.any():
-                out[mask] = X[mask] @ self.group_weights(code)
+            out[mask] = X[mask] @ self.group_weights(code)
         return out
 
 
@@ -549,14 +544,8 @@ def train_common_mean(
             row[d:2 * d] = u1
             row[(i + 1) * d:(i + 2) * d] = -us
             rows.append(row)
-    E = np.array(rows) if rows else np.zeros((0, dim))
-
-    kkt = np.block([
-        [2.0 * H, E.T],
-        [E, np.zeros((E.shape[0], E.shape[0]))],
-    ])
-    rhs = np.concatenate([2.0 * g_vec, np.zeros(E.shape[0])])
-    sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:dim]
+    # the objective is x^T H x - 2 g^T x + const; least norm where theta or lam leaves it flat
+    sol = _minimize_on(H, g_vec, _null_basis(np.array(rows).reshape(-1, dim).T))
     shared = sol[:d]
     deviations = {code: sol[(i + 1) * d:(i + 2) * d] for i, code in enumerate(codes)}
     residuals = tuple(float(abs(row @ sol)) for row in rows)

@@ -4,7 +4,9 @@ Nothing here shares code with the library paths it checks: transport
 quantities are recomputed from first principles (couplings, CDF sweeps,
 grid search), cell metrics by explicit double loops, the constrained
 ridge problems by a general-purpose NLP solver on a smooth reformulation,
-and the kernel squared loss at a zero budget by null-space elimination.
+the kernel squared loss at a zero budget by null-space elimination, and
+equality-constrained quadratics (the common-mean multitask fit among them)
+by least squares on their dense KKT system.
 The CSV loader is the row-at-a-time loop (csv.reader, one Python ``float``
 per cell) that the bulk reader replaced.
 """
@@ -281,6 +283,47 @@ def common_mean_objective(X, y, groups, codes, w0, devs, theta, lam, rho) -> flo
         group_risk += float(np.mean((Xs @ ws - ys) ** 2)) / k
         reg += rho * (1.0 - lam) / k * float(devs[code] @ devs[code])
     return theta * shared_risk + (1.0 - theta) * group_risk + reg
+
+
+def reference_equality_qp(P, q, E):
+    """Least-norm minimizer of 1/2 x^T P x - q^T x subject to E^T x = 0, for a PSD P.
+
+    Solves the KKT system [[P, E], [E^T, 0]] [x; nu] = [q; 0] by least
+    squares.  Its null space is (null(P) & null(E^T)) x null(E), a product,
+    so the minimum-norm solution carries the least-norm x.
+    """
+    p, m = E.shape
+    kkt = np.block([[P, E], [E.T, np.zeros((m, m))]])
+    return np.linalg.lstsq(kkt, np.concatenate([q, np.zeros(m)]), rcond=None)[0][:p]
+
+
+def reference_common_mean(X, y, groups, theta, lam, rho, classes=("+", "-")):
+    """The squared-loss common-mean fit by its dense KKT system: (w0, {group: v}).
+
+    The objective of `common_mean_objective` is x^T H x - 2 g^T x + const in
+    x = [w0; v_1; ...; v_k] (groups sorted), built term by term from block
+    selectors; for each outcome class every group's mean score under its
+    weights w0 + v_s equals the first group's.
+    """
+    codes = np.unique(groups).tolist()
+    k, d = len(codes), X.shape[1]
+    blocks = np.eye((k + 1) * d).reshape(k + 1, d, (k + 1) * d)  # blocks[j] @ x is the j-th block
+    H = rho * lam * blocks[0].T @ blocks[0]
+    g = np.zeros((k + 1) * d)
+    for i, code in enumerate(codes, start=1):
+        Xs, ys = X[groups == code], y[groups == code]
+        for weight, S in ((theta / k, blocks[0]), ((1.0 - theta) / k, blocks[0] + blocks[i])):
+            H += weight * (Xs @ S).T @ (Xs @ S) / ys.size
+            g += weight * (Xs @ S).T @ ys / ys.size
+        H += rho * (1.0 - lam) / k * blocks[i].T @ blocks[i]
+    rows = []
+    for name, sign in (("+", 1.0), ("-", -1.0)):
+        if name in classes:
+            u = [X[(groups == c) & (y == sign)].mean(axis=0) @ (blocks[0] + blocks[i])
+                 for i, c in enumerate(codes, start=1)]
+            rows.extend(u[0] - us for us in u[1:])
+    x = reference_equality_qp(2.0 * H, 2.0 * g, np.array(rows).reshape(-1, (k + 1) * d).T)
+    return x[:d], {c: x[i * d:(i + 1) * d] for i, c in enumerate(codes, start=1)}
 
 
 class ReferenceCsvError(ValueError):

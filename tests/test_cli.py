@@ -122,6 +122,34 @@ class TestExitCodes:
         assert err == "error: row 6, column 'x0': non-finite value 'nan'\n"
 
 
+    @pytest.mark.parametrize("golden, field, literal", [
+        ("sem_fit.json", "coefficient", "NaN"), ("mtl_rep.json", "A", "NaN"),
+        ("ferm_logistic.model.json", "coef", "1e999"), ("ferm_logistic.model.json", "objective_value", "-Infinity"),
+    ])
+    def test_non_finite_document_number_is_data_error(self, tmp_path, capsys, golden, field, literal):
+        # Python's json reads NaN and Infinity, and 1e999 as inf; none is an RFC 8259 number
+        doc = json.loads((GOLDEN / golden).read_text())
+        bad, sentinel = tmp_path / "bad.json", 123.456789
+        if field == "coefficient":
+            doc["equations"][-1]["coeffs"][0] = sentinel
+            kind, argv = "SEM", ["sem", "pse", "--sem", str(bad), "--output", str(tmp_path / "r.json")]
+        elif field == "A":
+            doc["A"][0][0] = sentinel
+            kind, argv = "representation", [
+                "mtl", "transfer", "--model", str(bad), "--input", str(GOLDEN / "task_new.csv"),
+                "--schema", NEW_TASK_SCHEMA, "--output", str(tmp_path / "r.json")]
+        else:
+            if field == "coef":
+                doc["coef"][0] = sentinel
+            else:
+                doc["objective_value"] = sentinel  # no model check reads it
+            kind, argv = "model", [
+                "ferm-predict", "--model", str(bad), "--input", str(GOLDEN / "cls.csv"), "--schema", CLS_SCHEMA,
+                "--scores-output", str(tmp_path / "s.csv")]
+        bad.write_text(json.dumps(doc).replace(str(sentinel), literal))
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {kind} document {bad} holds the non-finite number {literal}\n"
+
     def test_non_finite_score_is_data_error(self, tmp_path, capsys):
         scores = write_scores(tmp_path / "scores.csv", np.random.default_rng(0), n_per_group=5)
         lines = scores.read_text().splitlines()

@@ -12,8 +12,6 @@ from fairkit.dataset import (
     factorize,
     load_csv,
     make_grid,
-    partition,
-    split,
     to_csv,
     write_table,
 )
@@ -346,16 +344,18 @@ class TestMakeGrid:
 
 
 class TestPartition:
+    """``DiscretizationGrid.cell_ids``: each record's flat cell k * Q + q and the cell counts."""
+
     def test_four_singleton_cells(self):
         data = toy_dataset([1, 1, -1, -1], [0, 1, 0, 1])
-        index = partition(data, make_grid(data, 2, 2))
-        assert index.counts.tolist() == [[1, 1], [1, 1]]
+        _, counts = make_grid(data, 2, 2).cell_ids(data.outcome, data.sensitive)
+        assert counts.tolist() == [[1, 1], [1, 1]]
 
     def test_degenerate_single_cell(self):
         data = toy_dataset([1.0] * 5 + [2.0], [0.0] * 5 + [1.0])
-        grid = make_grid(data, 1, 1)
-        index = partition(data, grid)
-        assert index.counts.tolist() == [[6]]
+        cell, counts = make_grid(data, 1, 1).cell_ids(data.outcome, data.sensitive)
+        assert counts.tolist() == [[6]]
+        assert cell.tolist() == [0] * 6
 
     def test_counts_match_double_loop(self):
         rng = np.random.default_rng(3)
@@ -363,7 +363,7 @@ class TestPartition:
         s = rng.normal(size=1000)
         data = toy_dataset(y, s)
         grid = make_grid(data, 3, 3)
-        index = partition(data, grid)
+        cell, counts = grid.cell_ids(data.outcome, data.sensitive)
         brute = np.zeros((3, 3), dtype=int)
         for yi, si in zip(y, s):
             for k in range(3):
@@ -373,69 +373,19 @@ class TestPartition:
                         and grid.s_edges[q] <= si < grid.s_edges[q + 1]
                     ):
                         brute[k, q] += 1
-        np.testing.assert_array_equal(index.counts, brute)
+        np.testing.assert_array_equal(counts, brute)
         for k in range(3):
             for q in range(3):
-                np.testing.assert_array_equal(index.indices(k, q), np.flatnonzero(
+                np.testing.assert_array_equal(np.flatnonzero(cell == k * 3 + q), np.flatnonzero(
                     (grid.y_edges[k] <= y) & (y < grid.y_edges[k + 1])
                     & (grid.s_edges[q] <= s) & (s < grid.s_edges[q + 1])))
-        assert index.counts.sum() == 1000
-        assert index.group_probs.sum() == pytest.approx(1.0)
+        assert counts.sum() == 1000
 
     def test_record_outside_grid(self):
         data = toy_dataset([0.0, 10.0], [0, 1])
         grid = make_grid(toy_dataset([0.0, 1.0], [0, 1]), 2, 2)
         with pytest.raises(DatasetError, match="outside the grid"):
-            partition(data, grid)
-
-
-class TestSplit:
-    def test_deterministic(self):
-        data = toy_dataset(np.arange(10.0), [0, 0, 0, 0, 0, 0, 1, 1, 1, 1])
-        a = split(data, 0.5, seed=7)
-        b = split(data, 0.5, seed=7)
-        np.testing.assert_array_equal(a.train.outcome, b.train.outcome)
-        np.testing.assert_array_equal(a.test.outcome, b.test.outcome)
-
-    def test_stratified_counts(self):
-        data = toy_dataset(np.arange(10.0), [0, 0, 0, 0, 0, 0, 1, 1, 1, 1])
-        result = split(data, 0.5, seed=7)
-        assert result.stratified
-        assert int((result.train.sensitive == 0).sum()) == 3
-        assert int((result.train.sensitive == 1).sum()) == 2
-
-    def test_seed_changes_permutation_not_counts(self):
-        data = toy_dataset(np.arange(10.0), [0, 0, 0, 0, 0, 0, 1, 1, 1, 1])
-        a = split(data, 0.5, seed=1)
-        b = split(data, 0.5, seed=2)
-        assert sorted(a.train.outcome) != sorted(b.train.outcome)
-        for result in (a, b):
-            assert int((result.train.sensitive == 0).sum()) == 3
-
-    def test_small_group_falls_back_unstratified(self):
-        data = toy_dataset(np.arange(5.0), [0, 0, 0, 0, 1])
-        result = split(data, 0.4, seed=0)
-        assert not result.stratified
-        assert result.train.n_records + result.test.n_records == 5
-
-    def test_counts_within_one_of_fraction(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            n = int(rng.integers(6, 60))
-            s = rng.integers(0, 3, size=n)
-            if np.unique(s, return_counts=True)[1].min() < 2:
-                continue
-            data = toy_dataset(rng.normal(size=n), s)
-            frac = float(rng.uniform(0.2, 0.8))
-            result = split(data, frac, seed=int(rng.integers(1000)))
-            for code, count in zip(*np.unique(s, return_counts=True)):
-                got = int((result.train.sensitive == code).sum())
-                assert abs(got - frac * count) <= 1.0
-
-    def test_bad_fraction(self):
-        data = toy_dataset([1.0, 2.0], [0, 1])
-        with pytest.raises(DatasetError):
-            split(data, 1.0, seed=0)
+            grid.cell_ids(data.outcome, data.sensitive)
 
 
 class TestRegistry:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fairkit import ferm
 from fairkit.dataset import dataset_from_columns, make_grid
@@ -19,6 +19,8 @@ from fairkit.ferm import (
     train_gferm,
 )
 from fairkit.ferm import (  # white-box solver checks
+    _minimize_on,
+    _null_basis,
     _Objective,
     _qp_l1,
     _solve_constrained,
@@ -30,6 +32,7 @@ from oracles import (
     dense_constraint_matrix,
     dense_weight_grid_search,
     reference_constrained_erm,
+    reference_equality_qp,
     reference_kernel_null_space,
 )
 
@@ -182,7 +185,45 @@ class TestQpL1:
         assert squared_value(X, y, lam, beta) <= ref + 1e-9 * (1.0 + ref)
 
 
+def well_separated(values, top):
+    """No value between 1e-12 and 1e-6 of ``top``: each is rounding or clearly real."""
+    return not np.any((values > 1e-12 * top) & (values < 1e-6 * top))
+
+
 class TestUnconstrainedAndEquality:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(1, 8),
+        rank_cut=st.integers(1, 8),
+        m=st.integers(0, 4),
+        repeat_column=st.booleans(),
+    )
+    # the restricted matrix has an eigenvalue of 7.9e-17, above the reduced
+    # matrix's own rounding level but below that of P, from which it was formed
+    @example(seed=3217869111, p=4, rank_cut=3, m=2, repeat_column=True)
+    def test_minimize_on_is_the_least_norm_feasible_minimizer(self, seed, p, rank_cut, m, repeat_column):
+        # P = L L^T of rank below p; q = P z + E w keeps the problem bounded on {E^T x = 0}
+        rng = np.random.default_rng(seed)
+        L = rng.normal(size=(p, max(p - rank_cut, 0)))
+        P = L @ L.T
+        E = rng.normal(size=(p, m))
+        if repeat_column and m:
+            E = np.column_stack([E, E[:, :1]])
+        q = P @ rng.normal(size=p) + E @ rng.normal(size=E.shape[1])
+        # the feasible set and the least-norm point on it are numerically defined
+        # where E's singular values and P's curvature on that set part clearly
+        # into rounding-level and real ones
+        N = _null_basis(E)
+        singular = np.linalg.svd(E, compute_uv=False)
+        assume(well_separated(singular, np.max(singular, initial=0.0)))
+        assume(well_separated(np.linalg.eigvalsh(N.T @ P @ N), np.max(np.diag(P))))
+        x = _minimize_on(P, q, N)
+        ref = reference_equality_qp(P, q, E)
+        scale = 1.0 + np.linalg.norm(ref)
+        assert np.linalg.norm(E.T @ x) <= 1e-10 * scale * (1.0 + np.linalg.norm(E))
+        np.testing.assert_allclose(x, ref, atol=1e-8 * scale)
+
     def test_unconstrained_matches_ridge(self):
         rng = np.random.default_rng(5)
         data = classification_dataset(rng)

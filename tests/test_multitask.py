@@ -13,7 +13,7 @@ from fairkit.multitask import (
     transfer,
 )
 
-from oracles import common_mean_objective, mtl_objective
+from oracles import common_mean_objective, mtl_objective, reference_common_mean
 
 
 def synthetic_tasks(rng, T=3, d=10, n=200, gap_direction=None, gap_scale=2.0, noise=0.1):
@@ -344,6 +344,36 @@ class TestCommonMean:
         task = common_mean_task(rng, n=200)
         model = train_common_mean(task, theta=0.5, lam=0.5, rho=2.0, loss="linear")
         assert max(model.constraint_residuals) <= 1e-8
+
+    @pytest.mark.parametrize("theta, lam, duplicate", [(1.0, 1.0, False), (0.5, 0.0, True)],
+                             ids=["theta1-lam1", "lam0-duplicated-column"])
+    def test_matches_kkt_oracle_where_the_objective_is_flat(self, theta, lam, duplicate):
+        # theta = lam = 1 leaves every deviation out of the objective; lam = 0
+        # with a duplicated column leaves w0 free along their difference: the
+        # fit is the least-norm minimizer, as the KKT least-squares solution
+        rng = np.random.default_rng(19)
+        task = common_mean_task(rng, n=300, k=3)
+        if duplicate:
+            task = Task(task.sensitive, np.column_stack([task.features, task.features[:, 1]]), task.outcome)
+        model = train_common_mean(task, theta=theta, lam=lam, rho=0.8)
+        w0, devs = reference_common_mean(task.features, task.outcome, task.sensitive, theta, lam, 0.8)
+        np.testing.assert_allclose(model.shared, w0, atol=1e-10)
+        for code in model.classes:
+            np.testing.assert_allclose(model.deviations[code], devs[code], atol=1e-10)
+        assert max(model.constraint_residuals) <= 1e-12
+        if duplicate:
+            assert model.shared[1] == pytest.approx(model.shared[-1], abs=1e-12)
+
+    def test_predict_rejects_unknown_group_labels(self):
+        rng = np.random.default_rng(20)
+        task = common_mean_task(rng, n=200)
+        model = train_common_mean(task)
+        np.testing.assert_allclose(
+            model.predict(task.features[:2], [1.0, 0.0]),
+            [task.features[0] @ model.group_weights(1.0), task.features[1] @ model.group_weights(0.0)],
+            rtol=1e-14, atol=1e-12)
+        with pytest.raises(MtlError, match=r"group labels \[2\.0, 7\.0\] are not among"):
+            model.predict(task.features[:3], [0.0, 2.0, 7.0])
 
     def test_empty_constraint_cell_rejected(self):
         task = Task(
