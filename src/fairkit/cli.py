@@ -84,10 +84,9 @@ def _float_list(text: str) -> list[float]:
 
 
 def _read_document(path, kind: str, convert):
-    """``convert`` applied to the JSON document at ``path``, with its faults as data errors.
-
-    A non-finite number (``NaN``, ``Infinity``, or a literal such as 1e999
-    that overflows to inf) is refused, as is a missing or ill-typed field.
+    """``convert`` of the JSON document at ``path``; a non-finite number (``NaN``,
+    ``Infinity``, or a literal such as 1e999 that overflows) and a missing or
+    ill-typed field are data errors.
     """
     def finite(text):
         if not math.isfinite(value := float(text)):

@@ -7,12 +7,11 @@ are collected into constraint columns, and the constraint reads
 ``||A^T w||_1 <= epsilon``.  A zero budget turns the bound into exact
 linear equalities, solved by null-space elimination; a positive budget
 goes through an exact L1-constrained quadratic program (a dual active-set
-method over the facets of the L1 ball).  One helper, `_minimize_on`,
-gives the least-norm minimizer of a quadratic on a subspace; it serves
-the zero budget and the unconstrained problem here and the
-equality-constrained solves of `multitask`.  The squared loss is one such
-solve; the logistic and the (quadratically smoothed) hinge losses run
-damped Newton steps over the same feasible set until the Newton decrement
+method over the facets of the L1 ball).  Unconstrained or at a zero budget,
+`_minimize_on` (shared with `multitask`) gives the least-norm minimizer of
+a quadratic on the feasible subspace.  The squared loss is one such solve;
+the logistic and the (quadratically smoothed) hinge losses run damped
+Newton steps over the same feasible set until the Newton decrement
 vanishes, and a run that does not converge raises SolverError.  The rbf
 kernel's squared loss, at a zero budget or unconstrained, is instead
 solved on K + lambda I and an m x m system for the multipliers, which
@@ -207,9 +206,11 @@ def _minimize_on(P: np.ndarray, q: np.ndarray, basis: np.ndarray) -> np.ndarray:
     `_null_basis` for linear equalities).  Directions where basis^T P basis
     is flat at the rounding level of forming it, which is set by P's
     largest diagonal entry, get no component (`_whiten`); an empty basis
-    gives 0.
+    gives 0.  A square basis spans the whole space, so P is used as it is.
     """
-    T = basis @ _whiten(basis.T @ P @ basis, np.max(np.diag(P), initial=0.0))
+    scale = np.max(np.diag(P), initial=0.0)
+    square = basis.shape[0] == basis.shape[1]
+    T = _whiten(P, scale) if square else basis @ _whiten(basis.T @ P @ basis, scale)
     return T @ (T.T @ q)
 
 

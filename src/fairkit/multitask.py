@@ -10,10 +10,10 @@ half-steps and the objective read only per-task sufficient statistics
 costs the same whatever the number of rows.  The
 common-mean route learns a shared weight vector plus per-group deviations
 under linear equalized-odds constraints, optionally defining groups by a
-learned sensitive-attribute predictor instead of the true attribute.  The
-A half-step and the common-mean fit minimize a quadratic on the null space
-of their equalities by `ferm._minimize_on`, whose least-norm choice fixes
-the common-mean fit where theta or lam leave the objective flat.
+learned sensitive-attribute predictor instead of the true attribute.  Its
+fit and the A half-step are least-norm solves on the null space of their
+equalities (`ferm._minimize_on`), determined where theta or lam leave the
+objective flat.
 """
 
 from __future__ import annotations
