@@ -49,16 +49,25 @@ def _write_sweep(path, rows) -> None:
                    [np.array(x, dtype=float), np.array(series, dtype=object), np.array(value, dtype=float)])
 
 
+def _json_text(doc) -> str:
+    """``doc`` as indented JSON with sorted keys.  JSON has no NaN or infinity,
+    so a result holding one is a solver failure rather than invalid output.
+    """
+    try:
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise ferm.SolverError("the result holds NaN or infinity, which JSON cannot represent") from None
+
+
 def _report_doc(command: str, seed: int, results: dict) -> str:
-    doc = {"schema_version": SCHEMA_VERSION, "command": command, "seed": seed, "results": results}
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return _json_text({"schema_version": SCHEMA_VERSION, "command": command, "seed": seed, "results": results})
 
 
 def _parse_schema(text: str) -> dict:
     if text.startswith("@"):
-        with open(text[1:], encoding="utf-8") as fh:
-            text = fh.read()
-    schema = json.loads(text)
+        schema = _read_document(text[1:], "schema", lambda doc: doc)
+    else:
+        schema = json.loads(text)
     if not isinstance(schema, dict):
         raise ds.DatasetError("schema must be a JSON object mapping column -> role")
     return schema
@@ -84,9 +93,9 @@ def _float_list(text: str) -> list[float]:
 
 
 def _read_document(path, kind: str, convert):
-    """``convert`` of the JSON document at ``path``; a non-finite number (``NaN``,
-    ``Infinity``, or a literal such as 1e999 that overflows) and a missing or
-    ill-typed field are data errors.
+    """``convert`` of the JSON document at ``path``; text that is not JSON, a
+    non-finite number (``NaN``, ``Infinity``, or a literal such as 1e999 that
+    overflows) and a missing or ill-typed field are data errors.
     """
     def finite(text):
         if not math.isfinite(value := float(text)):
@@ -94,7 +103,10 @@ def _read_document(path, kind: str, convert):
         return value
 
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh, parse_float=finite, parse_constant=finite)
+        try:
+            doc = json.load(fh, parse_float=finite, parse_constant=finite)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ds.DatasetError(f"{kind} document {path} is not JSON: {exc}") from None
     try:
         return convert(doc)
     except KeyError as exc:
@@ -223,7 +235,7 @@ def cmd_ferm_train(args) -> int:
     )
     grid = ds.make_grid(data, args.grid_k, args.grid_q)
     model = ferm.train_gferm(problem, data, grid)
-    _write_text(args.model_output, json.dumps(_model_to_json(model), sort_keys=True, indent=2) + "\n")
+    _write_text(args.model_output, _json_text(_model_to_json(model)))
     results = {
         "constraint_report": model.constraint_report,
         "objective_value": model.objective_value,
@@ -330,7 +342,7 @@ def cmd_sem_fit(args) -> int:
     data = ds.load_csv(args.input, _parse_schema(args.schema), outcome_kind="regression")
     cols = {c.name: data.column(c.name) for c in data.schema if c.role != "ignore"}
     fitted = causal.fit(cols, skeleton)
-    _write_text(args.output, json.dumps(_sem_to_json(fitted), sort_keys=True, indent=2) + "\n")
+    _write_text(args.output, _json_text(_sem_to_json(fitted)))
     return 0
 
 
@@ -413,7 +425,7 @@ def cmd_mtl_train_rep(args) -> int:
         tasks, r=args.r, lam=args.lam, constraint=args.mode,
         penalty=args.penalty, epsilon=args.eps, seed=args.seed,
     )
-    _write_text(args.output, json.dumps(_rep_to_json(model), sort_keys=True, indent=2) + "\n")
+    _write_text(args.output, _json_text(_rep_to_json(model)))
     return 0
 
 

@@ -78,6 +78,10 @@ class KernelSpec:
             raise FermError("rbf kernel needs gamma > 0")
 
 
+# Elements of the |x|^2 + |z|^2 block that `kernel_matrix` forms at a time.
+_KERNEL_BLOCK = 1 << 16
+
+
 def kernel_matrix(spec: KernelSpec, X: np.ndarray, Z: np.ndarray | None = None) -> np.ndarray:
     """Gram matrix k(x_i, z_j), refused above the ``dataset.MAX_FEATURE_BYTES`` cap."""
     Z = X if Z is None else Z
@@ -88,11 +92,17 @@ def kernel_matrix(spec: KernelSpec, X: np.ndarray, Z: np.ndarray | None = None) 
             f" above the {ds.MAX_FEATURE_BYTES / 2**30:g} GiB limit")
     if spec.kind == "linear":
         return X @ Z.T
-    # |x|^2 + |z|^2 - (2 x) . z, in place after the sum; 2 (X Z^T) would
-    # let numpy take syrk for X is Z, which rounds differently
-    cross = (2.0 * X) @ Z.T
-    out = np.sum(X * X, axis=1)[:, None] + np.sum(Z * Z, axis=1)[None, :]
-    out -= cross
+    # (|x|^2 + |z|^2) - (2 x) . z, formed in the one (2 X) Z^T buffer: the
+    # norm sums of a block of rows are taken at a time and the cross term
+    # subtracted from them in place, so the rbf kernel needs one n x m
+    # matrix and a block of _KERNEL_BLOCK elements.  2 (X Z^T) would let
+    # numpy take syrk for X is Z, which rounds differently
+    out = (2.0 * X) @ Z.T
+    sx, sz = np.sum(X * X, axis=1), np.sum(Z * Z, axis=1)
+    step = max(1, _KERNEL_BLOCK // max(Z.shape[0], 1))
+    for start in range(0, X.shape[0], step):
+        rows = out[start:start + step]
+        np.subtract(sx[start:start + step, None] + sz, rows, out=rows)
     np.maximum(out, 0.0, out=out)
     out *= -spec.gamma
     return np.exp(out, out=out)
@@ -450,9 +460,10 @@ def _solve_constrained(
 
 
 def _solve_kernel_squared(
-    K: np.ndarray, y: np.ndarray, lam: float, M: np.ndarray, C: np.ndarray | None,
-) -> tuple[np.ndarray, dict]:
-    """Kernel squared loss under M^T beta = 0 (M = K C), or unconstrained when C is None.
+    K: np.ndarray, y: np.ndarray, lam: float, cs: ConstraintSystem, epsilon: float | None,
+) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Kernel squared loss under M^T beta = 0, M = K C for the C of ``cs``; unconstrained
+    when epsilon is None.
 
     Every term carries the factor K (D = K, R = lam K, M = K C), so the
     KKT conditions K ((K + lam I) beta - y + C nu) = 0, M^T beta = 0 are
@@ -461,17 +472,29 @@ def _solve_kernel_squared(
     (M^T S C) nu = M^T S y (by least squares: pairs of one bin can be
     redundant), and beta = S y - S C nu.  Unlike a solve with K^2 + lam K,
     this determines beta even where K is numerically singular.
+
+    K + lam I is K shifted in place: lam is added to K's diagonal and the
+    saved diagonal is written back once the solve returns or raises, so K
+    is left bit for bit as it was and LAPACK's copy is the only other
+    n x n matrix.  M = ``cs.mean_differences(K)`` is formed after the
+    solve: formed before it, its per-cell row copies of K stay in the
+    allocator's heap beneath LAPACK's buffer and raise the peak.  Returns
+    beta, M and the solver trace.
     """
-    A = K.copy()
-    A[np.diag_indices_from(A)] += lam
-    if C is None:
-        beta = np.linalg.solve(A, y)
+    diagonal = K.diagonal().copy()
+    K[np.diag_indices_from(K)] += lam
+    try:
+        S = np.linalg.solve(K, y if epsilon is None else np.column_stack([y, cs.matrix()]))
+    finally:
+        K[np.diag_indices_from(K)] = diagonal
+    M = cs.mean_differences(K)
+    if epsilon is None:
+        beta = S
     else:
-        S = np.linalg.solve(A, np.column_stack([y, C]))
         nu = np.linalg.lstsq(M.T @ S[:, 1:], M.T @ S[:, 0], rcond=None)[0]
         beta = S[:, 0] - S[:, 1:] @ nu
     trace = {"iterations": 0, "stop_reason": "closed_form"}
-    return _checked(beta, M, None if C is None else 0.0), trace
+    return _checked(beta, M, epsilon), M, trace
 
 
 def _checked(beta: np.ndarray, M: np.ndarray, epsilon: float | None) -> np.ndarray:
@@ -573,13 +596,12 @@ def _train(problem: FairERMProblem, dataset: TabularDataset, cs: ConstraintSyste
     loss, lam, kernel = problem.loss, problem.lam, problem.kernel
     Z, y = design_matrix(dataset, problem.include_sensitive), dataset.outcome
     D = Z if kernel.kind == "linear" else kernel_matrix(kernel, Z)
-    M = cs.mean_differences(D)
     eff_epsilon = None if cs.degenerate else problem.epsilon
     if kernel.kind == "rbf" and loss == "squared" and eff_epsilon in (None, 0.0):
-        C = None if eff_epsilon is None else cs.matrix()
-        beta, trace = _solve_kernel_squared(D, y, lam, M, C)
+        beta, M, trace = _solve_kernel_squared(D, y, lam, cs, eff_epsilon)
         R = lam * D
     else:
+        M = cs.mean_differences(D)
         R = lam * (np.eye(Z.shape[1]) if kernel.kind == "linear" else D)
         beta, trace = _solve_constrained(D, y, R, M, loss, eff_epsilon, max_iter=max_iter)
     obj = _Objective(D, y, R, loss)

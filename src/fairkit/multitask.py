@@ -342,7 +342,7 @@ def train_representation(
 class TransferResult(NamedTuple):
     coefficients: np.ndarray
     weights: np.ndarray
-    fairness_diagnostic: float
+    fairness_diagnostic: float | None
 
 
 def transfer(model: RepresentationModel, task: Task, lam: float) -> TransferResult:
@@ -350,7 +350,8 @@ def transfer(model: RepresentationModel, task: Task, lam: float) -> TransferResu
 
     The diagnostic reports ||A^T c(task)|| with A renormalized to unit
     Frobenius norm, estimating how well the representation's group-mean
-    orthogonality carries over to the new task.
+    orthogonality carries over to the new task; it is None when the task
+    does not hold exactly two groups, where c(task) is undefined.
     """
     if task.d != model.A.shape[0]:
         raise MtlError("feature dimension mismatch")
@@ -362,7 +363,7 @@ def transfer(model: RepresentationModel, task: Task, lam: float) -> TransferResu
     try:
         diag = float(np.linalg.norm(model.normalized_A().T @ conditional_mean_gap(task)))
     except MtlError:
-        diag = float("nan")
+        diag = None
     return TransferResult(coefficients=b, weights=model.A @ b, fairness_diagnostic=diag)
 
 

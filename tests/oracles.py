@@ -4,7 +4,8 @@ Nothing here shares code with the library paths it checks: transport
 quantities are recomputed from first principles (couplings, CDF sweeps,
 grid search), cell metrics by explicit double loops, the constrained
 ridge problems by a general-purpose NLP solver on a smooth reformulation,
-the kernel squared loss at a zero budget by null-space elimination, and
+the rbf Gram matrix by its two-matrix formula, the kernel squared loss at
+a zero budget by null-space elimination, and
 equality-constrained quadratics (the common-mean multitask fit among them)
 by least squares on their dense KKT system.
 The CSV loader is the row-at-a-time loop (csv.reader, one Python ``float``
@@ -212,6 +213,21 @@ def reference_constrained_erm(X, y, lam, A, epsilon, loss="squared"):
     else:
         obj = float(np.sum(np.maximum(0.0, 1.0 - y * (X @ w))) + lam * w @ w)
     return w, obj
+
+
+def two_matrix_rbf_kernel(gamma, X, Z):
+    """exp(-gamma max(0, (|x|^2 + |z|^2) - (2 x) . z)) with the cross term and
+    the norm sums each held in an n x m matrix of its own.
+
+    Each entry goes through the same floating-point operations as in the
+    library's blocked form, so the two agree bit for bit.
+    """
+    cross = (2.0 * X) @ Z.T
+    out = np.sum(X * X, axis=1)[:, None] + np.sum(Z * Z, axis=1)[None, :]
+    out -= cross
+    np.maximum(out, 0.0, out=out)
+    out *= -gamma
+    return np.exp(out)
 
 
 def reference_kernel_null_space(K, y, lam, M):

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import csv
 import importlib.util
 import io
@@ -228,6 +229,45 @@ class TestExitCodes:
         code = main(["mtl", "transfer", "--model", str(doc), "--input", str(data), "--schema", schema])
         assert code == 2
         assert capsys.readouterr().err == "error: representation document lacks the field 'A'\n"
+
+    @pytest.mark.parametrize("flag, kind, source", [
+        ("--model", "model", "ferm_logistic.model.json"),
+        ("--sem", "SEM", "sem_fit.json"),
+        ("--schema", "schema", None),
+    ])
+    def test_truncated_document_names_its_file(self, tmp_path, capsys, flag, kind, source):
+        bad = tmp_path / "truncated.json"
+        text = CLS_SCHEMA if source is None else (GOLDEN / source).read_text()
+        bad.write_text(text[:60 if source else 30])
+        out = str(tmp_path / "out")
+        argv = {
+            "--model": ["ferm-predict", "--model", str(bad), "--input", str(GOLDEN / "cls.csv"),
+                        "--schema", CLS_SCHEMA, "--scores-output", out],
+            "--sem": ["sem", "pse", "--sem", str(bad), "--output", out],
+            "--schema": ["ferm-train", "--input", str(GOLDEN / "cls.csv"), "--schema", f"@{bad}",
+                         "--model-output", out, "--output", out],
+        }[flag]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {kind} document {bad} is not JSON: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("written", ["report", "model"])
+    def test_non_finite_result_is_solver_failure(self, tmp_path, capsys, monkeypatch, written):
+        # JSON has no NaN or infinity; json.dumps would write the bare literal
+        out, model = tmp_path / "r.json", tmp_path / "m.json"
+        if written == "report":
+            monkeypatch.setattr(causal, "path_specific_effect", lambda *args: float("nan"))
+            argv = ["sem", "pse", "--scenario", "college", "--output", str(out)]
+        else:
+            train = ferm.train_gferm
+            monkeypatch.setattr(ferm, "train_gferm", lambda *args: dataclasses.replace(
+                train(*args), objective_value=float("inf")))
+            argv = ["ferm-train", "--input", str(GOLDEN / "cls.csv"), "--schema", CLS_SCHEMA,
+                    "--model-output", str(model), "--output", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "solver failure: the result holds NaN or infinity, which JSON cannot represent\n")
+        assert not out.exists() and not model.exists()
 
     @pytest.mark.parametrize("command", [
         ["repair", "--input", "s.csv", "--t", "1", "--sweep", "0,abc"],
@@ -839,6 +879,25 @@ class TestMtlCommands:
         ])
         assert code == 0
         assert "fairness_diagnostic" in json.loads(report.read_text())["results"]
+
+    def test_transfer_to_one_group_has_null_diagnostic(self, tmp_path):
+        # the group-mean gap needs two groups; the report stays RFC 8259 JSON
+        header, *rows = (GOLDEN / "task_new.csv").read_text().splitlines()
+        g = header.split(",").index("g")
+        data = tmp_path / "one_group.csv"
+        data.write_text("\n".join([header] + [r for r in rows if r.split(",")[g] == "0"]) + "\n")
+        report = tmp_path / "transfer.json"
+        assert main([
+            "mtl", "transfer", "--model", str(GOLDEN / "mtl_rep.json"), "--input", str(data),
+            "--schema", NEW_TASK_SCHEMA, "--lambda", "0.1", "--output", str(report),
+        ]) == 0
+
+        def refuse(literal):
+            raise AssertionError(f"the report holds the literal {literal}")
+
+        results = json.loads(report.read_text(), parse_constant=refuse)["results"]
+        assert results["fairness_diagnostic"] is None
+        assert np.all(np.isfinite(results["coefficients"]))
 
     def test_train_rep_document_round_trip(self, tmp_path):
         data, schema = write_multitask_csv(tmp_path / "tasks.csv", np.random.default_rng(9))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -34,6 +36,7 @@ from oracles import (
     reference_constrained_erm,
     reference_equality_qp,
     reference_kernel_null_space,
+    two_matrix_rbf_kernel,
 )
 
 
@@ -265,7 +268,7 @@ class TestUnconstrainedAndEquality:
         w, _ = _solve_constrained(X, y, lam * np.eye(X.shape[1]), cs.mean_differences(X),
                                   "squared", 0.0)
         K = X @ X.T  # rank 4 of 40
-        alpha, _ = _solve_kernel_squared(K, y, lam, cs.mean_differences(K), cs.matrix())
+        alpha, _, _ = _solve_kernel_squared(K, y, lam, cs, 0.0)
         X_new = rng.normal(size=(15, X.shape[1]))
         np.testing.assert_allclose(X_new @ w, (X_new @ X.T) @ alpha, atol=1e-8)
 
@@ -361,6 +364,81 @@ class TestKernelSquared:
         assert model.constraint_report["degenerate"]
         K = kernel_matrix(spec, data.features)
         np.testing.assert_allclose((K + 0.1 * np.eye(30)) @ model.dual_coef, data.outcome, atol=1e-10)
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak bytes that numpy and Python allocated during the call."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestKernelWorkingSet:
+    """The rbf path holds K and, while solving, LAPACK's copy of K + lambda I."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 400),
+        blocks=st.integers(0, 3),
+        d=st.integers(1, 5),
+        gamma=st.sampled_from([1e-3, 0.1, 2.0]),
+        same=st.booleans(),
+    )
+    @example(seed=0, m=300, blocks=0, d=2, gamma=0.1, same=True)  # blocks of 218 and 82 rows
+    def test_kernel_matrix_equals_two_matrix_formula(self, seed, m, blocks, d, gamma, same):
+        # X is Z has m rows; otherwise X takes `blocks` full row blocks and a part of one
+        step = ferm._KERNEL_BLOCK // m  # rows per block, at least 163 here
+        rng = np.random.default_rng(seed)
+        n = m if same else blocks * step + int(rng.integers(1, step))
+        Z = rng.normal(size=(m, d)) * rng.choice([0.1, 1.0, 30.0])
+        Z[rng.integers(0, m, m // 3)] = Z[0]  # repeated rows meet the clamp at 0
+        X = Z if same else rng.normal(size=(n, d))
+        spec = KernelSpec("rbf", gamma=gamma)
+        got = kernel_matrix(spec, X) if same else kernel_matrix(spec, X, Z)
+        np.testing.assert_array_equal(got, two_matrix_rbf_kernel(gamma, X, X if same else Z))
+
+    @pytest.mark.parametrize("same", [True, False])
+    def test_kernel_matrix_holds_one_matrix_and_a_block(self, same):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(700, 3))
+        Z = X if same else rng.normal(size=(450, 3))
+        K, peak = traced_peak(kernel_matrix, KernelSpec("rbf", gamma=0.5), X, Z)
+        # 2**18 bytes cover the norm vectors and the two 8192-element buffers of numpy's
+        # broadcast add
+        assert peak <= K.nbytes + 8 * ferm._KERNEL_BLOCK + 2**18
+
+    @pytest.mark.parametrize("epsilon", [0.0, None])
+    def test_solve_restores_k_and_copies_no_matrix(self, epsilon):
+        data, grid, _ = kernel_problem(9, 600, 3, 2, 2)
+        cs = build_constraints(data, grid)
+        K = kernel_matrix(KernelSpec("rbf", gamma=0.5), data.features)
+        before = K.tobytes()
+        (beta, M, _), peak = traced_peak(_solve_kernel_squared, K, data.outcome, 0.1, cs, epsilon)
+        assert peak < K.nbytes
+        assert K.tobytes() == before
+        assert np.array_equal(M, cs.mean_differences(K))
+        if epsilon == 0.0:
+            assert np.abs(M.T @ beta).sum() <= 1e-10 * np.abs(M).sum() * np.abs(beta).max()
+        else:
+            np.testing.assert_allclose((K + 0.1 * np.eye(600)) @ beta, data.outcome, atol=1e-8)
+
+    @pytest.mark.parametrize("epsilon", [0.0, None])
+    def test_singular_shift_raises_and_restores_k(self, epsilon):
+        data, grid, _ = kernel_problem(10, 20, 2, 2, 2)
+        cs = build_constraints(data, grid)
+        K = np.random.default_rng(10).normal(size=(20, 20))
+        K[3] = 0.0
+        K[3, 3] = -0.5  # row 3 of K + 0.5 I is exactly zero
+        before = K.tobytes()
+        with pytest.raises(np.linalg.LinAlgError):
+            _solve_kernel_squared(K, data.outcome, 0.5, cs, epsilon)
+        assert K.tobytes() == before
 
 
 class TestBudgetedSolver:
