@@ -34,6 +34,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from . import dataset as ds
 from .dataset import TabularDataset, dataset_from_columns
 
 __all__ = [
@@ -251,18 +252,39 @@ def _residuals(sem: LinearSEM, observed: Mapping[str, np.ndarray], names) -> dic
     return {name: observed[name] - fitted[name] for name in names}
 
 
+def _refuse_working_set(what: str, n: int, columns: int) -> None:
+    """Refuse ``columns`` float64 columns of ``n`` rows above the ``dataset.MAX_FEATURE_BYTES`` cap."""
+    size = columns * n * 8
+    if size > ds.MAX_FEATURE_BYTES:
+        raise CausalError(
+            f"{what} needs {size / 2**30:.1f} GiB, above the {ds.MAX_FEATURE_BYTES / 2**30:g} GiB limit")
+
+
+def _draw_noise(sem: LinearSEM, rng: np.random.Generator, n: int) -> dict[str, np.ndarray]:
+    """One standard normal per record for each equation in order, scaled in place by its noise_std."""
+    noise = {}
+    for eq in sem.equations:
+        z = rng.standard_normal(n)
+        noise[eq.name] = np.multiply(eq.noise_std, z, out=z)
+    return noise
+
+
 def simulate(sem: LinearSEM, n: int, seed: int | np.random.Generator = 0) -> dict[str, np.ndarray]:
     """Ancestral sampling of every variable, deterministic per seed.
 
     The draws are one uniform per record for the root, then one standard
-    normal per record for each equation in order.
+    normal per record for each equation in order.  The working set, the
+    root and each equation's noise and values, is (2 x equations + 1) x n
+    float64 values; above ``dataset.MAX_FEATURE_BYTES`` it is refused
+    before the first draw.
     """
     if n < 1:
         raise CausalError("n must be >= 1")
+    _refuse_working_set(f"sample of {n} records", n, 2 * len(sem.equations) + 1)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     v0, v1 = sem.sensitive_values
     root = np.where(rng.random(n) < sem.pi, v1, v0)
-    return _replay(sem, root, {eq.name: eq.noise_std * rng.standard_normal(n) for eq in sem.equations})
+    return _replay(sem, root, _draw_noise(sem, rng, n))
 
 
 def sample(sem: LinearSEM, n: int, seed: int = 0) -> TabularDataset:
@@ -333,6 +355,10 @@ def path_specific_effect(sem: LinearSEM, paths: PathSelection, a: float, a_bar: 
     return float(total * (a_bar - a))
 
 
+# Rows of both worlds that `path_specific_effect_mc` replays at a time.
+_MC_BLOCK = 1 << 16
+
+
 def path_specific_effect_mc(
     sem: LinearSEM,
     paths: PathSelection,
@@ -345,15 +371,30 @@ def path_specific_effect_mc(
 
     Both worlds share the same noise draws (common random numbers), so for
     linear models the estimate matches the closed form up to rounding.
+
+    Each equation's noise is drawn in full, in equation order, and both
+    worlds are replayed ``_MC_BLOCK`` rows at a time into their two outcome
+    columns, so the working set is (equations + 2) x n float64 values plus
+    a few blocks; above ``dataset.MAX_FEATURE_BYTES`` it is refused before
+    the first draw.  Every value goes through the operations of a replay
+    over all rows at once, and the generator and the means see whole
+    columns, so blocking changes no bit of the estimate.
     """
     if n < 2:
         raise CausalError("n must be >= 2")
+    _refuse_working_set(f"Monte-Carlo effect of {n} samples", n, len(sem.equations) + 2)
     rng = np.random.default_rng(seed)
     active = paths.edge_set(sem)
-    noise = {eq.name: eq.noise_std * rng.standard_normal(n) for eq in sem.equations}
-    ref = _replay(sem, np.full(n, float(a)), noise)
-    cf = _replay(sem, np.full(n, float(a_bar)), noise, ref, active)
-    return float(np.mean(cf[sem.outcome]) - np.mean(ref[sem.outcome]))
+    noise = _draw_noise(sem, rng, n)
+    ref_y, cf_y = np.empty(n), np.empty(n)
+    for start in range(0, n, _MC_BLOCK):
+        rows = slice(start, min(start + _MC_BLOCK, n))
+        block = {name: z[rows] for name, z in noise.items()}
+        size = rows.stop - start
+        ref = _replay(sem, np.full(size, float(a)), block)
+        ref_y[rows] = ref[sem.outcome]
+        cf_y[rows] = _replay(sem, np.full(size, float(a_bar)), block, ref, active)[sem.outcome]
+    return float(np.mean(cf_y) - np.mean(ref_y))
 
 
 def _record_columns(sem: LinearSEM, record: Mapping[str, float]) -> dict[str, np.ndarray]:

@@ -353,7 +353,7 @@ def cmd_sem_pse(args) -> int:
         "paths": [">".join(p) for p in paths.resolved(sem)],
         "closed_form": causal.path_specific_effect(sem, paths, args.a, args.a_bar),
     }
-    if args.mc_samples:
+    if args.mc_samples is not None:
         results["monte_carlo"] = causal.path_specific_effect_mc(
             sem, paths, args.a, args.a_bar, n=args.mc_samples, seed=args.seed
         )

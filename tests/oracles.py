@@ -5,7 +5,8 @@ quantities are recomputed from first principles (couplings, CDF sweeps,
 grid search), cell metrics by explicit double loops, the constrained
 ridge problems by a general-purpose NLP solver on a smooth reformulation,
 the rbf Gram matrix by its two-matrix formula, the kernel squared loss at
-a zero budget by null-space elimination, and
+a zero budget by null-space elimination, the Monte-Carlo path-specific
+effect by replaying both worlds over all samples at once, and
 equality-constrained quadratics (the common-mean multitask fit among them)
 by least squares on their dense KKT system.
 The CSV loader is the row-at-a-time loop (csv.reader, one Python ``float``
@@ -228,6 +229,32 @@ def two_matrix_rbf_kernel(gamma, X, Z):
     np.maximum(out, 0.0, out=out)
     out *= -gamma
     return np.exp(out)
+
+
+def full_array_pse_mc(sem, active, a, a_bar, n, seed):
+    """Monte-Carlo path-specific effect with both worlds held over all n samples.
+
+    Each equation's noise is noise_std times n standard normals, drawn in
+    equation order.  The reference world starts at the root value a, the
+    counterfactual world at a_bar and reads a parent from itself along the
+    ``active`` edges and from the reference world elsewhere.  Each value goes
+    through the same floating-point operations as in the library's blocked
+    replay, so the two agree bit for bit.
+    """
+    rng = np.random.default_rng(seed)
+    noise = {eq.name: eq.noise_std * rng.standard_normal(n) for eq in sem.equations}
+    ref = {sem.sensitive: np.full(n, float(a))}
+    cf = {sem.sensitive: np.full(n, float(a_bar))}
+    for eq in sem.equations:
+        r = np.full(n, eq.intercept, dtype=float)
+        c = np.full(n, eq.intercept, dtype=float)
+        for parent, coeff in zip(eq.parents, eq.coeffs):
+            r += coeff * ref[parent]
+            c += coeff * (cf if (parent, eq.name) in active else ref)[parent]
+        r += noise[eq.name]
+        c += noise[eq.name]
+        ref[eq.name], cf[eq.name] = r, c
+    return float(np.mean(cf[sem.outcome]) - np.mean(ref[sem.outcome]))
 
 
 def reference_kernel_null_space(K, y, lam, M):

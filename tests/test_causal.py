@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from fairkit import causal, dataset
 from fairkit.causal import (
     CausalError,
     Equation,
@@ -20,6 +21,9 @@ from fairkit.causal import (
     simulate,
 )
 from fairkit.transport import EmpiricalDistribution, wasserstein
+
+from oracles import full_array_pse_mc
+from test_ferm import traced_peak
 
 
 def college(noise=1.0, t_q=1.0, t_d=3.0, t_ya=2.0, t_yq=1.0, t_yd=0.5):
@@ -207,6 +211,40 @@ class TestPathSpecificEffectMC:
     def test_too_few_samples(self):
         with pytest.raises(CausalError):
             path_specific_effect_mc(college(), DIRECT, 0.0, 1.0, n=1)
+
+    def test_working_set_is_the_noise_and_two_outcome_columns(self):
+        sem, n = college(), 200_000
+        path_specific_effect_mc(sem, BOTH_UNFAIR, 0.0, 1.0, n=1000)  # numpy's first-call allocations
+        _, peak = traced_peak(path_specific_effect_mc, sem, BOTH_UNFAIR, 0.0, 1.0, n)
+        columns = len(sem.equations) + 2
+        # a block of each world (the root and every variable), a product
+        # temporary and a block of slack; replaying all rows at once holds
+        # about 12 columns
+        blocks = 2 * (len(sem.equations) + 1) + 2
+        assert peak <= columns * n * 8 + blocks * 8 * causal._MC_BLOCK + 2**18
+
+
+class TestWorkingSetLimit:
+    """Sample and effect sizes whose float64 columns exceed the cap are refused before any draw."""
+
+    def test_limit_is_exact(self, monkeypatch):
+        sem = college()  # 3 equations: 5 columns for the effect, 7 for a sample
+        monkeypatch.setattr(dataset, "MAX_FEATURE_BYTES", 5 * 8 * 100)
+        path_specific_effect_mc(sem, DIRECT, 0.0, 1.0, n=100)
+        with pytest.raises(CausalError, match="Monte-Carlo effect of 101 samples needs"):
+            path_specific_effect_mc(sem, DIRECT, 0.0, 1.0, n=101)
+        monkeypatch.setattr(dataset, "MAX_FEATURE_BYTES", 7 * 8 * 100)
+        simulate(sem, 100)
+        with pytest.raises(CausalError, match="sample of 101 records needs"):
+            simulate(sem, 101)
+
+    def test_oversized_counts_are_refused(self):
+        sem = college()
+        with pytest.raises(CausalError, match=r"^Monte-Carlo effect of 3000000000 samples needs 111\.8 GiB, "
+                                              r"above the 1 GiB limit$"):
+            path_specific_effect_mc(sem, DIRECT, 0.0, 1.0, n=3_000_000_000)
+        with pytest.raises(CausalError, match=r"^sample of 3000000000 records needs 156\.5 GiB, above the 1 GiB limit$"):
+            sample(sem, 3_000_000_000)
 
 
 class TestAbduction:
@@ -446,3 +484,25 @@ class TestDocstringInvariants:
         assert mc == pytest.approx(path_specific_effect(sem, selection, a, a_bar), rel=1e-9, abs=1e-12)
         # selecting every path is always accepted
         PathSelection(tuple(paths)).resolved(sem)
+
+
+class TestBlockedMonteCarlo:
+    """The effect replayed in row blocks equals the replay over all samples at once, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sem=small_sems(), mask=st.integers(0, 2**8 - 1), a=st.floats(-2.0, 2.0), a_bar=st.floats(-2.0, 2.0),
+           n=st.integers(2, 50), seed=st.integers(0, 2**32 - 1))
+    @example(sem=college(), mask=2**8 - 1, a=0.0, a_bar=1.0, n=2 * 7 + 3, seed=11)  # two blocks and 3 rows
+    def test_blocks_equal_full_arrays(self, sem, mask, a, a_bar, n, seed):
+        # bit i of mask selects path i; small_sems have at most 8 paths
+        selection = PathSelection(tuple(p for i, p in enumerate(all_paths(sem)) if mask >> i & 1))
+        try:
+            active = selection.edge_set(sem)
+        except CausalError:  # carries a path it does not select
+            assume(False)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(causal, "_MC_BLOCK", 7)
+            got = path_specific_effect_mc(sem, selection, a, a_bar, n=n, seed=seed)
+        want = full_array_pse_mc(sem, active, a, a_bar, n, seed)
+        assert got == want
+        assert np.signbit(got) == np.signbit(want)

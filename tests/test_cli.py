@@ -216,6 +216,24 @@ class TestExitCodes:
                      "--scores-output", str(tmp_path / "s.csv")]) == 2
         assert_one_line("120 x 40")
 
+    @pytest.mark.parametrize("count", ["0", "1", "-5"])
+    def test_too_few_mc_samples_is_data_error(self, count, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["sem", "pse", "--scenario", "college", "--mc-samples", count, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == "error: n must be >= 2\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["pse", "--mc-samples", "3000000000", "--output", "r.json"],
+         "Monte-Carlo effect of 3000000000 samples needs 111.8 GiB"),
+        (["sample", "--n", "3000000000", "--scores-output", "s.csv"], "sample of 3000000000 records needs 156.5 GiB"),
+    ])
+    def test_oversized_sem_count_is_data_error(self, argv, message, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["sem", argv[0], "--scenario", "college", *argv[1:]]) == 2
+        assert capsys.readouterr().err == f"error: {message}, above the 1 GiB limit\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_sem_document_without_pi_is_data_error(self, tmp_path, capsys):
         doc = tmp_path / "sem.json"
         doc.write_text(json.dumps({"sensitive": "A"}))
