@@ -123,10 +123,10 @@ def _read_scores_csv(path):
 
     _, table = ds.read_table(path, ("score", "y"), check_header)
     groups = table["group"]
-    ids = table["id"] if "id" in table else np.array(list(map(str, range(groups.size))), dtype=object)
+    ids = table["id"] if "id" in table else np.arange(groups.size).astype(np.dtypes.StringDType())
     scores = ds.parse_numbers(table["score"], "score")
     outcome = ds.parse_numbers(table["y"], "y") if "y" in table else None
-    return ids, groups.astype(str), scores, outcome
+    return ids, groups, scores, outcome
 
 
 def cmd_metrics(args) -> int:
@@ -269,16 +269,7 @@ def _sem_to_json(sem: causal.LinearSEM) -> dict:
         "sensitive_values": list(sem.sensitive_values),
         "outcome": sem.outcome,
         "unobserved": sorted(sem.unobserved),
-        "equations": [
-            {
-                "name": eq.name,
-                "intercept": eq.intercept,
-                "parents": list(eq.parents),
-                "coeffs": list(eq.coeffs),
-                "noise_std": eq.noise_std,
-            }
-            for eq in sem.equations
-        ],
+        "equations": [dataclasses.asdict(eq) for eq in sem.equations],
         "edges": [
             {"from": u, "to": v, "label": sem.edge_labels.get((u, v), "fair")}
             for u, v in sem.edges
@@ -468,15 +459,7 @@ def cmd_datasets_list(args) -> int:
 
 
 def cmd_datasets_describe(args) -> int:
-    entry = ds.describe_dataset(args.name)
-    results = {
-        "name": entry.name,
-        "reference": entry.reference,
-        "n_samples": entry.n_samples,
-        "n_features": entry.n_features,
-        "sensitive": list(entry.sensitive),
-        "tasks": list(entry.tasks),
-    }
+    results = dataclasses.asdict(ds.describe_dataset(args.name))
     _write_text(args.output, _report_doc("datasets describe", args.seed, results))
     return 0
 

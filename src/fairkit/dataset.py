@@ -9,8 +9,9 @@ the resulting cell index and the one group encoding, ``factorize``.
 from __future__ import annotations
 
 import csv
+import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -38,9 +39,10 @@ ROLES = ("sensitive", "feature", "outcome", "task", "ignore")
 OUTCOME_KINDS = ("regression", "classification")
 # Largest feature matrix (n x width float64) built, one-hot blocks included.
 MAX_FEATURE_BYTES = 2**30
-# Rows formatted per write, which bounds the cell strings alive at once.
+# Rows parsed per read and formatted per write, which bounds the Python strings alive at once.
 _BLOCK_ROWS = 4096
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
+_TEXT = np.dtypes.StringDType()
 
 
 class DatasetError(ValueError):
@@ -59,7 +61,7 @@ class TabularDataset:
 
     ``columns`` holds canonical numeric arrays (categorical columns are
     stored as integer codes with their category list in ``categories``;
-    ignored columns keep their raw strings).  Feature matrices are derived
+    ignored columns keep their StringDType text).  Feature matrices are derived
     lazily with categoricals one-hot expanded.  The sensitive column never
     enters the feature block; callers that want it as a model input prepend
     it explicitly.
@@ -170,13 +172,7 @@ class TabularDataset:
 
     def subset(self, indices) -> "TabularDataset":
         idx = np.asarray(indices, dtype=int)
-        cols = {name: np.asarray(arr)[idx] for name, arr in self.columns.items()}
-        return TabularDataset(
-            schema=self.schema,
-            outcome_kind=self.outcome_kind,
-            columns=cols,
-            categories=self.categories,
-        )
+        return replace(self, columns={name: np.asarray(arr)[idx] for name, arr in self.columns.items()})
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,23 +193,27 @@ class GroupCodes:
 def factorize(values) -> GroupCodes:
     """Encode labels by first appearance, the one group encoding of the package.
 
-    Labels are the keys of a Python dict filled from ``values.tolist()``:
-    each is taken from the record where it first appears, labels that compare
-    equal (-0.0 and 0.0) collapse to the first, and every NaN is its own.
+    Labels are the keys of a Python dict filled from ``values.tolist()`` a
+    block of rows at a time: each is taken from the record where it first
+    appears, labels that compare equal (-0.0 and 0.0) collapse to the first,
+    and every NaN is its own.
     """
     values = np.asarray(values).ravel()
-    _, first, inverse, counts = np.unique(
-        values, return_index=True, return_inverse=True, return_counts=True, equal_nan=False
-    )
-    order = np.argsort(first)  # sorted position -> first-appearance rank is its inverse
-    return GroupCodes(tuple(values[first[order]].tolist()), np.argsort(order)[inverse], counts[order])
+    index: dict = {}
+    codes = np.empty(values.size, dtype=np.intp)
+    for lo in range(0, values.size, _BLOCK_ROWS):
+        block = values[lo:lo + _BLOCK_ROWS].tolist()
+        for label in dict.fromkeys(block):
+            index.setdefault(label, len(index))
+        codes[lo:lo + len(block)] = list(map(index.__getitem__, block))
+    return GroupCodes(tuple(index), codes, np.bincount(codes, minlength=len(index)))
 
 
 def parse_numbers(cells, name: str) -> np.ndarray:
     """Finite floats of a ``read_table`` column; errors name the row (the header is row 1) and column.
 
-    A column numpy's reader parsed passes through.  String cells are parsed
-    one by one with ``float``, which also takes ``1_000`` and non-ASCII digits.
+    A float64 column numpy's reader parsed passes through.  StringDType text is
+    parsed cell by cell with ``float``, which also takes ``1_000`` and non-ASCII digits.
     """
     if isinstance(cells, np.ndarray) and cells.dtype == np.float64:
         return cells
@@ -247,40 +247,53 @@ def _classification_labels(values: np.ndarray, name: str) -> np.ndarray:
 
 
 def _check_missing(cells: Mapping[str, np.ndarray]) -> None:
-    """Reject the first empty cell of the string columns, row by row."""
+    """Reject the first empty cell of the text columns, row by row."""
     hits = [(np.argmax(v == ""), j, name) for j, (name, v) in enumerate(cells.items())
-            if v.dtype == object and (v == "").any()]
+            if v.dtype == _TEXT and (v == "").any()]
     if hits:
         row, _, name = min(hits)
         raise DatasetError(f"row {row + 2}, column {name!r}: missing value")
 
 
+def _text(cells) -> np.ndarray:
+    # not np.fromiter, which corrupts StringDType arrays of many distinct strings
+    return np.array(list(map(str.strip, cells)), dtype=_TEXT)
+
+
 def _bulk_columns(path, header, skip: int, floats: list[bool]) -> dict | None:
-    """Columns parsed by numpy's reader; None when it fails or its records are not the file's lines."""
+    """Columns parsed by numpy's reader a block of lines at a time into arrays
+    allocated once; None when it fails or its records are not the file's lines.
+    """
     dtype = [(f"c{j}", np.float64 if f else object) for j, f in enumerate(floats)]
-    try:
-        table = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, quotechar='"',
-                           skiprows=skip, encoding="utf-8", ndmin=1)
-    except ValueError:
-        return None
-    # numpy skips blank lines and joins quoted line breaks: a record per line shows it did neither
-    lines, last = 0, "\n"
     with open(path, encoding="utf-8") as fh:  # universal newlines end every line in LF
-        for chunk in iter(lambda: fh.read(1 << 20), ""):
-            lines, last = lines + chunk.count("\n"), chunk[-1]
-    if len(table) != lines + (last != "\n") - skip:
-        return None
-    return {h: table[f"c{j}"].copy() if f else np.fromiter(map(str.strip, table[f"c{j}"]), object, len(table))
-            for j, (h, f) in enumerate(zip(header, floats))}
+        n = sum(1 for _ in fh) - skip
+        columns = {h: np.empty(n, np.float64 if f else _TEXT) for h, f in zip(header, floats)}
+        fh.seek(0)
+        rest = itertools.islice(fh, skip, None)
+        for lo in range(0, n, _BLOCK_ROWS):
+            block = list(itertools.islice(rest, _BLOCK_ROWS))
+            # numpy skips blank lines, joins quoted line breaks and closes a quote the
+            # block leaves open, where csv.reader would take in the next line
+            if "\n" in block or '"' in block[-1] and len(list(csv.reader([block[-1], "\n"]))) < 2:
+                return None
+            try:
+                table = np.loadtxt(block, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1)
+            except ValueError:
+                return None
+            if len(table) != len(block):
+                return None
+            for j, (h, f) in enumerate(zip(header, floats)):
+                columns[h][lo:lo + len(block)] = table[f"c{j}"] if f else _text(table[f"c{j}"])
+    return columns
 
 
 def _read_cells(path, header) -> dict[str, np.ndarray]:
-    """Every column as stripped strings from csv.reader, for the files numpy's reader does not take."""
+    """Every column as stripped text from csv.reader, for the files numpy's reader does not take."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))[1:]
     ragged = np.flatnonzero(np.fromiter(map(len, rows), np.intp, len(rows)) != len(header))
     end = ragged[0] if ragged.size else len(rows)
-    cells = dict(zip(header, (np.fromiter(map(str.strip, col), object, end) for col in zip(*rows[:end]))))
+    cells = dict(zip(header, map(_text, zip(*rows[:end]))))
     _check_missing(cells)
     if ragged.size:
         raise DatasetError(f"row {end + 2}: expected {len(header)} cells, found {len(rows[end])}")
@@ -293,9 +306,10 @@ def read_table(path, numeric, check_header) -> tuple[tuple[str, ...], dict[str, 
     A leading byte-order mark is dropped; bytes that are not UTF-8 are a
     ``DatasetError``.  Header names are stripped and distinct;
     ``check_header`` may reject them.  Each row needs one cell per name (a
-    blank line has none) and no cell may be empty once stripped.  ``numeric`` columns come back as float64 when
-    numpy's reader parses them to finite values, all others as object arrays
-    of stripped strings for ``parse_numbers``.  The header is row 1.
+    blank line has none) and no cell may be empty once stripped.  numpy's reader parses
+    ``_BLOCK_ROWS`` rows at a time; ``numeric`` columns come back as float64 when it
+    parses them to finite values, all others as StringDType arrays of stripped
+    text for ``parse_numbers``.  The header is row 1.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -331,7 +345,8 @@ def load_csv(path, schema: Mapping[str, str], outcome_kind: str = "regression") 
     ``schema`` maps column name -> role in {sensitive, feature, outcome,
     task, ignore}; columns absent from the mapping are an error, as are
     missing, unparseable or non-finite cells, ragged rows and blank lines
-    (see ``read_table``).  Non-numeric sensitive or feature columns
+    (see ``read_table``, which reads a block of rows at a time; ignored columns
+    stay its StringDType text).  Non-numeric sensitive or feature columns
     (detected from their first cell) are coded as categoricals in
     first-appearance order; categorical features are one-hot expanded when
     the feature matrix is built.
@@ -355,8 +370,8 @@ def load_csv(path, schema: Mapping[str, str], outcome_kind: str = "regression") 
         role, values = schema[name], table[name]
         if role == "ignore":
             columns[name] = values
-        elif role in ("sensitive", "feature") and values.dtype == object and not _is_number(values[0]):
-            enc = factorize(values.astype(str))
+        elif role in ("sensitive", "feature") and values.dtype == _TEXT and not _is_number(values[0]):
+            enc = factorize(values)
             columns[name] = enc.codes
             categories[name] = enc.labels
         else:

@@ -294,19 +294,19 @@ def _qp_l1(P: np.ndarray, q: np.ndarray, M: np.ndarray, eps: float) -> np.ndarra
     problem is the Euclidean projection of T^T q onto the polytope.  It is
     solved by the dual active-set method of Goldfarb and Idnani (1983):
     from the unconstrained minimizer, add the most violated facet until
-    none is violated by more than 1e-12 of the problem's scale, then
-    project the result onto the final active facets, which undoes the
-    rounding drift of the incremental updates.
+    none is violated by more than 1e-12 of eps plus the scale of M^T b at
+    the current iterate (a nearly flat model puts the unconstrained one far
+    outside the ball), then project the result onto the final active
+    facets, which undoes the rounding drift of the incremental updates.
     """
     T = _whiten(P)
     A = T.T @ M
-    g = T.T @ q
-    u = g
-    tol = 1e-12 * (eps + float(np.abs(g) @ np.abs(A).sum(axis=1)))
+    u = T.T @ q
+    reach = np.abs(A).sum(axis=1)
     active = np.zeros((A.shape[0], 0))  # normals A s of the active facets
     mult = np.zeros(0)
     steps_left = 10 * (A.shape[0] + A.shape[1]) + 100
-    while np.abs(z := A.T @ u).sum() - eps > tol:
+    while np.abs(z := A.T @ u).sum() - eps > 1e-12 * (eps + float(np.abs(u) @ reach)):
         if steps_left <= 0:
             raise SolverError("L1-constrained QP did not terminate", last_iterate=T @ u)
         added = _add_facet(active, mult, u, A @ np.sign(z), eps, steps_left)

@@ -8,7 +8,8 @@ the rbf Gram matrix by its two-matrix formula, the kernel squared loss at
 a zero budget by null-space elimination, the Monte-Carlo path-specific
 effect by replaying both worlds over all samples at once, and
 equality-constrained quadratics (the common-mean multitask fit among them)
-by least squares on their dense KKT system.
+by least squares on their dense KKT system, and L1-ball constrained ones
+by one such system per face of the ball.
 The CSV loader is the row-at-a-time loop (csv.reader, one Python ``float``
 per cell) that the bulk reader replaced.
 """
@@ -340,6 +341,29 @@ def reference_equality_qp(P, q, E):
     return np.linalg.lstsq(kkt, np.concatenate([q, np.zeros(m)]), rcond=None)[0][:p]
 
 
+def reference_qp_l1(P, q, M, eps):
+    """Best point found for 1/2 b^T P b - q^T b subject to ||M^T b||_1 <= eps, P positive definite.
+
+    The minimizer is the unconstrained one or lies on a face of the ball:
+    the entries of M^T b in a set Z are 0 and the others keep signs s, with
+    s^T M^T b = eps.  Each of the 3^m choices of (Z, s) is one KKT system,
+    solved by least squares.  The best candidate within eps (1 + 1e-9) of
+    the ball is returned: rounding in a solve can make it worse than the
+    true minimizer, and only that slack can make it better.
+    """
+    p, m = M.shape
+    candidates = [np.zeros(p), np.linalg.solve(P, q)]  # 0 is always feasible
+    for signs in itertools.product((-1.0, 0.0, 1.0), repeat=m):
+        s = np.array(signs)
+        zero = M[:, s == 0]
+        E = np.column_stack([zero, M @ s]) if s.any() else zero
+        e = np.append(np.zeros(zero.shape[1]), eps)[:E.shape[1]]
+        kkt = np.block([[P, E], [E.T, np.zeros((E.shape[1], E.shape[1]))]])
+        candidates.append(np.linalg.lstsq(kkt, np.concatenate([q, e]), rcond=None)[0][:p])
+    feasible = [b for b in candidates if np.abs(M.T @ b).sum() <= eps * (1.0 + 1e-9)]
+    return min(feasible, key=lambda b: 0.5 * b @ P @ b - q @ b)
+
+
 def reference_common_mean(X, y, groups, theta, lam, rho, classes=("+", "-")):
     """The squared-loss common-mean fit by its dense KKT system: (w0, {group: v}).
 
@@ -422,7 +446,7 @@ def reference_load_csv(path, schema, outcome_kind="regression"):
     for name in header:
         role, cells = schema[name], raw[name]
         if role == "ignore":
-            columns[name] = np.array(cells, dtype=object)
+            columns[name] = np.array(cells, dtype=np.dtypes.StringDType())
             continue
         if role == "task":
             columns[name] = numbers(cells, name).astype(int)

@@ -171,6 +171,15 @@ class TestExitCodes:
         assert main(["metrics", "--input", str(scores)]) == 2
         assert capsys.readouterr().err == "error: row 3: expected 3 cells, found 0\n"
 
+    def test_scores_file_without_ids_numbers_its_rows(self, tmp_path):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("group,score\na,0.5\nb,0.25\na,0.75\n")
+        out = tmp_path / "repaired.csv"
+        assert main(["repair", "--input", str(scores), "--t", "0", "--scores-output", str(out), "--output", "-"]) == 0
+        with open(out, newline="") as fh:
+            assert [row[:3] for row in csv.reader(fh)] == [
+                ["id", "group", "score"], ["0", "a", "0.5"], ["1", "b", "0.25"], ["2", "a", "0.75"]]
+
     def test_padded_scores_header_reads_like_load_csv(self, tmp_path, capsys):
         plain = write_scores(tmp_path / "plain.csv", np.random.default_rng(2), n_per_group=20)
         lines = plain.read_text().splitlines()

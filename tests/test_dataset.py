@@ -2,8 +2,10 @@ import csv
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from fairkit import dataset
+from fairkit.cli import _read_scores_csv
 from fairkit.dataset import (
     MAX_FEATURE_BYTES,
     DatasetError,
@@ -16,6 +18,7 @@ from fairkit.dataset import (
     write_table,
 )
 from oracles import ReferenceCsvError, reference_load_csv
+from test_ferm import traced_peak
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -209,24 +212,46 @@ def _loaded(fn):
         return str(exc)
 
 
+def assert_loads_like_reference(path, reference_path, schema, kind):
+    """load_csv(path) gives the reference's columns and categories for reference_path, or its error."""
+    expected = _loaded(lambda: reference_load_csv(reference_path, schema, kind))
+    got = _loaded(lambda: load_csv(path, schema, kind))
+    if isinstance(expected, str):
+        assert got == expected
+        return
+    assert not isinstance(got, str), got
+    header, columns, categories = expected
+    assert [c.name for c in got.schema] == header
+    assert dict(got.categories) == categories
+    for name in header:
+        assert got.columns[name].dtype.kind == columns[name].dtype.kind
+        assert got.columns[name].tolist() == columns[name].tolist()
+
+
+NOTE_LAST = {"g": "sensitive", "y": "outcome", "note": "ignore"}
+
+
 class TestCsvProperties:
     @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(csv_tables())
     def test_reader_matches_row_at_a_time_reference(self, tmp_path, table):
         text, schema, kind = table
         path = write(tmp_path, text)
-        expected = _loaded(lambda: reference_load_csv(path, schema, kind))
-        got = _loaded(lambda: load_csv(path, schema, kind))
-        if isinstance(expected, str):
-            assert got == expected
-            return
-        assert not isinstance(got, str), got
-        header, columns, categories = expected
-        assert [c.name for c in got.schema] == header
-        assert dict(got.categories) == categories
-        for name in header:
-            assert got.columns[name].dtype.kind == columns[name].dtype.kind
-            assert got.columns[name].tolist() == columns[name].tolist()
+        assert_loads_like_reference(path, path, schema, kind)
+
+    @pytest.mark.filterwarnings("error")  # numpy warns of a block of blank lines
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(table=csv_tables(), block=st.integers(1, 3), bom=st.booleans())
+    # numpy closes the quote the first block leaves open, and the next line has three cells
+    @example(table=('g,y,note\na,1,"p\nq,2,r"\nb,3,s\n', NOTE_LAST, "regression"), block=1, bom=False)
+    @example(table=('g,y,note\r\na,1," p "\r\n\r\nb,3,s\r\n', NOTE_LAST, "regression"), block=1, bom=True)
+    @example(table=("g,y,note\na,1,p\n\nb,3,s\n", NOTE_LAST, "regression"), block=2, bom=False)
+    def test_block_edges_match_row_at_a_time_reference(self, tmp_path, monkeypatch, table, block, bom):
+        # blocks of 1-3 lines put quoted line breaks and blank lines on block edges
+        monkeypatch.setattr(dataset, "_BLOCK_ROWS", block)
+        text, schema, kind = table
+        plain = write(tmp_path, text)
+        assert_loads_like_reference(write(tmp_path, "\ufeff" + text, "bom.csv") if bom else plain, plain, schema, kind)
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.data())
@@ -282,12 +307,12 @@ def _parses(text):
 class TestFactorize:
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(
-        st.lists(st.sampled_from(["a", "b", "zz", "", "B", "a b", "é"]), min_size=1, max_size=40),
+        st.lists(st.sampled_from(["a", "b", "zz", "", "B", "a b", "é"]), min_size=1, max_size=40).flatmap(
+            lambda raw: st.sampled_from([np.array(raw), np.array(raw, dtype=np.dtypes.StringDType())])),
         st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.5, -2.0, np.inf, -np.inf, np.nan]),
-                           st.floats(allow_nan=True)), min_size=1, max_size=40),
+                           st.floats(allow_nan=True)), min_size=1, max_size=40).map(np.array),
     ))
-    def test_matches_dict_fromkeys(self, raw):
-        values = np.array(raw)
+    def test_matches_dict_fromkeys(self, values):
         enc = factorize(values)
         listed = values.tolist()  # a new object per NaN, so each NaN is its own key
         reference = {label: i for i, label in enumerate(dict.fromkeys(listed))}
@@ -298,6 +323,37 @@ class TestFactorize:
         assert enc.counts.tolist() == np.bincount(expected).tolist()
         for g, idx in enumerate(enc.members):
             assert idx.tolist() == [i for i, c in enumerate(expected) if c == g]
+
+
+class TestTextColumnMemory:
+    def test_scores_file_reads_and_factorizes_in_16_mib(self, tmp_path):
+        rng = np.random.default_rng(4)
+        labels = np.array([f"{s}-{r}-{a}" for s in "FM" for r in "NSEW" for a in range(4)])
+        n = 200_000
+        path = tmp_path / "scores.csv"
+        write_table(path, ["id", "group", "score", "y"],
+                    [np.arange(n), labels[rng.integers(0, labels.size, n)], rng.random(n), rng.integers(0, 2, n)])
+
+        def read_and_factorize():
+            ids, groups, scores, outcome = _read_scores_csv(path)
+            return ids, scores, outcome, factorize(groups)
+
+        (ids, scores, outcome, enc), peak = traced_peak(read_and_factorize)
+        # the columns hold 2 x 3.2 MB of text and 2 x 1.6 MB of floats
+        assert peak < 16 * 2**20
+        assert ids[-1] == str(n - 1) and scores.size == outcome.size == n
+        assert sorted(enc.labels) == sorted(labels.tolist())
+
+    def test_many_distinct_20_character_cells(self, tmp_path):
+        # the shape on which np.fromiter corrupted StringDType arrays
+        rng = np.random.default_rng(5)
+        cells = ["".join(rng.choice(list("abcdefghij"), 20)) for _ in range(10_000)]
+        path = tmp_path / "text.csv"
+        text = np.array(cells, dtype=object)
+        write_table(path, ["g", "y", "note"], [text, np.arange(10_000.0), text])
+        data = load_csv(path, NOTE_LAST)
+        assert data.columns["note"].tolist() == cells
+        assert data.categories["g"] == tuple(dict.fromkeys(cells))
 
 
 def toy_dataset(y, s, **extra):

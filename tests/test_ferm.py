@@ -36,6 +36,7 @@ from oracles import (
     reference_constrained_erm,
     reference_equality_qp,
     reference_kernel_null_space,
+    reference_qp_l1,
     two_matrix_rbf_kernel,
 )
 
@@ -186,6 +187,30 @@ class TestQpL1:
         assert np.abs(A.T @ beta).sum() <= epsilon + 1e-9
         ref = squared_value(X, y, lam, feasible_reference(X, y, lam, A, epsilon))
         assert squared_value(X, y, lam, beta) <= ref + 1e-9 * (1.0 + ref)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(2, 4),
+        m=st.integers(1, 3),
+        flat=st.integers(9, 12),
+        epsilon=st.floats(1e-3, 1.0),
+    )
+    def test_feasible_when_the_unconstrained_minimizer_is_far(self, seed, p, m, flat, epsilon):
+        # P = X^T X has one eigenvalue 10**-flat and q = X^T y an O(1) part along its
+        # eigenvector, so the unconstrained minimizer lies about 10**flat away
+        rng = np.random.default_rng(seed)
+        V = np.linalg.qr(rng.normal(size=(p, p)))[0]
+        sv = np.sqrt(np.append(10.0 ** -flat, rng.uniform(1.0, 30.0, p - 1)))
+        X = sv[:, None] * V.T
+        y = rng.normal(size=p) / sv
+        A = rng.normal(size=(p, m))
+        P, q = X.T @ X, X.T @ y
+        beta = _qp_l1(P, q, A, epsilon)
+        assert np.abs(A.T @ beta).sum() <= epsilon * (1.0 + 1e-9)
+        ref = reference_qp_l1(P, q, A, epsilon)
+        value, ref_value = (0.5 * b @ P @ b - q @ b for b in (beta, ref))
+        assert value <= ref_value + 1e-9 * (1.0 + abs(ref_value))
 
 
 def well_separated(values, top):
