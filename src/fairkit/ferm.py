@@ -15,7 +15,10 @@ Newton steps over the same feasible set until the Newton decrement
 vanishes, and a run that does not converge raises SolverError.  The rbf
 kernel's squared loss, at a zero budget or unconstrained, is instead
 solved on K + lambda I and an m x m system for the multipliers, which
-fixes the dual coefficients even where K is numerically singular.
+fixes the dual coefficients even where K is numerically singular; K + lambda I
+is factored in place by a blocked Cholesky, so that path holds one n x n
+matrix, and its objective and an rbf model's decision values are formed from
+kernel rows a block at a time.
 """
 
 from __future__ import annotations
@@ -80,16 +83,25 @@ class KernelSpec:
 
 # Elements of the |x|^2 + |z|^2 block that `kernel_matrix` forms at a time.
 _KERNEL_BLOCK = 1 << 16
+# Columns that `_cholesky_in_place` and `_cholesky_solve` take at a time, and
+# kernel rows that `_kernel_dot` forms at a time: beyond K itself, the rbf
+# squared-loss path then holds O(n * _SOLVE_BLOCK) elements.
+_SOLVE_BLOCK = 128
+
+
+def _check_kernel_size(spec: KernelSpec, rows: int, columns: int) -> None:
+    """Refuse a rows x columns kernel above the ``dataset.MAX_FEATURE_BYTES`` cap."""
+    size = rows * columns * 8
+    if size > ds.MAX_FEATURE_BYTES:
+        raise FermError(
+            f"{spec.kind} kernel matrix of {rows} x {columns} needs {size / 2**30:.1f} GiB,"
+            f" above the {ds.MAX_FEATURE_BYTES / 2**30:g} GiB limit")
 
 
 def kernel_matrix(spec: KernelSpec, X: np.ndarray, Z: np.ndarray | None = None) -> np.ndarray:
     """Gram matrix k(x_i, z_j), refused above the ``dataset.MAX_FEATURE_BYTES`` cap."""
     Z = X if Z is None else Z
-    size = X.shape[0] * Z.shape[0] * 8
-    if size > ds.MAX_FEATURE_BYTES:
-        raise FermError(
-            f"{spec.kind} kernel matrix of {X.shape[0]} x {Z.shape[0]} needs {size / 2**30:.1f} GiB,"
-            f" above the {ds.MAX_FEATURE_BYTES / 2**30:g} GiB limit")
+    _check_kernel_size(spec, X.shape[0], Z.shape[0])
     if spec.kind == "linear":
         return X @ Z.T
     # (|x|^2 + |z|^2) - (2 x) . z, formed in the one (2 X) Z^T buffer: the
@@ -106,6 +118,15 @@ def kernel_matrix(spec: KernelSpec, X: np.ndarray, Z: np.ndarray | None = None) 
     np.maximum(out, 0.0, out=out)
     out *= -spec.gamma
     return np.exp(out, out=out)
+
+
+def _kernel_dot(spec: KernelSpec, X: np.ndarray, Z: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """K(X, Z) @ v, the kernel formed `_SOLVE_BLOCK` rows at a time; refused as `kernel_matrix` would be."""
+    _check_kernel_size(spec, X.shape[0], Z.shape[0])
+    out = np.empty(X.shape[0])
+    for start in range(0, X.shape[0], _SOLVE_BLOCK):
+        out[start:start + _SOLVE_BLOCK] = kernel_matrix(spec, X[start:start + _SOLVE_BLOCK], Z) @ v
+    return out
 
 
 def design_matrix(dataset: TabularDataset, include_sensitive: bool) -> np.ndarray:
@@ -473,21 +494,20 @@ def _solve_kernel_squared(
     redundant), and beta = S y - S C nu.  Unlike a solve with K^2 + lam K,
     this determines beta even where K is numerically singular.
 
-    K + lam I is K shifted in place: lam is added to K's diagonal and the
-    saved diagonal is written back once the solve returns or raises, so K
-    is left bit for bit as it was and LAPACK's copy is the only other
-    n x n matrix.  M = ``cs.mean_differences(K)`` is formed after the
-    solve: formed before it, its per-cell row copies of K stay in the
-    allocator's heap beneath LAPACK's buffer and raise the peak.  Returns
-    beta, M and the solver trace.
+    K is consumed: M = K C is formed first, then lam is added to K's
+    diagonal and K's lower triangle overwritten by the Cholesky factor of
+    K + lam I (`_cholesky_in_place`), so the solve holds no n x n matrix but
+    K.  M is the product with the dense C rather than
+    ``cs.mean_differences(K)``, whose copies of the rows of K in each cell
+    would add a cell's share of K to the peak.  A K + lam I that is not
+    positive definite in floating point raises SolverError.  Returns beta,
+    M and the solver trace.
     """
-    diagonal = K.diagonal().copy()
+    C = cs.matrix()
+    M = K @ C
     K[np.diag_indices_from(K)] += lam
-    try:
-        S = np.linalg.solve(K, y if epsilon is None else np.column_stack([y, cs.matrix()]))
-    finally:
-        K[np.diag_indices_from(K)] = diagonal
-    M = cs.mean_differences(K)
+    _cholesky_in_place(K)
+    S = _cholesky_solve(K, y if epsilon is None else np.column_stack([y, C]))
     if epsilon is None:
         beta = S
     else:
@@ -495,6 +515,46 @@ def _solve_kernel_squared(
         beta = S[:, 0] - S[:, 1:] @ nu
     trace = {"iterations": 0, "stop_reason": "closed_form"}
     return _checked(beta, M, epsilon), M, trace
+
+
+def _cholesky_in_place(A: np.ndarray) -> None:
+    """Overwrite the lower triangle of the symmetric A with its Cholesky factor L.
+
+    Right-looking over column blocks of `_SOLVE_BLOCK`: each diagonal block
+    is factored by np.linalg.cholesky, the panel below it solved against
+    that factor, and the trailing lower triangle updated by the panel one
+    block row at a time, so no temporary is larger than a block of rows.
+    Only the lower triangle is read; the strict upper one is left undefined.
+    A pivot that is not positive raises SolverError.
+    """
+    n = A.shape[0]
+    for j0 in range(0, n, _SOLVE_BLOCK):
+        j1 = min(j0 + _SOLVE_BLOCK, n)
+        try:
+            A[j0:j1, j0:j1] = np.linalg.cholesky(A[j0:j1, j0:j1])
+        except np.linalg.LinAlgError:
+            raise SolverError(f"K + lambda I is not positive definite (a pivot in rows {j0} to {j1 - 1}"
+                              " is not positive); a larger --lambda shifts it further") from None
+        panel = A[j1:, j0:j1]
+        panel[...] = np.linalg.solve(A[j0:j1, j0:j1], panel.T).T
+        for i0 in range(j1, n, _SOLVE_BLOCK):
+            i1 = min(i0 + _SOLVE_BLOCK, n)
+            A[i0:i1, j1:i1] -= panel[i0 - j1:i1 - j1] @ panel[:i1 - j1].T
+
+
+def _cholesky_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """X with L L^T X = B, L the factor in the lower triangle of L: blocked forward and back substitution."""
+    X = np.array(B, dtype=float)
+    starts = range(0, L.shape[0], _SOLVE_BLOCK)
+    for j0 in starts:
+        j1 = j0 + _SOLVE_BLOCK
+        X[j0:j1] -= L[j0:j1, :j0] @ X[:j0]
+        X[j0:j1] = np.linalg.solve(np.tril(L[j0:j1, j0:j1]), X[j0:j1])
+    for j0 in reversed(starts):
+        j1 = j0 + _SOLVE_BLOCK
+        X[j0:j1] -= L[j1:, j0:j1].T @ X[j1:]
+        X[j0:j1] = np.linalg.solve(np.tril(L[j0:j1, j0:j1]).T, X[j0:j1])
+    return X
 
 
 def _checked(beta: np.ndarray, M: np.ndarray, epsilon: float | None) -> np.ndarray:
@@ -575,7 +635,7 @@ class KernelModel:
             raise FermError(f"the model takes {width} inputs per record, the data gives {Z.shape[1]}")
         if self.kernel.kind == "linear":
             return Z @ self.coef
-        return kernel_matrix(self.kernel, Z, self.training_inputs) @ self.dual_coef
+        return _kernel_dot(self.kernel, Z, self.training_inputs, self.dual_coef)
 
     def predict_dataset(self, dataset: TabularDataset) -> np.ndarray:
         return self.decision_function(design_matrix(dataset, self.include_sensitive))
@@ -595,16 +655,18 @@ def _report(M, beta, epsilon, cs: ConstraintSystem) -> dict:
 def _train(problem: FairERMProblem, dataset: TabularDataset, cs: ConstraintSystem, max_iter: int) -> KernelModel:
     loss, lam, kernel = problem.loss, problem.lam, problem.kernel
     Z, y = design_matrix(dataset, problem.include_sensitive), dataset.outcome
-    D = Z if kernel.kind == "linear" else kernel_matrix(kernel, Z)
     eff_epsilon = None if cs.degenerate else problem.epsilon
     if kernel.kind == "rbf" and loss == "squared" and eff_epsilon in (None, 0.0):
-        beta, M, trace = _solve_kernel_squared(D, y, lam, cs, eff_epsilon)
-        R = lam * D
+        # the solve consumes K, so K beta is formed again from kernel rows
+        beta, M, trace = _solve_kernel_squared(kernel_matrix(kernel, Z), y, lam, cs, eff_epsilon)
+        f = _kernel_dot(kernel, Z, Z, beta)
+        value = float(np.sum((f - y) ** 2) + lam * (beta @ f))
     else:
+        D = Z if kernel.kind == "linear" else kernel_matrix(kernel, Z)
         M = cs.mean_differences(D)
         R = lam * (np.eye(Z.shape[1]) if kernel.kind == "linear" else D)
         beta, trace = _solve_constrained(D, y, R, M, loss, eff_epsilon, max_iter=max_iter)
-    obj = _Objective(D, y, R, loss)
+        value = _Objective(D, y, R, loss).value(beta)
     return KernelModel(
         kernel=kernel,
         include_sensitive=problem.include_sensitive,
@@ -612,7 +674,7 @@ def _train(problem: FairERMProblem, dataset: TabularDataset, cs: ConstraintSyste
         dual_coef=None if kernel.kind == "linear" else beta,
         training_inputs=None if kernel.kind == "linear" else Z,
         constraint_report=_report(M, beta, problem.epsilon, cs),
-        objective_value=obj.value(beta),
+        objective_value=value,
         solver=trace,
     )
 

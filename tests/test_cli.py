@@ -225,6 +225,19 @@ class TestExitCodes:
                      "--scores-output", str(tmp_path / "s.csv")]) == 2
         assert_one_line("120 x 40")
 
+    @pytest.mark.parametrize("grid_q", ["1", "2"])
+    def test_rbf_kernel_not_positive_definite_is_solver_error(self, tmp_path, capsys, grid_q):
+        # at gamma 0.01 K is singular to working precision and lambda 1e-300 does not
+        # shift it; one sensitive bin (grid_q 1) leaves the problem unconstrained
+        model = tmp_path / "m.json"
+        code = main(["ferm-train", "--input", str(GOLDEN / "cls.csv"), "--schema", CLS_SCHEMA, "--kernel", "rbf",
+                     "--gamma", "0.01", "--epsilon", "0", "--lambda", "1e-300", "--grid-q", grid_q,
+                     "--model-output", str(model), "--output", str(tmp_path / "r.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: K + lambda I is not positive definite") and err.count("\n") == 1
+        assert "--lambda" in err and not model.exists()
+
     @pytest.mark.parametrize("count", ["0", "1", "-5"])
     def test_too_few_mc_samples_is_data_error(self, count, tmp_path, capsys):
         out = tmp_path / "r.json"

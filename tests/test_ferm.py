@@ -9,6 +9,7 @@ from fairkit.dataset import dataset_from_columns, make_grid
 from fairkit.ferm import (
     FairERMProblem,
     FermError,
+    KernelModel,
     KernelSpec,
     SolverError,
     binary_positive_constraint,
@@ -404,7 +405,7 @@ def traced_peak(fn, *args):
 
 
 class TestKernelWorkingSet:
-    """The rbf path holds K and, while solving, LAPACK's copy of K + lambda I."""
+    """The rbf path holds K, factored in place, and blocks of kernel or factor rows."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -438,32 +439,93 @@ class TestKernelWorkingSet:
         # broadcast add
         assert peak <= K.nbytes + 8 * ferm._KERNEL_BLOCK + 2**18
 
-    @pytest.mark.parametrize("epsilon", [0.0, None])
-    def test_solve_restores_k_and_copies_no_matrix(self, epsilon):
-        data, grid, _ = kernel_problem(9, 600, 3, 2, 2)
-        cs = build_constraints(data, grid)
-        K = kernel_matrix(KernelSpec("rbf", gamma=0.5), data.features)
-        before = K.tobytes()
-        (beta, M, _), peak = traced_peak(_solve_kernel_squared, K, data.outcome, 0.1, cs, epsilon)
-        assert peak < K.nbytes
-        assert K.tobytes() == before
-        assert np.array_equal(M, cs.mean_differences(K))
-        if epsilon == 0.0:
-            assert np.abs(M.T @ beta).sum() <= 1e-10 * np.abs(M).sum() * np.abs(beta).max()
-        else:
-            np.testing.assert_allclose((K + 0.1 * np.eye(600)) @ beta, data.outcome, atol=1e-8)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        block=st.integers(1, 5),
+        data=st.data(),
+        rhs=st.integers(1, 4),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    )
+    @example(seed=0, block=3, data=None, rhs=1, scale=1.0)
+    def test_blocked_cholesky_solves_spd_systems(self, seed, block, data, rhs, scale):
+        # n below, at and one past the block size, up to three blocks and one column
+        n = 3 if data is None else data.draw(st.integers(1, 3 * block + 1), label="n")
+        rng = np.random.default_rng(seed)
+        G = rng.normal(size=(n, n))
+        A = scale * (G @ G.T + 0.1 * n * np.eye(n))
+        B = rng.normal(size=(n, rhs))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ferm, "_SOLVE_BLOCK", block)
+            L = A.copy()
+            ferm._cholesky_in_place(L)
+            X = ferm._cholesky_solve(L, B)
+            scrambled = A.copy()
+            upper = np.triu_indices(n, 1)
+            scrambled[upper] = rng.normal(size=upper[0].size) * 1e6
+            ferm._cholesky_in_place(scrambled)
+            np.testing.assert_array_equal(np.tril(scrambled), np.tril(L))
+            np.testing.assert_array_equal(ferm._cholesky_solve(scrambled, B), X)
+            np.testing.assert_allclose(ferm._cholesky_solve(L, B[:, 0]), X[:, 0],
+                                       rtol=1e-12, atol=1e-12 * np.abs(X).max())
+        eps = np.finfo(float).eps
+        assert np.linalg.norm(A @ X - B) <= 10 * n * eps * np.linalg.norm(A) * np.linalg.norm(X)
+        np.testing.assert_allclose(X, np.linalg.solve(A, B), rtol=1e-9, atol=1e-9 * np.abs(X).max())
 
     @pytest.mark.parametrize("epsilon", [0.0, None])
-    def test_singular_shift_raises_and_restores_k(self, epsilon):
+    def test_linalg_operands_and_peak_within_k_and_blocks(self, monkeypatch, epsilon):
+        n, block = 600, 16
+        data, grid, _ = kernel_problem(9, n, 3, 2, 2, degenerate=epsilon is None)
+        monkeypatch.setattr(ferm, "_SOLVE_BLOCK", block)
+        monkeypatch.setattr(ferm, "_KERNEL_BLOCK", 1 << 12)
+        largest = {}
+
+        def recorded(name, fn):
+            def call(*args, **kwargs):
+                size = max([np.size(a) for a in args if isinstance(a, np.ndarray)], default=0)
+                largest[name] = max(largest.get(name, 0), size)
+                return fn(*args, **kwargs)
+            return call
+
+        for name in ("cholesky", "solve", "lstsq", "eigh", "svd", "qr", "inv", "pinv"):
+            monkeypatch.setattr(np.linalg, name, recorded(name, getattr(np.linalg, name)))
+        problem = FairERMProblem(lam=0.1, epsilon=0.0, kernel=KernelSpec("rbf", gamma=0.5))
+        model, peak = traced_peak(train_gferm, problem, data, grid)
+        assert {"cholesky", "solve"} <= largest.keys()
+        assert max(largest.values()) <= block * n
+        # K, a few blocks of kernel or factor rows, kernel_matrix's norm-sum block
+        # and O(n) vectors: below a copy of the rows of K in any one cell
+        assert peak <= 8 * (n * n + 4 * block * n + ferm._KERNEL_BLOCK) + 2**16
+        K = kernel_matrix(problem.kernel, data.features)
+        beta, y = model.dual_coef, data.outcome
+        f = K @ beta
+        assert model.objective_value == pytest.approx(float(np.sum((f - y) ** 2) + 0.1 * beta @ f), rel=1e-12)
+        if epsilon is None:
+            np.testing.assert_allclose((K + 0.1 * np.eye(n)) @ beta, y, atol=1e-8)
+        else:
+            M = build_constraints(data, grid).mean_differences(K)
+            assert np.abs(M.T @ beta).sum() <= 1e-10 * np.abs(M).sum() * np.abs(beta).max()
+
+    @pytest.mark.parametrize("epsilon", [0.0, None])
+    def test_non_positive_definite_shift_raises(self, epsilon):
         data, grid, _ = kernel_problem(10, 20, 2, 2, 2)
         cs = build_constraints(data, grid)
-        K = np.random.default_rng(10).normal(size=(20, 20))
-        K[3] = 0.0
-        K[3, 3] = -0.5  # row 3 of K + 0.5 I is exactly zero
-        before = K.tobytes()
-        with pytest.raises(np.linalg.LinAlgError):
+        K = kernel_matrix(KernelSpec("rbf", gamma=0.5), data.features)
+        K[3, 3] = -0.5  # the pivot of row 3 of K + 0.5 I is at most 0
+        with pytest.raises(SolverError, match=r"^K \+ lambda I is not positive definite .*--lambda"):
             _solve_kernel_squared(K, data.outcome, 0.5, cs, epsilon)
-        assert K.tobytes() == before
+
+    def test_decision_function_holds_a_block_of_kernel_rows(self):
+        rng = np.random.default_rng(12)
+        Z, new = rng.normal(size=(300, 3)), rng.normal(size=(3000, 3))
+        spec = KernelSpec("rbf", gamma=0.5)
+        model = KernelModel(spec, False, None, rng.normal(size=300), Z, {}, 0.0)
+        scores, peak = traced_peak(model.decision_function, new)
+        want = kernel_matrix(spec, new, Z) @ model.dual_coef
+        np.testing.assert_allclose(scores, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        # the scores, two blocks of kernel rows and kernel_matrix's norm-sum block,
+        # against 7.2 MB for the 3000 x 300 kernel
+        assert peak <= 8 * (3000 + 2 * ferm._SOLVE_BLOCK * 300 + ferm._KERNEL_BLOCK) + 2**16
 
 
 class TestBudgetedSolver:
