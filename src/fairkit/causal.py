@@ -28,6 +28,7 @@ the Monte-Carlo effect and counterfactuals agree with the closed-form sum.
 
 from __future__ import annotations
 
+import copy
 import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
@@ -260,10 +261,10 @@ def _refuse_working_set(what: str, n: int, columns: int) -> None:
             f"{what} needs {size / 2**30:.1f} GiB, above the {ds.MAX_FEATURE_BYTES / 2**30:g} GiB limit")
 
 
-def _draw_noise(sem: LinearSEM, rng: np.random.Generator, n: int) -> dict[str, np.ndarray]:
-    """One standard normal per record for each equation in order, scaled in place by its noise_std."""
+def _draw_noise(sem: LinearSEM, streams, n: int) -> dict[str, np.ndarray]:
+    """n standard normals per equation, from its generator in ``streams``, scaled in place by its noise_std."""
     noise = {}
-    for eq in sem.equations:
+    for eq, rng in zip(sem.equations, streams):
         z = rng.standard_normal(n)
         noise[eq.name] = np.multiply(eq.noise_std, z, out=z)
     return noise
@@ -284,7 +285,7 @@ def simulate(sem: LinearSEM, n: int, seed: int | np.random.Generator = 0) -> dic
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     v0, v1 = sem.sensitive_values
     root = np.where(rng.random(n) < sem.pi, v1, v0)
-    return _replay(sem, root, _draw_noise(sem, rng, n))
+    return _replay(sem, root, _draw_noise(sem, [rng] * len(sem.equations), n))
 
 
 def sample(sem: LinearSEM, n: int, seed: int = 0) -> TabularDataset:
@@ -322,16 +323,22 @@ def fit(data, skeleton: LinearSEM) -> LinearSEM:
     if not set(np.unique(a)) <= {float(v0), float(v1)}:
         raise CausalError(f"sensitive column takes values outside {{{v0}, {v1}}}")
     pi = float(np.mean(a == v1))
+    # one C-order design for every equation: an F-order one changes the bits of design @ coef
+    buf = np.empty((n, 1 + max((len(eq.parents) for eq in skeleton.equations), default=0)))
+    buf[:, 0] = 1.0
+    resid = np.empty(n)
     equations = []
     for eq in skeleton.equations:
         d = len(eq.parents) + 1
         if n < d:
             raise CausalError(f"{eq.name}: need at least {d} records to fit")
-        design = np.column_stack([np.ones(n)] + [cols[p] for p in eq.parents])
+        design = buf[:, :d]
+        for j, p in enumerate(eq.parents, start=1):
+            design[:, j] = cols[p]
         coef, _, rank, _ = np.linalg.lstsq(design, cols[eq.name], rcond=None)
         if rank < d:
             raise CausalError(f"{eq.name}: rank-deficient design matrix")
-        resid = cols[eq.name] - design @ coef
+        np.subtract(cols[eq.name], design @ coef, out=resid)
         dof = max(n - d, 1)
         equations.append(replace(
             eq, intercept=float(coef[0]), coeffs=tuple(float(c) for c in coef[1:]),
@@ -355,8 +362,8 @@ def path_specific_effect(sem: LinearSEM, paths: PathSelection, a: float, a_bar: 
     return float(total * (a_bar - a))
 
 
-# Rows of both worlds that `path_specific_effect_mc` replays at a time.
-_MC_BLOCK = 1 << 16
+# Rows of both worlds that `path_specific_effect_mc` draws and replays at a time.
+_MC_BLOCK = 1 << 14
 
 
 def path_specific_effect_mc(
@@ -372,25 +379,35 @@ def path_specific_effect_mc(
     Both worlds share the same noise draws (common random numbers), so for
     linear models the estimate matches the closed form up to rounding.
 
-    Each equation's noise is drawn in full, in equation order, and both
-    worlds are replayed ``_MC_BLOCK`` rows at a time into their two outcome
-    columns, so the working set is (equations + 2) x n float64 values plus
-    a few blocks; above ``dataset.MAX_FEATURE_BYTES`` it is refused before
-    the first draw.  Every value goes through the operations of a replay
-    over all rows at once, and the generator and the means see whole
-    columns, so blocking changes no bit of the estimate.
+    The draws are n standard normals per equation, in equation order, as
+    ``simulate`` makes them without the root.  One skip pass over the draws
+    of all but the last equation, ``_MC_BLOCK`` rows at a time into one
+    buffer, finds the generator state where each equation's draws begin;
+    each equation then draws its noise from a generator of its own, and
+    both worlds are replayed ``_MC_BLOCK`` rows at a time into their two
+    outcome columns.  The working set is 2 x n float64 values plus a few
+    blocks; above ``dataset.MAX_FEATURE_BYTES`` it is refused before the
+    first draw.  A column drawn in blocks holds the values drawn whole,
+    every value goes through the operations of a replay over all rows at
+    once, and the means see whole columns, so blocking changes no bit of
+    the estimate.
     """
     if n < 2:
         raise CausalError("n must be >= 2")
-    _refuse_working_set(f"Monte-Carlo effect of {n} samples", n, len(sem.equations) + 2)
-    rng = np.random.default_rng(seed)
+    _refuse_working_set(f"Monte-Carlo effect of {n} samples", n, 2)
     active = paths.edge_set(sem)
-    noise = _draw_noise(sem, rng, n)
+    rng = np.random.default_rng(seed)
+    streams, skipped = [], np.empty(min(n, _MC_BLOCK))
+    for eq in sem.equations:
+        if streams:  # move past the previous equation's draws
+            for start in range(0, n, _MC_BLOCK):
+                rng.standard_normal(out=skipped[:min(_MC_BLOCK, n - start)])
+        streams.append(copy.deepcopy(rng))
     ref_y, cf_y = np.empty(n), np.empty(n)
     for start in range(0, n, _MC_BLOCK):
         rows = slice(start, min(start + _MC_BLOCK, n))
-        block = {name: z[rows] for name, z in noise.items()}
         size = rows.stop - start
+        block = _draw_noise(sem, streams, size)
         ref = _replay(sem, np.full(size, float(a)), block)
         ref_y[rows] = ref[sem.outcome]
         cf_y[rows] = _replay(sem, np.full(size, float(a_bar)), block, ref, active)[sem.outcome]
@@ -402,19 +419,6 @@ def _record_columns(sem: LinearSEM, record: Mapping[str, float]) -> dict[str, np
         if name not in record:
             raise CausalError(f"record lacks variable {name!r}")
     return {k: np.atleast_1d(np.asarray(record[k], dtype=float)) for k in sem.variables}
-
-
-def _average_over_noise(evaluate: Callable, residuals: Mapping, draw, mc_samples: int, seed: int):
-    """``evaluate(residuals)``, or its mean over ``mc_samples`` ``draw(rng)`` overrides of some residuals."""
-    if draw is None:
-        return evaluate(residuals)
-    if mc_samples < 1:
-        raise CausalError("mc_samples must be >= 1 when sampling noise")
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    for _ in range(mc_samples):
-        total = total + evaluate({**residuals, **draw(rng)})
-    return total / mc_samples
 
 
 def abduct(sem: LinearSEM, record: Mapping[str, float]) -> AbductedNoise:
@@ -434,26 +438,16 @@ def counterfactual(
     record: Mapping[str, float],
     paths: PathSelection,
     a_bar: float,
-    mc_samples: int = 1,
-    noise_sampler: Callable | None = None,
-    seed: int = 0,
 ) -> float:
     """Outcome the record would have had with a_bar along the selected paths.
 
     With invertible linear equations the answer is exact: noise is abducted
-    once and the equations replayed.  For equations whose noise posterior is
-    not a point mass, pass ``noise_sampler(rng, record, abducted) -> dict``
-    returning residual draws to average over ``mc_samples`` evaluations.
+    once and the equations replayed.
     """
     active = paths.edge_set(sem)
-    base = abduct(sem, record)
     observed, root = _record_columns(sem, record), np.full(1, float(a_bar))
-
-    def outcome(noise) -> float:
-        return float(_replay(sem, root, noise, observed, active)[sem.outcome][0])
-
-    draw = None if noise_sampler is None else (lambda rng: noise_sampler(rng, record, base))
-    return _average_over_noise(outcome, base.residuals, draw, mc_samples, seed)
+    world = _replay(sem, root, abduct(sem, record).residuals, observed, active)
+    return float(world[sem.outcome][0])
 
 
 def correct_scores(
@@ -462,17 +456,13 @@ def correct_scores(
     data,
     paths: PathSelection,
     a_bar: float,
-    mc_samples: int = 1,
-    noise_sampler: Callable | None = None,
-    seed: int = 0,
 ) -> np.ndarray:
     """Replace model scores by their path-specific counterfactuals.
 
     Every record is moved to the world where the sensitive attribute equals
     ``a_bar`` along the selected paths: descendants on those paths are
     recomputed from their abducted noise, other variables stay at their
-    observed values, and the model is re-evaluated on the corrected inputs
-    (averaged over ``mc_samples`` noise draws when a sampler is given).
+    observed values, and the model is re-evaluated on the corrected inputs.
     Outcome values are never consulted.
     """
     cols = _data_columns(data)
@@ -482,26 +472,19 @@ def correct_scores(
         if name not in cols:
             raise CausalError(f"data lacks variable {name!r}")
     n = cols[sem.sensitive].size
-    root = np.full(n, float(a_bar))
-
-    def evaluate(noise) -> np.ndarray:
-        cf = _replay(sem, root, noise, cols, active)
-        # the model sees corrected values only along edges into the outcome
-        corrected = {k: cf[k] if (k, sem.outcome) in active else cols[k] for k in inputs}
-        try:
-            scores = np.asarray(model(corrected), dtype=float)
-        except Exception as exc:
-            raise CausalError(f"model evaluation failed: {exc}") from exc
-        if scores.shape != (n,):
-            raise CausalError("model must return one score per record")
-        if not np.all(np.isfinite(scores)):
-            bad = int(np.argmax(~np.isfinite(scores)))
-            raise CausalError(f"model returned a non-finite score for record {bad}")
-        return scores
-
-    residuals = _residuals(sem, cols, inputs[1:])
-    draw = None if noise_sampler is None else (lambda rng: noise_sampler(rng, cols, residuals))
-    return _average_over_noise(evaluate, residuals, draw, mc_samples, seed)
+    cf = _replay(sem, np.full(n, float(a_bar)), _residuals(sem, cols, inputs[1:]), cols, active)
+    # the model sees corrected values only along edges into the outcome
+    corrected = {k: cf[k] if (k, sem.outcome) in active else cols[k] for k in inputs}
+    try:
+        scores = np.asarray(model(corrected), dtype=float)
+    except Exception as exc:
+        raise CausalError(f"model evaluation failed: {exc}") from exc
+    if scores.shape != (n,):
+        raise CausalError("model must return one score per record")
+    if not np.all(np.isfinite(scores)):
+        bad = int(np.argmax(~np.isfinite(scores)))
+        raise CausalError(f"model returned a non-finite score for record {bad}")
+    return scores
 
 
 def all_unfair_paths(sem: LinearSEM) -> PathSelection:

@@ -131,8 +131,7 @@ def _read_scores_csv(path):
 
 def cmd_metrics(args) -> int:
     ids, groups, scores, outcome = _read_scores_csv(args.input)
-    codes = ds.factorize(groups).codes.astype(float)
-    scoreset = metrics.ScoreSet(scores=scores, group=codes, outcome=outcome, threshold=args.threshold)
+    scoreset = metrics.ScoreSet(scores=scores, group=ds.factorize(groups), outcome=outcome, threshold=args.threshold)
     grid = None
     outcome_kind = "regression"
     if args.grid_k and outcome is not None:
@@ -140,7 +139,7 @@ def cmd_metrics(args) -> int:
         outcome_kind = kind
         y = outcome if kind == "regression" else np.where(outcome > 0, 1.0, -1.0)
         table = ds.dataset_from_columns(
-            {"group": codes, "score": scores, "y": y},
+            {"group": scoreset.group, "score": scores, "y": y},
             {"group": "sensitive", "score": "feature", "y": "outcome"},
             outcome_kind=kind,
         )
@@ -154,7 +153,7 @@ def cmd_repair(args) -> int:
     ids, groups, scores, _ = _read_scores_csv(args.input)
     enc = ds.factorize(groups)
     repaired, plan = transport.geodesic_repair(
-        scores, enc.codes, t=args.t, bins=args.bins, order=args.order, weights=args.weights
+        scores, enc, t=args.t, bins=args.bins, order=args.order, weights=args.weights
     )
     if args.scores_output:
         ds.write_table(args.scores_output, ["id", "group", "score", "repaired_score"], [ids, groups, scores, repaired])
@@ -162,7 +161,7 @@ def cmd_repair(args) -> int:
     summary = {"trade_off": plan.trade_off, "bins": plan.bins, "order": plan.order, "groups": {}}
     for code, idx in zip(plan.group_codes, enc.members):
         after = transport.EmpiricalDistribution.from_samples(repaired[idx], bins=plan.bins)
-        summary["groups"][str(enc.labels[code])] = {
+        summary["groups"][str(code)] = {
             "count": int(idx.size),
             "w_to_barycenter_before": transport.wasserstein(
                 plan.group_distributions[code], bary, order=plan.order),

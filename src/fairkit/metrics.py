@@ -10,7 +10,7 @@ and reported, never imputed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Mapping, NamedTuple
 
@@ -45,18 +45,28 @@ class MetricError(ValueError):
 class ScoreSet:
     """Aligned per-record scores, group codes, outcomes, and a threshold.
 
+    ``group`` may also be the ``factorize`` encoding of the records'
+    labels; its codes then serve as float group codes, and it is reused as
+    their encoding, relabeled 0.0, 1.0, ... as factorizing them would.
     ``outcome`` may be None for purely score-distribution criteria.  The
     threshold, when present, derives predictions strictly as score > tau.
     """
 
     scores: np.ndarray
-    group: np.ndarray
+    group: np.ndarray | GroupCodes
     outcome: np.ndarray | None = None
     threshold: float | None = None
 
     def __post_init__(self):
         scores = np.asarray(self.scores, dtype=float)
-        group = np.asarray(self.group)
+        if isinstance(self.group, GroupCodes):
+            enc = self.group
+            if any(c != c for c in enc.labels):  # NaN is the one label unequal to itself
+                raise MetricError("group labels must not be NaN")
+            object.__setattr__(self, "encoding", replace(enc, labels=tuple(map(float, range(len(enc.labels))))))
+            group = enc.codes.astype(float)
+        else:
+            group = np.asarray(self.group)
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "group", group)
         if self.outcome is not None:

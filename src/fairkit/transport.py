@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import factorize
+from .dataset import GroupCodes, factorize
 
 __all__ = [
     "TransportError",
@@ -215,7 +215,8 @@ def geodesic_repair(
     Parameters
     ----------
     values : per-record scores.
-    groups : per-record group codes, aligned with ``values``.
+    groups : per-record group codes, aligned with ``values``, or their
+        ``factorize`` encoding, used as given.
     t : trade-off in [0, 1]; 0 leaves groups untouched, 1 matches them all
         to the barycenter up to bin resolution.
     bins : quantile bins; defaults to min(100, smallest group size).
@@ -224,18 +225,17 @@ def geodesic_repair(
         mapping code -> weight.
 
     Returns the repaired scores (aligned with the input) and the plan, whose
-    groups are in first-appearance order.
+    groups are the encoding's labels, in first-appearance order.
     """
     v = np.asarray(values, dtype=float).ravel()
-    g = np.asarray(groups).ravel()
-    if v.size != g.size:
+    enc = groups if isinstance(groups, GroupCodes) else factorize(groups)
+    if v.size != enc.codes.size:
         raise TransportError("values and groups must align")
     if v.size == 0:
         raise TransportError("no scores to repair")
-    if g.dtype.kind in "fc" and np.isnan(g).any():
-        raise TransportError("group labels must not be NaN")
-    enc = factorize(g)
     codes = enc.labels
+    if any(c != c for c in codes):  # NaN is the one label unequal to itself
+        raise TransportError("group labels must not be NaN")
     b = default_bins(enc.counts) if bins is None else int(bins)
     if b < 1:
         raise TransportError("bins must be >= 1")

@@ -6,7 +6,8 @@ grid search), cell metrics by explicit double loops, the constrained
 ridge problems by a general-purpose NLP solver on a smooth reformulation,
 the rbf Gram matrix by its two-matrix formula, the kernel squared loss at
 a zero budget by null-space elimination, the Monte-Carlo path-specific
-effect by replaying both worlds over all samples at once, and
+effect by replaying both worlds over all samples at once, a SEM's
+least-squares refit by one stacked design per equation, and
 equality-constrained quadratics (the common-mean multitask fit among them)
 by least squares on their dense KKT system, and L1-ball constrained ones
 by one such system per face of the ball.
@@ -256,6 +257,36 @@ def full_array_pse_mc(sem, active, a, a_bar, n, seed):
         c += noise[eq.name]
         ref[eq.name], cf[eq.name] = r, c
     return float(np.mean(cf[sem.outcome]) - np.mean(ref[sem.outcome]))
+
+
+def column_stack_fit(cols, skeleton):
+    """A SEM refit by per-equation least squares, each design stacked afresh.
+
+    Each equation's design is ``np.column_stack`` of a new column of ones
+    and its parents, solved by ``lstsq``; the residual is a new array.
+    Returns pi and one (intercept, coefficients, noise_std) per equation;
+    where the refit is refused, raises ``ValueError`` with its message.
+    """
+    a = np.asarray(cols[skeleton.sensitive], dtype=float)
+    n = a.size
+    v0, v1 = skeleton.sensitive_values
+    if not set(np.unique(a)) <= {float(v0), float(v1)}:
+        raise ValueError(f"sensitive column takes values outside {{{v0}, {v1}}}")
+    pi = float(np.mean(a == v1))
+    equations = []
+    for eq in skeleton.equations:
+        d = len(eq.parents) + 1
+        if n < d:
+            raise ValueError(f"{eq.name}: need at least {d} records to fit")
+        design = np.column_stack([np.ones(n)] + [np.asarray(cols[p], dtype=float) for p in eq.parents])
+        y = np.asarray(cols[eq.name], dtype=float)
+        coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+        if rank < d:
+            raise ValueError(f"{eq.name}: rank-deficient design matrix")
+        resid = y - design @ coef
+        noise_std = float(np.sqrt(resid @ resid / max(n - d, 1)))
+        equations.append((float(coef[0]), tuple(float(c) for c in coef[1:]), noise_std))
+    return pi, equations
 
 
 def reference_kernel_null_space(K, y, lam, M):

@@ -247,7 +247,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv,message", [
         (["pse", "--mc-samples", "3000000000", "--output", "r.json"],
-         "Monte-Carlo effect of 3000000000 samples needs 111.8 GiB"),
+         "Monte-Carlo effect of 3000000000 samples needs 44.7 GiB"),
         (["sample", "--n", "3000000000", "--scores-output", "s.csv"], "sample of 3000000000 records needs 156.5 GiB"),
     ])
     def test_oversized_sem_count_is_data_error(self, argv, message, tmp_path, capsys, monkeypatch):

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from fairkit.dataset import dataset_from_columns, make_grid
+from fairkit.dataset import dataset_from_columns, factorize, make_grid
 from fairkit.metrics import (
     MetricError,
     ScoreSet,
@@ -291,6 +293,25 @@ class TestFullReport:
         report = full_report(scores, grid=grid, bins=3)
         for entry in report.to_json_dict().values():
             assert entry["value"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_group_encoding_is_reused_as_float_codes(self):
+        # a score set over an encoding reports what one over its float codes reports
+        rng = np.random.default_rng(12)
+        labels = rng.choice(["c", "a", "b"], size=300)
+        y = rng.choice([-1.0, 1.0], size=300)
+        y[labels == "b"] = 1.0  # "b" has no negatives, so its code is excluded
+        f = rng.uniform(size=300)
+        enc = factorize(labels)
+        given = ScoreSet(f, enc, y, threshold=0.5)
+        codes = ScoreSet(f, enc.codes.astype(float), y, threshold=0.5)
+        np.testing.assert_array_equal(given.group, codes.group)
+        grid = binary_grid(y, codes.group)
+        # the dumps tell the label 2.0 from 2
+        report = json.dumps(full_report(given, grid=grid, bins=10).to_json_dict())
+        assert report == json.dumps(full_report(codes, grid=grid, bins=10).to_json_dict())
+        assert f'"skipped_cells": [{float(enc.labels.index("b"))}]' in report
+        with pytest.raises(MetricError, match="NaN"):
+            ScoreSet(f[:2], factorize([np.nan, 0.0]))
 
     def test_json_round_trip(self):
         import json

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from fairkit.dataset import factorize
 from fairkit.transport import (
     EmpiricalDistribution,
     TransportError,
@@ -238,6 +239,18 @@ class TestGeodesicRepair:
     def test_nan_group_labels_rejected(self):
         with pytest.raises(TransportError, match="NaN"):
             geodesic_repair([0.1, 0.2, 0.3, 0.4], [np.nan, 0.0, np.nan, 0.0], t=1.0, bins=1)
+
+    def test_group_encoding_is_used_as_given(self):
+        rng = np.random.default_rng(45)
+        values = rng.uniform(size=200)
+        groups = rng.choice(["u", "v", "w"], size=200)
+        enc = factorize(groups)
+        repaired, plan = geodesic_repair(values, enc, t=0.5, bins=20)
+        want, want_plan = geodesic_repair(values, groups, t=0.5, bins=20)
+        np.testing.assert_array_equal(repaired, want)
+        assert plan.group_codes == want_plan.group_codes == enc.labels
+        with pytest.raises(TransportError, match="NaN"):
+            geodesic_repair(values[:4], factorize([np.nan, 0.0, np.nan, 0.0]), t=1.0, bins=1)
 
     def test_replaced_trade_off_matches_a_fresh_repair(self):
         # a sweep re-interpolates one plan; every t must give a fresh repair's bits
