@@ -43,7 +43,6 @@ __all__ = [
     "Equation",
     "LinearSEM",
     "PathSelection",
-    "AbductedNoise",
     "simulate",
     "sample",
     "fit",
@@ -213,13 +212,6 @@ def _paths_to_outcome(sem: LinearSEM, edges=None) -> list[tuple[str, ...]]:
 
     walk((sem.sensitive,))
     return paths
-
-
-@dataclass(frozen=True)
-class AbductedNoise:
-    """Per-equation residuals recovered from one record."""
-
-    residuals: Mapping[str, float]
 
 
 def _replay(
@@ -421,15 +413,15 @@ def _record_columns(sem: LinearSEM, record: Mapping[str, float]) -> dict[str, np
     return {k: np.atleast_1d(np.asarray(record[k], dtype=float)) for k in sem.variables}
 
 
-def abduct(sem: LinearSEM, record: Mapping[str, float]) -> AbductedNoise:
-    """Recover each equation's noise from one fully observed record."""
+def abduct(sem: LinearSEM, record: Mapping[str, float]) -> dict[str, float]:
+    """Recover each equation's noise (its residual) from one fully observed record."""
     residuals = _residuals(sem, _record_columns(sem, record), [eq.name for eq in sem.equations])
-    return AbductedNoise(residuals={k: float(v[0]) for k, v in residuals.items()})
+    return {k: float(v[0]) for k, v in residuals.items()}
 
 
-def reconstruct(sem: LinearSEM, sensitive_value: float, noise: AbductedNoise) -> dict[str, float]:
+def reconstruct(sem: LinearSEM, sensitive_value: float, noise: Mapping[str, float]) -> dict[str, float]:
     """Replay the structural equations under the given noise."""
-    world = _replay(sem, np.full(1, float(sensitive_value)), noise.residuals)
+    world = _replay(sem, np.full(1, float(sensitive_value)), noise)
     return {k: float(v[0]) for k, v in world.items()}
 
 
@@ -446,7 +438,7 @@ def counterfactual(
     """
     active = paths.edge_set(sem)
     observed, root = _record_columns(sem, record), np.full(1, float(a_bar))
-    world = _replay(sem, root, abduct(sem, record).residuals, observed, active)
+    world = _replay(sem, root, abduct(sem, record), observed, active)
     return float(world[sem.outcome][0])
 
 

@@ -145,7 +145,7 @@ def cmd_metrics(args) -> int:
         )
         grid = ds.make_grid(table, args.grid_k, args.grid_q)
     report = metrics.full_report(scoreset, grid=grid, bins=args.bins, outcome_kind=outcome_kind)
-    _write_text(args.output, _report_doc("metrics", args.seed, report.to_json_dict()))
+    _write_text(args.output, _report_doc("metrics", args.seed, report))
     return 0
 
 

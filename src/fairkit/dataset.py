@@ -346,10 +346,10 @@ def load_csv(path, schema: Mapping[str, str], outcome_kind: str = "regression") 
     task, ignore}; columns absent from the mapping are an error, as are
     missing, unparseable or non-finite cells, ragged rows and blank lines
     (see ``read_table``, which reads a block of rows at a time; ignored columns
-    stay its StringDType text).  Non-numeric sensitive or feature columns
-    (detected from their first cell) are coded as categoricals in
-    first-appearance order; categorical features are one-hot expanded when
-    the feature matrix is built.
+    stay its StringDType text), and task ids that are not whole int64 values.
+    Non-numeric sensitive or feature columns (detected from their first
+    cell) are coded as categoricals in first-appearance order; categorical
+    features are one-hot expanded when the feature matrix is built.
     """
     for name, role in schema.items():
         if role not in ROLES:
@@ -377,7 +377,12 @@ def load_csv(path, schema: Mapping[str, str], outcome_kind: str = "regression") 
         else:
             values = parse_numbers(values, name)
             if role == "task":
-                values = values.astype(int)
+                bad = (values != np.trunc(values)) | (values < -2.0**63) | (values >= 2.0**63)
+                if bad.any():
+                    n = int(np.argmax(bad))
+                    raise DatasetError(f"row {n + 2}, column {name!r}: task id {float(values[n])!r}"
+                                       " is not a whole number in the int64 range")
+                values = values.astype(np.int64)
             elif role == "outcome" and outcome_kind == "classification":
                 values = _classification_labels(values, name)
             columns[name] = values
@@ -512,35 +517,20 @@ def _axis_edges(values: np.ndarray, bins: int, what: str) -> np.ndarray:
     inner = np.quantile(values, np.arange(1, bins) / bins)
     edges = np.concatenate(([lo], inner, [hi]))
     if not np.all(np.diff(edges) > 0):
-        raise DatasetError(f"{what}: quantile edges collapse; use fewer bins or explicit edges")
+        raise DatasetError(f"{what}: quantile edges collapse; use fewer bins")
     return edges
 
 
-def make_grid(
-    dataset: TabularDataset,
-    k_bins: int,
-    q_bins: int,
-    strategy: str = "quantile",
-    y_edges=None,
-    s_edges=None,
-) -> DiscretizationGrid:
+def make_grid(dataset: TabularDataset, k_bins: int, q_bins: int) -> DiscretizationGrid:
     """Build a discretization grid over the outcome and sensitive values.
 
-    The quantile strategy places interior edges at empirical quantiles and
-    the outer edges at the data minimum and just past the maximum so the
-    half-open cells cover every record.  When an axis has exactly as many
-    distinct values as requested bins, edges sit at midpoints between
-    consecutive values padded by 0.5 outside; binary labels therefore get
-    the edges {-1.5, 0, +1.5} and binary groups {-0.5, 0.5, 1.5}.
+    Interior edges sit at empirical quantiles, the outer edges at the data
+    minimum and just past the maximum, so the half-open cells cover every
+    record.  When an axis has exactly as many distinct values as requested
+    bins, edges sit at midpoints between consecutive values padded by 0.5
+    outside; binary labels therefore get the edges {-1.5, 0, +1.5} and
+    binary groups {-0.5, 0.5, 1.5}.
     """
-    if strategy == "explicit":
-        if y_edges is None or s_edges is None:
-            raise DatasetError("explicit strategy requires y_edges and s_edges")
-        grid = DiscretizationGrid(np.asarray(y_edges, float), np.asarray(s_edges, float))
-        grid.cell_of(dataset.outcome, dataset.sensitive)  # must cover the data
-        return grid
-    if strategy != "quantile":
-        raise DatasetError(f"unknown strategy {strategy!r}")
     if k_bins < 1 or q_bins < 1:
         raise DatasetError("k_bins and q_bins must be >= 1")
     return DiscretizationGrid(

@@ -31,7 +31,6 @@ import numpy as np
 
 from . import dataset as ds
 from .dataset import DiscretizationGrid, TabularDataset
-from .metrics import MetricError, ScoreSet, general_fairness_gap, loss_general_fairness_gap
 
 __all__ = [
     "FermError",
@@ -48,7 +47,6 @@ __all__ = [
     "train_ferm_binary",
     "LinearFairMap",
     "fair_linear_transform",
-    "surrogate_fairness_gap",
 ]
 
 LOSSES = ("squared", "hinge", "logistic")
@@ -59,12 +57,7 @@ class FermError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """Optimization failed; carries the last iterate and residuals."""
-
-    def __init__(self, message, last_iterate=None, residuals=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
-        self.residuals = residuals
+    """Optimization failed."""
 
 
 @dataclass(frozen=True)
@@ -121,8 +114,7 @@ def kernel_matrix(spec: KernelSpec, X: np.ndarray, Z: np.ndarray | None = None) 
 
 
 def _kernel_dot(spec: KernelSpec, X: np.ndarray, Z: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """K(X, Z) @ v, the kernel formed `_SOLVE_BLOCK` rows at a time; refused as `kernel_matrix` would be."""
-    _check_kernel_size(spec, X.shape[0], Z.shape[0])
+    """K(X, Z) @ v, the kernel formed `_SOLVE_BLOCK` rows at a time, each block checked by `kernel_matrix`."""
     out = np.empty(X.shape[0])
     for start in range(0, X.shape[0], _SOLVE_BLOCK):
         out[start:start + _SOLVE_BLOCK] = kernel_matrix(spec, X[start:start + _SOLVE_BLOCK], Z) @ v
@@ -329,7 +321,7 @@ def _qp_l1(P: np.ndarray, q: np.ndarray, M: np.ndarray, eps: float) -> np.ndarra
     steps_left = 10 * (A.shape[0] + A.shape[1]) + 100
     while np.abs(z := A.T @ u).sum() - eps > 1e-12 * (eps + float(np.abs(u) @ reach)):
         if steps_left <= 0:
-            raise SolverError("L1-constrained QP did not terminate", last_iterate=T @ u)
+            raise SolverError("L1-constrained QP did not terminate")
         added = _add_facet(active, mult, u, A @ np.sign(z), eps, steps_left)
         if added is None:
             break
@@ -415,14 +407,13 @@ def _newton(obj: _Objective, beta: np.ndarray, minimize_model, steps: int, max_i
         d = minimize_model(hess, hess @ beta - grad) - beta
         decrement = -float(grad @ d)
         if not (np.isfinite(value) and np.isfinite(decrement)):
-            raise SolverError("non-finite Newton objective or step", last_iterate=beta)
+            raise SolverError("non-finite Newton objective or step")
         size = np.abs(beta)
         rounding = 1e-14 * float((abs_d @ size).sum() + size @ abs_r @ size)
         if decrement <= max(1e-12 * (1.0 + abs(value)), rounding):
             return beta, steps
         if steps >= max_iter:
-            raise SolverError(f"Newton did not converge within max_iter={max_iter} steps",
-                              last_iterate=beta)
+            raise SolverError(f"Newton did not converge within max_iter={max_iter} steps")
         t = 1.0
         while 1e-4 * t * decrement > 2.0 * value:
             t *= 0.5
@@ -431,7 +422,7 @@ def _newton(obj: _Objective, beta: np.ndarray, minimize_model, steps: int, max_i
             while not (trial := obj.value(beta + t * d)) <= value - 1e-4 * t * decrement:
                 t *= 0.5
                 if t < shortest:
-                    raise SolverError("Newton line search found no decrease", last_iterate=beta)
+                    raise SolverError("Newton line search found no decrease")
         beta, value = beta + t * d, trial
         steps += 1
 
@@ -560,19 +551,11 @@ def _cholesky_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
 def _checked(beta: np.ndarray, M: np.ndarray, epsilon: float | None) -> np.ndarray:
     """beta, once it is finite and, unless epsilon is None, within the budget."""
     if not np.all(np.isfinite(beta)):
-        raise SolverError(
-            "solver diverged",
-            last_iterate=beta,
-            residuals=None if epsilon is None else M.T @ beta,
-        )
+        raise SolverError("solver diverged")
     if epsilon is not None:
         achieved = float(np.abs(M.T @ beta).sum())
         if achieved > epsilon + 1e-6:
-            raise SolverError(
-                f"constraint violated: {achieved} > {epsilon}",
-                last_iterate=beta,
-                residuals=M.T @ beta,
-            )
+            raise SolverError(f"constraint violated: {achieved} > {epsilon}")
     return beta
 
 
@@ -752,30 +735,3 @@ def fair_linear_transform(X: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, Lin
     pivot = int(np.argmax(np.abs(u)))  # argmax returns the lowest index on ties
     fmap = LinearFairMap(pivot=pivot, ratios=u / u[pivot])
     return fmap.apply(X), fmap
-
-
-def surrogate_fairness_gap(
-    model: KernelModel,
-    dataset: TabularDataset,
-    grid: DiscretizationGrid,
-) -> tuple[float, tuple[tuple[int, int], ...]]:
-    """Total gap between hard-count cell parity and its linear-loss surrogate.
-
-    Sums |P_hat difference| - |linear-loss difference| over ordered pairs
-    of non-empty cells; a small value certifies that the convex surrogate
-    constraint tracks the hard fairness measure on this data.
-    """
-    scores = ScoreSet(
-        scores=model.predict_dataset(dataset),
-        group=dataset.sensitive,
-        outcome=dataset.outcome,
-    )
-    try:
-        hard = general_fairness_gap(scores, grid)
-        linear = loss_general_fairness_gap(
-            scores, grid, loss="linear", outcome_kind=dataset.outcome_kind
-        )
-    except MetricError as exc:
-        raise FermError(str(exc)) from exc
-    value = (hard.value - linear.value) * hard.included_pairs
-    return float(value), hard.skipped_cells

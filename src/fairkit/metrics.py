@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +26,6 @@ __all__ = [
     "OddsGaps",
     "PredictiveParityResult",
     "CellGapResult",
-    "FairnessReport",
     "demographic_parity_gap",
     "strong_demographic_parity",
     "equalized_odds_gaps",
@@ -195,9 +194,6 @@ class CellGapResult:
     skipped_cells: tuple[tuple[int, int], ...]
     included_pairs: int
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def _cell_gap(table: np.ndarray, counts: np.ndarray) -> tuple[float, tuple, int]:
     n_k, n_q = table.shape
@@ -218,17 +214,14 @@ def _cell_gap(table: np.ndarray, counts: np.ndarray) -> tuple[float, tuple, int]
     return value, skipped, pairs
 
 
-def _cell_layout(scores: ScoreSet, grid: DiscretizationGrid, model_outputs):
-    f = scores.scores if model_outputs is None else np.asarray(model_outputs, dtype=float)
-    if f.shape != scores.scores.shape:
-        raise MetricError("model_outputs must align with the score set")
+def _cell_layout(scores: ScoreSet, grid: DiscretizationGrid):
     if scores.outcome is None:
         raise MetricError("cell-based criteria need outcomes")
     try:
         group_values = scores.group.astype(float)
     except ValueError:
         raise MetricError("cell-based criteria need numeric group codes") from None
-    return (f, *grid.cell_ids(scores.outcome, group_values))
+    return grid.cell_ids(scores.outcome, group_values)
 
 
 def _cell_result(cell: np.ndarray, counts: np.ndarray, values: np.ndarray) -> CellGapResult:
@@ -241,20 +234,16 @@ def _cell_result(cell: np.ndarray, counts: np.ndarray, values: np.ndarray) -> Ce
     return CellGapResult(value, table, skipped, pairs)
 
 
-def general_fairness_gap(
-    scores: ScoreSet,
-    grid: DiscretizationGrid,
-    model_outputs=None,
-) -> CellGapResult:
+def general_fairness_gap(scores: ScoreSet, grid: DiscretizationGrid) -> CellGapResult:
     """Accuracy-parity over (outcome, sensitive) cells.
 
     The per-cell statistic is the fraction of records whose model output
     falls inside the cell's own outcome bin.  In the binary setting this
     averages the false-positive and false-negative rate gaps.
     """
-    f, cell, counts = _cell_layout(scores, grid, model_outputs)
+    cell, counts = _cell_layout(scores, grid)
     k_idx = cell // grid.n_s_bins
-    edges = grid.y_edges
+    f, edges = scores.scores, grid.y_edges
     return _cell_result(cell, counts, (f >= edges[k_idx]) & (f < edges[k_idx + 1]))
 
 
@@ -262,7 +251,6 @@ def loss_general_fairness_gap(
     scores: ScoreSet,
     grid: DiscretizationGrid,
     loss: str = "hard",
-    model_outputs=None,
     outcome_kind: str = "classification",
 ) -> CellGapResult:
     """Loss-parity over (outcome, sensitive) cells.
@@ -274,12 +262,12 @@ def loss_general_fairness_gap(
     regression.
     """
     if loss == "hard":
-        base = general_fairness_gap(scores, grid, model_outputs)
+        base = general_fairness_gap(scores, grid)
         return CellGapResult(base.value, 1.0 - base.table, base.skipped_cells, base.included_pairs)
     if loss != "linear":
         raise MetricError(f"unknown loss kind {loss!r}")
-    f, cell, counts = _cell_layout(scores, grid, model_outputs)
-    y = scores.outcome
+    f, y = scores.scores, scores.outcome
+    cell, counts = _cell_layout(scores, grid)
     if outcome_kind == "classification":
         losses = (1.0 - f * y) / 2.0
     elif outcome_kind == "regression":
@@ -289,25 +277,6 @@ def loss_general_fairness_gap(
     return _cell_result(cell, counts, losses)
 
 
-@dataclass(frozen=True, eq=False)
-class FairnessReport:
-    """Named criterion values with their raw tables and skipped cells."""
-
-    criteria: Mapping[str, Mapping]
-
-    def to_json_dict(self) -> dict:
-        out: dict = {}
-        for name in sorted(self.criteria):
-            entry = dict(self.criteria[name])
-            table = entry.get("table")
-            if isinstance(table, np.ndarray):
-                entry["table"] = [
-                    [None if np.isnan(x) else float(x) for x in row] for row in table
-                ]
-            out[name] = entry
-        return out
-
-
 def _entry(value: float, skipped=()) -> dict:
     return {"value": value, "table": None, "skipped_cells": list(skipped)}
 
@@ -315,7 +284,7 @@ def _entry(value: float, skipped=()) -> dict:
 def _cell_entry(result: CellGapResult) -> dict:
     return {
         "value": result.value,
-        "table": result.table,
+        "table": [[None if np.isnan(x) else float(x) for x in row] for row in result.table],
         "skipped_cells": [list(c) for c in result.skipped_cells],
     }
 
@@ -325,8 +294,8 @@ def full_report(
     grid: DiscretizationGrid | None = None,
     bins: int | None = None,
     outcome_kind: str = "classification",
-) -> FairnessReport:
-    """Evaluate every criterion the inputs support."""
+) -> dict:
+    """Every criterion the inputs support, as a JSON object: tables are lists, None for an empty cell."""
     criteria: dict[str, dict] = {}
     sdp = strong_demographic_parity(scores, bins=bins)
     criteria["strong_demographic_parity"] = {**_entry(sdp.max_w1), "d_pair": sdp.d_pair}
@@ -346,4 +315,4 @@ def full_report(
         criteria["loss_general_fairness_linear"] = _cell_entry(
             loss_general_fairness_gap(scores, grid, loss="linear", outcome_kind=outcome_kind)
         )
-    return FairnessReport(criteria=criteria)
+    return dict(sorted(criteria.items()))

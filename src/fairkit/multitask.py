@@ -106,14 +106,6 @@ class MultiTaskDataset:
     def d(self) -> int:
         return self.tasks[0].d
 
-    def missing_group_tasks(self) -> tuple[int, ...]:
-        """Indices of tasks lacking one of the two sensitive groups."""
-        out = []
-        for i, t in enumerate(self.tasks):
-            if np.unique(t.sensitive).size < 2:
-                out.append(i)
-        return tuple(out)
-
 
 def conditional_mean_gap(task: Task) -> np.ndarray:
     """Difference of per-group feature means (group 0 minus group 1)."""
@@ -292,10 +284,9 @@ def train_representation(
     gaps: tuple[np.ndarray, ...] = ()
     basis = np.eye(d)
     if constraint != "none":
-        if data.missing_group_tasks():
-            raise MtlError(
-                f"tasks {data.missing_group_tasks()} lack a sensitive group; their gap is undefined"
-            )
+        missing = tuple(i for i, t in enumerate(tasks) if np.unique(t.sensitive).size < 2)
+        if missing:
+            raise MtlError(f"tasks {missing} lack a sensitive group; their gap is undefined")
         gaps = tuple(conditional_mean_gap(t) for t in tasks)
     if constraint == "equality":
         basis = _null_basis(np.column_stack(gaps))
@@ -385,9 +376,8 @@ def train_sensitive_predictor(
     dataset: TabularDataset | Task,
     lam: float = 1.0,
     seed: int = 0,
-    holdout_fraction: float = 0.25,
 ) -> SensitivePredictor:
-    """Learn s from x and report held-out accuracy.
+    """Learn s from x and report its accuracy on a held-out random quarter of the records.
 
     The accuracy governs how downstream constraints behave: an accurate
     predictor recovers the true groups, an inaccurate one randomizes
@@ -400,7 +390,7 @@ def train_sensitive_predictor(
     rng = np.random.default_rng(seed)
     n = task.n
     perm = rng.permutation(n)
-    n_hold = int(np.clip(round(holdout_fraction * n), 1, n - 1))
+    n_hold = int(np.clip(round(0.25 * n), 1, n - 1))
     hold, fit_idx = perm[:n_hold], perm[n_hold:]
     Xb = np.column_stack([task.features, np.ones(n)])
     d = Xb.shape[1]

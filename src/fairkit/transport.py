@@ -208,7 +208,7 @@ def geodesic_repair(
     t: float,
     bins: int | None = None,
     order: int = 2,
-    weights: Mapping[object, float] | str = "empirical",
+    weights: str = "empirical",
 ) -> tuple[np.ndarray, RepairPlan]:
     """Partially repair scores toward the group barycenter.
 
@@ -221,8 +221,7 @@ def geodesic_repair(
         to the barycenter up to bin resolution.
     bins : quantile bins; defaults to min(100, smallest group size).
     order : 1 or 2, the transport cost order used for the barycenter.
-    weights : "empirical" (group frequencies), "uniform", or an explicit
-        mapping code -> weight.
+    weights : "empirical" (group frequencies) or "uniform".
 
     Returns the repaired scores (aligned with the input) and the plan, whose
     groups are the encoding's labels, in first-appearance order.
@@ -241,19 +240,12 @@ def geodesic_repair(
         raise TransportError("bins must be >= 1")
     dists = [EmpiricalDistribution.from_samples(v[idx], bins=b) for idx in enc.members]
 
-    if isinstance(weights, str):
-        if weights == "empirical":
-            w = enc.counts / v.size
-        elif weights == "uniform":
-            w = np.full(len(codes), 1.0 / len(codes))
-        else:
-            raise TransportError(f"unknown weight scheme {weights!r}")
+    if weights == "empirical":
+        w = enc.counts / v.size
+    elif weights == "uniform":
+        w = np.full(len(codes), 1.0 / len(codes))
     else:
-        w = np.array([float(weights[c]) for c in codes])
-        total = w.sum()
-        if total <= 0:
-            raise TransportError("weights must have positive sum")
-        w = w / total
+        raise TransportError(f"unknown weight scheme {weights!r}")
 
     plan = RepairPlan(
         group_codes=codes,

@@ -268,13 +268,13 @@ class TestAbduction:
         record["Y"] = 2.0 * a + 1.0 * record["Q"] + 0.5 * record["D"] + eps["Y"]
         noise = abduct(sem, record)
         for name, value in eps.items():
-            assert noise.residuals[name] == pytest.approx(value, abs=1e-12)
+            assert noise[name] == pytest.approx(value, abs=1e-12)
 
     def test_on_surface_residuals_are_zero(self):
         sem = college()
         record = {"A": 0.0, "Q": 0.0, "D": 0.0, "Y": 0.0}
         noise = abduct(sem, record)
-        assert all(v == 0.0 for v in noise.residuals.values())
+        assert all(v == 0.0 for v in noise.values())
 
     def test_round_trip(self):
         sem = college()

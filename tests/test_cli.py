@@ -218,12 +218,19 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith(f"error: rbf kernel matrix of {shape} needs ") and err.count("\n") == 1
 
+        def predict(name):
+            return main(["ferm-predict", "--model", str(model), "--input", str(large), "--schema", schema,
+                         "--scores-output", str(tmp_path / name)])
+
         assert train(large) == 2
         assert_one_line("120 x 120")
         assert train(small) == 0
-        assert main(["ferm-predict", "--model", str(model), "--input", str(large), "--schema", schema,
-                     "--scores-output", str(tmp_path / "s.csv")]) == 2
-        assert_one_line("120 x 40")
+        # prediction forms _SOLVE_BLOCK kernel rows at a time, so only a block must fit under the cap
+        monkeypatch.setattr(ferm, "_SOLVE_BLOCK", 16)
+        assert predict("capped.csv") == 0
+        monkeypatch.undo()
+        assert predict("free.csv") == 0
+        assert (tmp_path / "capped.csv").read_bytes() == (tmp_path / "free.csv").read_bytes()
 
     @pytest.mark.parametrize("grid_q", ["1", "2"])
     def test_rbf_kernel_not_positive_definite_is_solver_error(self, tmp_path, capsys, grid_q):
@@ -959,6 +966,22 @@ class TestMtlCommands:
             del doc[key]
         old = _rep_from_json(doc)
         assert (old.penalty, old.gap_vectors, old.solver) == (None, (), None)
+
+    @pytest.mark.parametrize("task_id", ["1.5", "1e300", "3.0"])
+    def test_task_id_must_be_a_whole_int64(self, tmp_path, capsys, task_id):
+        data, schema = write_multitask_csv(tmp_path / "tasks.csv", np.random.default_rng(9))
+        lines = data.read_text().splitlines()
+        lines[-1] = task_id + lines[-1][1:]  # the last record, of task 2
+        data.write_text("\n".join(lines) + "\n")
+        model = tmp_path / "r.json"
+        code = main(["mtl", "train-rep", "--input", str(data), "--schema", schema, "--mode", "none",
+                     "--output", str(model)])
+        if task_id == "3.0":  # task 3, a task of its own
+            assert code == 0 and len(json.loads(model.read_text())["B"][0]) == 4
+        else:
+            assert code == 2
+            assert capsys.readouterr().err == (f"error: row {len(lines)}, column 'task': task id {float(task_id)!r}"
+                                               " is not a whole number in the int64 range\n")
 
     @pytest.mark.parametrize("mode", ["none", "equality"])
     def test_eps_outside_relaxed_mode_is_usage_error(self, tmp_path, capsys, mode):

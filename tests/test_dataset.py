@@ -393,11 +393,6 @@ class TestMakeGrid:
         with pytest.raises(DatasetError, match="distinct"):
             make_grid(data, 3, 2)
 
-    def test_explicit_edges_must_cover(self):
-        data = toy_dataset([0.0, 5.0], [0, 1])
-        with pytest.raises(DatasetError):
-            make_grid(data, 2, 2, strategy="explicit", y_edges=[0, 1, 2], s_edges=[-0.5, 0.5, 1.5])
-
 
 class TestPartition:
     """``DiscretizationGrid.cell_ids``: each record's flat cell k * Q + q and the cell counts."""

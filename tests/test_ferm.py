@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from fairkit import ferm
-from fairkit.dataset import dataset_from_columns, make_grid
+from fairkit.dataset import DiscretizationGrid, dataset_from_columns, make_grid
 from fairkit.ferm import (
     FairERMProblem,
     FermError,
@@ -17,7 +17,6 @@ from fairkit.ferm import (
     design_matrix,
     fair_linear_transform,
     kernel_matrix,
-    surrogate_fairness_gap,
     train_ferm_binary,
     train_gferm,
 )
@@ -29,7 +28,7 @@ from fairkit.ferm import (  # white-box solver checks
     _solve_constrained,
     _solve_kernel_squared,
 )
-from fairkit.metrics import ScoreSet, general_fairness_gap, loss_general_fairness_gap
+from fairkit.metrics import ScoreSet, loss_general_fairness_gap
 
 from oracles import (
     dense_constraint_matrix,
@@ -144,8 +143,7 @@ class TestConstraintConstruction:
         )
         y_edges = np.concatenate(([-1.0], np.sort(rng.uniform(-1.0, 1.0, k_bins - 1)), [1.0]))
         s_edges = np.concatenate(([-0.5], np.sort(rng.uniform(-0.5, 3.5, q_bins - 1)), [3.5]))
-        grid = make_grid(data, 0, 0, strategy="explicit", y_edges=y_edges, s_edges=s_edges)
-        cs = build_constraints(data, grid)
+        cs = build_constraints(data, DiscretizationGrid(y_edges, s_edges))
         C, pairs = dense_constraint_matrix(y, s, y_edges, s_edges)
         assert list(cs.pairs) == pairs
         assert cs.degenerate == (not pairs)
@@ -315,8 +313,7 @@ def kernel_problem(seed, n, d, groups, bins, degenerate=False):
     )
     y_edges = np.linspace(-1.0, 1.0, bins + 1)
     s_edges = np.array([-0.5, groups - 0.5]) if degenerate else np.arange(groups + 1) - 0.5
-    grid = make_grid(data, 0, 0, strategy="explicit", y_edges=y_edges, s_edges=s_edges)
-    return data, grid, dense_constraint_matrix(y, s, y_edges, s_edges)[0]
+    return data, DiscretizationGrid(y_edges, s_edges), dense_constraint_matrix(y, s, y_edges, s_edges)[0]
 
 
 class TestKernelSquared:
@@ -783,35 +780,6 @@ class TestBinaryTraining:
 
 
 class TestSurrogateGap:
-    def test_bin_constant_model_is_zero(self):
-        rng = np.random.default_rng(18)
-        data = classification_dataset(rng, n=60)
-        grid = make_grid(data, 2, 2)
-
-        class OracleModel:
-            """Predicts the exact bin value, so both gap tables are flat."""
-
-            include_sensitive = False
-            kernel = KernelSpec()
-
-            def predict_dataset(self, ds):
-                return np.where(ds.outcome > 0, 1.0, -1.0)
-
-        value, skipped = surrogate_fairness_gap(OracleModel(), data, grid)
-        assert value == pytest.approx(0.0, abs=1e-12)
-        assert skipped == ()
-
-    def test_matches_direct_recomputation(self):
-        rng = np.random.default_rng(19)
-        data = classification_dataset(rng, n=80)
-        grid = make_grid(data, 2, 2)
-        model = train_gferm(FairERMProblem(lam=0.5, epsilon=None), data, grid)
-        value, _ = surrogate_fairness_gap(model, data, grid)
-        scores = ScoreSet(model.predict_dataset(data), data.sensitive, data.outcome)
-        hard = general_fairness_gap(scores, grid)
-        linear = loss_general_fairness_gap(scores, grid, loss="linear")
-        assert value == pytest.approx((hard.value - linear.value) * hard.included_pairs)
-
     def test_constrained_model_shrinks_gap_components(self):
         rng = np.random.default_rng(20)
         data = classification_dataset(rng, n=150)

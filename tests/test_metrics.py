@@ -15,6 +15,7 @@ from fairkit.metrics import (
     predictive_parity_gap,
     strong_demographic_parity,
 )
+from fairkit.transport import TransportError, geodesic_repair
 
 from oracles import cell_metric_double_loop
 
@@ -279,6 +280,20 @@ class TestLossGeneralFairness:
         assert result.value == pytest.approx(direct, abs=1e-12)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda s, grid: geodesic_repair(s.scores, s.group, 0.5, weights="bogus"),
+     TransportError, "unknown weight scheme 'bogus'"),
+    (lambda s, grid: loss_general_fairness_gap(s, grid, loss="cubic"), MetricError, "unknown loss kind 'cubic'"),
+    (lambda s, grid: loss_general_fairness_gap(s, grid, loss="linear", outcome_kind="ordinal"),
+     MetricError, "unknown outcome kind 'ordinal'"),
+], ids=["repair-weights", "loss", "outcome-kind"])
+def test_unknown_scheme_is_refused(call, error, message):
+    y, g = np.array([1.0, -1.0, 1.0, -1.0]), np.array([0.0, 0.0, 1.0, 1.0])
+    with pytest.raises(error) as exc:
+        call(ScoreSet(np.array([0.4, 0.2, 0.6, 0.1]), g, y), binary_grid(y, g))
+    assert str(exc.value) == message
+
+
 class TestFullReport:
     def test_group_symmetric_inputs_have_zero_gaps(self):
         base_s = np.array([0.9, 0.4, 0.1])
@@ -291,7 +306,7 @@ class TestFullReport:
         )
         grid = binary_grid(scores.outcome, scores.group)
         report = full_report(scores, grid=grid, bins=3)
-        for entry in report.to_json_dict().values():
+        for entry in report.values():
             assert entry["value"] == pytest.approx(0.0, abs=1e-12)
 
     def test_group_encoding_is_reused_as_float_codes(self):
@@ -307,8 +322,8 @@ class TestFullReport:
         np.testing.assert_array_equal(given.group, codes.group)
         grid = binary_grid(y, codes.group)
         # the dumps tell the label 2.0 from 2
-        report = json.dumps(full_report(given, grid=grid, bins=10).to_json_dict())
-        assert report == json.dumps(full_report(codes, grid=grid, bins=10).to_json_dict())
+        report = json.dumps(full_report(given, grid=grid, bins=10))
+        assert report == json.dumps(full_report(codes, grid=grid, bins=10))
         assert f'"skipped_cells": [{float(enc.labels.index("b"))}]' in report
         with pytest.raises(MetricError, match="NaN"):
             ScoreSet(f[:2], factorize([np.nan, 0.0]))
@@ -320,5 +335,5 @@ class TestFullReport:
         f, g, y = random_binary_instance(rng, n=40)
         scores = ScoreSet(f, g, y, threshold=0.0)
         report = full_report(scores, grid=binary_grid(y, g), bins=5)
-        doc = json.dumps(report.to_json_dict(), sort_keys=True)
+        doc = json.dumps(report, sort_keys=True)
         assert json.loads(doc)["general_fairness"]["value"] >= 0.0
