@@ -603,6 +603,22 @@ GOLDEN_RUNS = {
     "ferm_rbf_predict": (
         ["ferm-predict", "--model", "{out}/rbf.model.json", "--input", "{g}/cls.csv", "--schema", CLS_SCHEMA,
          "--scores-output", "{out}/rbf_scores.csv"], []),
+    # the rbf Newton paths (logistic with a positive budget, hinge at a zero
+    # one), pinned by their predictions like ferm_rbf
+    "ferm_rbf_logistic": (
+        ["ferm-train", "--input", "{g}/cls.csv", "--schema", CLS_SCHEMA, "--kernel", "rbf", "--gamma", "0.5",
+         "--lambda", "0.1", "--outcome-kind", "classification", "--loss", "logistic", "--epsilon", "0.05",
+         "--model-output", "{out}/rbf_logistic.model.json", "--output", "{out}/rbf_logistic.json"], []),
+    "ferm_rbf_logistic_predict": (
+        ["ferm-predict", "--model", "{out}/rbf_logistic.model.json", "--input", "{g}/cls.csv",
+         "--schema", CLS_SCHEMA, "--scores-output", "{out}/rbf_logistic_scores.csv"], []),
+    "ferm_rbf_hinge": (
+        ["ferm-train", "--input", "{g}/cls.csv", "--schema", CLS_SCHEMA, "--kernel", "rbf", "--gamma", "0.5",
+         "--lambda", "0.1", "--outcome-kind", "classification", "--loss", "hinge", "--epsilon", "0",
+         "--model-output", "{out}/rbf_hinge.model.json", "--output", "{out}/rbf_hinge.json"], []),
+    "ferm_rbf_hinge_predict": (
+        ["ferm-predict", "--model", "{out}/rbf_hinge.model.json", "--input", "{g}/cls.csv",
+         "--schema", CLS_SCHEMA, "--scores-output", "{out}/rbf_hinge_scores.csv"], []),
 }
 
 
@@ -621,13 +637,24 @@ class TestGoldenSubcommands:
             assert (tmp_path / file).read_bytes() == (GOLDEN / file).read_bytes(), file
 
     def test_rbf_predictions_match_golden_scores(self, tmp_path):
-        run_golden("ferm_rbf", tmp_path)
-        run_golden("ferm_rbf_predict", tmp_path)
-        got = np.loadtxt(tmp_path / "rbf_scores.csv", delimiter=",", skiprows=1)
-        want = np.loadtxt(GOLDEN / "rbf_scores.csv", delimiter=",", skiprows=1)
-        np.testing.assert_array_equal(got[:, :2], want[:, :2])
         # the golden scores' solver fixed predictions only to about 1e-10
-        np.testing.assert_allclose(got[:, 2], want[:, 2], rtol=1e-8, atol=1e-8)
+        assert_golden_scores(tmp_path, "ferm_rbf", "rbf_scores.csv", 1e-8)
+
+    # one ulp more or less in K moves the logistic scores by up to 2e-13, and the
+    # hinge scores, fixed only as far as the last smoothing width fixes them, by up to 5e-8
+    @pytest.mark.parametrize("loss, tol", [("logistic", 1e-8), ("hinge", 1e-6)])
+    def test_rbf_newton_predictions_match_golden_scores(self, tmp_path, loss, tol):
+        assert_golden_scores(tmp_path, f"ferm_rbf_{loss}", f"rbf_{loss}_scores.csv", tol)
+
+
+def assert_golden_scores(tmp_path, train, scores, tol):
+    """Train and predict golden run ``train``; its scores agree with the golden ones to ``tol``."""
+    run_golden(train, tmp_path)
+    run_golden(f"{train}_predict", tmp_path)
+    got = np.loadtxt(tmp_path / scores, delimiter=",", skiprows=1)
+    want = np.loadtxt(GOLDEN / scores, delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(got[:, :2], want[:, :2])
+    np.testing.assert_allclose(got[:, 2], want[:, 2], rtol=tol, atol=tol)
 
 
 class TestFermCommands:
