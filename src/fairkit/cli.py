@@ -65,7 +65,7 @@ def _report_doc(command: str, seed: int, results: dict) -> str:
 
 def _parse_schema(text: str) -> dict:
     if text.startswith("@"):
-        schema = _read_document(text[1:], "schema", lambda doc: doc)
+        schema = _read_json(text[1:], "schema")
     else:
         schema = json.loads(text)
     if not isinstance(schema, dict):
@@ -92,10 +92,10 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
 
 
-def _read_document(path, kind: str, convert):
-    """``convert`` of the JSON document at ``path``; text that is not JSON, a
-    non-finite number (``NaN``, ``Infinity``, or a literal such as 1e999 that
-    overflows) and a missing or ill-typed field are data errors.
+def _read_json(path, kind: str):
+    """The JSON value at ``path``; text that is not JSON and a non-finite
+    number (``NaN``, ``Infinity``, or a literal such as 1e999 that
+    overflows) are data errors.
     """
     def finite(text):
         if not math.isfinite(value := float(text)):
@@ -104,9 +104,22 @@ def _read_document(path, kind: str, convert):
 
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh, parse_float=finite, parse_constant=finite)
+            return json.load(fh, parse_float=finite, parse_constant=finite)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ds.DatasetError(f"{kind} document {path} is not JSON: {exc}") from None
+
+
+def _read_document(path, kind: str, convert):
+    """``convert`` of the document at ``path`` (`_read_json`); a ``schema_version``
+    other than `SCHEMA_VERSION`, or none, and a missing or ill-typed field are
+    data errors.
+    """
+    doc = _read_json(path, kind)
+    version = doc.get("schema_version") if isinstance(doc, dict) else None
+    if version != SCHEMA_VERSION:
+        found = "no schema_version" if version is None else f"schema_version {json.dumps(version)}"
+        raise ds.DatasetError(f"{kind} document {path} has {found}; this fairkit reads version"
+                              f" {json.dumps(SCHEMA_VERSION)}")
     try:
         return convert(doc)
     except KeyError as exc:

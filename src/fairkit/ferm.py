@@ -15,10 +15,11 @@ Newton steps over the same feasible set until the Newton decrement
 vanishes, and a run that does not converge raises SolverError.  The rbf
 kernel's squared loss, at a zero budget or unconstrained, is instead
 solved on K + lambda I and an m x m system for the multipliers, which
-fixes the dual coefficients even where K is numerically singular; K + lambda I
-is factored in place by a blocked Cholesky, so that path holds one n x n
-matrix, and its objective and an rbf model's decision values are formed from
-kernel rows a block at a time.
+fixes the dual coefficients even where K is numerically singular; only the
+lower block triangle of K + lambda I is formed, one block row at a time, and
+factored in place by a blocked Cholesky, so that path holds about half an
+n x n matrix, and its objective and an rbf model's decision values are formed
+from kernel rows a block at a time.
 """
 
 from __future__ import annotations
@@ -76,9 +77,10 @@ class KernelSpec:
 
 # Elements of the |x|^2 + |z|^2 block that `kernel_matrix` forms at a time.
 _KERNEL_BLOCK = 1 << 16
-# Columns that `_cholesky_in_place` and `_cholesky_solve` take at a time, and
-# kernel rows that `_kernel_dot` forms at a time: beyond K itself, the rbf
-# squared-loss path then holds O(n * _SOLVE_BLOCK) elements.
+# Rows of each block row of K + lambda I that `_solve_kernel_squared` holds
+# (block row r is K[r0:r1, :r1]), and kernel rows that `_kernel_dot` forms at
+# a time: the rbf squared-loss path then holds K's lower block triangle, about
+# n (n + _SOLVE_BLOCK) / 2 elements, and O(n * _SOLVE_BLOCK) more.
 _SOLVE_BLOCK = 128
 
 
@@ -396,7 +398,9 @@ def _newton(obj: _Objective, beta: np.ndarray, minimize_model, steps: int, max_i
     g^T g / (2 J), the least curvature of a quadratic that stays
     non-negative along -g, and at twice the rounding level.
     """
-    abs_d, abs_r = np.abs(obj.D), np.abs(obj.R)
+    # |D| and |R| are D and R themselves for an rbf kernel (entries in (0, 1])
+    # and for the ridge lam I, so only a negative entry makes a copy
+    abs_d, abs_r = (A if A.min(initial=0.0) >= 0.0 else np.abs(A) for A in (obj.D, obj.R))
     value = obj.value(beta)
     ridge = float(np.max(np.diag(obj.R)))
     while True:
@@ -472,10 +476,11 @@ def _solve_constrained(
 
 
 def _solve_kernel_squared(
-    K: np.ndarray, y: np.ndarray, lam: float, cs: ConstraintSystem, epsilon: float | None,
+    spec: KernelSpec, Z: np.ndarray, y: np.ndarray, lam: float, cs: ConstraintSystem,
+    epsilon: float | None,
 ) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Kernel squared loss under M^T beta = 0, M = K C for the C of ``cs``; unconstrained
-    when epsilon is None.
+    """Kernel squared loss under M^T beta = 0, M = K C for K = k(Z, Z) and the C of ``cs``;
+    unconstrained when epsilon is None.
 
     Every term carries the factor K (D = K, R = lam K, M = K C), so the
     KKT conditions K ((K + lam I) beta - y + C nu) = 0, M^T beta = 0 are
@@ -485,20 +490,32 @@ def _solve_kernel_squared(
     redundant), and beta = S y - S C nu.  Unlike a solve with K^2 + lam K,
     this determines beta even where K is numerically singular.
 
-    K is consumed: M = K C is formed first, then lam is added to K's
-    diagonal and K's lower triangle overwritten by the Cholesky factor of
-    K + lam I (`_cholesky_in_place`), so the solve holds no n x n matrix but
-    K.  M is the product with the dense C rather than
-    ``cs.mean_differences(K)``, whose copies of the rows of K in each cell
-    would add a cell's share of K to the peak.  A K + lam I that is not
-    positive definite in floating point raises SolverError.  Returns beta,
-    M and the solver trace.
+    K + lam I is held as its lower block triangle: block row r, the rows
+    r0:r1 of the r-th block of `_SOLVE_BLOCK`, is its own array
+    K[r0:r1, :r1] + lam I, cut from kernel_matrix(spec, Z[r0:r1], Z) once
+    that block's rows of M have been taken as block @ C.  It is factored in
+    place (`_cholesky_rows`), so the solve holds about n (n + _SOLVE_BLOCK) / 2
+    elements rather than n^2; the size check still counts the whole n x n
+    kernel.  M is the product with the dense C rather than
+    ``cs.mean_differences(K)``, which copies the rows of K in each cell.
+    A K + lam I that is not positive definite in floating point raises
+    SolverError.  Returns beta, M and the solver trace.
     """
+    n = Z.shape[0]
+    _check_kernel_size(spec, n, n)
     C = cs.matrix()
-    M = K @ C
-    K[np.diag_indices_from(K)] += lam
-    _cholesky_in_place(K)
-    S = _cholesky_solve(K, y if epsilon is None else np.column_stack([y, C]))
+    M = np.empty((n, C.shape[1]))
+    rows = []
+    for r0 in range(0, n, _SOLVE_BLOCK):
+        r1 = min(r0 + _SOLVE_BLOCK, n)
+        block = kernel_matrix(spec, Z[r0:r1], Z)
+        M[r0:r1] = block @ C
+        rows.append(block[:, :r1].copy())
+        del block
+        diag = rows[-1][:, r0:]
+        diag[np.diag_indices_from(diag)] += lam
+    _cholesky_rows(rows)
+    S = _cholesky_rows_solve(rows, y if epsilon is None else np.column_stack([y, C]))
     if epsilon is None:
         beta = S
     else:
@@ -508,43 +525,53 @@ def _solve_kernel_squared(
     return _checked(beta, M, epsilon), M, trace
 
 
-def _cholesky_in_place(A: np.ndarray) -> None:
-    """Overwrite the lower triangle of the symmetric A with its Cholesky factor L.
+def _cholesky_rows(rows: list[np.ndarray]) -> None:
+    """Overwrite a symmetric A, held as block rows, with its Cholesky factor L.
 
-    Right-looking over column blocks of `_SOLVE_BLOCK`: each diagonal block
-    is factored by np.linalg.cholesky, the panel below it solved against
-    that factor, and the trailing lower triangle updated by the panel one
-    block row at a time, so no temporary is larger than a block of rows.
-    Only the lower triangle is read; the strict upper one is left undefined.
-    A pivot that is not positive raises SolverError.
+    Block row r is the array A[r0:r1, :r1], so its last r1 - r0 columns are
+    the diagonal block.  Right-looking: each diagonal block is factored by
+    np.linalg.cholesky, the panel below it gathered from the block rows
+    under it and solved against that factor, and each of those block rows
+    updated by the panel in turn, so no temporary is larger than the panel.
+    Only the lower triangle of a diagonal block is read, and its strict upper
+    triangle is zero on return.  A pivot that is not positive raises
+    SolverError.
     """
-    n = A.shape[0]
-    for j0 in range(0, n, _SOLVE_BLOCK):
-        j1 = min(j0 + _SOLVE_BLOCK, n)
+    for j, row in enumerate(rows):
+        j0, j1 = row.shape[1] - row.shape[0], row.shape[1]
         try:
-            A[j0:j1, j0:j1] = np.linalg.cholesky(A[j0:j1, j0:j1])
+            row[:, j0:] = np.linalg.cholesky(row[:, j0:])
         except np.linalg.LinAlgError:
             raise SolverError(f"K + lambda I is not positive definite (a pivot in rows {j0} to {j1 - 1}"
                               " is not positive); a larger --lambda shifts it further") from None
-        panel = A[j1:, j0:j1]
-        panel[...] = np.linalg.solve(A[j0:j1, j0:j1], panel.T).T
-        for i0 in range(j1, n, _SOLVE_BLOCK):
-            i1 = min(i0 + _SOLVE_BLOCK, n)
-            A[i0:i1, j1:i1] -= panel[i0 - j1:i1 - j1] @ panel[:i1 - j1].T
+        below = rows[j + 1:]
+        if not below:
+            break
+        panel = np.linalg.solve(row[:, j0:], np.concatenate([r[:, j0:j1] for r in below]).T).T
+        done = 0
+        for r in below:
+            r[:, j0:j1] = panel[done:done + r.shape[0]]
+            done += r.shape[0]
+            r[:, j1:] -= r[:, j0:j1] @ panel[:done].T
 
 
-def _cholesky_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """X with L L^T X = B, L the factor in the lower triangle of L: blocked forward and back substitution."""
+def _cholesky_rows_solve(rows: list[np.ndarray], B: np.ndarray) -> np.ndarray:
+    """X with L L^T X = B, for the factor L that `_cholesky_rows` left in ``rows``.
+
+    Forward substitution takes block r of X after subtracting
+    L[r0:r1, :r0] X[:r0]; back substitution, once block r is known,
+    subtracts L[r0:r1, :r0]^T X[r0:r1] from the blocks before it, so both
+    read L by block rows only.
+    """
     X = np.array(B, dtype=float)
-    starts = range(0, L.shape[0], _SOLVE_BLOCK)
-    for j0 in starts:
-        j1 = j0 + _SOLVE_BLOCK
-        X[j0:j1] -= L[j0:j1, :j0] @ X[:j0]
-        X[j0:j1] = np.linalg.solve(np.tril(L[j0:j1, j0:j1]), X[j0:j1])
-    for j0 in reversed(starts):
-        j1 = j0 + _SOLVE_BLOCK
-        X[j0:j1] -= L[j1:, j0:j1].T @ X[j1:]
-        X[j0:j1] = np.linalg.solve(np.tril(L[j0:j1, j0:j1]).T, X[j0:j1])
+    for row in rows:
+        j0, j1 = row.shape[1] - row.shape[0], row.shape[1]
+        X[j0:j1] -= row[:, :j0] @ X[:j0]
+        X[j0:j1] = np.linalg.solve(row[:, j0:], X[j0:j1])
+    for row in reversed(rows):
+        j0, j1 = row.shape[1] - row.shape[0], row.shape[1]
+        X[j0:j1] = np.linalg.solve(row[:, j0:].T, X[j0:j1])
+        X[:j0] -= row[:, :j0].T @ X[j0:j1]
     return X
 
 
@@ -640,8 +667,8 @@ def _train(problem: FairERMProblem, dataset: TabularDataset, cs: ConstraintSyste
     Z, y = design_matrix(dataset, problem.include_sensitive), dataset.outcome
     eff_epsilon = None if cs.degenerate else problem.epsilon
     if kernel.kind == "rbf" and loss == "squared" and eff_epsilon in (None, 0.0):
-        # the solve consumes K, so K beta is formed again from kernel rows
-        beta, M, trace = _solve_kernel_squared(kernel_matrix(kernel, Z), y, lam, cs, eff_epsilon)
+        # the solve holds only K's lower block triangle, so K beta is formed from kernel rows
+        beta, M, trace = _solve_kernel_squared(kernel, Z, y, lam, cs, eff_epsilon)
         f = _kernel_dot(kernel, Z, Z, beta)
         value = float(np.sum((f - y) ** 2) + lam * (beta @ f))
     else:

@@ -265,17 +265,42 @@ class TestExitCodes:
 
     def test_sem_document_without_pi_is_data_error(self, tmp_path, capsys):
         doc = tmp_path / "sem.json"
-        doc.write_text(json.dumps({"sensitive": "A"}))
+        doc.write_text(json.dumps({"schema_version": "1", "sensitive": "A"}))
         assert main(["sem", "pse", "--sem", str(doc)]) == 2
         assert capsys.readouterr().err == "error: SEM document lacks the field 'pi'\n"
 
     def test_representation_document_without_a_is_data_error(self, tmp_path, capsys):
         data, schema = write_multitask_csv(tmp_path / "one.csv", np.random.default_rng(0), T=1, n=10)
         doc = tmp_path / "rep.json"
-        doc.write_text(json.dumps({"B": []}))
+        doc.write_text(json.dumps({"schema_version": "1", "B": []}))
         code = main(["mtl", "transfer", "--model", str(doc), "--input", str(data), "--schema", schema])
         assert code == 2
         assert capsys.readouterr().err == "error: representation document lacks the field 'A'\n"
+
+    @pytest.mark.parametrize("version, found", [("99", 'schema_version "99"'), (1, "schema_version 1"),
+                                                (None, "no schema_version")])
+    @pytest.mark.parametrize("kind, source", [
+        ("model", "ferm_logistic.model.json"), ("SEM", "sem_fit.json"), ("representation", "mtl_rep.json"),
+    ])
+    def test_unknown_document_version_is_data_error(self, tmp_path, capsys, version, found, kind, source):
+        doc = json.loads((GOLDEN / source).read_text())
+        if version is None:
+            del doc["schema_version"]
+        else:
+            doc["schema_version"] = version
+        bad = tmp_path / source
+        bad.write_text(json.dumps(doc))
+        out = str(tmp_path / "out")
+        argv = {
+            "model": ["ferm-predict", "--model", str(bad), "--input", str(GOLDEN / "cls.csv"),
+                      "--schema", CLS_SCHEMA, "--scores-output", out],
+            "SEM": ["sem", "pse", "--sem", str(bad), "--output", out],
+            "representation": ["mtl", "transfer", "--model", str(bad), "--input", str(GOLDEN / "task_new.csv"),
+                               "--schema", NEW_TASK_SCHEMA, "--output", out],
+        }[kind]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f'error: {kind} document {bad} has {found}; this fairkit reads version "1"\n'
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag, kind, source", [
         ("--model", "model", "ferm_logistic.model.json"),
@@ -1042,8 +1067,8 @@ class TestMtlCommands:
     def test_misshapen_representation_document_is_data_error(self, tmp_path, capsys, fields, message):
         data, schema = write_multitask_csv(tmp_path / "one.csv", np.random.default_rng(0), T=1, n=10)
         doc = tmp_path / "rep.json"
-        doc.write_text(json.dumps({"A": [[1.0]] * 4, "B": [[1.0]], "r": 1, "lam": 0.1, "constraint": "equality",
-                                   "objective_history": [1.0], **fields}))
+        doc.write_text(json.dumps({"schema_version": "1", "A": [[1.0]] * 4, "B": [[1.0]], "r": 1, "lam": 0.1,
+                                   "constraint": "equality", "objective_history": [1.0], **fields}))
         code = main(["mtl", "transfer", "--model", str(doc), "--input", str(data), "--schema", schema])
         assert code == 2
         assert capsys.readouterr().err == f"error: representation document has an ill-typed field: {message}\n"
@@ -1133,10 +1158,11 @@ READ_FLAGS = ("--input", "--model", "--sem", "--schema")
 # fields each document reader needs; dropping one, or giving it a value of
 # another JSON kind, makes the document bad
 DOCUMENT_FIELDS = {
-    "ferm_logistic.model.json": ("kernel", "include_sensitive", "coef"),
-    "sem_ferm.model.json": ("kernel", "include_sensitive", "coef"),
-    "sem_fit.json": ("sensitive", "pi", "equations", "outcome", "edges", "sensitive_values", "unobserved"),
-    "mtl_rep.json": ("A", "B"),
+    "ferm_logistic.model.json": ("schema_version", "kernel", "include_sensitive", "coef"),
+    "sem_ferm.model.json": ("schema_version", "kernel", "include_sensitive", "coef"),
+    "sem_fit.json": ("schema_version", "sensitive", "pi", "equations", "outcome", "edges", "sensitive_values",
+                     "unobserved"),
+    "mtl_rep.json": ("schema_version", "A", "B"),
 }
 
 

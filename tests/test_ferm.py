@@ -291,8 +291,8 @@ class TestUnconstrainedAndEquality:
         lam = 0.3
         w, _ = _solve_constrained(X, y, lam * np.eye(X.shape[1]), cs.mean_differences(X),
                                   "squared", 0.0)
-        K = X @ X.T  # rank 4 of 40
-        alpha, _, _ = _solve_kernel_squared(K, y, lam, cs, 0.0)
+        # K = X X^T has rank 4 of 40
+        alpha, _, _ = _solve_kernel_squared(KernelSpec("linear"), X, y, lam, cs, 0.0)
         X_new = rng.normal(size=(15, X.shape[1]))
         np.testing.assert_allclose(X_new @ w, (X_new @ X.T) @ alpha, atol=1e-8)
 
@@ -402,7 +402,7 @@ def traced_peak(fn, *args):
 
 
 class TestKernelWorkingSet:
-    """The rbf path holds K, factored in place, and blocks of kernel or factor rows."""
+    """The rbf squared path holds K's lower block triangle, factored in place, and blocks of kernel or factor rows."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -452,19 +452,23 @@ class TestKernelWorkingSet:
         G = rng.normal(size=(n, n))
         A = scale * (G @ G.T + 0.1 * n * np.eye(n))
         B = rng.normal(size=(n, rhs))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ferm, "_SOLVE_BLOCK", block)
-            L = A.copy()
-            ferm._cholesky_in_place(L)
-            X = ferm._cholesky_solve(L, B)
-            scrambled = A.copy()
-            upper = np.triu_indices(n, 1)
-            scrambled[upper] = rng.normal(size=upper[0].size) * 1e6
-            ferm._cholesky_in_place(scrambled)
-            np.testing.assert_array_equal(np.tril(scrambled), np.tril(L))
-            np.testing.assert_array_equal(ferm._cholesky_solve(scrambled, B), X)
-            np.testing.assert_allclose(ferm._cholesky_solve(L, B[:, 0]), X[:, 0],
-                                       rtol=1e-12, atol=1e-12 * np.abs(X).max())
+
+        def block_rows(S):
+            return [S[r0:min(r0 + block, n), :min(r0 + block, n)].copy() for r0 in range(0, n, block)]
+
+        L = block_rows(A)
+        ferm._cholesky_rows(L)
+        X = ferm._cholesky_rows_solve(L, B)
+        scrambled = A.copy()
+        upper = np.triu_indices(n, 1)
+        scrambled[upper] = rng.normal(size=upper[0].size) * 1e6
+        scrambled = block_rows(scrambled)
+        ferm._cholesky_rows(scrambled)
+        for got, want in zip(scrambled, L, strict=True):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(ferm._cholesky_rows_solve(scrambled, B), X)
+        np.testing.assert_allclose(ferm._cholesky_rows_solve(L, B[:, 0]), X[:, 0],
+                                   rtol=1e-12, atol=1e-12 * np.abs(X).max())
         eps = np.finfo(float).eps
         assert np.linalg.norm(A @ X - B) <= 10 * n * eps * np.linalg.norm(A) * np.linalg.norm(X)
         np.testing.assert_allclose(X, np.linalg.solve(A, B), rtol=1e-9, atol=1e-9 * np.abs(X).max())
@@ -490,9 +494,9 @@ class TestKernelWorkingSet:
         model, peak = traced_peak(train_gferm, problem, data, grid)
         assert {"cholesky", "solve"} <= largest.keys()
         assert max(largest.values()) <= block * n
-        # K, a few blocks of kernel or factor rows, kernel_matrix's norm-sum block
-        # and O(n) vectors: below a copy of the rows of K in any one cell
-        assert peak <= 8 * (n * n + 4 * block * n + ferm._KERNEL_BLOCK) + 2**16
+        # K's lower block triangle, a few blocks of kernel or factor rows,
+        # kernel_matrix's norm-sum block and O(n) vectors: below one K
+        assert peak <= 8 * (n * (n + block) // 2 + 4 * block * n + ferm._KERNEL_BLOCK) + 2**16
         K = kernel_matrix(problem.kernel, data.features)
         beta, y = model.dual_coef, data.outcome
         f = K @ beta
@@ -504,13 +508,31 @@ class TestKernelWorkingSet:
             assert np.abs(M.T @ beta).sum() <= 1e-10 * np.abs(M).sum() * np.abs(beta).max()
 
     @pytest.mark.parametrize("epsilon", [0.0, None])
-    def test_non_positive_definite_shift_raises(self, epsilon):
+    def test_non_positive_definite_shift_raises(self, monkeypatch, epsilon):
         data, grid, _ = kernel_problem(10, 20, 2, 2, 2)
         cs = build_constraints(data, grid)
-        K = kernel_matrix(KernelSpec("rbf", gamma=0.5), data.features)
-        K[3, 3] = -0.5  # the pivot of row 3 of K + 0.5 I is at most 0
-        with pytest.raises(SolverError, match=r"^K \+ lambda I is not positive definite .*--lambda"):
-            _solve_kernel_squared(K, data.outcome, 0.5, cs, epsilon)
+        Z, exact = data.features, ferm.kernel_matrix
+
+        def indefinite(spec, X, W=None):
+            K = exact(spec, X, W)
+            K[(X == Z[3]).all(axis=1), 3] = -0.5  # the pivot of row 3 of K + 0.5 I is at most 0
+            return K
+
+        monkeypatch.setattr(ferm, "kernel_matrix", indefinite)
+        monkeypatch.setattr(ferm, "_SOLVE_BLOCK", 2)  # row 3 is in the second block row
+        message = r"^K \+ lambda I is not positive definite \(a pivot in rows 2 to 3 .*--lambda"
+        with pytest.raises(SolverError, match=message):
+            _solve_kernel_squared(KernelSpec("rbf", gamma=0.5), Z, data.outcome, 0.5, cs, epsilon)
+
+    def test_newton_copies_no_absolute_value_of_a_non_negative_kernel(self):
+        n = 300
+        data = classification_dataset(np.random.default_rng(3), n=n, d=3)
+        problem = FairERMProblem(loss="logistic", lam=0.1, epsilon=0.05, kernel=KernelSpec("rbf", gamma=0.5))
+        model, peak = traced_peak(train_gferm, problem, data, make_grid(data, 2, 2))
+        assert model.solver["iterations"] > 0
+        # K and lam K, the Hessian, and eigh's copy of it, its eigenvectors and the
+        # whitened basis: six n x n matrices, where copies of |K| and |lam K| make eight
+        assert peak <= 7 * 8 * n * n
 
     def test_decision_function_holds_a_block_of_kernel_rows(self):
         rng = np.random.default_rng(12)
