@@ -313,10 +313,18 @@ def _qp_l1(P: np.ndarray, q: np.ndarray, M: np.ndarray, eps: float) -> np.ndarra
     the current iterate (a nearly flat model puts the unconstrained one far
     outside the ball), then project the result onto the final active
     facets, which undoes the rounding drift of the incremental updates.
+    Updated step by step, u far outside the ball loses most of its digits
+    to cancellation; the lost ones, times a long normal, move the active
+    facets' values by a sizable part of eps and steer later steps to a
+    wrong active set.  So when a facet is added and the active ones miss
+    eps by more than that tolerance, u is recomputed as what it is in
+    exact arithmetic, the projection of the unconstrained minimizer onto
+    the active facets, and projected onto them once more to take out what
+    that loses the same way.
     """
     T = _whiten(P)
     A = T.T @ M
-    u = T.T @ q
+    u = u0 = T.T @ q
     reach = np.abs(A).sum(axis=1)
     active = np.zeros((A.shape[0], 0))  # normals A s of the active facets
     mult = np.zeros(0)
@@ -328,9 +336,13 @@ def _qp_l1(P: np.ndarray, q: np.ndarray, M: np.ndarray, eps: float) -> np.ndarra
         if added is None:
             break
         active, mult, u, steps_left = added
-    if active.shape[1]:
         Q, Rq = np.linalg.qr(active)
-        u = u - Q @ (Q.T @ u - np.linalg.solve(Rq.T, np.full(active.shape[1], eps)))
+        e = np.linalg.solve(Rq.T, np.full(active.shape[1], eps))
+        if np.abs(active.T @ u - eps).max() > 1e-12 * (eps + float(np.abs(u) @ reach)):
+            u = u0 - Q @ (Q.T @ u0 - e)
+            u = u - Q @ (Q.T @ u - e)
+    if active.shape[1]:
+        u = u - Q @ (Q.T @ u - e)
     return T @ u
 
 
