@@ -49,12 +49,27 @@ def _write_sweep(path, rows) -> None:
                    [np.array(x, dtype=float), np.array(series, dtype=object), np.array(value, dtype=float)])
 
 
+def _plain(value):
+    """The JSON form of a value `json` cannot write itself (its ``default``):
+    a dataclass is the object of its fields, an array a list and a frozenset a
+    sorted list.  json then writes what these hold.
+    """
+    if dataclasses.is_dataclass(value):
+        return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, frozenset):
+        return sorted(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def _json_text(doc) -> str:
-    """``doc`` as indented JSON with sorted keys.  JSON has no NaN or infinity,
-    so a result holding one is a solver failure rather than invalid output.
+    """``doc`` as indented JSON with sorted keys, its dataclasses, arrays and
+    frozensets written by `_plain`.  JSON has no NaN or infinity, so a result
+    holding one is a solver failure rather than invalid output.
     """
     try:
-        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False, default=_plain) + "\n"
     except ValueError:
         raise ferm.SolverError("the result holds NaN or infinity, which JSON cannot represent") from None
 
@@ -126,6 +141,27 @@ def _read_document(path, kind: str, convert):
         raise ds.DatasetError(f"{kind} document lacks the field {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise ds.DatasetError(f"{kind} document has an ill-typed field: {exc}") from None
+
+
+# the field types whose values a document holds as lists
+_CONTAINERS = {"tuple": tuple, "frozenset": frozenset}
+
+
+def _from_document(cls, doc: dict, optional=(), **convert):
+    """``cls`` built from ``doc`` one field at a time, in declaration order, so a
+    document missing several fields names the first.  ``convert[name](doc)`` gives
+    a nested or renamed field.  Any other field is ``doc[name]``, made the tuple
+    or frozenset its annotation names, or None when it is ``optional`` and missing.
+    """
+    values = {}
+    for f in dataclasses.fields(cls):
+        if f.name in convert:
+            values[f.name] = convert[f.name](doc)
+        elif f.name in optional and f.name not in doc:
+            values[f.name] = None
+        else:
+            values[f.name] = _CONTAINERS.get(str(f.type).partition("[")[0], lambda v: v)(doc[f.name])
+    return cls(**values)
 
 
 def _read_scores_csv(path):
@@ -202,36 +238,16 @@ def _load_dataset(args) -> ds.TabularDataset:
 
 
 def _model_to_json(model: ferm.KernelModel) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kernel": {"kind": model.kernel.kind, "gamma": model.kernel.gamma},
-        "include_sensitive": model.include_sensitive,
-        "coef": None if model.coef is None else [float(v) for v in model.coef],
-        "dual_coef": None if model.dual_coef is None else [float(v) for v in model.dual_coef],
-        "training_inputs": None
-        if model.training_inputs is None
-        else [[float(v) for v in row] for row in model.training_inputs],
-        "constraint_report": model.constraint_report,
-        "objective_value": model.objective_value,
-        "solver": model.solver,
-    }
+    return {"schema_version": SCHEMA_VERSION, **_plain(model)}
 
 
 def _model_from_json(doc: dict) -> ferm.KernelModel:
     def array(key):
-        return None if doc[key] is None else np.array(doc[key], dtype=float)
+        return lambda d: None if d[key] is None else np.array(d[key], dtype=float)
 
-    spec = ferm.KernelSpec(kind=doc["kernel"]["kind"], gamma=doc["kernel"]["gamma"])
-    return ferm.KernelModel(
-        kernel=spec,
-        include_sensitive=doc["include_sensitive"],
-        coef=array("coef"),
-        dual_coef=array("dual_coef"),
-        training_inputs=array("training_inputs"),
-        constraint_report=doc["constraint_report"],
-        objective_value=doc["objective_value"],
-        solver=doc.get("solver"),
-    )
+    return _from_document(ferm.KernelModel, doc, ("solver",),
+                          kernel=lambda d: _from_document(ferm.KernelSpec, d["kernel"]),
+                          coef=array("coef"), dual_coef=array("dual_coef"), training_inputs=array("training_inputs"))
 
 
 def cmd_ferm_train(args) -> int:
@@ -274,40 +290,16 @@ def cmd_ferm_predict(args) -> int:
 
 
 def _sem_to_json(sem: causal.LinearSEM) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "sensitive": sem.sensitive,
-        "pi": sem.pi,
-        "sensitive_values": list(sem.sensitive_values),
-        "outcome": sem.outcome,
-        "unobserved": sorted(sem.unobserved),
-        "equations": [dataclasses.asdict(eq) for eq in sem.equations],
-        "edges": [
-            {"from": u, "to": v, "label": sem.edge_labels.get((u, v), "fair")}
-            for u, v in sem.edges
-        ],
-    }
+    doc = {"schema_version": SCHEMA_VERSION, **_plain(sem)}
+    del doc["edge_labels"]
+    doc["edges"] = [{"from": u, "to": v, "label": sem.edge_labels.get((u, v), "fair")} for u, v in sem.edges]
+    return doc
 
 
 def _sem_from_json(doc: dict) -> causal.LinearSEM:
-    return causal.LinearSEM(
-        sensitive=doc["sensitive"],
-        pi=doc["pi"],
-        equations=tuple(
-            causal.Equation(
-                name=e["name"],
-                intercept=e["intercept"],
-                parents=tuple(e["parents"]),
-                coeffs=tuple(e["coeffs"]),
-                noise_std=e["noise_std"],
-            )
-            for e in doc["equations"]
-        ),
-        outcome=doc["outcome"],
-        edge_labels={(e["from"], e["to"]): e["label"] for e in doc["edges"]},
-        sensitive_values=tuple(doc["sensitive_values"]),
-        unobserved=frozenset(doc["unobserved"]),
-    )
+    return _from_document(causal.LinearSEM, doc,
+                          equations=lambda d: tuple(_from_document(causal.Equation, e) for e in d["equations"]),
+                          edge_labels=lambda d: {(e["from"], e["to"]): e["label"] for e in d["edges"]})
 
 
 def _resolve_sem(args) -> causal.LinearSEM:
@@ -391,33 +383,12 @@ def cmd_sem_correct_scores(args) -> int:
 
 
 def _rep_to_json(model: multitask.RepresentationModel) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "A": [[float(v) for v in row] for row in model.A],
-        "B": [[float(v) for v in row] for row in model.B],
-        "r": model.r,
-        "lam": model.lam,
-        "constraint": model.constraint,
-        "penalty": model.penalty,
-        "gap_vectors": [[float(v) for v in c] for c in model.gap_vectors],
-        "max_gap_alignment": model.max_gap_alignment(),
-        "objective_history": list(model.objective_history),
-        "solver": model.solver,
-    }
+    return {"schema_version": SCHEMA_VERSION, **_plain(model), "max_gap_alignment": model.max_gap_alignment()}
 
 
 def _rep_from_json(doc: dict) -> multitask.RepresentationModel:
-    A, B = np.array(doc["A"], dtype=float), np.array(doc["B"], dtype=float)
-    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
-        raise ValueError("A must be a d x r and B an r x T matrix")
-    gaps = tuple(np.array(c, dtype=float) for c in doc.get("gap_vectors", ()))
-    if any(c.shape != A.shape[:1] for c in gaps):
-        raise ValueError("each gap vector needs one entry per row of A")
-    return multitask.RepresentationModel(
-        A=A, B=B, r=doc["r"], lam=doc["lam"],
-        constraint=doc["constraint"], penalty=doc.get("penalty"), gap_vectors=gaps,
-        objective_history=tuple(doc["objective_history"]), solver=doc.get("solver"),
-    )
+    return _from_document(multitask.RepresentationModel, doc, ("penalty", "solver"),
+                          gap_vectors=lambda d: d.get("gap_vectors", ()))
 
 
 def cmd_mtl_train_rep(args) -> int:
@@ -435,12 +406,7 @@ def cmd_mtl_train_rep(args) -> int:
 def cmd_mtl_transfer(args) -> int:
     rep = _read_document(args.model, "representation", _rep_from_json)
     result = multitask.transfer(rep, multitask.task_from_dataset(_load_dataset(args)), lam=args.lam)
-    results = {
-        "coefficients": [float(v) for v in result.coefficients],
-        "weights": [float(v) for v in result.weights],
-        "fairness_diagnostic": result.fairness_diagnostic,
-    }
-    _write_text(args.output, _report_doc("mtl transfer", args.seed, results))
+    _write_text(args.output, _report_doc("mtl transfer", args.seed, result._asdict()))
     return 0
 
 
@@ -453,9 +419,9 @@ def cmd_mtl_train_common(args) -> int:
         loss=args.loss, seed=args.seed,
     )
     results = {
-        "shared": [float(v) for v in model.shared],
-        "deviations": {str(k): [float(v) for v in w] for k, w in model.deviations.items()},
-        "constraint_residuals": list(model.constraint_residuals),
+        "shared": model.shared,
+        "deviations": {str(k): w for k, w in model.deviations.items()},
+        "constraint_residuals": model.constraint_residuals,
         "predictor_accuracy": None
         if model.predictor is None
         else model.predictor.holdout_accuracy,
@@ -471,8 +437,7 @@ def cmd_datasets_list(args) -> int:
 
 
 def cmd_datasets_describe(args) -> int:
-    results = dataclasses.asdict(ds.describe_dataset(args.name))
-    _write_text(args.output, _report_doc("datasets describe", args.seed, results))
+    _write_text(args.output, _report_doc("datasets describe", args.seed, ds.describe_dataset(args.name)))
     return 0
 
 
@@ -562,7 +527,7 @@ def build_parser() -> _Parser:
     mtl = sub.add_parser("mtl", help="fair multitask training").add_subparsers(dest="mtl_command", required=True)
     rep = _leaf(mtl, "train-rep", cmd_mtl_train_rep, "train a shared representation", "--input", "--schema", *_REPORT)
     rep.add_argument("--r", type=int, default=1)
-    rep.add_argument("--mode", choices=["equality", "relaxed", "none"], default="equality")
+    rep.add_argument("--mode", choices=list(multitask.CONSTRAINT_MODES), default="equality")
     rep.add_argument("--penalty", type=_finite, default=None)
     rep.add_argument("--eps", type=_finite, default=None)
     transfer = _leaf(mtl, "transfer", cmd_mtl_transfer, "transfer a representation to a new task",

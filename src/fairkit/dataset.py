@@ -287,16 +287,47 @@ def _bulk_columns(path, header, skip: int, floats: list[bool]) -> dict | None:
     return columns
 
 
-def _read_cells(path, header) -> dict[str, np.ndarray]:
-    """Every column as stripped text from csv.reader, for the files numpy's reader does not take."""
+def _finite_floats(cells) -> np.ndarray | None:
+    """The stripped ``cells`` parsed as `parse_numbers` does, or None if one is not a finite number."""
+    try:
+        values = np.array([float(c.strip()) for c in cells])
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def _read_cells(path, header, floats: list[bool]) -> dict[str, np.ndarray]:
+    """Columns from csv.reader, for the files numpy's reader does not take.
+
+    Records are read ``_BLOCK_ROWS`` at a time into columns of one entry per
+    line, as every record takes at least one line.  A ``floats`` column is
+    float64 until a cell is not a finite number; from there on it is text,
+    its earlier values written as text that parses back to them.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))[1:]
-    ragged = np.flatnonzero(np.fromiter(map(len, rows), np.intp, len(rows)) != len(header))
-    end = ragged[0] if ragged.size else len(rows)
-    cells = dict(zip(header, map(_text, zip(*rows[:end]))))
+        lines = sum(1 for _ in fh)
+        columns = {h: np.empty(lines, np.float64 if f else _TEXT) for h, f in zip(header, floats)}
+        fh.seek(0)
+        records = csv.reader(fh)
+        next(records)
+        end, short = 0, None
+        while short is None and (block := list(itertools.islice(records, _BLOCK_ROWS))):
+            ragged = [i for i, row in enumerate(block) if len(row) != len(header)]
+            if ragged:
+                block, short = block[:ragged[0]], len(block[ragged[0]])
+            for j, h in enumerate(header):
+                cells = [row[j] for row in block]
+                column = columns[h]
+                values = _finite_floats(cells) if column.dtype == np.float64 else None
+                if values is None and column.dtype == np.float64:
+                    columns[h] = np.empty(lines, _TEXT)
+                    columns[h][:end] = column[:end]
+                columns[h][end:end + len(block)] = _text(cells) if values is None else values
+            end += len(block)
+    cells = {h: v[:end] for h, v in columns.items()}
     _check_missing(cells)
-    if ragged.size:
-        raise DatasetError(f"row {end + 2}: expected {len(header)} cells, found {len(rows[end])}")
+    if short is not None:
+        raise DatasetError(f"row {end + 2}: expected {len(header)} cells, found {short}")
     return cells
 
 
@@ -330,7 +361,7 @@ def read_table(path, numeric, check_header) -> tuple[tuple[str, ...], dict[str, 
         failed = header if columns is None else [
             h for h, f in zip(header, floats) if f and not np.isfinite(columns[h]).all()]
         if failed:
-            cells = _read_cells(path, header)
+            cells = _read_cells(path, header, floats)
             columns = {h: cells[h] if h in failed else columns[h] for h in header}
         else:
             _check_missing(columns)

@@ -296,7 +296,9 @@ def _whiten(P: np.ndarray, scale: float = 0.0) -> np.ndarray:
     """
     evals, evecs = np.linalg.eigh(P)
     keep = evals > np.max(evals, initial=scale) * P.shape[0] * np.finfo(float).eps
-    return evecs[:, keep] / np.sqrt(evals[keep])
+    evecs = evecs[:, keep]
+    evecs /= np.sqrt(evals[keep])
+    return evecs
 
 
 def _qp_l1(P: np.ndarray, q: np.ndarray, M: np.ndarray, eps: float) -> np.ndarray:

@@ -28,6 +28,7 @@ from .ferm import _minimize_on, _null_basis
 
 __all__ = [
     "MtlError",
+    "CONSTRAINT_MODES",
     "Task",
     "MultiTaskDataset",
     "RepresentationModel",
@@ -46,6 +47,10 @@ __all__ = [
 
 class MtlError(ValueError):
     """Invalid multitask input or configuration."""
+
+
+# how train_representation treats the task gap vectors
+CONSTRAINT_MODES = ("equality", "relaxed", "none")
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,6 +141,25 @@ class RepresentationModel:
     gap_vectors: tuple[np.ndarray, ...]
     objective_history: tuple[float, ...]
     solver: Mapping[str, object] | None = None
+
+    def __post_init__(self):
+        A, B = np.asarray(self.A, dtype=float), np.asarray(self.B, dtype=float)
+        if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
+            raise MtlError("A must be a d x r and B an r x T matrix")
+        gaps = tuple(np.asarray(c, dtype=float) for c in self.gap_vectors)
+        if any(c.shape != A.shape[:1] for c in gaps):
+            raise MtlError("each gap vector needs one entry per row of A")
+        if self.r != A.shape[1]:
+            raise MtlError(f"r must equal A's column count {A.shape[1]}, got {self.r!r}")
+        if not (np.isfinite(A).all() and np.isfinite(B).all()):
+            raise MtlError("A and B must be finite")
+        if not self.lam > 0:
+            raise MtlError("lam must be > 0")
+        if self.constraint not in CONSTRAINT_MODES:
+            raise MtlError(f"unknown constraint mode {self.constraint!r}")
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "gap_vectors", gaps)
 
     @property
     def task_weights(self) -> np.ndarray:
@@ -268,11 +292,11 @@ def train_representation(
     (1/T) sum_t ||A^T c(tau_t)||^2 drops to the tolerance; the result is
     the direct relaxed fit at the final penalty.
     """
-    if r < 1:
-        raise MtlError("r must be >= 1")
+    if not 1 <= r <= data.d:
+        raise MtlError(f"r must lie between 1 and the {data.d} features, got {r}")
     if lam <= 0:
         raise MtlError("lam must be > 0")
-    if constraint not in ("equality", "relaxed", "none"):
+    if constraint not in CONSTRAINT_MODES:
         raise MtlError(f"unknown constraint mode {constraint!r}")
     if epsilon is not None and constraint != "relaxed":
         raise MtlError(f"epsilon applies to the relaxed mode only, not {constraint!r}")

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from fairkit import causal, ferm
 from fairkit.cli import (
+    _json_text,
     _model_from_json,
     _model_to_json,
     _rep_from_json,
@@ -26,8 +27,10 @@ from fairkit.cli import (
     main,
 )
 from fairkit.dataset import MAX_FEATURE_BYTES, load_csv, make_grid
-from fairkit.multitask import tasks_from_dataset, train_representation
+from fairkit.multitask import RepresentationModel, tasks_from_dataset, train_representation
 from fairkit.transport import EmpiricalDistribution, geodesic_repair, wasserstein
+
+from test_causal import small_sems
 
 ROOT = Path(__file__).parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -1012,7 +1015,7 @@ class TestMtlCommands:
         assert read.max_gap_alignment() == trained.max_gap_alignment() > 0.0
         for t, task in enumerate(tasks.tasks):
             np.testing.assert_array_equal(read.predict(t, task.features), trained.predict(t, task.features))
-        assert _rep_to_json(read) == doc
+        assert json.loads(_json_text(_rep_to_json(read))) == doc
         # a document written before these fields existed still loads
         for key in ("penalty", "gap_vectors", "solver"):
             del doc[key]
@@ -1063,6 +1066,10 @@ class TestMtlCommands:
         ({"gap_vectors": [[1.0, 2.0]]}, "each gap vector needs one entry per row of A"),
         ({"A": [1.0, 2.0, 3.0, 4.0]}, "A must be a d x r and B an r x T matrix"),
         ({"B": [[1.0], [2.0]]}, "A must be a d x r and B an r x T matrix"),
+        # values training never writes
+        ({"r": 7}, "r must equal A's column count 1, got 7"),
+        ({"constraint": "bogus"}, "unknown constraint mode 'bogus'"),
+        ({"lam": -1}, "lam must be > 0"),
     ])
     def test_misshapen_representation_document_is_data_error(self, tmp_path, capsys, fields, message):
         data, schema = write_multitask_csv(tmp_path / "one.csv", np.random.default_rng(0), T=1, n=10)
@@ -1087,17 +1094,76 @@ class TestMtlCommands:
         assert max(doc["results"]["constraint_residuals"]) <= 1e-8
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def vectors(n, floats=FINITE):
+    return st.lists(floats, min_size=n, max_size=n).map(np.array)
+
+
+def matrices(rows, columns, floats=FINITE):
+    return st.lists(st.lists(floats, min_size=columns, max_size=columns), min_size=rows, max_size=rows).map(
+        lambda m: np.array(m).reshape(rows, columns))
+
+
+@st.composite
+def kernel_models(draw):
+    """Linear and rbf models as training writes them, with arbitrary finite numbers."""
+    p, n, m = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        kernel, coef, dual, inputs = ferm.KernelSpec("linear"), draw(vectors(p)), None, None
+    else:
+        kernel = ferm.KernelSpec("rbf", gamma=draw(st.floats(1e-3, 10.0)))
+        coef, dual, inputs = None, draw(vectors(n)), draw(matrices(n, p))
+    report = {"epsilon": draw(st.none() | st.floats(0.0, 1.0)), "achieved_l1": draw(st.floats(0.0, 10.0)),
+              "constraint_values": draw(st.lists(FINITE, min_size=m, max_size=m)),
+              "pairs": [[i, i + 1] for i in range(m)], "degenerate": draw(st.booleans())}
+    solver = draw(st.none() | st.builds(lambda i: {"iterations": i, "stop_reason": "converged"}, st.integers(0, 99)))
+    return ferm.KernelModel(kernel, draw(st.booleans()), coef, dual, inputs, report, draw(FINITE), solver)
+
+
+@st.composite
+def representation_models(draw):
+    d, r, T = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    constraint = draw(st.sampled_from(["equality", "relaxed", "none"]))
+    small = st.floats(-1e6, 1e6)  # the written gap alignment is a norm of A^T c
+    return RepresentationModel(
+        A=draw(matrices(d, r, small)), B=draw(matrices(r, T)), r=r, lam=draw(st.floats(1e-3, 10.0)),
+        constraint=constraint,
+        penalty=draw(st.floats(1e-2, 1e3)) if constraint == "relaxed" else None,
+        gap_vectors=() if constraint == "none" else tuple(draw(vectors(d, small)) for _ in range(T)),
+        objective_history=tuple(draw(st.lists(FINITE, min_size=1, max_size=4))),
+        solver={"iterations": draw(st.integers(0, 99)), "stop_reason": "converged"})
+
+
+@st.composite
+def sems_with_unobserved(draw):
+    sem = draw(small_sems())
+    return dataclasses.replace(sem, unobserved=frozenset(draw(st.sets(st.sampled_from(sem.variables[1:])))))
+
+
 class TestDocumentRoundTrips:
     """Writer then reader of each model document, without a CLI run in between."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(kernel_models(), sems_with_unobserved(), representation_models()))
+    def test_reader_gives_back_what_the_writer_wrote(self, obj):
+        write, read = {
+            ferm.KernelModel: (_model_to_json, _model_from_json),
+            causal.LinearSEM: (_sem_to_json, _sem_from_json),
+            RepresentationModel: (_rep_to_json, _rep_from_json),
+        }[type(obj)]
+        text = _json_text(write(obj))
+        assert _json_text(write(read(json.loads(text)))) == text
 
     @pytest.mark.parametrize("kernel", [ferm.KernelSpec(), ferm.KernelSpec("rbf", gamma=0.5)])
     def test_kernel_model(self, kernel):
         data = load_csv(GOLDEN / "cls.csv", json.loads(CLS_SCHEMA), outcome_kind="classification")
         problem = ferm.FairERMProblem(loss="logistic", lam=0.5, epsilon=0.1, kernel=kernel)
         model = ferm.train_gferm(problem, data, make_grid(data, 2, 2))
-        doc = _model_to_json(model)
-        read = _model_from_json(json.loads(json.dumps(doc)))
-        assert _model_to_json(read) == doc
+        text = _json_text(_model_to_json(model))
+        read = _model_from_json(json.loads(text))
+        assert _json_text(_model_to_json(read)) == text
         Z = np.random.default_rng(3).normal(size=(25, data.features.shape[1]))
         np.testing.assert_array_equal(read.decision_function(Z), model.decision_function(Z))
         np.testing.assert_array_equal(read.predict_dataset(data), model.predict_dataset(data))
@@ -1105,9 +1171,9 @@ class TestDocumentRoundTrips:
     def test_fitted_sem(self):
         skeleton = causal.scenario("college")
         fitted = causal.fit(causal.sample(skeleton, 500, seed=3), skeleton)
-        doc = _sem_to_json(fitted)
-        read = _sem_from_json(json.loads(json.dumps(doc)))
-        assert _sem_to_json(read) == doc
+        text = _json_text(_sem_to_json(fitted))
+        read = _sem_from_json(json.loads(text))
+        assert _json_text(_sem_to_json(read)) == text
         paths = causal.all_unfair_paths(fitted)
         assert causal.path_specific_effect(read, paths, 0.0, 1.0) == causal.path_specific_effect(
             fitted, paths, 0.0, 1.0)

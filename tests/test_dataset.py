@@ -344,6 +344,21 @@ class TestTextColumnMemory:
         assert ids[-1] == str(n - 1) and scores.size == outcome.size == n
         assert sorted(enc.labels) == sorted(labels.tolist())
 
+    def test_csv_reader_fallback_reads_in_record_blocks(self, tmp_path):
+        # one quoted line break, in the last id, sends the file to the csv.reader fallback
+        rng = np.random.default_rng(4)
+        n = 100_000
+        ids = np.arange(n).astype(str).astype(object)
+        ids[-1] = "last\nid"
+        path = tmp_path / "scores.csv"
+        write_table(path, ["id", "group", "score", "y"],
+                    [ids, np.array(["a", "b"])[rng.integers(0, 2, n)], rng.random(n), rng.integers(0, 2, n)])
+        (ids, groups, scores, outcome), peak = traced_peak(_read_scores_csv, path)
+        # the columns hold 2 x 1.6 MB of text and 2 x 0.8 MB of floats
+        assert peak < 8 * 2**20
+        assert ids[-1] == "last\nid" and groups.size == scores.size == outcome.size == n
+        assert scores.dtype == np.float64
+
     def test_many_distinct_20_character_cells(self, tmp_path):
         # the shape on which np.fromiter corrupted StringDType arrays
         rng = np.random.default_rng(5)

@@ -27,6 +27,7 @@ from fairkit.ferm import (  # white-box solver checks
     _qp_l1,
     _solve_constrained,
     _solve_kernel_squared,
+    _whiten,
 )
 from fairkit.metrics import ScoreSet, loss_general_fairness_gap
 
@@ -428,6 +429,17 @@ class TestKernelWorkingSet:
         spec = KernelSpec("rbf", gamma=gamma)
         got = kernel_matrix(spec, X) if same else kernel_matrix(spec, X, Z)
         np.testing.assert_array_equal(got, two_matrix_rbf_kernel(gamma, X, X if same else Z))
+
+    def test_whiten_holds_two_matrices(self):
+        # every Newton step of the rbf logistic and hinge paths whitens its n x n model
+        n = 300
+        G = np.random.default_rng(3).normal(size=(n, n - 20))
+        P = G @ G.T
+        T, peak = traced_peak(_whiten, P)
+        assert T.shape == (n, n - 20)
+        np.testing.assert_allclose(T.T @ P @ T, np.eye(n - 20), atol=1e-8)
+        # the eigenvectors and the copy of the kept ones, divided in place
+        assert peak <= 2.2 * P.nbytes
 
     @pytest.mark.parametrize("same", [True, False])
     def test_kernel_matrix_holds_one_matrix_and_a_block(self, same):

@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 from fairkit.multitask import (
     MtlError,
     MultiTaskDataset,
+    RepresentationModel,
     Task,
     conditional_mean_gap,
     train_common_mean,
@@ -235,6 +236,21 @@ class TestTrainRepresentation:
         data = MultiTaskDataset((bad,))
         with pytest.raises(MtlError, match="lack"):
             train_representation(data, r=1, lam=0.1, constraint="equality")
+
+    @pytest.mark.parametrize("r", [0, 11])
+    def test_rank_beyond_the_features_rejected(self, r):
+        # A would have min(d, r) columns, not the r the model would record
+        data = synthetic_tasks(np.random.default_rng(9), T=2, n=30)
+        with pytest.raises(MtlError, match=f"r must lie between 1 and the 10 features, got {r}"):
+            train_representation(data, r=r, lam=0.1, constraint="none")
+
+    @pytest.mark.parametrize("factor", ["A", "B"])
+    def test_model_refuses_non_finite_factors(self, factor):
+        fields = dict(A=np.ones((3, 1)), B=np.ones((1, 2)), r=1, lam=0.1, constraint="none", penalty=None,
+                      gap_vectors=(), objective_history=(1.0,))
+        fields[factor][0, 0] = np.inf
+        with pytest.raises(MtlError, match="A and B must be finite"):
+            RepresentationModel(**fields)
 
 
 class TestTransfer:
