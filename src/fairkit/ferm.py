@@ -4,22 +4,19 @@ The trained model minimizes sum-of-losses plus a ridge penalty subject to
 an L1 bound on the vector of per-cell mean-score differences: for every
 outcome bin, the mean feature vectors of any two non-empty sensitive cells
 are collected into constraint columns, and the constraint reads
-``||A^T w||_1 <= epsilon``.  A zero budget turns the bound into exact
-linear equalities, solved by null-space elimination; a positive budget
-goes through an exact L1-constrained quadratic program (a dual active-set
-method over the facets of the L1 ball).  Unconstrained or at a zero budget,
-`_minimize_on` (shared with `multitask`) gives the least-norm minimizer of
-a quadratic on the feasible subspace.  The squared loss is one such solve;
-the logistic and the (quadratically smoothed) hinge losses run damped
-Newton steps over the same feasible set until the Newton decrement
-vanishes, and a run that does not converge raises SolverError.  The rbf
-kernel's squared loss, at a zero budget or unconstrained, is instead
-solved on K + lambda I and an m x m system for the multipliers, which
-fixes the dual coefficients even where K is numerically singular; only the
-lower block triangle of K + lambda I is formed, one block row at a time, and
-factored in place by a blocked Cholesky, so that path holds about half an
-n x n matrix, and its objective and an rbf model's decision values are formed
-from kernel rows a block at a time.
+``||A^T w||_1 <= epsilon``.  The squared loss is one quadratic; the
+logistic and the (quadratically smoothed) hinge losses run damped Newton
+steps until the Newton decrement vanishes, and a run that does not converge
+raises SolverError.  A linear model's quadratic is p x p: without a positive
+budget `_minimize_on` (shared with `multitask`) gives its least-norm
+minimizer on the feasible subspace, and a positive budget goes through an
+exact L1-constrained QP (a dual active-set method over the facets of the L1
+ball).  Every rbf model's quadratic goes through one block-Cholesky core,
+`_kernel_step`, which factors S K S + 2 lambda I, S the square root of the
+loss's curvature, on the rows where that curvature is positive and reduces
+the constraint to an m x m system for the multipliers.  The factor's lower
+block triangle, about half an n x n matrix, is all an rbf path holds: K is
+only ever formed a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -77,10 +74,10 @@ class KernelSpec:
 
 # Elements of the |x|^2 + |z|^2 block that `kernel_matrix` forms at a time.
 _KERNEL_BLOCK = 1 << 16
-# Rows of each block row of K + lambda I that `_solve_kernel_squared` holds
-# (block row r is K[r0:r1, :r1]), and kernel rows that `_kernel_dot` forms at
-# a time: the rbf squared-loss path then holds K's lower block triangle, about
-# n (n + _SOLVE_BLOCK) / 2 elements, and O(n * _SOLVE_BLOCK) more.
+# Rows of each block row of S K S + 2 lambda I that `_kernel_step` holds (block
+# row r is cut from kernel rows r0:r1), and kernel rows that `_kernel_dot` forms
+# at a time: an rbf solve then holds that matrix's lower block triangle, at most
+# about n (n + _SOLVE_BLOCK) / 2 elements, and O(n * _SOLVE_BLOCK) more.
 _SOLVE_BLOCK = 128
 
 
@@ -111,13 +108,15 @@ def kernel_matrix(spec: KernelSpec, X: np.ndarray, Z: np.ndarray | None = None) 
         rows = out[start:start + step]
         np.subtract(sx[start:start + step, None] + sz, rows, out=rows)
     np.maximum(out, 0.0, out=out)
-    out *= -spec.gamma
+    with np.errstate(over="ignore"):  # a product beyond the float range is -inf, and exp(-inf) = 0
+        out *= -spec.gamma
     return np.exp(out, out=out)
 
 
 def _kernel_dot(spec: KernelSpec, X: np.ndarray, Z: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """K(X, Z) @ v, the kernel formed `_SOLVE_BLOCK` rows at a time, each block checked by `kernel_matrix`."""
-    out = np.empty(X.shape[0])
+    """K(X, Z) @ v for a vector or matrix v, the kernel formed `_SOLVE_BLOCK` rows at a time,
+    each block checked by `kernel_matrix`."""
+    out = np.empty(X.shape[:1] + v.shape[1:])
     for start in range(0, X.shape[0], _SOLVE_BLOCK):
         out[start:start + _SOLVE_BLOCK] = kernel_matrix(spec, X[start:start + _SOLVE_BLOCK], Z) @ v
     return out
@@ -245,18 +244,20 @@ _HINGE_WIDTHS = (1.0, 0.1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 
 
 class _Objective:
-    """Sum-loss objective J(beta) = sum_n loss((D beta)_n, y_n) + beta^T R beta.
+    """Sum-loss objective J(beta) = sum_n loss(f_n, y_n) + penalty at the scores f = D beta.
 
+    The penalty is beta^T R beta.  A kernel model passes D = None and R = lam,
+    and gives `value` its scores f = K beta; its penalty is lam beta^T f.
     With ``delta > 0`` the hinge max(0, r), r = 1 - y f, is replaced by its
     quadratic smoothing (r^2 / (2 delta) for 0 < r <= delta, r - delta/2
-    above), which lies at most delta/2 below it and has a Hessian.
+    above), which lies at most delta/2 below it and has a second derivative.
     """
 
     def __init__(self, D, y, R, loss, delta=0.0):
         self.D, self.y, self.R, self.loss, self.delta = D, y, R, loss, delta
 
-    def value(self, beta: np.ndarray) -> float:
-        f = self.D @ beta
+    def value(self, beta: np.ndarray, f: np.ndarray | None = None) -> float:
+        f = self.D @ beta if f is None else f
         if self.loss == "squared":
             data = np.sum((f - self.y) ** 2)
         elif self.loss == "hinge":
@@ -267,13 +268,12 @@ class _Objective:
             else:
                 data = np.sum(np.maximum(0.0, r))
         else:
-            m = -self.y * f
-            data = np.sum(np.logaddexp(0.0, m))
-        return float(data + beta @ self.R @ beta)
+            data = np.sum(np.logaddexp(0.0, -self.y * f))
+        return float(data + (self.R * (beta @ f) if self.D is None else beta @ self.R @ beta))
 
-    def derivatives(self, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Gradient and Hessian of the logistic or the smoothed-hinge objective."""
-        m = self.y * (self.D @ beta)
+    def derivatives(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Slope and curvature of the logistic or the smoothed-hinge loss in each score of f."""
+        m = self.y * f
         if self.loss == "logistic":
             slope = -np.exp(-np.logaddexp(0.0, m))  # d loss / d margin = -sigmoid(-m)
             curve = -slope * (1.0 + slope)
@@ -281,9 +281,7 @@ class _Objective:
             r = 1.0 - m
             slope = -np.clip(r / self.delta, 0.0, 1.0)
             curve = ((r > 0.0) & (r <= self.delta)) / self.delta
-        grad = self.D.T @ (self.y * slope) + 2.0 * self.R @ beta
-        hess = (self.D.T * (self.y * self.y * curve)) @ self.D + 2.0 * self.R
-        return grad, hess
+        return self.y * slope, self.y * self.y * curve
 
 
 def _whiten(P: np.ndarray, scale: float = 0.0) -> np.ndarray:
@@ -292,7 +290,7 @@ def _whiten(P: np.ndarray, scale: float = 0.0) -> np.ndarray:
     Eigenvalues up to the rounding level, n eps times the largest eigenvalue
     or ``scale`` if that is larger, are dropped, so T @ (T.T @ q) is the
     minimizer of 1/2 b^T P b - q^T b that has no component along the
-    directions where P is numerically flat (null(K) of a kernel problem).
+    directions where P is numerically flat (null(G) of redundant constraints).
     """
     evals, evecs = np.linalg.eigh(P)
     keep = evals > np.max(evals, initial=scale) * P.shape[0] * np.finfo(float).eps
@@ -389,86 +387,57 @@ def _add_facet(active, mult, u, normal, eps, steps_left):
     return active, mult, u, steps_left
 
 
-def _newton(obj: _Objective, beta: np.ndarray, minimize_model, steps: int, max_iter: int):
-    """Damped Newton on obj from the feasible beta.
+def _newton(D, y, R, loss: str, beta: np.ndarray, model, max_iter: int):
+    """Damped Newton on the logistic loss, or on the smoothed hinge at each of `_HINGE_WIDTHS` in
+    turn, from the feasible beta; returns the final iterate, its scores f and the solver trace.
 
-    ``minimize_model(P, q)`` returns the feasible minimizer of the local
-    quadratic model 1/2 b^T P b - q^T b.  The step to it is backtracked
-    until the Armijo condition holds, so every iterate stays feasible.  The
-    run stops when the Newton decrement -g^T d is at most 1e-12 (1 + |J|),
-    or at most the rounding error of evaluating J (which bounds what any
-    step can resolve; it dominates only for ill-conditioned kernels).
-    Returns the final iterate and the running count of steps taken.
-
-    Two safeguards serve a vanishing ridge.  Every loss is non-negative,
-    so J >= 0 and no step length t with 1e-4 t (-g^T d) > 2 J can meet the
-    Armijo condition: backtracking starts at the first halving of 1 below
-    that bound.  This bounds the step of a model that is flat but for the
-    ridge (no hinge record inside the smoothing band, a step about 1/lambda
-    long), and it never changes a run that starting at t = 1 completes.
-    Where the ridge is below the Hessian's rounding level, `_whiten` would
-    drop the directions that only the ridge curves, gradient and all, and
-    stop short of the optimum; there the model's curvature is floored at
-    g^T g / (2 J), the least curvature of a quadratic that stays
-    non-negative along -g, and at twice the rounding level.
+    ``model(beta, f, g, w, J)`` gets the loss's slope g and curvature w at f and returns the step
+    d to the feasible minimizer of the local quadratic model, the decrement -grad^T d, the
+    rounding error of J at beta and the scores of beta + t d as a function of t.  Backtracking
+    keeps the Armijo condition, so every iterate is feasible.  A run stops once the decrement is
+    at most 1e-12 (1 + |J|) or that rounding error, which bounds what a step can resolve.  J >= 0,
+    so no t with 1e-4 t (-g^T d) > 2 J meets the Armijo condition, and backtracking starts below
+    that bound: a model flat but for a vanishing ridge takes a step about 1/lambda long.  max_iter
+    caps the total number of steps; reaching it raises SolverError.
     """
-    # |D| and |R| are D and R themselves for an rbf kernel (entries in (0, 1])
-    # and for the ridge lam I, so only a negative entry makes a copy
-    abs_d, abs_r = (A if A.min(initial=0.0) >= 0.0 else np.abs(A) for A in (obj.D, obj.R))
-    value = obj.value(beta)
-    ridge = float(np.max(np.diag(obj.R)))
-    while True:
-        grad, hess = obj.derivatives(beta)
-        level = hess.shape[0] * np.finfo(float).eps * float(np.trace(hess))
-        if ridge < level:
-            hess[np.diag_indices_from(hess)] += max(float(grad @ grad) / (2.0 * value), 2.0 * level)
-        d = minimize_model(hess, hess @ beta - grad) - beta
-        decrement = -float(grad @ d)
-        if not (np.isfinite(value) and np.isfinite(decrement)):
-            raise SolverError("non-finite Newton objective or step")
-        size = np.abs(beta)
-        rounding = 1e-14 * float((abs_d @ size).sum() + size @ abs_r @ size)
-        if decrement <= max(1e-12 * (1.0 + abs(value)), rounding):
-            return beta, steps
-        if steps >= max_iter:
-            raise SolverError(f"Newton did not converge within max_iter={max_iter} steps")
-        t = 1.0
-        while 1e-4 * t * decrement > 2.0 * value:
-            t *= 0.5
-        shortest = 1e-15 * t
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing trial is rejected
-            while not (trial := obj.value(beta + t * d)) <= value - 1e-4 * t * decrement:
+    f, steps = np.zeros_like(y) if D is None else D @ beta, 0
+    for delta in _HINGE_WIDTHS if loss == "hinge" else (0.0,):
+        obj = _Objective(D, y, R, loss, delta)
+        value = obj.value(beta, f)
+        while True:
+            d, decrement, rounding, scores = model(beta, f, *obj.derivatives(f), value)
+            if not (np.isfinite(value) and np.isfinite(decrement)):
+                raise SolverError("non-finite Newton objective or step")
+            if decrement <= max(1e-12 * (1.0 + abs(value)), rounding):
+                break
+            if steps >= max_iter:
+                raise SolverError(f"Newton did not converge within max_iter={max_iter} steps")
+            t = 1.0
+            while 1e-4 * t * decrement > 2.0 * value:
                 t *= 0.5
-                if t < shortest:
-                    raise SolverError("Newton line search found no decrease")
-        beta, value = beta + t * d, trial
-        steps += 1
+            shortest = 1e-15 * t
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflowing trial is rejected
+                while not (trial := obj.value(beta + t * d, moved := scores(t))) <= value - 1e-4 * t * decrement:
+                    t *= 0.5
+                    if t < shortest:
+                        raise SolverError("Newton line search found no decrease")
+            beta, f, value = beta + t * d, moved, trial
+            steps += 1
+    return beta, f, {"iterations": steps, "stop_reason": "converged"}
 
 
-def _solve_constrained(
-    D: np.ndarray,
-    y: np.ndarray,
-    R: np.ndarray,
-    M: np.ndarray,
-    loss: str,
-    epsilon: float | None,
-    max_iter: int = 10_000,
-) -> tuple[np.ndarray, dict]:
-    """Minimize the sum-loss ridge objective under ||M^T beta||_1 <= epsilon.
+def _solve_constrained(D: np.ndarray, y: np.ndarray, R: np.ndarray, M: np.ndarray, loss: str,
+                       epsilon: float | None, max_iter: int = 10_000) -> tuple[np.ndarray, dict]:
+    """Minimize a linear model's sum-loss ridge objective under ||M^T beta||_1 <= epsilon.
 
-    epsilon=None drops the constraint and epsilon=0 restricts beta to an
-    orthonormal null-space basis of M^T, where the constraint holds
-    exactly; on either set a quadratic is minimized by `_minimize_on`.  A
-    positive budget goes through the exact L1-constrained QP `_qp_l1`.
-    The squared loss is one such quadratic, D^T D + R and D^T y; the rbf
-    kernel's squared loss without a positive budget goes to
-    `_solve_kernel_squared` instead.  The logistic and hinge losses run
-    damped Newton (`_newton`), each step minimizing the local quadratic
-    model on the same set; the hinge is smoothed over the widths in
-    `_HINGE_WIDTHS` in turn, each run warm-started from the last.
-    max_iter caps the total number of Newton steps, and reaching it raises
-    SolverError.
-
+    epsilon=None drops the constraint and epsilon=0 restricts beta to an orthonormal null-space
+    basis of M^T, where the constraint holds exactly; on either set a quadratic is minimized by
+    `_minimize_on`.  A positive budget goes through the exact L1-constrained QP `_qp_l1`.  The
+    squared loss is one such quadratic, D^T D + R and D^T y; each `_newton` step of the logistic
+    and hinge losses minimizes the p x p Newton model on the same set.  Where the ridge R = lam I
+    is below the Hessian's rounding level, `_whiten` would drop the directions only it curves,
+    gradient and all, so the model's curvature is floored there at g^T g / (2 J), the least
+    curvature of a quadratic that stays non-negative along -g, and at twice the rounding level.
     Returns beta and the solver trace {"iterations", "stop_reason"}.
     """
     p = D.shape[1]
@@ -482,61 +451,92 @@ def _solve_constrained(
         beta = newton_model(D.T @ D + R, D.T @ y)
         trace = {"iterations": 0, "stop_reason": "closed_form"}
     else:
-        beta, steps = np.zeros(p), 0
-        for delta in _HINGE_WIDTHS if loss == "hinge" else (0.0,):
-            beta, steps = _newton(_Objective(D, y, R, loss, delta), beta, newton_model, steps, max_iter)
-        trace = {"iterations": steps, "stop_reason": "converged"}
-    return _checked(beta, M, None if unconstrained else epsilon), trace
+        abs_d, ridge = np.abs(D), float(np.max(np.diag(R)))
+
+        def model(beta, f, g, w, value):
+            grad = D.T @ g + 2.0 * R @ beta
+            hess = (D.T * w) @ D + 2.0 * R
+            level = p * np.finfo(float).eps * float(np.trace(hess))
+            if ridge < level:
+                hess[np.diag_indices_from(hess)] += max(float(grad @ grad) / (2.0 * value), 2.0 * level)
+            d = newton_model(hess, hess @ beta - grad) - beta
+            size = np.abs(beta)
+            rounding = 1e-14 * float((abs_d @ size).sum() + size @ R @ size)
+            return d, -float(grad @ d), rounding, lambda t: D @ (beta + t * d)
+
+        beta, _, trace = _newton(D, y, R, loss, np.zeros(p), model, max_iter)
+    return _checked(beta, M.T @ beta, None if unconstrained else epsilon), trace
 
 
-def _solve_kernel_squared(
-    spec: KernelSpec, Z: np.ndarray, y: np.ndarray, lam: float, cs: ConstraintSystem,
-    epsilon: float | None,
-) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Kernel squared loss under M^T beta = 0, M = K C for K = k(Z, Z) and the C of ``cs``;
-    unconstrained when epsilon is None.
+def _solve_kernel(spec: KernelSpec, Z: np.ndarray, y: np.ndarray, lam: float, C: np.ndarray, loss: str,
+                  epsilon: float | None, max_iter: int) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Dual coefficients beta, scores f = K beta and solver trace of the rbf model on Z under
+    ||C^T f||_1 <= epsilon.  The squared loss is one `_kernel_step`, and so is each `_newton`
+    step, with the loss's curvature w and its ridge floored at the rounding level of S K S,
+    n eps times its trace, as `_solve_constrained` floors the p x p Hessian."""
+    if loss == "squared":
+        beta, f, _ = _kernel_step(spec, Z, C, epsilon, np.full(y.size, 2.0), 2.0 * lam, 2.0 * y)
+        return beta, f, {"iterations": 0, "stop_reason": "closed_form"}
 
-    Every term carries the factor K (D = K, R = lam K, M = K C), so the
-    KKT conditions K ((K + lam I) beta - y + C nu) = 0, M^T beta = 0 are
-    met by (K + lam I) beta = y - C nu.  One solve of the positive definite
-    K + lam I against [y, C] gives S y and S C, nu solves the m x m system
-    (M^T S C) nu = M^T S y (by least squares: pairs of one bin can be
-    redundant), and beta = S y - S C nu.  Unlike a solve with K^2 + lam K,
-    this determines beta even where K is numerically singular.
+    def model(beta, f, g, w, value):
+        size, grad = np.abs(beta), g + 2.0 * lam * beta  # J's gradient is K grad
+        level = y.size * np.finfo(float).eps * float(w.sum() + y.size * grad @ grad / (2.0 * value))
+        ridge = 2.0 * lam
+        if ridge < level:
+            ridge = max(level, float(grad @ _kernel_dot(spec, Z, Z, grad)) / (2.0 * value))
+        b, fb, k_size = _kernel_step(spec, Z, C, epsilon, w, ridge, w * f - g + (ridge - 2.0 * lam) * beta, size)
+        df = fb - f
+        rounding = 1e-14 * float(k_size.sum() + lam * size @ k_size)
+        return b - beta, -float(grad @ df), rounding, lambda t: f + t * df
 
-    K + lam I is held as its lower block triangle: block row r, the rows
-    r0:r1 of the r-th block of `_SOLVE_BLOCK`, is its own array
-    K[r0:r1, :r1] + lam I, cut from kernel_matrix(spec, Z[r0:r1], Z) once
-    that block's rows of M have been taken as block @ C.  It is factored in
-    place (`_cholesky_rows`), so the solve holds about n (n + _SOLVE_BLOCK) / 2
-    elements rather than n^2; the size check still counts the whole n x n
-    kernel.  M is the product with the dense C rather than
-    ``cs.mean_differences(K)``, which copies the rows of K in each cell.
-    A K + lam I that is not positive definite in floating point raises
-    SolverError.  Returns beta, M and the solver trace.
+    return _newton(None, y, lam, loss, np.zeros(y.size), model, max_iter)
+
+
+def _kernel_step(spec, Z, C, epsilon, w, ridge, r, size=None):
+    """Minimizer b of 1/2 b^T (K W K + ridge K) b - (K r)^T b under ||C^T K b||_1 <= epsilon
+    (or none), K b, and K ``size`` if given; K = k(Z, Z), W = diag(w) >= 0.
+
+    (W K + ridge I) b = r - C x for the m multipliers x meets the KKT conditions.  Its inverse P
+    maps v to v / ridge on the rows where w = 0 and, with S = W^(1/2) and v' that part of v / ridge,
+    to S B^-1 (S^-1 v - S K v') on the others, for B = S K S + ridge I.  Unlike Woodbury's form
+    (v - S B^-1 S K v) / ridge, this subtracts no nearly equal terms as the ridge vanishes.  B's
+    block rows are cut from the kernel rows of the rows with curvature, whose products with v' are
+    taken first, and factored in place (`_cholesky_rows`).  G = C^T K P C and h = C^T K P r then
+    fix x: by least squares at a zero budget (pairs of one bin can be redundant), at a positive
+    one by `_qp_l1` in `_whiten`'s coordinates T of G, where the objective is 1/2 |u|^2 under
+    ||h - G T u||_1 <= epsilon.
     """
-    n = Z.shape[0]
+    n, m = Z.shape[0], C.shape[1]
     _check_kernel_size(spec, n, n)
-    C = cs.matrix()
-    M = np.empty((n, C.shape[1]))
-    rows = []
-    for r0 in range(0, n, _SOLVE_BLOCK):
-        r1 = min(r0 + _SOLVE_BLOCK, n)
-        block = kernel_matrix(spec, Z[r0:r1], Z)
-        M[r0:r1] = block @ C
-        rows.append(block[:, :r1].copy())
-        del block
+    band = np.flatnonzero(w > 0.0)
+    s = np.sqrt(w[band])[:, None]
+    PV = np.column_stack([r, C])
+    rhs, rows = PV[band] / s, []
+    PV /= ridge
+    PV[band] = 0.0
+    for r0 in range(0, band.size, _SOLVE_BLOCK):
+        r1 = min(r0 + _SOLVE_BLOCK, band.size)
+        block = kernel_matrix(spec, Z[band[r0:r1]], Z)
+        rhs[r0:r1] -= s[r0:r1] * (block @ PV)
+        rows.append(block.take(band[:r1], axis=1))  # C order, as BLAS reads it fastest
+        rows[-1] *= s[r0:r1]
+        rows[-1] *= s[:r1, 0]
         diag = rows[-1][:, r0:]
-        diag[np.diag_indices_from(diag)] += lam
+        diag[np.diag_indices_from(diag)] += ridge
+        del block
     _cholesky_rows(rows)
-    S = _cholesky_rows_solve(rows, y if epsilon is None else np.column_stack([y, C]))
-    if epsilon is None:
-        beta = S
-    else:
-        nu = np.linalg.lstsq(M.T @ S[:, 1:], M.T @ S[:, 0], rcond=None)[0]
-        beta = S[:, 0] - S[:, 1:] @ nu
-    trace = {"iterations": 0, "stop_reason": "closed_form"}
-    return _checked(beta, M, epsilon), M, trace
+    PV[band] = s * _cholesky_rows_solve(rows, rhs)
+    del rows
+    KPV = _kernel_dot(spec, Z, Z, PV if size is None else np.column_stack([PV, size]))
+    x = np.zeros(m)
+    if epsilon is not None and m:
+        G, h = C.T @ KPV[:, 1:m + 1], C.T @ KPV[:, 0]
+        if epsilon == 0.0:
+            x = np.linalg.lstsq(G, h, rcond=None)[0]
+        else:
+            T = _whiten(G)
+            x = T @ (T.T @ h - _qp_l1(np.eye(T.shape[1]), T.T @ h, (G @ T).T, epsilon))
+    return PV[:, 0] - PV[:, 1:] @ x, KPV[:, 0] - KPV[:, 1:m + 1] @ x, None if size is None else KPV[:, -1]
 
 
 def _cholesky_rows(rows: list[np.ndarray]) -> None:
@@ -589,12 +589,12 @@ def _cholesky_rows_solve(rows: list[np.ndarray], B: np.ndarray) -> np.ndarray:
     return X
 
 
-def _checked(beta: np.ndarray, M: np.ndarray, epsilon: float | None) -> np.ndarray:
-    """beta, once it is finite and, unless epsilon is None, within the budget."""
+def _checked(beta: np.ndarray, values: np.ndarray, epsilon: float | None) -> np.ndarray:
+    """beta, once it is finite and, unless epsilon is None, its constraint values within the budget."""
     if not np.all(np.isfinite(beta)):
         raise SolverError("solver diverged")
     if epsilon is not None:
-        achieved = float(np.abs(M.T @ beta).sum())
+        achieved = float(np.abs(values).sum())
         if achieved > epsilon + 1e-6:
             raise SolverError(f"constraint violated: {achieved} > {epsilon}")
     return beta
@@ -665,8 +665,7 @@ class KernelModel:
         return self.decision_function(design_matrix(dataset, self.include_sensitive))
 
 
-def _report(M, beta, epsilon, cs: ConstraintSystem) -> dict:
-    values = M.T @ beta
+def _report(values, epsilon, cs: ConstraintSystem) -> dict:
     return {
         "epsilon": epsilon,
         "achieved_l1": float(np.abs(values).sum()),
@@ -680,24 +679,22 @@ def _train(problem: FairERMProblem, dataset: TabularDataset, cs: ConstraintSyste
     loss, lam, kernel = problem.loss, problem.lam, problem.kernel
     Z, y = design_matrix(dataset, problem.include_sensitive), dataset.outcome
     eff_epsilon = None if cs.degenerate else problem.epsilon
-    if kernel.kind == "rbf" and loss == "squared" and eff_epsilon in (None, 0.0):
-        # the solve holds only K's lower block triangle, so K beta is formed from kernel rows
-        beta, M, trace = _solve_kernel_squared(kernel, Z, y, lam, cs, eff_epsilon)
-        f = _kernel_dot(kernel, Z, Z, beta)
-        value = float(np.sum((f - y) ** 2) + lam * (beta @ f))
+    if kernel.kind == "rbf":
+        C = cs.matrix()
+        beta, f, trace = _solve_kernel(kernel, Z, y, lam, C, loss, eff_epsilon, max_iter)
+        values = C.T @ f
+        beta, value = _checked(beta, values, eff_epsilon), _Objective(None, y, lam, loss).value(beta, f)
     else:
-        D = Z if kernel.kind == "linear" else kernel_matrix(kernel, Z)
-        M = cs.mean_differences(D)
-        R = lam * (np.eye(Z.shape[1]) if kernel.kind == "linear" else D)
-        beta, trace = _solve_constrained(D, y, R, M, loss, eff_epsilon, max_iter=max_iter)
-        value = _Objective(D, y, R, loss).value(beta)
+        M, R = cs.mean_differences(Z), lam * np.eye(Z.shape[1])
+        beta, trace = _solve_constrained(Z, y, R, M, loss, eff_epsilon, max_iter=max_iter)
+        values, value = M.T @ beta, _Objective(Z, y, R, loss).value(beta)
     return KernelModel(
         kernel=kernel,
         include_sensitive=problem.include_sensitive,
         coef=beta if kernel.kind == "linear" else None,
         dual_coef=None if kernel.kind == "linear" else beta,
         training_inputs=None if kernel.kind == "linear" else Z,
-        constraint_report=_report(M, beta, problem.epsilon, cs),
+        constraint_report=_report(values, problem.epsilon, cs),
         objective_value=value,
         solver=trace,
     )

@@ -668,8 +668,9 @@ class TestGoldenSubcommands:
         # the golden scores' solver fixed predictions only to about 1e-10
         assert_golden_scores(tmp_path, "ferm_rbf", "rbf_scores.csv", 1e-8)
 
-    # one ulp more or less in K moves the logistic scores by up to 2e-13, and the
-    # hinge scores, fixed only as far as the last smoothing width fixes them, by up to 5e-8
+    # one ulp more or less in K moves the logistic and hinge scores by up to 1e-14; the
+    # tolerances date from Newton steps that whitened the n x n Hessian, where it moved
+    # the logistic scores by up to 2e-13 and the hinge scores by up to 5e-8
     @pytest.mark.parametrize("loss, tol", [("logistic", 1e-8), ("hinge", 1e-6)])
     def test_rbf_newton_predictions_match_golden_scores(self, tmp_path, loss, tol):
         assert_golden_scores(tmp_path, f"ferm_rbf_{loss}", f"rbf_{loss}_scores.csv", tol)

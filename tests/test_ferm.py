@@ -1,11 +1,12 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from fairkit import ferm
-from fairkit.dataset import DiscretizationGrid, dataset_from_columns, make_grid
+from fairkit.dataset import DiscretizationGrid, dataset_from_columns, load_csv, make_grid
 from fairkit.ferm import (
     FairERMProblem,
     FermError,
@@ -26,7 +27,7 @@ from fairkit.ferm import (  # white-box solver checks
     _Objective,
     _qp_l1,
     _solve_constrained,
-    _solve_kernel_squared,
+    _solve_kernel,
     _whiten,
 )
 from fairkit.metrics import ScoreSet, loss_general_fairness_gap
@@ -74,6 +75,12 @@ def benchmark_classification(seed, n=20_000):
     cols = {"s": s.astype(float), "y": y, **{f"x{j}": X[:, j] for j in range(5)}}
     roles = {"s": "sensitive", "y": "outcome", **{f"x{j}": "feature" for j in range(5)}}
     return dataset_from_columns(cols, roles, outcome_kind="classification")
+
+
+def golden_classification():
+    """The committed tests/golden/cls.csv: 120 records, three features, labels +-1."""
+    roles = {"g": "sensitive", "x0": "feature", "x1": "feature", "x2": "feature", "y": "outcome"}
+    return load_csv(Path(__file__).parent / "golden" / "cls.csv", roles, outcome_kind="classification")
 
 
 def squared_value(X, y, lam, w):
@@ -296,7 +303,7 @@ class TestUnconstrainedAndEquality:
         w, _ = _solve_constrained(X, y, lam * np.eye(X.shape[1]), cs.mean_differences(X),
                                   "squared", 0.0)
         # K = X X^T has rank 4 of 40
-        alpha, _, _ = _solve_kernel_squared(KernelSpec("linear"), X, y, lam, cs, 0.0)
+        alpha, _, _ = _solve_kernel(KernelSpec("linear"), X, y, lam, cs.matrix(), "squared", 0.0, 0)
         X_new = rng.normal(size=(15, X.shape[1]))
         np.testing.assert_allclose(X_new @ w, (X_new @ X.T) @ alpha, atol=1e-8)
 
@@ -431,7 +438,7 @@ class TestKernelWorkingSet:
         np.testing.assert_array_equal(got, two_matrix_rbf_kernel(gamma, X, X if same else Z))
 
     def test_whiten_holds_two_matrices(self):
-        # every Newton step of the rbf logistic and hinge paths whitens its n x n model
+        # every Newton step of a linear model whitens its p x p model, and an rbf step its m x m system
         n = 300
         G = np.random.default_rng(3).normal(size=(n, n - 20))
         P = G @ G.T
@@ -488,9 +495,9 @@ class TestKernelWorkingSet:
         assert np.linalg.norm(A @ X - B) <= 10 * n * eps * np.linalg.norm(A) * np.linalg.norm(X)
         np.testing.assert_allclose(X, np.linalg.solve(A, B), rtol=1e-9, atol=1e-9 * np.abs(X).max())
 
-    @pytest.mark.parametrize("epsilon", [0.0, None])
+    @pytest.mark.parametrize("epsilon", [0.0, None, 0.05])
     def test_linalg_operands_and_peak_within_k_and_blocks(self, monkeypatch, epsilon):
-        n, block = 600, 16
+        n, block, lam = 600, 16, 0.1
         data, grid, _ = kernel_problem(9, n, 3, 2, 2, degenerate=epsilon is None)
         monkeypatch.setattr(ferm, "_SOLVE_BLOCK", block)
         monkeypatch.setattr(ferm, "_KERNEL_BLOCK", 1 << 12)
@@ -505,22 +512,29 @@ class TestKernelWorkingSet:
 
         for name in ("cholesky", "solve", "lstsq", "eigh", "svd", "qr", "inv", "pinv"):
             monkeypatch.setattr(np.linalg, name, recorded(name, getattr(np.linalg, name)))
-        problem = FairERMProblem(lam=0.1, epsilon=0.0, kernel=KernelSpec("rbf", gamma=0.5))
-        model, peak = traced_peak(train_gferm, problem, data, grid)
-        assert {"cholesky", "solve"} <= largest.keys()
-        assert max(largest.values()) <= block * n
-        # K's lower block triangle, a few blocks of kernel or factor rows,
-        # kernel_matrix's norm-sum block and O(n) vectors: below one K
-        assert peak <= 8 * (n * (n + block) // 2 + 4 * block * n + ferm._KERNEL_BLOCK) + 2**16
-        K = kernel_matrix(problem.kernel, data.features)
-        beta, y = model.dual_coef, data.outcome
-        f = K @ beta
-        assert model.objective_value == pytest.approx(float(np.sum((f - y) ** 2) + 0.1 * beta @ f), rel=1e-12)
-        if epsilon is None:
-            np.testing.assert_allclose((K + 0.1 * np.eye(n)) @ beta, y, atol=1e-8)
-        else:
-            M = build_constraints(data, grid).mean_differences(K)
-            assert np.abs(M.T @ beta).sum() <= 1e-10 * np.abs(M).sum() * np.abs(beta).max()
+        K = kernel_matrix(KernelSpec("rbf", gamma=0.5), data.features)
+        M, y = build_constraints(data, grid).mean_differences(K), data.outcome
+        for loss in ("squared", "logistic", "hinge"):
+            largest.clear()
+            problem = FairERMProblem(loss, lam, epsilon, KernelSpec("rbf", gamma=0.5))
+            model, peak = traced_peak(train_gferm, problem, data, grid)
+            assert {"cholesky", "solve"} <= largest.keys()
+            assert max(largest.values()) <= block * n
+            # the lower block triangle of S K S + 2 lam I, a few blocks of kernel or
+            # factor rows, kernel_matrix's norm-sum block and O(n) vectors: below one K
+            assert peak < K.nbytes
+            if loss == "squared":
+                assert peak <= 8 * (n * (n + block) // 2 + 4 * block * n + ferm._KERNEL_BLOCK) + 2**16
+            beta = model.dual_coef
+            want = _Objective(K, y, lam * K, loss).value(beta)
+            assert model.objective_value == pytest.approx(want, rel=1e-12 if loss == "squared" else 1e-9)
+            achieved = np.abs(M.T @ beta).sum()
+            if epsilon is None and loss == "squared":
+                np.testing.assert_allclose((K + lam * np.eye(n)) @ beta, y, atol=1e-8)
+            elif epsilon == 0.0:
+                assert achieved <= 1e-10 * np.abs(M).sum() * np.abs(beta).max()
+            elif epsilon is not None:
+                assert achieved <= epsilon + 1e-9
 
     @pytest.mark.parametrize("epsilon", [0.0, None])
     def test_non_positive_definite_shift_raises(self, monkeypatch, epsilon):
@@ -537,17 +551,20 @@ class TestKernelWorkingSet:
         monkeypatch.setattr(ferm, "_SOLVE_BLOCK", 2)  # row 3 is in the second block row
         message = r"^K \+ lambda I is not positive definite \(a pivot in rows 2 to 3 .*--lambda"
         with pytest.raises(SolverError, match=message):
-            _solve_kernel_squared(KernelSpec("rbf", gamma=0.5), Z, data.outcome, 0.5, cs, epsilon)
+            _solve_kernel(KernelSpec("rbf", gamma=0.5), Z, data.outcome, 0.5, cs.matrix(), "squared", epsilon, 0)
 
-    def test_newton_copies_no_absolute_value_of_a_non_negative_kernel(self):
-        n = 300
+    def test_newton_holds_less_than_one_kernel(self, monkeypatch):
+        n, block = 300, 16
+        monkeypatch.setattr(ferm, "_SOLVE_BLOCK", block)
+        monkeypatch.setattr(ferm, "_KERNEL_BLOCK", 1 << 12)
         data = classification_dataset(np.random.default_rng(3), n=n, d=3)
         problem = FairERMProblem(loss="logistic", lam=0.1, epsilon=0.05, kernel=KernelSpec("rbf", gamma=0.5))
         model, peak = traced_peak(train_gferm, problem, data, make_grid(data, 2, 2))
         assert model.solver["iterations"] > 0
-        # K and lam K, the Hessian, and eigh's copy of it, its eigenvectors and the
-        # whitened basis: six n x n matrices, where copies of |K| and |lam K| make eight
-        assert peak <= 7 * 8 * n * n
+        # each step holds the lower block triangle of S K S + 2 lam I, blocks of kernel or
+        # factor rows and O(n) vectors, where forming K, lam K and an n x n Hessian held
+        # several whole kernels
+        assert peak < 8 * n * n
 
     def test_decision_function_holds_a_block_of_kernel_rows(self):
         rng = np.random.default_rng(12)
@@ -660,6 +677,39 @@ class TestBudgetedSolver:
         _, ref_obj = reference_constrained_erm(X, y, 1e-300, A, epsilon, loss="hinge")
         # the smoothed hinge lies at most n * 1e-6 / 2 below the hinge
         assert model.objective_value <= ref_obj + 50 * 1e-6 / 2 + 1e-9 * ref_obj
+
+    # objectives the Newton solver reached at lambda 1e-300 when it whitened the n x n
+    # Hessian at every step (an eigendecomposition that flooring made exact enough)
+    WHITENED_VANISHING_RIDGE = {
+        ("logistic", 0.05): 2.7730181704485444e-08, ("logistic", 0.0): 2.3220402306446413e-08,
+        ("logistic", None): 1.356252628022504e-08, ("hinge", 0.05): 8.690085451235063e-08,
+        ("hinge", 0.0): 8.92355842552206e-08, ("hinge", None): 7.309232508134755e-08,
+    }
+
+    @pytest.mark.parametrize("loss, epsilon", list(WHITENED_VANISHING_RIDGE))
+    def test_vanishing_ridge_rbf_newton_converges(self, loss, epsilon):
+        # below the rounding level of S K S the ridge of the Newton model is floored
+        data = golden_classification()
+        grid = make_grid(data, 2, 2)
+        model = train_gferm(FairERMProblem(loss, 1e-300, epsilon, KernelSpec("rbf", gamma=0.5)), data, grid)
+        assert np.all(np.isfinite(model.dual_coef))
+        assert epsilon is None or model.constraint_report["achieved_l1"] <= epsilon + 1e-9
+        # within the smoothed hinge's n * 1e-6 / 2 of what the whitened solver reached
+        assert model.objective_value <= self.WHITENED_VANISHING_RIDGE[loss, epsilon] + data.n_records * 1e-6 / 2
+
+    def test_small_ridge_rbf_reaches_feasible_kernel_ridge(self):
+        # at lambda 1e-6 kernel ridge regression, (K + lambda I) beta = y, is inside the
+        # budget, so it is the optimum; whitening K^2 + lambda K dropped the directions
+        # where it is below n eps times its largest eigenvalue and stopped at 2.92 > 1.06
+        data = golden_classification()
+        grid = make_grid(data, 2, 2)
+        spec, y = KernelSpec("rbf", gamma=0.5), data.outcome
+        model = train_gferm(FairERMProblem(lam=1e-6, epsilon=0.05, kernel=spec), data, grid)
+        K = kernel_matrix(spec, data.features)
+        beta = np.linalg.solve(K + 1e-6 * np.eye(y.size), y)
+        assert np.abs(build_constraints(data, grid).mean_differences(K).T @ beta).sum() < 0.05
+        ridge = float(np.sum((K @ beta - y) ** 2) + 1e-6 * beta @ K @ beta)
+        assert model.objective_value <= ridge * (1 + 1e-9)
 
     def test_solver_trace(self):
         rng = np.random.default_rng(10)
