@@ -99,6 +99,13 @@ def _finite(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: a non-negative integer, as numpy's generators take."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _float_list(text: str) -> list[float]:
     """argparse type of --sweep and --epsilon-sweep: comma-separated finite numbers."""
     try:
@@ -443,7 +450,7 @@ def cmd_datasets_describe(args) -> int:
 
 # options with one meaning and one default wherever a subcommand declares them
 _SHARED = {
-    "--seed": dict(type=int, default=0),
+    "--seed": dict(type=_seed, default=0),
     "--output": dict(default="-", help="report path, - for stdout"),
     "--input": dict(required=True),
     "--schema": dict(required=True, help="JSON object mapping column -> role, or @FILE"),

@@ -334,8 +334,8 @@ def _read_cells(path, header, floats: list[bool]) -> dict[str, np.ndarray]:
 def read_table(path, numeric, check_header) -> tuple[tuple[str, ...], dict[str, np.ndarray]]:
     """Header and columns of a comma-separated UTF-8 file with a header row and csv quoting.
 
-    A leading byte-order mark is dropped; bytes that are not UTF-8 are a
-    ``DatasetError``.  Header names are stripped and distinct;
+    A leading byte-order mark is dropped; bytes that are not UTF-8 and a cell above csv's field
+    size limit are a ``DatasetError``.  Header names are stripped and distinct;
     ``check_header`` may reject them.  Each row needs one cell per name (a
     blank line has none) and no cell may be empty once stripped.  numpy's reader parses
     ``_BLOCK_ROWS`` rows at a time; ``numeric`` columns come back as float64 when it
@@ -368,6 +368,8 @@ def read_table(path, numeric, check_header) -> tuple[tuple[str, ...], dict[str, 
         return header, columns
     except UnicodeDecodeError as exc:
         raise DatasetError(f"not a UTF-8 text file: cannot decode byte 0x{exc.object[exc.start]:02x}") from None
+    except csv.Error as exc:
+        raise DatasetError(f"cannot read the CSV file: {exc}") from None
 
 
 def load_csv(path, schema: Mapping[str, str], outcome_kind: str = "regression") -> TabularDataset:

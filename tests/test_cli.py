@@ -669,8 +669,7 @@ class TestGoldenSubcommands:
         assert_golden_scores(tmp_path, "ferm_rbf", "rbf_scores.csv", 1e-8)
 
     # one ulp more or less in K moves the logistic and hinge scores by up to 1e-14; the
-    # tolerances date from Newton steps that whitened the n x n Hessian, where it moved
-    # the logistic scores by up to 2e-13 and the hinge scores by up to 5e-8
+    # wider hinge tolerance stays until other BLAS builds show the same
     @pytest.mark.parametrize("loss, tol", [("logistic", 1e-8), ("hinge", 1e-6)])
     def test_rbf_newton_predictions_match_golden_scores(self, tmp_path, loss, tol):
         assert_golden_scores(tmp_path, f"ferm_rbf_{loss}", f"rbf_{loss}_scores.csv", tol)
@@ -684,6 +683,39 @@ def assert_golden_scores(tmp_path, train, scores, tol):
     want = np.loadtxt(GOLDEN / scores, delimiter=",", skiprows=1)
     np.testing.assert_array_equal(got[:, :2], want[:, :2])
     np.testing.assert_allclose(got[:, 2], want[:, 2], rtol=tol, atol=tol)
+
+
+class TestNoTracebackOrWarning:
+    """Inputs that numpy, csv or the kernel would turn into a traceback or a warning."""
+
+    @pytest.mark.parametrize("command", [
+        ["sem", "sample", "--scenario", "college"],
+        ["sem", "pse", "--scenario", "college"],
+        ["mtl", "train-rep", "--input", str(GOLDEN / "tasks.csv"), "--schema", MTL_SCHEMA],
+    ])
+    @pytest.mark.parametrize("seed", ["-1", "1.5"])
+    def test_seed_outside_numpy_range_is_usage_error(self, command, seed, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # where a command that ran anyway would write
+        assert main([*command, "--seed", seed]) == 1
+        err = capsys.readouterr().err
+        assert f": argument --seed: expected a non-negative integer, got {seed!r}\nusage: fairkit" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("header", [False, True])
+    def test_cell_above_csv_field_limit_is_data_error(self, tmp_path, capsys, header):
+        path = tmp_path / "scores.csv"
+        huge = '"' + "x" * 200_000 + '"'
+        path.write_text(f"id,{huge},score,y\n0,a,0.5,1.0\n" if header else f"id,group,score,y\n0,{huge},0.5,1.0\n")
+        assert main(["metrics", "--input", str(path), "--output", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr().err == "error: cannot read the CSV file: field larger than field limit (131072)\n"
+
+    def test_rbf_gamma_overflowing_the_distances_warns_nothing(self, tmp_path, capsys):
+        # gamma times a squared distance overflows to -inf, and exp(-inf) = 0 is the kernel entry
+        model = tmp_path / "m.json"
+        assert main(["ferm-train", "--input", str(GOLDEN / "cls.csv"), "--schema", CLS_SCHEMA, "--kernel", "rbf",
+                     "--gamma", "1e308", "--model-output", str(model), "--output", str(tmp_path / "r.json")]) == 0
+        assert capsys.readouterr().err == ""
+        assert np.isfinite(json.loads(model.read_text())["dual_coef"]).all()
 
 
 class TestFermCommands:
