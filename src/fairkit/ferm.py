@@ -7,16 +7,13 @@ are collected into constraint columns, and the constraint reads
 ``||A^T w||_1 <= epsilon``.  The squared loss is one quadratic; the
 logistic and the (quadratically smoothed) hinge losses run damped Newton
 steps until the Newton decrement vanishes, and a run that does not converge
-raises SolverError.  A linear model's quadratic is p x p: without a positive
-budget `_minimize_on` (shared with `multitask`) gives its least-norm
-minimizer on the feasible subspace, and a positive budget goes through an
-exact L1-constrained QP (a dual active-set method over the facets of the L1
-ball).  Every rbf model's quadratic goes through one block-Cholesky core,
-`_kernel_step`, which factors S K S + 2 lambda I, S the square root of the
-loss's curvature, on the rows where that curvature is positive and reduces
-the constraint to an m x m system for the multipliers.  The factor's lower
-block triangle, about half an n x n matrix, is all an rbf path holds: K is
-only ever formed a block of rows at a time.
+raises SolverError.  A linear model's quadratic is p x p, minimized on the
+feasible subspace by `_minimize_on` (shared with `multitask`) or, at a
+positive budget, by an exact L1-constrained QP (a dual active-set method).
+An rbf model's goes through one block-Cholesky core, `_kernel_step`: it
+factors S K S + 2 lambda I, S the square root of the loss's curvature, a
+block of kernel rows at a time, and reduces the constraint to an m x m
+system, so an rbf path holds about half an n x n matrix and never K.
 """
 
 from __future__ import annotations
@@ -391,14 +388,13 @@ def _newton(D, y, R, loss: str, beta: np.ndarray, model, max_iter: int):
     """Damped Newton on the logistic loss, or on the smoothed hinge at each of `_HINGE_WIDTHS` in
     turn, from the feasible beta; returns the final iterate, its scores f and the solver trace.
 
-    ``model(beta, f, g, w, J)`` gets the loss's slope g and curvature w at f and returns the step
-    d to the feasible minimizer of the local quadratic model, the decrement -grad^T d, the
-    rounding error of J at beta and the scores of beta + t d as a function of t.  Backtracking
-    keeps the Armijo condition, so every iterate is feasible.  A run stops once the decrement is
-    at most 1e-12 (1 + |J|) or that rounding error, which bounds what a step can resolve.  J >= 0,
-    so no t with 1e-4 t (-g^T d) > 2 J meets the Armijo condition, and backtracking starts below
-    that bound: a model flat but for a vanishing ridge takes a step about 1/lambda long.  max_iter
-    caps the total number of steps; reaching it raises SolverError.
+    ``model(beta, f, g, w, J)`` gets the loss's slope g and curvature w at f and returns the step d
+    to the feasible minimizer of the local quadratic model, the decrement -grad^T d, the rounding
+    error of J at beta and the scores of beta + t d as a function of t.  Backtracking keeps the
+    Armijo condition, so every iterate is feasible.  A run stops once the decrement is at most
+    1e-12 (1 + |J|) or that rounding error, which bounds what a step can resolve.  J >= 0, so
+    backtracking starts below the t with 1e-4 t (-g^T d) = 2 J, and a model flat but for a
+    vanishing ridge steps about 1/lambda far; reaching max_iter steps raises SolverError.
     """
     f, steps = np.zeros_like(y) if D is None else D @ beta, 0
     for delta in _HINGE_WIDTHS if loss == "hinge" else (0.0,):
@@ -434,11 +430,11 @@ def _solve_constrained(D: np.ndarray, y: np.ndarray, R: np.ndarray, M: np.ndarra
     basis of M^T, where the constraint holds exactly; on either set a quadratic is minimized by
     `_minimize_on`.  A positive budget goes through the exact L1-constrained QP `_qp_l1`.  The
     squared loss is one such quadratic, D^T D + R and D^T y; each `_newton` step of the logistic
-    and hinge losses minimizes the p x p Newton model on the same set.  Where the ridge R = lam I
-    is below the Hessian's rounding level, `_whiten` would drop the directions only it curves,
-    gradient and all, so the model's curvature is floored there at g^T g / (2 J), the least
-    curvature of a quadratic that stays non-negative along -g, and at twice the rounding level.
-    Returns beta and the solver trace {"iterations", "stop_reason"}.
+    and hinge losses minimizes the p x p Newton model on the same set.  Below the Hessian's
+    rounding level, `_whiten` would drop the directions only the ridge R = lam I curves, gradient
+    and all, so there the curvature is floored at g^T g / (2 J), the least curvature of a
+    quadratic that stays non-negative along -g, and at twice that level.  Returns beta and the
+    solver trace {"iterations", "stop_reason"}.
     """
     p = D.shape[1]
     unconstrained = epsilon is None or M.shape[1] == 0
@@ -471,23 +467,23 @@ def _solve_constrained(D: np.ndarray, y: np.ndarray, R: np.ndarray, M: np.ndarra
 def _solve_kernel(spec: KernelSpec, Z: np.ndarray, y: np.ndarray, lam: float, C: np.ndarray, loss: str,
                   epsilon: float | None, max_iter: int) -> tuple[np.ndarray, np.ndarray, dict]:
     """Dual coefficients beta, scores f = K beta and solver trace of the rbf model on Z under
-    ||C^T f||_1 <= epsilon.  The squared loss is one `_kernel_step`, and so is each `_newton`
-    step, with the loss's curvature w and its ridge floored at the rounding level of S K S,
-    n eps times its trace, as `_solve_constrained` floors the p x p Hessian."""
+    ||C^T f||_1 <= epsilon: one `_kernel_step` for the squared loss, and one per `_newton` step.
+
+    A Newton model's ridge below its rounding level, n eps (sum w + n grad^T grad / (2 J)) for J's
+    gradient K grad, is floored as in `_solve_constrained`: at that level and grad^T K grad / (2 J).
+    """
     if loss == "squared":
         beta, f, _ = _kernel_step(spec, Z, C, epsilon, np.full(y.size, 2.0), 2.0 * lam, 2.0 * y)
         return beta, f, {"iterations": 0, "stop_reason": "closed_form"}
 
     def model(beta, f, g, w, value):
-        size, grad = np.abs(beta), g + 2.0 * lam * beta  # J's gradient is K grad
+        size, grad = np.abs(beta), g + 2.0 * lam * beta
         level = y.size * np.finfo(float).eps * float(w.sum() + y.size * grad @ grad / (2.0 * value))
-        ridge = 2.0 * lam
-        if ridge < level:
-            ridge = max(level, float(grad @ _kernel_dot(spec, Z, Z, grad)) / (2.0 * value))
+        ridge = 2.0 * lam if 2.0 * lam >= level else max(
+            level, float(grad @ _kernel_dot(spec, Z, Z, grad)) / (2.0 * value))
         b, fb, k_size = _kernel_step(spec, Z, C, epsilon, w, ridge, w * f - g + (ridge - 2.0 * lam) * beta, size)
-        df = fb - f
         rounding = 1e-14 * float(k_size.sum() + lam * size @ k_size)
-        return b - beta, -float(grad @ df), rounding, lambda t: f + t * df
+        return b - beta, -float(grad @ (fb - f)), rounding, lambda t: f + t * (fb - f)
 
     return _newton(None, y, lam, loss, np.zeros(y.size), model, max_iter)
 
@@ -497,22 +493,20 @@ def _kernel_step(spec, Z, C, epsilon, w, ridge, r, size=None):
     (or none), K b, and K ``size`` if given; K = k(Z, Z), W = diag(w) >= 0.
 
     (W K + ridge I) b = r - C x for the m multipliers x meets the KKT conditions.  Its inverse P
-    maps v to v / ridge on the rows where w = 0 and, with S = W^(1/2) and v' that part of v / ridge,
-    to S B^-1 (S^-1 v - S K v') on the others, for B = S K S + ridge I.  Unlike Woodbury's form
-    (v - S B^-1 S K v) / ridge, this subtracts no nearly equal terms as the ridge vanishes.  B's
-    block rows are cut from the kernel rows of the rows with curvature, whose products with v' are
-    taken first, and factored in place (`_cholesky_rows`).  G = C^T K P C and h = C^T K P r then
-    fix x: by least squares at a zero budget (pairs of one bin can be redundant), at a positive
-    one by `_qp_l1` in `_whiten`'s coordinates T of G, where the objective is 1/2 |u|^2 under
-    ||h - G T u||_1 <= epsilon.
+    maps v to v' = v / ridge on the rows where w = 0 and, with S = W^(1/2), to S B^-1 (S^-1 v - S K v')
+    on the others, for B = S K S + ridge I; unlike Woodbury's (v - S B^-1 S K v) / ridge, this
+    subtracts no nearly equal terms as the ridge vanishes.  B's block rows are cut from the kernel
+    rows of the rows with curvature, whose products with v' are taken first, and factored in place
+    (`_cholesky_rows`).  G = C^T K P C and h = C^T K P r then fix x: by least squares at a zero
+    budget (pairs of one bin can be redundant), at a positive one by `_qp_l1` in `_whiten`'s
+    coordinates T of G, where the objective is 1/2 |u|^2 under ||h - G T u||_1 <= epsilon.
     """
     n, m = Z.shape[0], C.shape[1]
     _check_kernel_size(spec, n, n)
     band = np.flatnonzero(w > 0.0)
     s = np.sqrt(w[band])[:, None]
     PV = np.column_stack([r, C])
-    rhs, rows = PV[band] / s, []
-    PV /= ridge
+    rhs, rows, PV = PV[band] / s, [], PV / ridge
     PV[band] = 0.0
     for r0 in range(0, band.size, _SOLVE_BLOCK):
         r1 = min(r0 + _SOLVE_BLOCK, band.size)

@@ -413,7 +413,8 @@ def traced_peak(fn, *args):
 
 
 class TestKernelWorkingSet:
-    """The rbf squared path holds K's lower block triangle, factored in place, and blocks of kernel or factor rows."""
+    """Every rbf path holds the lower block triangle of S K S + 2 lam I, factored in place, and blocks of kernel or
+    factor rows."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -562,8 +563,7 @@ class TestKernelWorkingSet:
         model, peak = traced_peak(train_gferm, problem, data, make_grid(data, 2, 2))
         assert model.solver["iterations"] > 0
         # each step holds the lower block triangle of S K S + 2 lam I, blocks of kernel or
-        # factor rows and O(n) vectors, where forming K, lam K and an n x n Hessian held
-        # several whole kernels
+        # factor rows and O(n) vectors
         assert peak < 8 * n * n
 
     def test_decision_function_holds_a_block_of_kernel_rows(self):
@@ -678,8 +678,8 @@ class TestBudgetedSolver:
         # the smoothed hinge lies at most n * 1e-6 / 2 below the hinge
         assert model.objective_value <= ref_obj + 50 * 1e-6 / 2 + 1e-9 * ref_obj
 
-    # objectives the Newton solver reached at lambda 1e-300 when it whitened the n x n
-    # Hessian at every step (an eigendecomposition that flooring made exact enough)
+    # objectives that a Newton solver whitening the n x n Hessian at every step reached
+    # at lambda 1e-300
     WHITENED_VANISHING_RIDGE = {
         ("logistic", 0.05): 2.7730181704485444e-08, ("logistic", 0.0): 2.3220402306446413e-08,
         ("logistic", None): 1.356252628022504e-08, ("hinge", 0.05): 8.690085451235063e-08,
@@ -699,8 +699,8 @@ class TestBudgetedSolver:
 
     def test_small_ridge_rbf_reaches_feasible_kernel_ridge(self):
         # at lambda 1e-6 kernel ridge regression, (K + lambda I) beta = y, is inside the
-        # budget, so it is the optimum; whitening K^2 + lambda K dropped the directions
-        # where it is below n eps times its largest eigenvalue and stopped at 2.92 > 1.06
+        # budget, so it is the optimum; a solver that drops the directions where K^2 + lambda K
+        # is below n eps times its largest eigenvalue stops far above it (2.92 against 1.06)
         data = golden_classification()
         grid = make_grid(data, 2, 2)
         spec, y = KernelSpec("rbf", gamma=0.5), data.outcome
