@@ -44,7 +44,7 @@ def _write_text(path, text: str):
 
 
 def _write_sweep(path, rows) -> None:
-    x, series, value = zip(*rows)
+    x, series, value = zip(*rows) if rows else ((), (), ())  # one group has no pairs
     ds.write_table(path, ["x", "series", "value"],
                    [np.array(x, dtype=float), np.array(series, dtype=object), np.array(value, dtype=float)])
 
@@ -186,53 +186,46 @@ def _read_scores_csv(path):
 
 
 def cmd_metrics(args) -> int:
-    ids, groups, scores, outcome = _read_scores_csv(args.input)
+    groups, scores, outcome = _read_scores_csv(args.input)[1:]
     scoreset = metrics.ScoreSet(scores=scores, group=ds.factorize(groups), outcome=outcome, threshold=args.threshold)
+    del groups  # the report needs only the codes
     grid = None
     outcome_kind = "regression"
     if args.grid_k and outcome is not None:
-        kind = "classification" if set(np.unique(outcome)) <= {-1.0, 0.0, 1.0} else "regression"
-        outcome_kind = kind
-        y = outcome if kind == "regression" else np.where(outcome > 0, 1.0, -1.0)
-        table = ds.dataset_from_columns(
-            {"group": scoreset.group, "score": scores, "y": y},
-            {"group": "sensitive", "score": "feature", "y": "outcome"},
-            outcome_kind=kind,
-        )
-        grid = ds.make_grid(table, args.grid_k, args.grid_q)
+        outcome_kind = "classification" if set(np.unique(outcome)) <= {-1.0, 0.0, 1.0} else "regression"
+        y = outcome if outcome_kind == "regression" else np.where(outcome > 0, 1.0, -1.0)
+        grid = ds.make_grid(ds.dataset_from_columns({"group": scoreset.group, "y": y}, {"group": "sensitive", "y": "outcome"},
+                                                    outcome_kind=outcome_kind), args.grid_k, args.grid_q)
+        del y
     report = metrics.full_report(scoreset, grid=grid, bins=args.bins, outcome_kind=outcome_kind)
     _write_text(args.output, _report_doc("metrics", args.seed, report))
     return 0
 
 
 def cmd_repair(args) -> int:
-    ids, groups, scores, _ = _read_scores_csv(args.input)
+    ids, groups, scores = _read_scores_csv(args.input)[:3]
     enc = ds.factorize(groups)
+    del groups  # the scores file's group column is written from the codes
     repaired, plan = transport.geodesic_repair(
         scores, enc, t=args.t, bins=args.bins, order=args.order, weights=args.weights
     )
     if args.scores_output:
-        ds.write_table(args.scores_output, ["id", "group", "score", "repaired_score"], [ids, groups, scores, repaired])
+        ds.write_table(args.scores_output, ["id", "group", "score", "repaired_score"],
+                       [ids, np.array(enc.labels, dtype=object)[enc.codes], scores, repaired])
     bary = plan.barycenter_distribution()
     summary = {"trade_off": plan.trade_off, "bins": plan.bins, "order": plan.order, "groups": {}}
-    for code, idx in zip(plan.group_codes, enc.members):
-        after = transport.EmpiricalDistribution.from_samples(repaired[idx], bins=plan.bins)
+    for code, count in zip(plan.group_codes, enc.counts):
         summary["groups"][str(code)] = {
-            "count": int(idx.size),
-            "w_to_barycenter_before": transport.wasserstein(
-                plan.group_distributions[code], bary, order=plan.order),
-            "w_to_barycenter_after": transport.wasserstein(after, bary, order=plan.order),
+            "count": int(count),
+            "w_to_barycenter_before": transport.wasserstein(plan.group_distributions[code], bary, order=plan.order),
+            "w_to_barycenter_after": transport.wasserstein(plan.repaired_distribution(code), bary, order=plan.order),
         }
     if args.sweep:
         rows = []
         pairs = [f"w1:{a}-{b}" for i, a in enumerate(enc.labels) for b in enc.labels[i + 1:]]
         for t in args.sweep:
             swept = dataclasses.replace(plan, trade_off=t)
-            dists = [
-                transport.EmpiricalDistribution.from_samples(
-                    swept.map_scores(code, scores[idx]), bins=plan.bins)
-                for code, idx in zip(plan.group_codes, enc.members)
-            ]
+            dists = [swept.repaired_distribution(code) for code in plan.group_codes]
             rows.extend((t, pair, w) for pair, w in zip(pairs, transport.pairwise_wasserstein(dists, order=1)))
         _write_sweep(args.sweep_output, rows)
     _write_text(args.output, _report_doc("repair", args.seed, summary))

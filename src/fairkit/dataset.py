@@ -183,12 +183,6 @@ class GroupCodes:
     codes: np.ndarray
     counts: np.ndarray
 
-    @cached_property
-    def members(self) -> list[np.ndarray]:
-        """Record indices of each group, ascending."""
-        order = np.argsort(self.codes, kind="stable")
-        return np.split(order, np.cumsum(self.counts)[:-1])
-
 
 def factorize(values) -> GroupCodes:
     """Encode labels by first appearance, the one group encoding of the package.

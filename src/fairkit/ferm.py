@@ -590,7 +590,7 @@ def _checked(beta: np.ndarray, values: np.ndarray, epsilon: float | None) -> np.
     if epsilon is not None:
         achieved = float(np.abs(values).sum())
         if achieved > epsilon + 1e-6:
-            raise SolverError(f"constraint violated: {achieved} > {epsilon}")
+            raise SolverError(f"constraint violated: {achieved} > {epsilon}; a larger --lambda conditions the solve better")
     return beta
 
 

@@ -10,6 +10,7 @@ and reported, never imputed.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -17,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import DiscretizationGrid, GroupCodes, factorize
-from .transport import EmpiricalDistribution, default_bins, pairwise_wasserstein
+from .transport import pairwise_wasserstein, sorted_by_group
 
 __all__ = [
     "MetricError",
@@ -90,20 +91,18 @@ class ScoreSet:
             raise MetricError("this criterion needs a threshold")
         return (self.scores > self.threshold).astype(float)
 
+    @cached_property
+    def outcome_table(self) -> np.ndarray:
+        """Records per (group, prediction, outcome sign): a (G, 2, 3) count table.
 
-def _outcome_table(scores: ScoreSet) -> np.ndarray:
-    """Records per (group, prediction, outcome sign): a (G, 2, 3) count table.
-
-    The last axis counts negative, zero (or absent) and positive outcomes.
-    Every threshold criterion is a ratio of sums of these counts, the same
-    value as the mean of the 0/1 indicators it replaces.
-    """
-    enc = scores.encoding
-    n_groups = len(enc.labels)
-    y = scores.outcome
-    sign = 1 if y is None else 1 + (y > 0).astype(int) - (y < 0)
-    cell = (enc.codes * 2 + (scores.predictions > 0)) * 3 + sign
-    return np.bincount(cell, minlength=6 * n_groups).reshape(n_groups, 2, 3)
+        The last axis counts negative, zero (or absent) and positive outcomes.
+        Every threshold criterion is a ratio of sums of these counts, the same
+        value as the mean of the 0/1 indicators it replaces.
+        """
+        enc, y = self.encoding, self.outcome
+        sign = 1 if y is None else 1 + (y > 0).astype(int) - (y < 0)
+        cell = (enc.codes * 2 + (self.predictions > 0)) * 3 + sign
+        return np.bincount(cell, minlength=6 * len(enc.labels)).reshape(-1, 2, 3)
 
 
 def _max_pairwise_gap(rates: np.ndarray) -> float:
@@ -113,7 +112,7 @@ def _max_pairwise_gap(rates: np.ndarray) -> float:
 
 def demographic_parity_gap(scores: ScoreSet) -> float:
     """Largest pairwise gap in positive prediction rates across groups."""
-    table = _outcome_table(scores)
+    table = scores.outcome_table
     return _max_pairwise_gap(table[:, 1].sum(axis=1) / scores.encoding.counts)
 
 
@@ -130,9 +129,7 @@ class StrongDPResult(NamedTuple):
 
 
 def strong_demographic_parity(scores: ScoreSet, bins: int | None = None) -> StrongDPResult:
-    enc = scores.encoding
-    b = default_bins(enc.counts) if bins is None else int(bins)
-    dists = [EmpiricalDistribution.from_samples(scores.scores[idx], bins=b) for idx in enc.members]
+    _, dists = sorted_by_group(scores.scores, scores.encoding, bins)
     d_pair = 0.0
     for cost in pairwise_wasserstein(dists, order=2):
         d_pair += 2.0 * cost
@@ -153,7 +150,7 @@ def equalized_odds_gaps(scores: ScoreSet) -> OddsGaps:
     """
     if scores.outcome is None:
         raise MetricError("equalized odds needs outcomes")
-    table = _outcome_table(scores)
+    table = scores.outcome_table
     neg, pos = table[:, :, 0].sum(axis=1), table[:, :, 2].sum(axis=1)
     keep = (neg > 0) & (pos > 0)
     fpr = table[keep, 1, 0] / neg[keep]
@@ -171,7 +168,7 @@ def predictive_parity_gap(scores: ScoreSet) -> PredictiveParityResult:
     """Max pairwise precision gap among groups with positive predictions."""
     if scores.outcome is None:
         raise MetricError("predictive parity needs outcomes")
-    table = _outcome_table(scores)
+    table = scores.outcome_table
     predicted = table[:, 1].sum(axis=1)
     keep = predicted > 0
     precision = table[keep, 1, 2] / predicted[keep]
@@ -196,29 +193,20 @@ class CellGapResult:
 
 
 def _cell_gap(table: np.ndarray, counts: np.ndarray) -> tuple[float, tuple, int]:
-    n_k, n_q = table.shape
-    skipped = tuple(
-        (k, q) for k in range(n_k) for q in range(n_q) if counts[k, q] == 0
-    )
-    total = 0.0
-    pairs = 0
-    for k in range(n_k):
-        present = [q for q in range(n_q) if counts[k, q] > 0]
-        for p in present:
-            for q in present:
-                if p == q:
-                    continue
-                total += abs(table[k, p] - table[k, q])
-                pairs += 1
-    value = total / pairs if pairs else 0.0
-    return value, skipped, pairs
+    skipped = tuple(map(tuple, np.argwhere(counts == 0).tolist()))
+    total, pairs = 0.0, 0
+    for row, present in zip(table, counts > 0):
+        for a, b in itertools.permutations(row[present], 2):  # pairs p != q in the loop order the reports were written in
+            total += abs(a - b)
+            pairs += 1
+    return (total / pairs if pairs else 0.0), skipped, pairs
 
 
 def _cell_layout(scores: ScoreSet, grid: DiscretizationGrid):
     if scores.outcome is None:
         raise MetricError("cell-based criteria need outcomes")
     try:
-        group_values = scores.group.astype(float)
+        group_values = scores.group.astype(float, copy=False)
     except ValueError:
         raise MetricError("cell-based criteria need numeric group codes") from None
     return grid.cell_ids(scores.outcome, group_values)
@@ -234,6 +222,11 @@ def _cell_result(cell: np.ndarray, counts: np.ndarray, values: np.ndarray) -> Ce
     return CellGapResult(value, table, skipped, pairs)
 
 
+def _accuracy_gap(scores: ScoreSet, grid: DiscretizationGrid, cell, counts) -> CellGapResult:
+    f, edges, k_idx = scores.scores, grid.y_edges, cell // grid.n_s_bins
+    return _cell_result(cell, counts, (f >= edges[k_idx]) & (f < edges[k_idx + 1]))
+
+
 def general_fairness_gap(scores: ScoreSet, grid: DiscretizationGrid) -> CellGapResult:
     """Accuracy-parity over (outcome, sensitive) cells.
 
@@ -241,10 +234,18 @@ def general_fairness_gap(scores: ScoreSet, grid: DiscretizationGrid) -> CellGapR
     falls inside the cell's own outcome bin.  In the binary setting this
     averages the false-positive and false-negative rate gaps.
     """
-    cell, counts = _cell_layout(scores, grid)
-    k_idx = cell // grid.n_s_bins
-    f, edges = scores.scores, grid.y_edges
-    return _cell_result(cell, counts, (f >= edges[k_idx]) & (f < edges[k_idx + 1]))
+    return _accuracy_gap(scores, grid, *_cell_layout(scores, grid))
+
+
+def _linear_loss_gap(scores: ScoreSet, outcome_kind: str, cell, counts) -> CellGapResult:
+    f, y = scores.scores, scores.outcome
+    if outcome_kind == "classification":
+        losses = (1.0 - f * y) / 2.0
+    elif outcome_kind == "regression":
+        losses = f - y
+    else:
+        raise MetricError(f"unknown outcome kind {outcome_kind!r}")
+    return _cell_result(cell, counts, losses)
 
 
 def loss_general_fairness_gap(
@@ -263,18 +264,10 @@ def loss_general_fairness_gap(
     """
     if loss == "hard":
         base = general_fairness_gap(scores, grid)
-        return CellGapResult(base.value, 1.0 - base.table, base.skipped_cells, base.included_pairs)
+        return replace(base, table=1.0 - base.table)
     if loss != "linear":
         raise MetricError(f"unknown loss kind {loss!r}")
-    f, y = scores.scores, scores.outcome
-    cell, counts = _cell_layout(scores, grid)
-    if outcome_kind == "classification":
-        losses = (1.0 - f * y) / 2.0
-    elif outcome_kind == "regression":
-        losses = f - y
-    else:
-        raise MetricError(f"unknown outcome kind {outcome_kind!r}")
-    return _cell_result(cell, counts, losses)
+    return _linear_loss_gap(scores, outcome_kind, *_cell_layout(scores, grid))
 
 
 def _entry(value: float, skipped=()) -> dict:
@@ -308,11 +301,10 @@ def full_report(
             pp = predictive_parity_gap(scores)
             criteria["predictive_parity"] = _entry(pp.gap, pp.excluded)
     if grid is not None and scores.outcome is not None:
-        criteria["general_fairness"] = _cell_entry(general_fairness_gap(scores, grid))
-        criteria["loss_general_fairness_hard"] = _cell_entry(
-            loss_general_fairness_gap(scores, grid, loss="hard")
-        )
-        criteria["loss_general_fairness_linear"] = _cell_entry(
-            loss_general_fairness_gap(scores, grid, loss="linear", outcome_kind=outcome_kind)
-        )
+        # one cell layout and one accuracy table, whose complement is the hard loss's
+        layout = _cell_layout(scores, grid)
+        accuracy = _accuracy_gap(scores, grid, *layout)
+        criteria["general_fairness"] = _cell_entry(accuracy)
+        criteria["loss_general_fairness_hard"] = _cell_entry(replace(accuracy, table=1.0 - accuracy.table))
+        criteria["loss_general_fairness_linear"] = _cell_entry(_linear_loss_gap(scores, outcome_kind, *layout))
     return dict(sorted(criteria.items()))

@@ -4,9 +4,11 @@ Distributions are represented by a B-bin quantile table built from the
 samples.  The i-th quantile is the supremum, over the real line, of the set
 of scores whose empirical CDF mass does not exceed (i-1)/B; for a step CDF
 that supremum is the smallest sample whose cumulative mass strictly exceeds
-the bound, so every table entry is an observed sample value.  All distances,
-barycenters and partial repairs are computed on these tables, which makes
-1-D transport exact up to bin resolution.
+the bound: of N sorted samples s, entry i is the gather s[((i-1)*N) // B].
+All distances, barycenters and partial repairs are computed on these
+tables, which makes 1-D transport exact up to bin resolution.  Grouped
+scores are sorted once, by group and then score (``sorted_by_group``), and
+each group's samples are one segment of that sorted copy.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = [
     "wasserstein",
     "pairwise_wasserstein",
     "barycenter",
+    "sorted_by_group",
     "geodesic_repair",
     "expected_prediction_changes",
     "default_bins",
@@ -49,15 +52,11 @@ def _quantile_table(sorted_values: np.ndarray, bins: int) -> np.ndarray:
     """Quantile table q(1..B) of a sorted sample vector.
 
     q(i) is the smallest sample whose cumulative count c satisfies
-    c * B > (i - 1) * N; the comparison is done in integer arithmetic so
-    ties and bin boundaries are exact.
+    c * B > (i - 1) * N: s[p] at p = ((i - 1) * N) // B, as (p + 1) * B > (i - 1) * N >= p * B.
+    Taking the first of its tie block, as np.unique did, fixes the sign of a zero.
     """
-    distinct, first = np.unique(sorted_values, return_index=True)
-    # cumulative count through the end of each tie block
-    cum = np.append(first[1:], sorted_values.size).astype(np.int64)
-    bounds = np.arange(bins, dtype=np.int64) * sorted_values.size  # (i-1)*N
-    idx = np.searchsorted(cum * bins, bounds, side="right")
-    return distinct[np.minimum(idx, distinct.size - 1)]
+    picks = sorted_values[np.arange(bins, dtype=np.int64) * sorted_values.size // bins]
+    return sorted_values[np.searchsorted(sorted_values, picks, side="left")]
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,9 +80,23 @@ class EmpiricalDistribution:
             raise TransportError("bins must be >= 1")
         return cls(samples=v, bins=b, quantiles=_quantile_table(v, b))
 
-    @property
-    def size(self) -> int:
-        return int(self.samples.size)
+
+def sorted_by_group(values, enc: GroupCodes, bins: int | None = None) -> tuple[list, list[EmpiricalDistribution]]:
+    """Each group's record indices and distribution, from one ``lexsort`` by group code, then value.
+
+    Group g's indices are segment g of the permutation, and its samples a view of segment g of the sorted values.
+    """
+    v = np.asarray(values, dtype=float).ravel()
+    b = default_bins(enc.counts)  # every group holds a score
+    b = b if bins is None else int(bins)
+    if b < 1:
+        raise TransportError("bins must be >= 1")
+    if not np.all(np.isfinite(v)):
+        raise TransportError("samples must be finite")
+    perm = np.lexsort((v, enc.codes))
+    cuts = np.cumsum(enc.counts)[:-1]
+    dists = [EmpiricalDistribution(s, b, _quantile_table(s, b)) for s in np.split(v[perm], cuts)]
+    return np.split(perm, cuts), dists
 
 
 def quantile(dist: EmpiricalDistribution, i: int) -> float:
@@ -201,6 +214,16 @@ class RepairPlan:
     def barycenter_distribution(self) -> EmpiricalDistribution:
         return EmpiricalDistribution.from_samples(self.barycenter_table, bins=self.bins)
 
+    def repaired_distribution(self, code) -> EmpiricalDistribution:
+        """The B-bin distribution of the group's repaired scores, from B samples.
+
+        The group and barycenter tables are sorted, so (rounding being monotone)
+        the interpolated one is and ``map_scores`` is non-decreasing: the repaired
+        table is the image of the group's, which as B samples is its own table.
+        """
+        return EmpiricalDistribution.from_samples(
+            self.map_scores(code, self.group_distributions[code].quantiles), bins=self.bins)
+
 
 def geodesic_repair(
     values,
@@ -235,10 +258,7 @@ def geodesic_repair(
     codes = enc.labels
     if any(c != c for c in codes):  # NaN is the one label unequal to itself
         raise TransportError("group labels must not be NaN")
-    b = default_bins(enc.counts) if bins is None else int(bins)
-    if b < 1:
-        raise TransportError("bins must be >= 1")
-    dists = [EmpiricalDistribution.from_samples(v[idx], bins=b) for idx in enc.members]
+    members, dists = sorted_by_group(v, enc, bins)
 
     if weights == "empirical":
         w = enc.counts / v.size
@@ -251,14 +271,14 @@ def geodesic_repair(
         group_codes=codes,
         trade_off=float(t),
         order=order,
-        bins=b,
+        bins=dists[0].bins,
         weights=w,
         group_distributions=dict(zip(codes, dists)),
         barycenter_table=barycenter(dists, w, order=order).quantiles,
     )
     repaired = np.empty_like(v)
-    for c, idx in zip(codes, enc.members):
-        repaired[idx] = plan.map_scores(c, v[idx])
+    for c, idx, d in zip(codes, members, dists):
+        repaired[idx] = plan.map_scores(c, d.samples)
     return repaired, plan
 
 

@@ -5,6 +5,7 @@ import csv
 import importlib.util
 import io
 import json
+import math
 import shlex
 import sys
 import tempfile
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from fairkit import causal, ferm
 from fairkit.cli import (
@@ -26,11 +27,13 @@ from fairkit.cli import (
     build_parser,
     main,
 )
-from fairkit.dataset import MAX_FEATURE_BYTES, load_csv, make_grid
+from fairkit.dataset import MAX_FEATURE_BYTES, dataset_from_columns, factorize, load_csv, make_grid, write_table
+from fairkit.metrics import ScoreSet, full_report
 from fairkit.multitask import RepresentationModel, tasks_from_dataset, train_representation
 from fairkit.transport import EmpiricalDistribution, geodesic_repair, wasserstein
 
 from test_causal import small_sems
+from test_ferm import traced_peak
 
 ROOT = Path(__file__).parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -247,6 +250,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("solver failure: K + lambda I is not positive definite") and err.count("\n") == 1
         assert "--lambda" in err and not model.exists()
+
+    def test_constraint_violated_names_lambda(self, tmp_path, capsys):
+        # at gamma 0.01 and lambda 1e-12 the reduced system's solve misses the budget by about 2e-6
+        model = tmp_path / "m.json"
+        code = main(["ferm-train", "--input", str(GOLDEN / "cls.csv"), "--schema", CLS_SCHEMA, "--kernel", "rbf",
+                     "--gamma", "0.01", "--lambda", "1e-12", "--loss", "logistic", "--epsilon", "0.05",
+                     "--model-output", str(model), "--output", str(tmp_path / "r.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: constraint violated: 0.0500") and err.count("\n") == 1
+        assert "--lambda" in err and not model.exists()
+        with pytest.raises(ferm.SolverError, match="constraint violated: 0.2 > 0.1; a larger --lambda"):
+            ferm._checked(np.zeros(2), np.array([0.1, -0.1]), 0.1)
 
     @pytest.mark.parametrize("count", ["0", "1", "-5"])
     def test_too_few_mc_samples_is_data_error(self, count, tmp_path, capsys):
@@ -542,6 +558,63 @@ class TestRepairCommand:
         assert not np.array_equal(uniform, geodesic_repair(values, groups, t=1.0)[0])
 
 
+class TestScorePathMemory:
+    """Traced peaks of the score path at the benchmark's shape, 200,000 records in 32 groups.
+
+    Each group's distribution is a segment of one sorted copy, and a repair's
+    summary and sweep use B-entry tables, never a second pass over the records.
+    """
+
+    N = 200_000
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        rng = np.random.default_rng(6)
+        labels = np.array([f"{s}-{r}-{a}" for s in "FM" for r in "NSEW" for a in range(4)])
+        scores = rng.random(self.N)
+        return labels[rng.integers(0, labels.size, self.N)], scores, np.where(rng.random(self.N) < scores, 1.0, -1.0)
+
+    @pytest.fixture(scope="class")
+    def scores_csv(self, records, tmp_path_factory):
+        # a quarter of the records: traced, a command runs several times slower
+        path = tmp_path_factory.mktemp("memory") / "scores.csv"
+        n = self.N // 4
+        write_table(path, ["id", "group", "score", "y"], [np.arange(n), *(column[:n] for column in records)])
+        return path
+
+    def test_geodesic_repair_holds_three_record_arrays(self, records):
+        groups, scores, _ = records
+        enc = factorize(groups)
+        (repaired, plan), peak = traced_peak(geodesic_repair, scores, enc, 1.0)
+        # the permutation, the sorted scores the plan keeps and the repaired scores: 4.6 MiB
+        assert peak < 5 * 2**20
+        assert repaired.size == self.N and len(plan.group_codes) == 32
+
+    def test_full_report_builds_one_cell_layout(self, records):
+        groups, scores, y = records
+        scoreset = ScoreSet(scores=scores, group=factorize(groups), outcome=y, threshold=0.5)
+        grid = make_grid(dataset_from_columns({"g": scoreset.group, "y": y}, {"g": "sensitive", "y": "outcome"},
+                                              outcome_kind="classification"), 2, 32)
+        report, peak = traced_peak(full_report, scoreset, grid)
+        # a layout and its accuracy table built once, the codes used as floats without a copy: 6.3 MiB,
+        # where one built per criterion took 7.8 MiB
+        assert peak < 7 * 2**20
+        assert len(report) == 8
+
+    @pytest.mark.parametrize("command, bound_mib", [
+        # 3.95 MiB, where holding the ids and the group text through the report took 5.55 MiB
+        (["metrics", "--threshold", "0.5", "--grid-k", "2", "--grid-q", "32"], 4.75),
+        # 3.91 MiB, where holding the outcome and the group text, and sorting every group's
+        # repaired scores again for the summary and each sweep point, took 5.22 MiB
+        (["repair", "--t", "1", "--sweep", "0,0.25,0.5,0.75,1", "--sweep-output", "{out}/sweep.csv"], 4.5),
+    ])
+    def test_command_peak(self, scores_csv, tmp_path, command, bound_mib):
+        argv = [a.replace("{out}", str(tmp_path)) for a in command]
+        code, peak = traced_peak(main, [*argv, "--input", str(scores_csv), "--output", str(tmp_path / "r.json")])
+        assert code == 0
+        assert peak < bound_mib * 2**20
+
+
 class TestGoldenReports:
     """Reports on a committed 600-row, 6-group scores file, byte for byte as first written."""
 
@@ -559,6 +632,72 @@ class TestGoldenReports:
             assert main(argv) == 0
         for name in ("metrics.json", "repaired.csv", "sweep.csv", "repair_full.json", "repair_half.json"):
             assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+SCORE_LINES = (GOLDEN / "scores.csv").read_bytes().split(b"\n")[:-1]
+SCORE_COMMANDS = {
+    "metrics": ["metrics", "--threshold", "0.5", "--grid-k", "2", "--grid-q", "6"],
+    "repair": ["repair", "--t", "0.5", "--sweep", "0,1", "--sweep-output", "{out}/sweep.csv",
+               "--scores-output", "{out}/repaired.csv"],
+}
+# a cell's replacement: blank, quoted, oversized (above csv's field limit, or a number
+# that overflows to inf) or not UTF-8; None drops the cell and a pair duplicates it
+CELL_EDITS = st.sampled_from([b"", b"  ", b'"{}"', b'" {} "', b'"{}""x"', b'"' + b"x" * 140_000 + b'"',
+                              b"9" * 400, b"{}\xff", b"\xe9{}", None, (b"{}", b"{}")])
+
+
+def _edit_cell(line: bytes, column: int, edit) -> bytes:
+    cells = line.split(b",")
+    column %= len(cells)
+    if edit is None:
+        del cells[column]
+    elif isinstance(edit, tuple):
+        cells[column:column + 1] = [e.replace(b"{}", cells[column]) for e in edit]
+    else:
+        cells[column] = edit.replace(b"{}", cells[column])
+    return b",".join(cells)
+
+
+@st.composite
+def mutated_scores(draw) -> bytes:
+    """tests/golden/scores.csv with a few cells edited, or cut to one group or one row."""
+    lines = list(SCORE_LINES)
+    shape = draw(st.sampled_from(["cells", "one group", "one row"]))
+    if shape == "one group":
+        group = draw(st.sampled_from(sorted({line.split(b",")[1] for line in lines[1:]})))
+        lines = lines[:1] + [line for line in lines[1:] if line.split(b",")[1] == group]
+    elif shape == "one row":
+        lines = [lines[0], lines[draw(st.integers(1, len(lines) - 1))]]
+    for _ in range(draw(st.integers(0 if shape != "cells" else 1, 3))):
+        row = draw(st.integers(0, len(lines) - 1))
+        lines[row] = _edit_cell(lines[row], draw(st.integers(0, 3)), draw(CELL_EDITS))
+    return b"\n".join(lines) + b"\n"
+
+
+class TestScoresCsvFuzz:
+    """metrics and repair on mutated copies of the golden scores file end in one line or finite JSON."""
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mutated_scores(), st.sampled_from(sorted(SCORE_COMMANDS)))
+    @example(b"id,group,score,y\n0,a,0.5,1.0\n", "metrics")
+    @example(b"id,group,score,y\n0,a,0.5,1.0\n", "repair")
+    def test_exit_code_and_output(self, tmp_path, capsys, text, command):
+        capsys.readouterr()
+        with tempfile.TemporaryDirectory(dir=tmp_path) as out:
+            (Path(out) / "scores.csv").write_bytes(text)
+            argv = [a.replace("{out}", out) for a in SCORE_COMMANDS[command]]
+            code = main([*argv, "--input", f"{out}/scores.csv", "--output", f"{out}/report.json"])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2, 3)
+            if code in (2, 3):
+                assert err.count("\n") == 1 and err.endswith("\n"), err
+            if code == 0:
+                def finite(number):
+                    assert math.isfinite(float(number)), number
+                    return float(number)
+
+                report = (Path(out) / "report.json").read_text(encoding="utf-8")
+                json.loads(report, parse_float=finite, parse_constant=finite)
 
 
 SEM_SCHEMA = json.dumps({"A": "sensitive", "Q": "feature", "D": "feature", "Y": "outcome"})

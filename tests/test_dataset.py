@@ -321,8 +321,6 @@ class TestFactorize:
         expected = [reference[v] for v in listed]
         assert enc.codes.tolist() == expected
         assert enc.counts.tolist() == np.bincount(expected).tolist()
-        for g, idx in enumerate(enc.members):
-            assert idx.tolist() == [i for i, c in enumerate(expected) if c == g]
 
 
 class TestTextColumnMemory:

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from fairkit.dataset import factorize
@@ -12,7 +13,9 @@ from fairkit.transport import (
     expected_prediction_changes,
     geodesic_repair,
     inverse_quantile,
+    pairwise_wasserstein,
     quantile,
+    sorted_by_group,
     wasserstein,
 )
 
@@ -275,6 +278,63 @@ class TestGeodesicRepair:
             _, plan = geodesic_repair(values, groups, t=t, bins=30)
             for code in (0, 1):
                 assert np.all(np.diff(plan.interpolated_table(code)) >= -1e-12)
+
+
+# tie-heavy scores (both zeros among them) or any moderate float, and group labels of which
+# some are likely to hold one record
+SCORES = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.25, 0.5, 1.0, 3.0]),
+                   st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False))
+GROUPED = st.integers(1, 30).flatmap(lambda n: st.tuples(
+    st.lists(SCORES, min_size=n, max_size=n), st.lists(st.integers(0, 5), min_size=n, max_size=n)))
+
+
+class TestSortedByGroup:
+    """One lexsort gives every group's segment and table, equal to sorting the group on its own."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(GROUPED, st.integers(1, 40))
+    def test_segments_equal_per_group_distributions(self, grouped, bins):
+        values, groups = map(np.array, grouped)
+        enc = factorize(groups)
+        members, dists = sorted_by_group(values, enc, bins)
+        assert len(members) == len(dists) == len(enc.labels)
+        for g, (label, idx, d) in enumerate(zip(enc.labels, members, dists)):
+            own = values[groups == label]
+            want = EmpiricalDistribution.from_samples(own, bins=bins)
+            # bins above and below the group's size alike
+            np.testing.assert_array_equal(d.samples, want.samples)
+            np.testing.assert_array_equal(d.quantiles, want.quantiles)
+            assert d.bins == bins and d.quantiles.tolist() == [sup_quantile(own, bins, i) for i in range(1, bins + 1)]
+            # the segment holds the group's record indices, in the order of their scores
+            np.testing.assert_array_equal(np.sort(idx), np.flatnonzero(enc.codes == g))
+            np.testing.assert_array_equal(values[idx], d.samples)
+
+    @settings(max_examples=150, deadline=None)
+    @given(GROUPED, st.integers(1, 40), st.sampled_from([0.0, 0.3, 0.5, 1.0]), st.sampled_from([1, 2]),
+           st.sampled_from(["empirical", "uniform"]))
+    def test_repaired_tables_equal_those_of_the_repaired_scores(self, grouped, bins, t, order, weights):
+        # what a repair report and its sweep compute from B-entry tables, recomputed from all scores
+        values, groups = map(np.array, grouped)
+        repaired, plan = geodesic_repair(values, groups, t=t, bins=bins, order=order, weights=weights)
+        bary = plan.barycenter_distribution()
+        for code in plan.group_codes:
+            full = EmpiricalDistribution.from_samples(repaired[groups == code], bins=bins)
+            table = plan.repaired_distribution(code)
+            np.testing.assert_array_equal(table.quantiles, full.quantiles)
+            assert wasserstein(table, bary, order) == wasserstein(full, bary, order)
+        for s in (0.0, 0.25, 1.0):
+            swept = replace(plan, trade_off=s)
+            full = [EmpiricalDistribution.from_samples(swept.map_scores(c, values[groups == c]), bins=bins)
+                    for c in plan.group_codes]
+            tables = [swept.repaired_distribution(c) for c in plan.group_codes]
+            assert pairwise_wasserstein(tables, 1) == pairwise_wasserstein(full, 1)
+
+    def test_finiteness_and_bins_are_checked(self):
+        enc = factorize(["a", "b", "a"])
+        with pytest.raises(TransportError, match="samples must be finite"):
+            sorted_by_group([0.1, np.inf, 0.3], enc)
+        with pytest.raises(TransportError, match="bins must be >= 1"):
+            sorted_by_group([0.1, 0.2, 0.3], enc, 0)
 
 
 class TestExpectedPredictionChanges:
