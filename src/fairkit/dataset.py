@@ -61,10 +61,12 @@ class TabularDataset:
 
     ``columns`` holds canonical numeric arrays (categorical columns are
     stored as integer codes with their category list in ``categories``;
-    ignored columns keep their StringDType text).  Feature matrices are derived
-    lazily with categoricals one-hot expanded.  The sensitive column never
-    enters the feature block; callers that want it as a model input prepend
-    it explicitly.
+    ignored columns keep their StringDType text).  The feature matrix is
+    derived lazily: when the feature columns are, in order, the columns of one
+    float64 block (``load_csv`` reads numeric features into a C-order one) it
+    is that block, without a copy; otherwise they are stacked, categoricals
+    one-hot expanded.  The sensitive column never enters the feature block;
+    callers that want it as a model input prepend it explicitly.
     """
 
     schema: tuple[ColumnSpec, ...]
@@ -145,6 +147,13 @@ class TabularDataset:
                 f"feature matrix of {self.n_records} x {width} needs {self.n_records * width * 8 / 2**30:.1f} GiB,"
                 f" above the {MAX_FEATURE_BYTES / 2**30:g} GiB limit"
                 + (f"; column {widest!r} has {coded[widest]} categories" if widest else ""))
+        values = [self.columns[c.name] for c in self.schema if c.role == "feature"]
+        owner = values[0].base if values else None
+        if isinstance(owner, np.ndarray) and owner.dtype == np.float64 and owner.shape[1:] == (len(values),):
+            block = owner[:self.n_records]  # the csv.reader fallback allocates a row per line
+            # each column is the block's own: the same memory, dtype, shape and strides
+            if all(v.base is owner and v.__array_interface__ == c.__array_interface__ for v, c in zip(values, block.T)):
+                return block
         blocks: list[np.ndarray] = []
         for col in self.schema:
             if col.role != "feature":
@@ -254,14 +263,22 @@ def _text(cells) -> np.ndarray:
     return np.array(list(map(str.strip, cells)), dtype=_TEXT)
 
 
-def _bulk_columns(path, header, skip: int, floats: list[bool]) -> dict | None:
+def _empty_columns(header, floats: list[bool], rows: int, block) -> dict[str, np.ndarray]:
+    """Columns of ``rows`` entries for a parser to fill, float64 where ``floats`` holds and text elsewhere;
+    the float ones named in ``block`` are, in header order, the columns of one C-order float64 array."""
+    names = [h for h, f in zip(header, floats) if f and h in block]
+    views = dict(zip(names, np.empty((rows, len(names))).T))
+    return {h: views[h] if h in views else np.empty(rows, np.float64 if f else _TEXT) for h, f in zip(header, floats)}
+
+
+def _bulk_columns(path, header, skip: int, floats: list[bool], block) -> dict | None:
     """Columns parsed by numpy's reader a block of lines at a time into arrays
-    allocated once; None when it fails or its records are not the file's lines.
+    allocated once (`_empty_columns`); None when it fails or its records are not the file's lines.
     """
     dtype = [(f"c{j}", np.float64 if f else object) for j, f in enumerate(floats)]
     with open(path, encoding="utf-8") as fh:  # universal newlines end every line in LF
         n = sum(1 for _ in fh) - skip
-        columns = {h: np.empty(n, np.float64 if f else _TEXT) for h, f in zip(header, floats)}
+        columns = _empty_columns(header, floats, n, block)
         fh.seek(0)
         rest = itertools.islice(fh, skip, None)
         for lo in range(0, n, _BLOCK_ROWS):
@@ -290,17 +307,17 @@ def _finite_floats(cells) -> np.ndarray | None:
     return values if np.isfinite(values).all() else None
 
 
-def _read_cells(path, header, floats: list[bool]) -> dict[str, np.ndarray]:
+def _read_cells(path, header, floats: list[bool], block) -> dict[str, np.ndarray]:
     """Columns from csv.reader, for the files numpy's reader does not take.
 
     Records are read ``_BLOCK_ROWS`` at a time into columns of one entry per
-    line, as every record takes at least one line.  A ``floats`` column is
-    float64 until a cell is not a finite number; from there on it is text,
-    its earlier values written as text that parses back to them.
+    line (`_empty_columns`), as every record takes at least one line.  A ``floats``
+    column is float64 until a cell is not a finite number; from there on it is a
+    text column, its earlier values written as text that parses back to them.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         lines = sum(1 for _ in fh)
-        columns = {h: np.empty(lines, np.float64 if f else _TEXT) for h, f in zip(header, floats)}
+        columns = _empty_columns(header, floats, lines, block)
         fh.seek(0)
         records = csv.reader(fh)
         next(records)
@@ -325,7 +342,7 @@ def _read_cells(path, header, floats: list[bool]) -> dict[str, np.ndarray]:
     return cells
 
 
-def read_table(path, numeric, check_header) -> tuple[tuple[str, ...], dict[str, np.ndarray]]:
+def read_table(path, numeric, check_header, block=()) -> tuple[tuple[str, ...], dict[str, np.ndarray]]:
     """Header and columns of a comma-separated UTF-8 file with a header row and csv quoting.
 
     A leading byte-order mark is dropped; bytes that are not UTF-8 and a cell above csv's field
@@ -334,7 +351,8 @@ def read_table(path, numeric, check_header) -> tuple[tuple[str, ...], dict[str, 
     blank line has none) and no cell may be empty once stripped.  numpy's reader parses
     ``_BLOCK_ROWS`` rows at a time; ``numeric`` columns come back as float64 when it
     parses them to finite values, all others as StringDType arrays of stripped
-    text for ``parse_numbers``.  The header is row 1.
+    text for ``parse_numbers``; the float64 ones named in ``block`` are filled into,
+    and come back as views of, the columns of one C-order block.  The header is row 1.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -351,11 +369,11 @@ def read_table(path, numeric, check_header) -> tuple[tuple[str, ...], dict[str, 
             raise DatasetError("no data rows")
         # the first row picks each column's dtype for numpy; a wrong pick only costs the fallback
         floats = [h in numeric and (j >= len(first) or _is_number(first[j])) for j, h in enumerate(header)]
-        columns = _bulk_columns(path, header, skip, floats) if first else None
+        columns = _bulk_columns(path, header, skip, floats, block) if first else None
         failed = header if columns is None else [
             h for h, f in zip(header, floats) if f and not np.isfinite(columns[h]).all()]
         if failed:
-            cells = _read_cells(path, header, floats)
+            cells = _read_cells(path, header, floats, block)
             columns = {h: cells[h] if h in failed else columns[h] for h in header}
         else:
             _check_missing(columns)
@@ -376,7 +394,8 @@ def load_csv(path, schema: Mapping[str, str], outcome_kind: str = "regression") 
     stay its StringDType text), and task ids that are not whole int64 values.
     Non-numeric sensitive or feature columns (detected from their first
     cell) are coded as categoricals in first-appearance order; categorical
-    features are one-hot expanded when the feature matrix is built.
+    features are one-hot expanded when the feature matrix is built; without
+    them it is the block whose columns the numeric features are read into.
     """
     for name, role in schema.items():
         if role not in ROLES:
@@ -390,7 +409,8 @@ def load_csv(path, schema: Mapping[str, str], outcome_kind: str = "regression") 
         if extra:
             raise DatasetError(f"columns without a declared role: {', '.join(extra)}")
 
-    header, table = read_table(path, {n for n, role in schema.items() if role != "ignore"}, check_header)
+    header, table = read_table(path, {n for n, role in schema.items() if role != "ignore"}, check_header,
+                               {n for n, role in schema.items() if role == "feature"})
     columns: dict[str, np.ndarray] = {}
     categories: dict[str, tuple[str, ...]] = {}
     for name in header:
@@ -524,8 +544,9 @@ class DiscretizationGrid:
 
     def cell_ids(self, y: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Flat cell id k * Q + q of every record and the (K, Q) table of cell counts."""
-        k, q = self.cell_of(y, s)
-        cell = k * self.n_s_bins + q
+        cell, q = self.cell_of(y, s)
+        cell *= self.n_s_bins  # k * Q + q, in k's buffer
+        cell += q
         counts = np.bincount(cell, minlength=self.n_y_bins * self.n_s_bins)
         return cell, counts.reshape(self.n_y_bins, self.n_s_bins)
 

@@ -11,9 +11,10 @@ raises SolverError.  A linear model's quadratic is p x p, minimized on the
 feasible subspace by `_minimize_on` (shared with `multitask`) or, at a
 positive budget, by an exact L1-constrained QP (a dual active-set method).
 An rbf model's goes through one block-Cholesky core, `_kernel_step`: it
-factors S K S + 2 lambda I, S the square root of the loss's curvature, a
-block of kernel rows at a time, and reduces the constraint to an m x m
-system, so an rbf path holds about half an n x n matrix and never K.
+builds S K S + 2 lambda I, S the square root of the loss's curvature, one
+block row of kernel entries at a time, factors each row as soon as it is
+built (left-looking), and reduces the constraint to an m x m system, so an
+rbf path holds about half an n x n matrix and never K.
 """
 
 from __future__ import annotations
@@ -71,10 +72,10 @@ class KernelSpec:
 
 # Elements of the |x|^2 + |z|^2 block that `kernel_matrix` forms at a time.
 _KERNEL_BLOCK = 1 << 16
-# Rows of each block row of S K S + 2 lambda I that `_kernel_step` holds (block
-# row r is cut from kernel rows r0:r1), and kernel rows that `_kernel_dot` forms
-# at a time: an rbf solve then holds that matrix's lower block triangle, at most
-# about n (n + _SOLVE_BLOCK) / 2 elements, and O(n * _SOLVE_BLOCK) more.
+# Rows of each block row of S K S + 2 lambda I that `_kernel_step` builds and factors
+# at a time (the kernel of rows r0:r1 against rows :r1), and kernel rows `_kernel_dot`
+# forms at a time: an rbf solve holds that matrix's lower block triangle, at most about
+# n (n + _SOLVE_BLOCK) / 2 elements, and one _SOLVE_BLOCK x n block of kernel rows more.
 _SOLVE_BLOCK = 128
 
 
@@ -215,7 +216,7 @@ def _null_basis(M: np.ndarray) -> np.ndarray:
     p, m = M.shape
     if m == 0:
         return np.eye(p)
-    u, s, _ = np.linalg.svd(M, full_matrices=True)
+    u, s, _ = np.linalg.svd(M, full_matrices=p > m)  # u is p x p either way when p <= m
     rank = int(np.sum(s > s[0] * max(p, m) * np.finfo(float).eps)) if s.size else 0
     return u[:, rank:]
 
@@ -495,30 +496,30 @@ def _kernel_step(spec, Z, C, epsilon, w, ridge, r, size=None):
     (W K + ridge I) b = r - C x for the m multipliers x meets the KKT conditions.  Its inverse P
     maps v to v' = v / ridge on the rows where w = 0 and, with S = W^(1/2), to S B^-1 (S^-1 v - S K v')
     on the others, for B = S K S + ridge I; unlike Woodbury's (v - S B^-1 S K v) / ridge, this
-    subtracts no nearly equal terms as the ridge vanishes.  B's block rows are cut from the kernel
-    rows of the rows with curvature, whose products with v' are taken first, and factored in place
-    (`_cholesky_rows`).  G = C^T K P C and h = C^T K P r then fix x: by least squares at a zero
-    budget (pairs of one bin can be redundant), at a positive one by `_qp_l1` in `_whiten`'s
-    coordinates T of G, where the objective is 1/2 |u|^2 under ||h - G T u||_1 <= epsilon.
+    subtracts no nearly equal terms as the ridge vanishes.  B is built a block row at a time, the
+    kernel of those rows with curvature against the ones up to them, and each row is factored in
+    place (`_cholesky_rows`) as soon as it is built; its share of S K v' takes the kernel against
+    the rows without curvature only, where v' is not 0.  G = C^T K P C and h = C^T K P r then fix
+    x: by least squares at a zero budget (pairs of one bin can be redundant), at a positive one by
+    `_qp_l1` in `_whiten`'s coordinates T of G, where the objective is 1/2 |u|^2 under
+    ||h - G T u||_1 <= epsilon.
     """
     n, m = Z.shape[0], C.shape[1]
     _check_kernel_size(spec, n, n)
-    band = np.flatnonzero(w > 0.0)
+    band, off = np.flatnonzero(w > 0.0), np.flatnonzero(w == 0.0)
     s = np.sqrt(w[band])[:, None]
     PV = np.column_stack([r, C])
     rhs, rows, PV = PV[band] / s, [], PV / ridge
-    PV[band] = 0.0
+    Zb, Zoff, PVoff = Z[band], Z[off], PV[off]
     for r0 in range(0, band.size, _SOLVE_BLOCK):
         r1 = min(r0 + _SOLVE_BLOCK, band.size)
-        block = kernel_matrix(spec, Z[band[r0:r1]], Z)
-        rhs[r0:r1] -= s[r0:r1] * (block @ PV)
-        rows.append(block.take(band[:r1], axis=1))  # C order, as BLAS reads it fastest
+        rhs[r0:r1] -= s[r0:r1] * (kernel_matrix(spec, Zb[r0:r1], Zoff) @ PVoff)  # v' is 0 on the band
+        rows.append(kernel_matrix(spec, Zb[r0:r1], Zb[:r1]))
         rows[-1] *= s[r0:r1]
         rows[-1] *= s[:r1, 0]
         diag = rows[-1][:, r0:]
         diag[np.diag_indices_from(diag)] += ridge
-        del block
-    _cholesky_rows(rows)
+        _cholesky_rows(rows)
     PV[band] = s * _cholesky_rows_solve(rows, rhs)
     del rows
     KPV = _kernel_dot(spec, Z, Z, PV if size is None else np.column_stack([PV, size]))
@@ -534,33 +535,30 @@ def _kernel_step(spec, Z, C, epsilon, w, ridge, r, size=None):
 
 
 def _cholesky_rows(rows: list[np.ndarray]) -> None:
-    """Overwrite a symmetric A, held as block rows, with its Cholesky factor L.
+    """Overwrite the last block row of a symmetric A with its rows of the Cholesky factor L,
+    the block rows above it already holding theirs.
 
     Block row r is the array A[r0:r1, :r1], so its last r1 - r0 columns are
-    the diagonal block.  Right-looking: each diagonal block is factored by
-    np.linalg.cholesky, the panel below it gathered from the block rows
-    under it and solved against that factor, and each of those block rows
-    updated by the panel in turn, so no temporary is larger than the panel.
-    Only the lower triangle of a diagonal block is read, and its strict upper
-    triangle is zero on return.  A pivot that is not positive raises
-    SolverError.
+    the diagonal block.  Left-looking: from the left, each block j of the row
+    becomes L[r, j] = (A[r, j] - L[r, :j0] L[j, :j0]^T) L[j, j]^-T, and then
+    the diagonal block the np.linalg.cholesky factor of
+    A[r, r] - L[r, :r0] L[r, :r0]^T, so every temporary is one block by one
+    block.  Only the lower triangle of a diagonal block is read, and its
+    strict upper triangle is zero on return.  A pivot that is not positive
+    raises SolverError.
     """
-    for j, row in enumerate(rows):
-        j0, j1 = row.shape[1] - row.shape[0], row.shape[1]
-        try:
-            row[:, j0:] = np.linalg.cholesky(row[:, j0:])
-        except np.linalg.LinAlgError:
-            raise SolverError(f"K + lambda I is not positive definite (a pivot in rows {j0} to {j1 - 1}"
-                              " is not positive); a larger --lambda shifts it further") from None
-        below = rows[j + 1:]
-        if not below:
-            break
-        panel = np.linalg.solve(row[:, j0:], np.concatenate([r[:, j0:j1] for r in below]).T).T
-        done = 0
-        for r in below:
-            r[:, j0:j1] = panel[done:done + r.shape[0]]
-            done += r.shape[0]
-            r[:, j1:] -= r[:, j0:j1] @ panel[:done].T
+    row = rows[-1]
+    r0 = row.shape[1] - row.shape[0]
+    for above in rows[:-1]:
+        j0, j1 = above.shape[1] - above.shape[0], above.shape[1]
+        row[:, j0:j1] -= row[:, :j0] @ above[:, :j0].T
+        row[:, j0:j1] = np.linalg.solve(above[:, j0:], row[:, j0:j1].T).T
+    row[:, r0:] -= row[:, :r0] @ row[:, :r0].T
+    try:
+        row[:, r0:] = np.linalg.cholesky(row[:, r0:])
+    except np.linalg.LinAlgError:
+        raise SolverError(f"K + lambda I is not positive definite (a pivot in rows {r0} to {row.shape[1] - 1}"
+                          " is not positive); a larger --lambda shifts it further") from None
 
 
 def _cholesky_rows_solve(rows: list[np.ndarray], B: np.ndarray) -> np.ndarray:

@@ -199,15 +199,18 @@ class RepairPlan:
         if not 0.0 <= self.trade_off <= 1.0:
             raise TransportError(f"trade-off t={self.trade_off!r} outside [0, 1]")
 
-    def interpolated_table(self, code) -> np.ndarray:
-        t = self.trade_off
-        return (1.0 - t) * self.group_distributions[code].quantiles + t * self.barycenter_table
-
-    def map_scores(self, code, values) -> np.ndarray:
+    def _group(self, code) -> EmpiricalDistribution:
         if code not in self.group_distributions:
             raise TransportError(f"unknown group code {code!r}")
+        return self.group_distributions[code]
+
+    def interpolated_table(self, code) -> np.ndarray:
+        t = self.trade_off
+        return (1.0 - t) * self._group(code).quantiles + t * self.barycenter_table
+
+    def map_scores(self, code, values) -> np.ndarray:
         v = np.asarray(values, dtype=float)
-        idx = np.searchsorted(self.group_distributions[code].quantiles, v, side="right")
+        idx = np.searchsorted(self._group(code).quantiles, v, side="right")
         idx = np.clip(idx, 1, self.bins)
         return self.interpolated_table(code)[idx - 1]
 
@@ -221,8 +224,7 @@ class RepairPlan:
         the interpolated one is and ``map_scores`` is non-decreasing: the repaired
         table is the image of the group's, which as B samples is its own table.
         """
-        return EmpiricalDistribution.from_samples(
-            self.map_scores(code, self.group_distributions[code].quantiles), bins=self.bins)
+        return EmpiricalDistribution.from_samples(self.map_scores(code, self._group(code).quantiles), bins=self.bins)
 
 
 def geodesic_repair(

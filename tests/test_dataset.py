@@ -166,6 +166,44 @@ class TestLoadCsv:
             data.features
 
 
+class TestFeatureBlock:
+    """Numeric features are read into one n x p block, which ``features`` is."""
+
+    # write_table quotes a label with a line break, which sends the file to the csv.reader fallback
+    @pytest.mark.parametrize("label, fallback", [("f", False), ("f\nx", True)])
+    def test_features_are_the_block_the_columns_view(self, tmp_path, monkeypatch, label, fallback):
+        read_cells, calls = dataset._read_cells, []
+
+        def spy(*args):
+            calls.append(args)
+            return read_cells(*args)
+
+        monkeypatch.setattr(dataset, "_read_cells", spy)
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(5000, 3))
+        X[0, 1], X[1, 2] = -0.0, 5e-324
+        labels = np.where(rng.random(5000) < 0.5, "m", "f").astype(object)
+        labels[-1] = label
+        path = tmp_path / "data.csv"
+        write_table(path, ["g", "x0", "x1", "x2", "y"], [labels, *X.T, rng.normal(size=5000)])
+        data = load_csv(path, {"g": "sensitive", "x0": "feature", "x1": "feature", "x2": "feature", "y": "outcome"})
+        assert bool(calls) == fallback
+        F = data.features
+        columns = [data.columns[name] for name in ("x0", "x1", "x2")]
+        assert F.shape == (5000, 3) and F.dtype == np.float64 and F.flags.c_contiguous
+        assert all(np.shares_memory(F, c) for c in columns)
+        assert F.tobytes() == np.column_stack(columns).tobytes() == X.tobytes()
+        assert data.features is F
+
+    def test_categorical_feature_is_one_hot(self, tmp_path):
+        path = write(tmp_path, "g,x,c,z,y\na,1.5,u,-2,1\nb,2.5,v,0.5,2\na,3.5,u,4,3\n")
+        data = load_csv(path, {"g": "sensitive", "x": "feature", "c": "feature", "z": "feature", "y": "outcome"})
+        assert data.feature_names == ("x", "c=u", "c=v", "z")
+        np.testing.assert_array_equal(data.features, [[1.5, 1, 0, -2], [2.5, 0, 1, 0.5], [3.5, 1, 0, 4]])
+        # the numeric features still share one block
+        assert data.columns["x"].base is data.columns["z"].base is not None
+
+
 # Cells of random tables for the reader-equivalence test: numbers in Python
 # and numpy syntax, labels that need csv quoting, and faults in each class.
 NUMBER_CELLS = st.one_of(

@@ -279,6 +279,13 @@ class TestGeodesicRepair:
             for code in (0, 1):
                 assert np.all(np.diff(plan.interpolated_table(code)) >= -1e-12)
 
+    @pytest.mark.parametrize("method", ["interpolated_table", "repaired_distribution", "map_scores"])
+    def test_unknown_group_code_is_transport_error(self, method):
+        _, plan = geodesic_repair([0.0, 1.0, 0.4, 0.6], ["a", "a", "b", "b"], t=0.5, bins=2)
+        args = ([0.5],) if method == "map_scores" else ()
+        with pytest.raises(TransportError, match=r"^unknown group code 'zz'$"):
+            getattr(plan, method)("zz", *args)
+
 
 # tie-heavy scores (both zeros among them) or any moderate float, and group labels of which
 # some are likely to hold one record
