@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import copy
 import numbers
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
@@ -74,8 +75,18 @@ class Equation:
     def __post_init__(self):
         if len(self.parents) != len(self.coeffs):
             raise CausalError(f"{self.name}: one coefficient per parent required")
+        object.__setattr__(self, "intercept", _finite(self.intercept, f"{self.name}: intercept"))
+        object.__setattr__(self, "coeffs", tuple(_finite(c, f"{self.name}: coefficient") for c in self.coeffs))
+        object.__setattr__(self, "noise_std", _finite(self.noise_std, f"{self.name}: noise_std"))
         if self.noise_std < 0:
             raise CausalError(f"{self.name}: noise_std must be >= 0")
+
+
+def _finite(value, what: str) -> float:
+    """``value`` as a float, or CausalError unless it is a real number in the float range other than a bool."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise CausalError(f"{what} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,14 +256,6 @@ def _residuals(sem: LinearSEM, observed: Mapping[str, np.ndarray], names) -> dic
     return {name: observed[name] - fitted[name] for name in names}
 
 
-def _refuse_working_set(what: str, n: int, columns: int) -> None:
-    """Refuse ``columns`` float64 columns of ``n`` rows above the ``dataset.MAX_FEATURE_BYTES`` cap."""
-    size = columns * n * 8
-    if size > ds.MAX_FEATURE_BYTES:
-        raise CausalError(
-            f"{what} needs {size / 2**30:.1f} GiB, above the {ds.MAX_FEATURE_BYTES / 2**30:g} GiB limit")
-
-
 def _draw_noise(sem: LinearSEM, streams, n: int) -> dict[str, np.ndarray]:
     """n standard normals per equation, from its generator in ``streams``, scaled in place by its noise_std."""
     noise = {}
@@ -273,7 +276,7 @@ def simulate(sem: LinearSEM, n: int, seed: int | np.random.Generator = 0) -> dic
     """
     if n < 1:
         raise CausalError("n must be >= 1")
-    _refuse_working_set(f"sample of {n} records", n, 2 * len(sem.equations) + 1)
+    ds._refuse_above_cap(CausalError, f"sample of {n} records", n, 2 * len(sem.equations) + 1)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     v0, v1 = sem.sensitive_values
     root = np.where(rng.random(n) < sem.pi, v1, v0)
@@ -386,7 +389,7 @@ def path_specific_effect_mc(
     """
     if n < 2:
         raise CausalError("n must be >= 2")
-    _refuse_working_set(f"Monte-Carlo effect of {n} samples", n, 2)
+    ds._refuse_above_cap(CausalError, f"Monte-Carlo effect of {n} samples", n, 2)
     active = paths.edge_set(sem)
     rng = np.random.default_rng(seed)
     streams, skipped = [], np.empty(min(n, _MC_BLOCK))

@@ -37,7 +37,8 @@ __all__ = [
 
 ROLES = ("sensitive", "feature", "outcome", "task", "ignore")
 OUTCOME_KINDS = ("regression", "classification")
-# Largest feature matrix (n x width float64) built, one-hot blocks included.
+# Largest float64 array built (`_refuse_above_cap`): a feature matrix, one-hot blocks included,
+# an rbf kernel or a SEM sampler's working set.
 MAX_FEATURE_BYTES = 2**30
 # Rows parsed per read and formatted per write, which bounds the Python strings alive at once.
 _BLOCK_ROWS = 4096
@@ -47,6 +48,13 @@ _TEXT = np.dtypes.StringDType()
 
 class DatasetError(ValueError):
     """Schema violation, parse failure, or invalid grid input."""
+
+
+def _refuse_above_cap(error: type[Exception], what: str, rows: int, columns: int, detail: str = "") -> None:
+    """Raise ``error`` for ``what``, rows x columns float64 values, above the MAX_FEATURE_BYTES cap."""
+    size = rows * columns * 8
+    if size > MAX_FEATURE_BYTES:
+        raise error(f"{what} needs {size / 2**30:.1f} GiB, above the {MAX_FEATURE_BYTES / 2**30:g} GiB limit{detail}")
 
 
 @dataclass(frozen=True)
@@ -138,15 +146,12 @@ class TabularDataset:
 
     @cached_property
     def features(self) -> np.ndarray:
-        width = len(self.feature_names)
-        if self.n_records * width * 8 > MAX_FEATURE_BYTES:
-            coded = {c.name: len(self.categories[c.name]) for c in self.schema
-                     if c.role == "feature" and c.name in self.categories}
-            widest = max(coded, key=coded.get, default=None)
-            raise DatasetError(
-                f"feature matrix of {self.n_records} x {width} needs {self.n_records * width * 8 / 2**30:.1f} GiB,"
-                f" above the {MAX_FEATURE_BYTES / 2**30:g} GiB limit"
-                + (f"; column {widest!r} has {coded[widest]} categories" if widest else ""))
+        n, width = self.n_records, len(self.feature_names)
+        coded = {c.name: len(self.categories[c.name]) for c in self.schema
+                 if c.role == "feature" and c.name in self.categories}
+        widest = max(coded, key=coded.get, default=None)
+        _refuse_above_cap(DatasetError, f"feature matrix of {n} x {width}", n, width,
+                         f"; column {widest!r} has {coded[widest]} categories" if widest else "")
         values = [self.columns[c.name] for c in self.schema if c.role == "feature"]
         owner = values[0].base if values else None
         if isinstance(owner, np.ndarray) and owner.dtype == np.float64 and owner.shape[1:] == (len(values),):
@@ -241,12 +246,13 @@ def _is_number(cell: str) -> bool:
 
 
 def _classification_labels(values: np.ndarray, name: str) -> np.ndarray:
-    got = set(np.unique(values))
-    if got <= {-1.0, 1.0}:
+    got = np.unique(values).tolist()
+    if set(got) <= {-1.0, 1.0}:
         return values
-    if got <= {0.0, 1.0}:
+    if set(got) <= {0.0, 1.0}:
         return np.where(values > 0, 1.0, -1.0)
-    raise DatasetError(f"column {name!r}: classification labels must be in {{-1,+1}} or {{0,1}}, got {sorted(got)}")
+    more = f" and {len(got) - 5} more" if len(got) > 5 else ""  # the first five of a continuous column
+    raise DatasetError(f"column {name!r}: classification labels must be in {{-1,+1}} or {{0,1}}, got {got[:5]}{more}")
 
 
 def _check_missing(cells: Mapping[str, np.ndarray]) -> None:

@@ -79,19 +79,10 @@ _KERNEL_BLOCK = 1 << 16
 _SOLVE_BLOCK = 128
 
 
-def _check_kernel_size(spec: KernelSpec, rows: int, columns: int) -> None:
-    """Refuse a rows x columns kernel above the ``dataset.MAX_FEATURE_BYTES`` cap."""
-    size = rows * columns * 8
-    if size > ds.MAX_FEATURE_BYTES:
-        raise FermError(
-            f"{spec.kind} kernel matrix of {rows} x {columns} needs {size / 2**30:.1f} GiB,"
-            f" above the {ds.MAX_FEATURE_BYTES / 2**30:g} GiB limit")
-
-
 def kernel_matrix(spec: KernelSpec, X: np.ndarray, Z: np.ndarray | None = None) -> np.ndarray:
     """Gram matrix k(x_i, z_j), refused above the ``dataset.MAX_FEATURE_BYTES`` cap."""
     Z = X if Z is None else Z
-    _check_kernel_size(spec, X.shape[0], Z.shape[0])
+    ds._refuse_above_cap(FermError, f"{spec.kind} kernel matrix of {len(X)} x {len(Z)}", len(X), len(Z))
     if spec.kind == "linear":
         return X @ Z.T
     # (|x|^2 + |z|^2) - (2 x) . z, formed in the one (2 X) Z^T buffer: the
@@ -500,12 +491,13 @@ def _kernel_step(spec, Z, C, epsilon, w, ridge, r, size=None):
     kernel of those rows with curvature against the ones up to them, and each row is factored in
     place (`_cholesky_rows`) as soon as it is built; its share of S K v' takes the kernel against
     the rows without curvature only, where v' is not 0.  G = C^T K P C and h = C^T K P r then fix
-    x: by least squares at a zero budget (pairs of one bin can be redundant), at a positive one by
-    `_qp_l1` in `_whiten`'s coordinates T of G, where the objective is 1/2 |u|^2 under
-    ||h - G T u||_1 <= epsilon.
+    x the same way at every budget: the least-squares solution of G x = h (pairs of one bin can be
+    redundant), less, at a positive budget, the minimizer y of 1/2 y^T G y - h^T y under
+    ||G y||_1 <= epsilon that `_qp_l1` gives, the call a linear model makes; the constraint values
+    h - G x are then the least-squares residual plus G y.
     """
     n, m = Z.shape[0], C.shape[1]
-    _check_kernel_size(spec, n, n)
+    ds._refuse_above_cap(FermError, f"{spec.kind} kernel matrix of {n} x {n}", n, n)
     band, off = np.flatnonzero(w > 0.0), np.flatnonzero(w == 0.0)
     s = np.sqrt(w[band])[:, None]
     PV = np.column_stack([r, C])
@@ -526,11 +518,9 @@ def _kernel_step(spec, Z, C, epsilon, w, ridge, r, size=None):
     x = np.zeros(m)
     if epsilon is not None and m:
         G, h = C.T @ KPV[:, 1:m + 1], C.T @ KPV[:, 0]
-        if epsilon == 0.0:
-            x = np.linalg.lstsq(G, h, rcond=None)[0]
-        else:
-            T = _whiten(G)
-            x = T @ (T.T @ h - _qp_l1(np.eye(T.shape[1]), T.T @ h, (G @ T).T, epsilon))
+        x = np.linalg.lstsq(G, h, rcond=None)[0]
+        if epsilon > 0.0:
+            x -= _qp_l1(G, h, G.T, epsilon)
     return PV[:, 0] - PV[:, 1:] @ x, KPV[:, 0] - KPV[:, 1:m + 1] @ x, None if size is None else KPV[:, -1]
 
 

@@ -496,13 +496,14 @@ def reference_load_csv(path, schema, outcome_kind="regression"):
             continue
         values = numbers(cells, name)
         if role == "outcome" and outcome_kind == "classification":
-            got = set(np.unique(values))
-            if got <= {-1.0, 1.0}:
+            got = np.unique(values).tolist()
+            if set(got) <= {-1.0, 1.0}:
                 pass
-            elif got <= {0.0, 1.0}:
+            elif set(got) <= {0.0, 1.0}:
                 values = np.where(values > 0, 1.0, -1.0)
             else:
+                more = f" and {len(got) - 5} more" if len(got) > 5 else ""
                 raise ReferenceCsvError(
-                    f"column {name!r}: classification labels must be in {{-1,+1}} or {{0,1}}, got {sorted(got)}")
+                    f"column {name!r}: classification labels must be in {{-1,+1}} or {{0,1}}, got {got[:5]}{more}")
         columns[name] = values
     return header, columns, categories

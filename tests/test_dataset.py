@@ -113,8 +113,17 @@ class TestLoadCsv:
 
     def test_bad_classification_labels(self, tmp_path):
         path = write(tmp_path, "g,x,y\n0,1.0,3\n1,2.0,4\n")
-        with pytest.raises(DatasetError, match="classification labels"):
+        with pytest.raises(DatasetError, match=r"classification labels .*, got \[3\.0, 4\.0\]$"):
             load_csv(path, {"g": "sensitive", "x": "feature", "y": "outcome"}, "classification")
+
+    def test_continuous_classification_labels_list_a_few(self, tmp_path):
+        # a continuous outcome has a distinct value per row, and the one-line message must stay short
+        path = write(tmp_path, "g,x,y\n" + "".join(f"{i % 2},1.0,{i / 7!r}\n" for i in range(2000)))
+        with pytest.raises(DatasetError) as caught:
+            load_csv(path, {"g": "sensitive", "x": "feature", "y": "outcome"}, "classification")
+        assert str(caught.value).endswith(
+            ", got [0.0, 0.14285714285714285, 0.2857142857142857, 0.42857142857142855, 0.5714285714285714]"
+            " and 1995 more")
 
     @pytest.mark.parametrize("text,row", [
         ("gender,x1,x2,y\nf,1.0,2.0,1\n\nm,0.5,1.5,-1\n", 3),

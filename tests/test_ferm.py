@@ -206,6 +206,8 @@ class TestQpL1:
     # cancellation in the first step once left the active facets 1e-4 off eps and
     # ended on a vertex 1.8 eps from the origin
     @example(seed=3, p=2, m=3, flat=12, epsilon=1e-3)
+    # |A^T beta|_1 lands 2e-11 above eps (1 + 1e-9), inside the 1e-10 rounding of evaluating it
+    @example(seed=4525, p=2, m=1, flat=9, epsilon=2**-8)
     def test_feasible_when_the_unconstrained_minimizer_is_far(self, seed, p, m, flat, epsilon):
         # P = X^T X has one eigenvalue 10**-flat and q = X^T y an O(1) part along its
         # eigenvector, so the unconstrained minimizer lies about 10**flat away
@@ -217,7 +219,9 @@ class TestQpL1:
         A = rng.normal(size=(p, m))
         P, q = X.T @ X, X.T @ y
         beta = _qp_l1(P, q, A, epsilon)
-        assert np.abs(A.T @ beta).sum() <= epsilon * (1.0 + 1e-9)
+        # a long beta makes A^T beta cancel: its rounding, p u |A|^T |beta|, can outgrow 1e-9 eps
+        rounding = p * np.finfo(float).eps / 2 * float((np.abs(A).T @ np.abs(beta)).sum())
+        assert np.abs(A.T @ beta).sum() <= epsilon * (1.0 + 1e-9) + rounding
         ref = reference_qp_l1(P, q, A, epsilon)
         value, ref_value = (0.5 * b @ P @ b - q @ b for b in (beta, ref))
         assert value <= ref_value + 1e-9 * (1.0 + abs(ref_value))
