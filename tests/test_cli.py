@@ -831,6 +831,16 @@ GOLDEN_RUNS = {
         ["mtl", "train-common", "--input", "{g}/cls.csv", "--schema", CLS_SCHEMA,
          "--outcome-kind", "classification", "--theta", "0.5", "--lambda", "0.5", "--rho", "1.0",
          "--output", "{out}/mtl_common.json"], ["mtl_common.json"]),
+    # the linear loss and one constraint class, on the true groups and on predicted ones
+    "mtl_train_common_linear": (
+        ["mtl", "train-common", "--input", "{g}/cls.csv", "--schema", CLS_SCHEMA, "--outcome-kind", "classification",
+         "--loss", "linear", "--theta", "0.3", "--lambda", "0.4", "--rho", "2", "--classes", "+",
+         "--output", "{out}/mtl_common_linear.json"], ["mtl_common_linear.json"]),
+    "mtl_train_common_predicted": (
+        ["mtl", "train-common", "--input", "{g}/cls.csv", "--schema", CLS_SCHEMA, "--outcome-kind", "classification",
+         "--loss", "linear", "--theta", "0.3", "--lambda", "0.4", "--rho", "2", "--classes", "+",
+         "--predict-sensitive", "--seed", "21", "--output", "{out}/mtl_common_predicted.json"],
+        ["mtl_common_predicted.json"]),
     # the rbf dual coefficients are determined (one solve with K + lambda I),
     # but the golden scores were written by a solver that left them free on
     # the near-singular kernel, so this run stays pinned by its predictions
