@@ -100,6 +100,7 @@ class LinearSEM:
     unobserved: frozenset[str] = frozenset()
 
     def __post_init__(self):
+        object.__setattr__(self, "pi", _finite(self.pi, "pi"))
         if not 0.0 <= self.pi <= 1.0:
             raise CausalError("pi must lie in [0, 1]")
         seen = {self.sensitive}
@@ -114,9 +115,10 @@ class LinearSEM:
             raise CausalError(f"outcome {self.outcome!r} is not a variable")
         if self.unobserved - seen:
             raise CausalError(f"unobserved {sorted(map(str, self.unobserved - seen))} are not variables")
-        v = self.sensitive_values
-        if len(v) != 2 or not all(isinstance(x, numbers.Real) and np.isfinite(x) for x in v) or v[0] == v[1]:
+        v = tuple(_finite(x, "each sensitive value") for x in self.sensitive_values)
+        if len(v) != 2 or v[0] == v[1]:
             raise CausalError(f"sensitive_values must be two distinct finite numbers, got {v!r}")
+        object.__setattr__(self, "sensitive_values", v)
         edges = set(self.edges)
         for e, label in self.edge_labels.items():
             if tuple(e) not in edges:

@@ -411,10 +411,9 @@ def cmd_mtl_transfer(args) -> int:
 
 
 def cmd_mtl_train_common(args) -> int:
-    data = _load_dataset(args)
     classes = tuple(c.strip() for c in args.classes.split(",") if c.strip())
     model = multitask.train_common_mean(
-        data, theta=args.theta, lam=args.lam, rho=args.rho,
+        multitask.task_from_dataset(_load_dataset(args)), theta=args.theta, lam=args.lam, rho=args.rho,
         constraint_classes=classes, use_predicted_sensitive=args.predict_sensitive,
         loss=args.loss, seed=args.seed,
     )

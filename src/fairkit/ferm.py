@@ -651,8 +651,8 @@ def _report(values, epsilon, cs: ConstraintSystem) -> dict:
     return {
         "epsilon": epsilon,
         "achieved_l1": float(np.abs(values).sum()),
-        "constraint_values": [float(v) for v in values],
-        "pairs": [list(p) for p in cs.pairs],
+        "constraint_values": values,
+        "pairs": cs.pairs,
         "degenerate": cs.degenerate,
     }
 

@@ -10,10 +10,14 @@ half-steps and the objective read only per-task sufficient statistics
 costs the same whatever the number of rows.  The
 common-mean route learns a shared weight vector plus per-group deviations
 under linear equalized-odds constraints, optionally defining groups by a
-learned sensitive-attribute predictor instead of the true attribute.  Its
-fit and the A half-step are least-norm solves on the null space of their
-equalities (`ferm._minimize_on`), determined where theta or lam leave the
-objective flat.
+learned sensitive-attribute predictor instead of the true attribute.  It
+builds its quadratic and constraint rows from block selectors of the
+stacked variable [w0; v_1; ...; v_k], one assembly for the squared and the
+linear loss.  Its fit and the A half-step are least-norm solves on the
+null space of their equalities (`ferm._minimize_on`), determined where
+theta or lam leave the objective flat.  An alternation whose objective
+rises, or an escalation that cannot reach its tolerance, is a
+`ferm.SolverError`.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .dataset import TabularDataset
-from .ferm import _minimize_on, _null_basis
+from .ferm import SolverError, _minimize_on, _null_basis
 
 __all__ = [
     "MtlError",
@@ -240,11 +244,12 @@ def _no_worse(old, obj_old, new, obj_new, half):
     """The half-step's new iterate, or the old one if the objective rose.
 
     An exact half-step cannot raise the objective, so a rise beyond rounding
-    is an error; a rise within it means the loop has converged to rounding
-    precision, and keeping the old iterate keeps the history non-increasing.
+    is a solver failure; a rise within it means the loop has converged to
+    rounding precision, and keeping the old iterate keeps the history
+    non-increasing.
     """
     if obj_new > obj_old + 1e-9 * (1.0 + abs(obj_old)):
-        raise MtlError(f"objective increased on {half} half-step")
+        raise SolverError(f"objective increased on {half} half-step")
     return (new, obj_new) if obj_new <= obj_old else (old, obj_old)
 
 
@@ -351,7 +356,7 @@ def train_representation(
         if mean_sq <= epsilon:
             return model
         weight *= 10.0
-    raise MtlError(f"could not reach the relaxed tolerance {epsilon}")
+    raise SolverError(f"could not reach the relaxed tolerance {epsilon}")
 
 
 class TransferResult(NamedTuple):
@@ -397,7 +402,7 @@ class SensitivePredictor:
 
 
 def train_sensitive_predictor(
-    dataset: TabularDataset | Task,
+    task: Task,
     lam: float = 1.0,
     seed: int = 0,
 ) -> SensitivePredictor:
@@ -407,7 +412,6 @@ def train_sensitive_predictor(
     predictor recovers the true groups, an inaccurate one randomizes
     records across group-specific models.
     """
-    task = dataset if isinstance(dataset, Task) else task_from_dataset(dataset)
     codes = tuple(np.unique(task.sensitive).tolist())
     if len(codes) < 2:
         raise MtlError("sensitive predictor needs at least two groups")
@@ -435,10 +439,6 @@ class CommonMeanModel:
     shared: np.ndarray
     deviations: Mapping[object, np.ndarray]
     classes: tuple
-    theta: float
-    lam: float
-    rho: float
-    group_means: Mapping[tuple[str, object], np.ndarray]
     constraint_residuals: tuple[float, ...]
     predictor: SensitivePredictor | None
 
@@ -459,7 +459,7 @@ class CommonMeanModel:
 
 
 def train_common_mean(
-    dataset: TabularDataset | Task,
+    task: Task,
     theta: float = 0.5,
     lam: float = 0.5,
     rho: float = 1.0,
@@ -478,8 +478,13 @@ def train_common_mean(
     ``use_predicted_sensitive`` group membership comes from a predictor
     g(x) everywhere (losses, deviations, and constraints) and the true
     attribute is never consulted at deployment.
+
+    The objective is x^T H x - 2 g^T x + const in x = [w0; v_1; ...; v_k]
+    (groups sorted), assembled from block selectors: the shared model is
+    block 0 and group i's model w0 + v_i is block 0 plus block i.  The
+    linear loss (1 - f y)/2 is the squared loss's assembly with no
+    curvature and half the target term.
     """
-    task = dataset if isinstance(dataset, Task) else task_from_dataset(dataset)
     if not 0.0 <= theta <= 1.0 or not 0.0 <= lam <= 1.0:
         raise MtlError("theta and lam must lie in [0, 1]")
     if rho <= 0:
@@ -491,7 +496,7 @@ def train_common_mean(
     bad = [c for c in constraint_classes if c not in ("+", "-")]
     if bad:
         raise MtlError(f"constraint classes must be '+' or '-', got {bad}")
-    y = task.outcome
+    X, y = task.features, task.outcome
     if not set(np.unique(y)) <= {-1.0, 1.0}:
         raise MtlError("common-mean training needs outcomes in {-1, +1}")
 
@@ -499,79 +504,39 @@ def train_common_mean(
     groups = task.sensitive
     if use_predicted_sensitive:
         predictor = train_sensitive_predictor(task, lam=1.0, seed=seed)
-        groups = predictor.predict(task.features)
+        groups = predictor.predict(X)
     codes = tuple(np.unique(groups).tolist())
-    k = len(codes)
-    d = task.d
-    X = task.features
-
-    # stacked variable [w0; v_1; ...; v_k]
+    k, d = len(codes), task.d
     dim = (k + 1) * d
-    H = np.zeros((dim, dim))
-    g_vec = np.zeros(dim)
+    blocks = np.eye(dim).reshape(k + 1, d, dim)  # blocks[j] @ x is the j-th block of x
+    models = [blocks[0] + blocks[i] for i in range(1, k + 1)]
+    H, g = np.zeros((dim, dim)), np.zeros(dim)
+    for code, S in zip(codes, models):
+        Xs, ys = X[groups == code], y[groups == code]
+        gram = Xs.T @ Xs / ys.size if loss == "squared" else np.zeros((d, d))
+        xty = Xs.T @ ys / ys.size / (1.0 if loss == "squared" else 2.0)
+        for weight, M in ((theta / k, blocks[0]), ((1.0 - theta) / k, S)):
+            H += weight * M.T @ gram @ M
+            g += weight * M.T @ xty
+    H[np.diag_indices_from(H)] += np.repeat([rho * lam] + [rho * (1.0 - lam) / k] * k, d)
 
-    def add_quadratic(rows, cols_, block):
-        H[rows * d:(rows + 1) * d, cols_ * d:(cols_ + 1) * d] += block
-
-    for i, code in enumerate(codes, start=1):
-        mask = groups == code
-        if not mask.any():
-            raise MtlError(f"group {code!r} is empty")
-        Xs, ys = X[mask], y[mask]
-        ns = Xs.shape[0]
-        if loss == "squared":
-            gram = Xs.T @ Xs / ns
-            xty = Xs.T @ ys / ns
-            # shared-model risk
-            add_quadratic(0, 0, theta / k * gram)
-            g_vec[:d] += theta / k * xty
-            # group-model risk on w0 + v_i
-            w = (1.0 - theta) / k
-            for a, b in ((0, 0), (0, i), (i, 0), (i, i)):
-                add_quadratic(a, b, w * gram)
-            g_vec[:d] += w * xty
-            g_vec[i * d:(i + 1) * d] += w * xty
-        else:
-            xy = Xs.T @ ys / ns  # linear loss (1 - f y)/2 contributes -xy/2
-            g_vec[:d] += theta / k * xy / 2.0
-            w = (1.0 - theta) / k
-            g_vec[:d] += w * xy / 2.0
-            g_vec[i * d:(i + 1) * d] += w * xy / 2.0
-    add_quadratic(0, 0, rho * lam * np.eye(d))
-    for i in range(1, k + 1):
-        add_quadratic(i, i, rho * (1.0 - lam) / k * np.eye(d))
-
-    means: dict[tuple[str, object], np.ndarray] = {}
     rows = []
-    for sign_name, sign in (("+", 1.0), ("-", -1.0)):
-        if sign_name not in constraint_classes:
+    for name, sign in (("+", 1.0), ("-", -1.0)):
+        if name not in constraint_classes:
             continue
-        for code in codes:
+        u = []
+        for code, S in zip(codes, models):
             mask = (groups == code) & (y == sign)
             if not mask.any():
-                raise MtlError(f"no records with outcome {sign_name}1 in group {code!r}")
-            means[(sign_name, code)] = X[mask].mean(axis=0)
-        u1 = means[(sign_name, codes[0])]
-        for i in range(1, k):
-            us = means[(sign_name, codes[i])]
-            row = np.zeros(dim)
-            row[:d] = u1 - us
-            row[d:2 * d] = u1
-            row[(i + 1) * d:(i + 2) * d] = -us
-            rows.append(row)
-    # the objective is x^T H x - 2 g^T x + const; least norm where theta or lam leaves it flat
-    sol = _minimize_on(H, g_vec, _null_basis(np.array(rows).reshape(-1, dim).T))
-    shared = sol[:d]
-    deviations = {code: sol[(i + 1) * d:(i + 2) * d] for i, code in enumerate(codes)}
-    residuals = tuple(float(abs(row @ sol)) for row in rows)
+                raise MtlError(f"no records with outcome {name}1 in group {code!r}")
+            u.append(S.T @ X[mask].mean(axis=0))
+        rows.extend(u[0] - us for us in u[1:])  # group i's mean score equals the first group's
+    # least norm where theta or lam leaves the objective flat
+    x = _minimize_on(H, g, _null_basis(np.array(rows).reshape(-1, dim).T))
     return CommonMeanModel(
-        shared=shared,
-        deviations=deviations,
+        shared=x[:d],
+        deviations={code: x[i * d:(i + 1) * d] for i, code in enumerate(codes, start=1)},
         classes=codes,
-        theta=theta,
-        lam=lam,
-        rho=rho,
-        group_means=means,
-        constraint_residuals=residuals,
+        constraint_residuals=tuple(float(abs(row @ x)) for row in rows),
         predictor=predictor,
     )

@@ -386,8 +386,8 @@ class TestScenarios:
         ({"unobserved": frozenset({"M"})}, r"unobserved \['M'\] are not variables"),
         ({"sensitive_values": (0.0,)}, "two distinct finite numbers"),
         ({"sensitive_values": (1.0, 1.0)}, "two distinct finite numbers"),
-        ({"sensitive_values": (0.0, float("nan"))}, "two distinct finite numbers"),
-        ({"sensitive_values": ("a", "b")}, "two distinct finite numbers"),
+        ({"sensitive_values": (0.0, float("nan"))}, "each sensitive value must be a finite number, got nan"),
+        ({"sensitive_values": ("a", "b")}, "each sensitive value must be a finite number, got 'a'"),
     ])
     def test_invalid_sem_rejected(self, fields, message):
         sem = college()

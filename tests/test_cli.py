@@ -304,6 +304,21 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: SEM document has an ill-typed field: Q: {shown}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value, shown", [
+        ("pi", True, "pi must be a finite number, got True"),
+        ("pi", "0.5", "pi must be a finite number, got '0.5'"),
+        ("sensitive_values", [False, True], "each sensitive value must be a finite number, got False"),
+    ])
+    def test_sem_number_of_another_type_is_data_error(self, tmp_path, capsys, field, value, shown):
+        doc = json.loads((GOLDEN / "sem_fit.json").read_text())
+        doc[field] = value
+        bad = tmp_path / "sem.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "r.json"
+        assert main(["sem", "pse", "--sem", str(bad), "--mc-samples", "100", "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: SEM document has an ill-typed field: {shown}\n"
+        assert not out.exists()
+
     def test_sem_document_without_pi_is_data_error(self, tmp_path, capsys):
         doc = tmp_path / "sem.json"
         doc.write_text(json.dumps({"schema_version": "1", "sensitive": "A"}))
@@ -363,6 +378,13 @@ class TestExitCodes:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {kind} document {bad} is not JSON: ") and err.count("\n") == 1
+
+    def test_relaxed_representation_out_of_reach_is_solver_failure(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["mtl", "train-rep", "--input", str(GOLDEN / "tasks.csv"), "--schema", MTL_SCHEMA,
+                     "--mode", "relaxed", "--eps", "1e-300", "--penalty", "1", "--output", str(out)]) == 3
+        assert capsys.readouterr().err == "solver failure: objective increased on an A half-step\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("written", ["report", "model"])
     def test_non_finite_result_is_solver_failure(self, tmp_path, capsys, monkeypatch, written):
@@ -758,6 +780,23 @@ DATA_ERRORS = {
     "unknown_class": (["mtl", "train-common", "--input", "{g}/cls.csv", "--schema", CLS_SCHEMA, "--outcome-kind",
                        "classification", "--classes", "x", "--output", "c.json"],
                       "constraint classes must be '+' or '-', got ['x']"),
+    "train_rep_lambda_0": (["mtl", "train-rep", "--input", "{g}/tasks.csv", "--schema", MTL_SCHEMA, "--lambda", "0",
+                            "--output", "r.json"], "lam must be > 0"),
+    "relaxed_eps_0": (["mtl", "train-rep", "--input", "{g}/tasks.csv", "--schema", MTL_SCHEMA, "--mode", "relaxed",
+                       "--eps", "0", "--output", "r.json"], "epsilon must be > 0"),
+    "relaxed_without_penalty": (["mtl", "train-rep", "--input", "{g}/tasks.csv", "--schema", MTL_SCHEMA,
+                                 "--mode", "relaxed", "--output", "r.json"], "relaxed mode needs a positive penalty"),
+    "transfer_fewer_features": (
+        ["mtl", "transfer", "--model", "{g}/mtl_rep.json", "--input", "{g}/task_new.csv",
+         "--schema", NEW_TASK_SCHEMA.replace('"x3": "feature"', '"x3": "ignore"'), "--output", "r.json"],
+        "feature dimension mismatch"),
+    "rho_0": (["mtl", "train-common", "--input", "{g}/cls.csv", "--schema", CLS_SCHEMA, "--outcome-kind",
+               "classification", "--rho", "0", "--output", "c.json"], "rho must be > 0"),
+    "linear_loss_lambda_1": (["mtl", "train-common", "--input", "{g}/cls.csv", "--schema", CLS_SCHEMA,
+                              "--outcome-kind", "classification", "--loss", "linear", "--lambda", "1",
+                              "--output", "c.json"], "linear loss needs 0 < lam < 1 for a bounded problem"),
+    "common_mean_regression_outcome": (["mtl", "train-common", "--input", "{g}/tasks.csv", "--schema", NEW_TASK_SCHEMA,
+                                        "--output", "c.json"], "common-mean training needs outcomes in {-1, +1}"),
     "unknown_kernel_kind": (["ferm-predict", "--model", "foo.model.json", "--input", "{g}/cls.csv",
                              "--schema", CLS_SCHEMA, "--scores-output", "s.csv"],
                             "model document has an ill-typed field: unknown kernel 'foo'"),

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from fairkit import multitask
+from fairkit.ferm import SolverError
 from fairkit.multitask import (
     MtlError,
     MultiTaskDataset,
@@ -195,6 +197,14 @@ class TestTrainRepresentation:
         model = train_representation(data, r=2, lam=0.295014108428684, constraint="equality", seed=2667)
         assert np.all(np.diff(model.objective_history) <= 0.0)
         assert model.solver["stop_reason"] == "converged"
+
+    def test_unreachable_relaxed_tolerance_is_solver_error(self, monkeypatch):
+        # a loop that keeps the random start keeps its alignment at every penalty
+        monkeypatch.setattr(multitask, "_alternate", lambda stats, A, *rest: (
+            A, np.zeros((A.shape[1], len(stats))), (0.0,), {"iterations": 0, "stop_reason": "max_iter"}))
+        data = synthetic_tasks(np.random.default_rng(21), T=2, n=50)
+        with pytest.raises(SolverError, match="could not reach the relaxed tolerance 0.0001"):
+            train_representation(data, r=2, lam=0.1, constraint="relaxed", epsilon=1e-4)
 
     def test_solver_trace(self):
         data = synthetic_tasks(np.random.default_rng(22), T=2, n=60)
