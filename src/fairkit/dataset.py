@@ -38,7 +38,7 @@ __all__ = [
 ROLES = ("sensitive", "feature", "outcome", "task", "ignore")
 OUTCOME_KINDS = ("regression", "classification")
 # Largest float64 array built (`_refuse_above_cap`): a feature matrix, one-hot blocks included,
-# an rbf kernel or a SEM sampler's working set.
+# an rbf kernel, a SEM sampler's working set or a multitask quadratic (common-mean or A-step).
 MAX_FEATURE_BYTES = 2**30
 # Rows parsed per read and formatted per write, which bounds the Python strings alive at once.
 _BLOCK_ROWS = 4096

@@ -282,7 +282,7 @@ def _whiten(P: np.ndarray, scale: float = 0.0) -> np.ndarray:
     directions where P is numerically flat (null(G) of redundant constraints).
     """
     evals, evecs = np.linalg.eigh(P)
-    keep = evals > np.max(evals, initial=scale) * P.shape[0] * np.finfo(float).eps
+    keep = evals > P.shape[0] * np.finfo(float).eps * np.max(evals, initial=scale)  # n eps first: no overflow
     evecs = evecs[:, keep]
     evecs /= np.sqrt(evals[keep])
     return evecs

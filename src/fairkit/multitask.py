@@ -11,11 +11,12 @@ costs the same whatever the number of rows.  The
 common-mean route learns a shared weight vector plus per-group deviations
 under linear equalized-odds constraints, optionally defining groups by a
 learned sensitive-attribute predictor instead of the true attribute.  It
-builds its quadratic and constraint rows from block selectors of the
-stacked variable [w0; v_1; ...; v_k], one assembly for the squared and the
-linear loss.  Its fit and the A half-step are least-norm solves on the
-null space of their equalities (`ferm._minimize_on`), determined where
-theta or lam leave the objective flat.  An alternation whose objective
+builds its quadratic and constraint rows by index blocks of the stacked
+variable [w0; v_1; ...; v_k], adding each group's d x d terms at the
+positions of its model, one assembly for the squared and the linear loss.
+Its fit and the A half-step are least-norm solves on the null space of
+their equalities (`ferm._minimize_on`), determined where theta or lam
+leave the objective flat.  An alternation whose objective
 rises, or an escalation that cannot reach its tolerance, is a
 `ferm.SolverError`.
 """
@@ -27,6 +28,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from . import dataset as ds
 from .dataset import TabularDataset
 from .ferm import SolverError, _minimize_on, _null_basis
 
@@ -227,6 +229,7 @@ def _b_step(stats, A, lam) -> np.ndarray:
 def _a_step(stats, B, lam, basis, penalty_matrix) -> np.ndarray:
     d = stats[0].gram.shape[0]
     r = B.shape[0]
+    ds._refuse_above_cap(MtlError, f"A-step system of {d * r} x {d * r}", d * r, d * r)
     H = np.zeros((d * r, d * r))
     g = np.zeros(d * r)
     for t, st in enumerate(stats):
@@ -480,10 +483,12 @@ def train_common_mean(
     attribute is never consulted at deployment.
 
     The objective is x^T H x - 2 g^T x + const in x = [w0; v_1; ...; v_k]
-    (groups sorted), assembled from block selectors: the shared model is
-    block 0 and group i's model w0 + v_i is block 0 plus block i.  The
+    (groups sorted), assembled by index blocks: the shared model sits at
+    block 0 and group i's model w0 + v_i at blocks 0 and i, so each group
+    adds its d x d Gram matrix, tiled, at those positions of H.  The
     linear loss (1 - f y)/2 is the squared loss's assembly with no
-    curvature and half the target term.
+    curvature and half the target term.  A system above the
+    ``dataset.MAX_FEATURE_BYTES`` cap is refused before it is allocated.
     """
     if not 0.0 <= theta <= 1.0 or not 0.0 <= lam <= 1.0:
         raise MtlError("theta and lam must lie in [0, 1]")
@@ -508,16 +513,18 @@ def train_common_mean(
     codes = tuple(np.unique(groups).tolist())
     k, d = len(codes), task.d
     dim = (k + 1) * d
-    blocks = np.eye(dim).reshape(k + 1, d, dim)  # blocks[j] @ x is the j-th block of x
-    models = [blocks[0] + blocks[i] for i in range(1, k + 1)]
+    ds._refuse_above_cap(MtlError, f"common-mean system of {dim} x {dim}", dim, dim)
+    shared = np.arange(d)
+    models = [np.r_[shared, i * d + shared] for i in range(1, k + 1)]  # where group i's w0 + v_i sits in x
     H, g = np.zeros((dim, dim)), np.zeros(dim)
-    for code, S in zip(codes, models):
+    for code, sel in zip(codes, models):
         Xs, ys = X[groups == code], y[groups == code]
         gram = Xs.T @ Xs / ys.size if loss == "squared" else np.zeros((d, d))
         xty = Xs.T @ ys / ys.size / (1.0 if loss == "squared" else 2.0)
-        for weight, M in ((theta / k, blocks[0]), ((1.0 - theta) / k, S)):
-            H += weight * M.T @ gram @ M
-            g += weight * M.T @ xty
+        for weight, at in ((theta / k, shared), ((1.0 - theta) / k, sel)):
+            reps = at.size // d
+            H[np.ix_(at, at)] += weight * np.tile(gram, (reps, reps))
+            g[at] += weight * np.tile(xty, reps)
     H[np.diag_indices_from(H)] += np.repeat([rho * lam] + [rho * (1.0 - lam) / k] * k, d)
 
     rows = []
@@ -525,11 +532,13 @@ def train_common_mean(
         if name not in constraint_classes:
             continue
         u = []
-        for code, S in zip(codes, models):
+        for code, sel in zip(codes, models):
             mask = (groups == code) & (y == sign)
             if not mask.any():
                 raise MtlError(f"no records with outcome {name}1 in group {code!r}")
-            u.append(S.T @ X[mask].mean(axis=0))
+            row = np.zeros(dim)
+            row[sel] = np.tile(X[mask].mean(axis=0), 2)
+            u.append(row)
         rows.extend(u[0] - us for us in u[1:])  # group i's mean score equals the first group's
     # least norm where theta or lam leaves the objective flat
     x = _minimize_on(H, g, _null_basis(np.array(rows).reshape(-1, dim).T))

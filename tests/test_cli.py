@@ -6,7 +6,9 @@ import importlib.util
 import io
 import json
 import math
+import os
 import shlex
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import fairkit
 from fairkit import causal, ferm
 from fairkit.cli import (
     _json_text,
@@ -304,14 +307,23 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: SEM document has an ill-typed field: Q: {shown}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("field, value, shown", [
-        ("pi", True, "pi must be a finite number, got True"),
-        ("pi", "0.5", "pi must be a finite number, got '0.5'"),
-        ("sensitive_values", [False, True], "each sensitive value must be a finite number, got False"),
+    @pytest.mark.parametrize("edit, shown", [
+        (lambda doc: doc.update(pi=True), "pi must be a finite number, got True"),
+        (lambda doc: doc.update(pi="0.5"), "pi must be a finite number, got '0.5'"),
+        (lambda doc: doc.update(sensitive_values=[False, True]),
+         "each sensitive value must be a finite number, got False"),
+        (lambda doc: doc.update(pi=1.5), "pi must lie in [0, 1]"),
+        (lambda doc: doc["equations"][0]["coeffs"].append(1.0), "Q: one coefficient per parent required"),
+        (lambda doc: doc["equations"][0].update(noise_std=-1), "Q: noise_std must be >= 0"),
+        (lambda doc: doc["equations"].append(doc["equations"][0]), "duplicate variable 'Q'"),
+        (lambda doc: doc["equations"].reverse(), "Y: parent 'Q' not defined earlier (graph must be acyclic)"),
+        (lambda doc: doc["edges"].append({"from": "Y", "label": "fair", "to": "A"}),
+         "label on missing edge ('Y', 'A')"),
+        (lambda doc: doc["edges"][0].update(label="maybe"), "edge ('A', 'Q'): label must be fair or unfair"),
     ])
-    def test_sem_number_of_another_type_is_data_error(self, tmp_path, capsys, field, value, shown):
+    def test_sem_document_that_is_no_valid_sem_is_data_error(self, tmp_path, capsys, edit, shown):
         doc = json.loads((GOLDEN / "sem_fit.json").read_text())
-        doc[field] = value
+        edit(doc)
         bad = tmp_path / "sem.json"
         bad.write_text(json.dumps(doc))
         out = tmp_path / "r.json"
@@ -659,25 +671,6 @@ class TestScorePathMemory:
         assert peak < bound_mib * 2**20
 
 
-class TestGoldenReports:
-    """Reports on a committed 600-row, 6-group scores file, byte for byte as first written."""
-
-    def test_metrics_and_repairs_reproduce_golden_outputs(self, tmp_path):
-        scores = str(GOLDEN / "scores.csv")
-        for argv in (
-            ["metrics", "--input", scores, "--threshold", "0.5", "--grid-k", "2", "--grid-q", "6",
-             "--output", str(tmp_path / "metrics.json")],
-            ["repair", "--input", scores, "--t", "1", "--scores-output", str(tmp_path / "repaired.csv"),
-             "--sweep", "0,0.5,1", "--sweep-output", str(tmp_path / "sweep.csv"),
-             "--output", str(tmp_path / "repair_full.json")],
-            ["repair", "--input", scores, "--t", "0.5", "--order", "1",
-             "--output", str(tmp_path / "repair_half.json")],
-        ):
-            assert main(argv) == 0
-        for name in ("metrics.json", "repaired.csv", "sweep.csv", "repair_full.json", "repair_half.json"):
-            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
-
-
 SCORE_LINES = (GOLDEN / "scores.csv").read_bytes().split(b"\n")[:-1]
 SCORE_COMMANDS = {
     "metrics": ["metrics", "--threshold", "0.5", "--grid-k", "2", "--grid-q", "6"],
@@ -751,7 +744,8 @@ MTL_SCHEMA = json.dumps({"task": "task", "g": "sensitive", **MTL_FEATURES, "y": 
 NEW_TASK_SCHEMA = json.dumps({"task": "ignore", "g": "sensitive", **MTL_FEATURES, "y": "outcome"})
 
 # name -> (argv, message): a bad input that ends in exit 2 and "error: message" alone.
-# "{g}" is tests/golden; header.csv and foo.model.json are written by the test
+# "{g}" is tests/golden; header.csv, foo.model.json and a2.csv (sem_college.csv
+# with a sensitive value of 2) are written by the test
 FERM_OUT = ["--model-output", "m.json", "--output", "r.json"]
 DATA_ERRORS = {
     "two_sensitive_columns": (
@@ -797,6 +791,28 @@ DATA_ERRORS = {
                               "--output", "c.json"], "linear loss needs 0 < lam < 1 for a bounded problem"),
     "common_mean_regression_outcome": (["mtl", "train-common", "--input", "{g}/tasks.csv", "--schema", NEW_TASK_SCHEMA,
                                         "--output", "c.json"], "common-mean training needs outcomes in {-1, +1}"),
+    "path_that_stops_short": (["sem", "pse", "--scenario", "music", "--paths", "S>X", "--output", "p.json"],
+                              "path ('S', 'X') does not reach 'Y' and has no unique continuation"),
+    "fit_without_a_variable": (
+        ["sem", "fit", "--scenario", "college", "--input", "{g}/sem_college.csv",
+         "--schema", SEM_SCHEMA.replace('"D": "feature"', '"D": "ignore"'), "--output", "f.json"],
+        "data lacks column 'D'"),
+    "fit_sensitive_value_outside_the_sem": (
+        ["sem", "fit", "--scenario", "college", "--input", "a2.csv", "--schema", SEM_SCHEMA, "--output", "f.json"],
+        "sensitive column takes values outside {0.0, 1.0}"),
+    "correct_without_a_variable": (
+        ["sem", "correct-scores", "--sem", "{g}/sem_fit.json", "--model", "{g}/sem_ferm.model.json",
+         "--input", "{g}/sem_college.csv", "--schema", SEM_SCHEMA.replace('"D": "feature"', '"D": "ignore"'),
+         "--scores-output", "c.csv"], "data lacks variable 'D'"),
+    "correct_with_a_model_of_other_inputs": (
+        ["sem", "correct-scores", "--sem", "{g}/sem_fit.json", "--model", "{g}/ferm_logistic.model.json",
+         "--input", "{g}/sem_college.csv", "--schema", SEM_SCHEMA, "--scores-output", "c.csv"],
+        "model evaluation failed: the model takes 3 inputs per record, the data gives 2"),
+    "schema_not_an_object": (["ferm-train", "--input", "{g}/cls.csv", "--schema", "[1]", *FERM_OUT],
+                             "schema must be a JSON object mapping column -> role"),
+    "regression_with_two_outcomes": (
+        ["ferm-train", "--input", "{g}/cls.csv", "--schema", CLS_SCHEMA.replace('"x2": "feature"', '"x2": "outcome"'),
+         "--outcome-kind", "regression", *FERM_OUT], "exactly one outcome column is required"),
     "unknown_kernel_kind": (["ferm-predict", "--model", "foo.model.json", "--input", "{g}/cls.csv",
                              "--schema", CLS_SCHEMA, "--scores-output", "s.csv"],
                             "model document has an ill-typed field: unknown kernel 'foo'"),
@@ -812,15 +828,27 @@ class TestDataErrors:
         doc = json.loads((GOLDEN / "ferm_logistic.model.json").read_text())
         doc["kernel"]["kind"] = "foo"
         (tmp_path / "foo.model.json").write_text(json.dumps(doc))
+        (tmp_path / "a2.csv").write_text((GOLDEN / "sem_college.csv").read_text().replace("\n1,", "\n2,", 1))
         assert main([a.replace("{g}", str(GOLDEN)) for a in argv]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["foo.model.json", "header.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a2.csv", "foo.model.json", "header.csv"]
 
 # name -> (argv, files written).  "{g}" is tests/golden, which holds the
-# inputs (cls.csv, tasks.csv, task_new.csv) and every earlier run's outputs;
-# "{out}" is where the run writes.  Running the table in order with
-# out=tests/golden rewrites the golden files.
+# inputs (scores.csv, cls.csv, tasks.csv, task_new.csv) and every earlier
+# run's outputs; "{out}" is where the run writes.  Running the table in order
+# with out=tests/golden rewrites the golden files.
 GOLDEN_RUNS = {
+    # the score path on a 600-row, 6-group scores file
+    "metrics": (
+        ["metrics", "--input", "{g}/scores.csv", "--threshold", "0.5", "--grid-k", "2", "--grid-q", "6",
+         "--output", "{out}/metrics.json"], ["metrics.json"]),
+    "repair_full": (
+        ["repair", "--input", "{g}/scores.csv", "--t", "1", "--scores-output", "{out}/repaired.csv",
+         "--sweep", "0,0.5,1", "--sweep-output", "{out}/sweep.csv", "--output", "{out}/repair_full.json"],
+        ["repaired.csv", "sweep.csv", "repair_full.json"]),
+    "repair_half": (
+        ["repair", "--input", "{g}/scores.csv", "--t", "0.5", "--order", "1", "--output", "{out}/repair_half.json"],
+        ["repair_half.json"]),
     "sem_sample_college": (
         ["sem", "sample", "--scenario", "college", "--n", "200", "--seed", "11",
          "--scores-output", "{out}/sem_college.csv"], ["sem_college.csv"]),
@@ -916,12 +944,19 @@ def run_golden(name, out):
 
 
 class TestGoldenSubcommands:
-    """Every sem, ferm and mtl subcommand on committed inputs, byte for byte as first written."""
+    """Every subcommand that writes a report, on committed inputs, byte for byte as first written."""
 
     @pytest.mark.parametrize("name", [n for n, (_, written) in GOLDEN_RUNS.items() if written])
     def test_reproduces_golden_outputs(self, tmp_path, name):
         for file in run_golden(name, tmp_path):
             assert (tmp_path / file).read_bytes() == (GOLDEN / file).read_bytes(), file
+
+    def test_each_golden_output_is_written_by_one_run(self):
+        written = [file for _, files in GOLDEN_RUNS.values() for file in files]
+        inputs = {"scores.csv", "cls.csv", "tasks.csv", "task_new.csv"}
+        compared_to_a_tolerance = {"rbf_scores.csv", "rbf_logistic_scores.csv", "rbf_hinge_scores.csv"}
+        assert sorted(written) == sorted(p.name for p in GOLDEN.iterdir()
+                                         if p.name not in inputs | compared_to_a_tolerance)
 
     def test_rbf_predictions_match_golden_scores(self, tmp_path):
         # the golden scores' solver fixed predictions only to about 1e-10
@@ -968,13 +1003,59 @@ class TestNoTracebackOrWarning:
         assert main(["metrics", "--input", str(path), "--output", str(tmp_path / "m.json")]) == 2
         assert capsys.readouterr().err == "error: cannot read the CSV file: field larger than field limit (131072)\n"
 
-    def test_rbf_gamma_overflowing_the_distances_warns_nothing(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command, weights", [
         # gamma times a squared distance overflows to -inf, and exp(-inf) = 0 is the kernel entry
-        model = tmp_path / "m.json"
-        assert main(["ferm-train", "--input", str(GOLDEN / "cls.csv"), "--schema", CLS_SCHEMA, "--kernel", "rbf",
-                     "--gamma", "1e308", "--model-output", str(model), "--output", str(tmp_path / "r.json")]) == 0
+        (["ferm-train", "--kernel", "rbf", "--gamma", "1e308", "--model-output", "{out}/doc.json",
+          "--output", "{out}/r.json"], lambda doc: doc["dual_coef"]),
+        # rho near the largest float scales the whitening threshold's largest eigenvalue
+        (["mtl", "train-common", "--outcome-kind", "classification", "--rho", "1e308",
+          "--output", "{out}/doc.json"], lambda doc: doc["results"]["shared"]),
+    ], ids=["rbf-gamma", "common-mean-rho"])
+    def test_parameter_near_the_largest_float_warns_nothing(self, tmp_path, capsys, command, weights):
+        argv = [a.replace("{out}", str(tmp_path)) for a in command]
+        assert main([*argv, "--input", str(GOLDEN / "cls.csv"), "--schema", CLS_SCHEMA]) == 0
         assert capsys.readouterr().err == ""
-        assert np.isfinite(json.loads(model.read_text())["dual_coef"]).all()
+        assert np.isfinite(weights(json.loads((tmp_path / "doc.json").read_text()))).all()
+
+
+# name -> (argv, exit code, text stderr holds).  "{g}" is tests/golden; model99.json
+# (a model document of schema version "99") and tasks_fraction.csv (tasks.csv
+# whose last task id is 1.5) are written by the test
+FRESH_PROCESS_EXITS = {
+    "unknown_schema_version": (["ferm-predict", "--model", "model99.json", "--input", "{g}/cls.csv",
+                                "--schema", CLS_SCHEMA, "--scores-output", "s.csv"], 2, 'schema_version "99"'),
+    "unknown_argument": (["sem", "sample", "--scenario", "college", "--record", "{}"], 1, "usage: fairkit"),
+    # K + lambda I that is not positive definite
+    "rbf_vanishing_ridge": (["ferm-train", "--input", "{g}/cls.csv", "--schema", CLS_SCHEMA, "--kernel", "rbf",
+                             "--gamma", "0.01", "--epsilon", "0", "--lambda", "1e-300"], 3, "--lambda"),
+    "fractional_task_id": (["mtl", "train-rep", "--input", "tasks_fraction.csv", "--schema", MTL_SCHEMA], 2,
+                           "task id 1.5 is not a whole number"),
+}
+
+
+class TestFreshProcess:
+    """Exit codes of `python -m fairkit` in a child process, which imports the fairkit under test.
+
+    Its stderr is read at the file-descriptor level, where output that C or
+    Fortran code writes straight to fd 2 shows up and capsys cannot see it.
+    """
+
+    @pytest.mark.parametrize("name", FRESH_PROCESS_EXITS)
+    def test_exit_code_and_stderr(self, tmp_path, name):
+        argv, code, shown = FRESH_PROCESS_EXITS[name]
+        model = (GOLDEN / "ferm_logistic.model.json").read_text()
+        (tmp_path / "model99.json").write_text(model.replace('"schema_version": "1"', '"schema_version": "99"'))
+        tasks = (GOLDEN / "tasks.csv").read_text().splitlines()
+        tasks[-1] = "1.5," + tasks[-1].split(",", 1)[1]
+        (tmp_path / "tasks_fraction.csv").write_text("\n".join(tasks) + "\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(fairkit.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-m", "fairkit", *(a.replace("{g}", str(GOLDEN)) for a in argv)],
+                             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == code, run.stderr
+        assert shown in run.stderr
+        if code != 1:  # a usage error prints the usage after its line
+            assert run.stderr.count("\n") == 1 and run.stderr.endswith("\n"), run.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model99.json", "tasks_fraction.csv"]
 
 
 class TestFermCommands:
@@ -1253,6 +1334,26 @@ def write_multitask_csv(path, rng, T=3, n=60, d=4):
 
 
 class TestMtlCommands:
+    @pytest.mark.parametrize("command, shape", [
+        # 10 groups of 2 features: x = [w0; v_1; ...; v_10] has 22 entries
+        (["mtl", "train-common", "--input", "{out}/groups.csv", "--outcome-kind", "classification",
+          "--schema", json.dumps({"g": "sensitive", "x0": "feature", "x1": "feature", "y": "outcome"}),
+          "--output", "{out}/c.json"], "common-mean system of 22 x 22"),
+        # vec(A) for 4 features and r = 4 has 16 entries
+        (["mtl", "train-rep", "--input", "{out}/tasks.csv", "--schema", MTL_SCHEMA, "--r", "4",
+          "--output", "{out}/r.json"], "A-step system of 16 x 16"),
+    ])
+    def test_multitask_system_above_cap_is_data_error(self, tmp_path, capsys, monkeypatch, command, shape):
+        rows = [f"{i // 2},{i},{-i},{1 if i % 2 else -1}" for i in range(20)]
+        (tmp_path / "groups.csv").write_text("\n".join(["g,x0,x1,y"] + rows) + "\n")
+        write_multitask_csv(tmp_path / "tasks.csv", np.random.default_rng(0), T=2, n=10)
+        # above either input's feature matrix (640 bytes at most), below either system
+        monkeypatch.setattr("fairkit.dataset.MAX_FEATURE_BYTES", 1000)
+        assert main([a.replace("{out}", str(tmp_path)) for a in command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {shape} needs ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["groups.csv", "tasks.csv"]
+
     def test_train_rep_then_transfer(self, tmp_path):
         rng = np.random.default_rng(7)
         data, schema = write_multitask_csv(tmp_path / "tasks.csv", rng)
