@@ -133,8 +133,9 @@ def _read_json(path, kind: str):
 
 def _read_document(path, kind: str, convert):
     """``convert`` of the document at ``path`` (`_read_json`); a ``schema_version``
-    other than `SCHEMA_VERSION`, or none, and a missing or ill-typed field are
-    data errors.
+    other than `SCHEMA_VERSION`, or none, a missing field, and a field that
+    ``convert`` rejects, for its type or for the model it would make, are data
+    errors.
     """
     doc = _read_json(path, kind)
     version = doc.get("schema_version") if isinstance(doc, dict) else None
@@ -147,7 +148,7 @@ def _read_document(path, kind: str, convert):
     except KeyError as exc:
         raise ds.DatasetError(f"{kind} document lacks the field {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ds.DatasetError(f"{kind} document has an ill-typed field: {exc}") from None
+        raise ds.DatasetError(f"{kind} document is invalid: {exc}") from None
 
 
 # the field types whose values a document holds as lists

@@ -304,7 +304,7 @@ class TestExitCodes:
         bad.write_text(json.dumps(doc))
         out = tmp_path / "r.json"
         assert main(["sem", command[0], "--sem", str(bad), *command[1:], "--output", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: SEM document has an ill-typed field: Q: {shown}\n"
+        assert capsys.readouterr().err == f"error: SEM document is invalid: Q: {shown}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("edit, shown", [
@@ -328,7 +328,7 @@ class TestExitCodes:
         bad.write_text(json.dumps(doc))
         out = tmp_path / "r.json"
         assert main(["sem", "pse", "--sem", str(bad), "--mc-samples", "100", "--output", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: SEM document has an ill-typed field: {shown}\n"
+        assert capsys.readouterr().err == f"error: SEM document is invalid: {shown}\n"
         assert not out.exists()
 
     def test_sem_document_without_pi_is_data_error(self, tmp_path, capsys):
@@ -815,7 +815,7 @@ DATA_ERRORS = {
          "--outcome-kind", "regression", *FERM_OUT], "exactly one outcome column is required"),
     "unknown_kernel_kind": (["ferm-predict", "--model", "foo.model.json", "--input", "{g}/cls.csv",
                              "--schema", CLS_SCHEMA, "--scores-output", "s.csv"],
-                            "model document has an ill-typed field: unknown kernel 'foo'"),
+                            "model document is invalid: unknown kernel 'foo'"),
 }
 
 
@@ -1471,7 +1471,7 @@ class TestMtlCommands:
                                    "constraint": "equality", "objective_history": [1.0], **fields}))
         code = main(["mtl", "transfer", "--model", str(doc), "--input", str(data), "--schema", schema])
         assert code == 2
-        assert capsys.readouterr().err == f"error: representation document has an ill-typed field: {message}\n"
+        assert capsys.readouterr().err == f"error: representation document is invalid: {message}\n"
 
     def test_train_common(self, tmp_path):
         rng = np.random.default_rng(8)
