@@ -387,7 +387,7 @@ def path_specific_effect_mc(
     first draw.  A column drawn in blocks holds the values drawn whole,
     every value goes through the operations of a replay over all rows at
     once, and the means see whole columns, so blocking changes no bit of
-    the estimate.
+    the estimate.  An estimate that overflows is inf or NaN, with no warning.
     """
     if n < 2:
         raise CausalError("n must be >= 2")
@@ -401,14 +401,15 @@ def path_specific_effect_mc(
                 rng.standard_normal(out=skipped[:min(_MC_BLOCK, n - start)])
         streams.append(copy.deepcopy(rng))
     ref_y, cf_y = np.empty(n), np.empty(n)
-    for start in range(0, n, _MC_BLOCK):
-        rows = slice(start, min(start + _MC_BLOCK, n))
-        size = rows.stop - start
-        block = _draw_noise(sem, streams, size)
-        ref = _replay(sem, np.full(size, float(a)), block)
-        ref_y[rows] = ref[sem.outcome]
-        cf_y[rows] = _replay(sem, np.full(size, float(a_bar)), block, ref, active)[sem.outcome]
-    return float(np.mean(cf_y) - np.mean(ref_y))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, _MC_BLOCK):
+            rows = slice(start, min(start + _MC_BLOCK, n))
+            size = rows.stop - start
+            block = _draw_noise(sem, streams, size)
+            ref = _replay(sem, np.full(size, float(a)), block)
+            ref_y[rows] = ref[sem.outcome]
+            cf_y[rows] = _replay(sem, np.full(size, float(a_bar)), block, ref, active)[sem.outcome]
+        return float(np.mean(cf_y) - np.mean(ref_y))
 
 
 def _record_columns(sem: LinearSEM, record: Mapping[str, float]) -> dict[str, np.ndarray]:
@@ -439,11 +440,13 @@ def counterfactual(
     """Outcome the record would have had with a_bar along the selected paths.
 
     With invertible linear equations the answer is exact: noise is abducted
-    once and the equations replayed.
+    once and the equations replayed.  An outcome that overflows is inf or
+    NaN, with no warning.
     """
     active = paths.edge_set(sem)
     observed, root = _record_columns(sem, record), np.full(1, float(a_bar))
-    world = _replay(sem, root, abduct(sem, record), observed, active)
+    with np.errstate(over="ignore", invalid="ignore"):
+        world = _replay(sem, root, abduct(sem, record), observed, active)
     return float(world[sem.outcome][0])
 
 

@@ -1030,6 +1030,14 @@ FRESH_PROCESS_EXITS = {
                              "--gamma", "0.01", "--epsilon", "0", "--lambda", "1e-300"], 3, "--lambda"),
     "fractional_task_id": (["mtl", "train-rep", "--input", "tasks_fraction.csv", "--schema", MTL_SCHEMA], 2,
                            "task id 1.5 is not a whole number"),
+    # a sensitive value whose replay overflows, which numpy would also warn about
+    "pse_overflowing_a": (["sem", "pse", "--sem", "{g}/sem_fit.json", "--a", "1e308", "--mc-samples", "1000"], 3,
+                          "solver failure: the result holds NaN or infinity"),
+    "pse_overflowing_a_bar": (["sem", "pse", "--sem", "{g}/sem_fit.json", "--a-bar", "1e308",
+                               "--mc-samples", "1000"], 3, "solver failure: the result holds NaN or infinity"),
+    "counterfactual_overflowing_a_bar": (["sem", "counterfactual", "--sem", "{g}/sem_fit.json", "--a-bar", "1e308",
+                                          "--record", '{"A": 0, "Q": 0.37, "D": -1.25, "Y": 2.3}'], 3,
+                                         "solver failure: the result holds NaN or infinity"),
 }
 
 
