@@ -301,12 +301,26 @@ def _data_columns(data) -> Mapping[str, np.ndarray]:
     return {k: np.asarray(v, dtype=float) for k, v in data.items()}
 
 
+# Rows of the data that `fit` stacks under an equation's running R factor at a time.
+_FIT_BLOCK = 1 << 13
+
+
 def fit(data, skeleton: LinearSEM) -> LinearSEM:
     """Refit a SEM's coefficients by per-equation least squares.
 
     The skeleton supplies the graph, edge labels, and sensitive coding; its
-    numeric parameters are ignored.  Noise levels come from residual
-    standard deviations and pi from the sensitive-value frequency.
+    numeric parameters are ignored.  pi is the sensitive-value frequency.
+
+    Each equation with d - 1 parents is reduced to the (d+1) x (d+1) upper
+    triangular factor R of the QR decomposition of [1 | parents | value]
+    (sequential TSQR): ``_FIT_BLOCK`` rows at a time are stacked under the R
+    of the rows before them and the stack is factored again by Householder
+    QR.  The coefficients solve R's leading d x d block against the d entries
+    above its corner, by ``lstsq`` with the rank rule of a solve on the whole
+    design (singular values below eps x max(n, d) times the largest count as
+    zero).  The corner is the residual norm, so the noise level is
+    |R[d, d]| / sqrt(max(n - d, 1)), and 0 when n == d.  The working set is
+    one block of rows and R, whatever the number of records.
     """
     cols = _data_columns(data)
     for name in skeleton.variables:
@@ -314,32 +328,39 @@ def fit(data, skeleton: LinearSEM) -> LinearSEM:
             raise CausalError(f"cannot fit: {name!r} is declared unobserved")
         if name not in cols:
             raise CausalError(f"data lacks column {name!r}")
-    n = cols[skeleton.sensitive].size
-    v0, v1 = skeleton.sensitive_values
     a = cols[skeleton.sensitive]
-    if not set(np.unique(a)) <= {float(v0), float(v1)}:
+    n = a.size
+    if any(cols[name].shape != (n,) for name in skeleton.variables):
+        raise CausalError("cannot fit: the columns must be one-dimensional and of one length")
+    v0, v1 = skeleton.sensitive_values
+    if not np.all((a == v0) | (a == v1)):
         raise CausalError(f"sensitive column takes values outside {{{v0}, {v1}}}")
     pi = float(np.mean(a == v1))
-    # one C-order design for every equation: an F-order one changes the bits of design @ coef
-    buf = np.empty((n, 1 + max((len(eq.parents) for eq in skeleton.equations), default=0)))
-    buf[:, 0] = 1.0
-    resid = np.empty(n)
+    width = 2 + max((len(eq.parents) for eq in skeleton.equations), default=0)
+    # the running R in the top rows, the next block of rows under it
+    buf = np.empty((width + min(n, _FIT_BLOCK), width))
     equations = []
     for eq in skeleton.equations:
         d = len(eq.parents) + 1
         if n < d:
             raise CausalError(f"{eq.name}: need at least {d} records to fit")
-        design = buf[:, :d]
-        for j, p in enumerate(eq.parents, start=1):
-            design[:, j] = cols[p]
-        coef, _, rank, _ = np.linalg.lstsq(design, cols[eq.name], rcond=None)
+        held = 0  # rows of R at the top of buf
+        for start in range(0, n, _FIT_BLOCK):
+            stop = min(start + _FIT_BLOCK, n)
+            rows = buf[held:held + stop - start, :d + 1]
+            rows[:, 0] = 1.0
+            for j, name in enumerate((*eq.parents, eq.name), start=1):
+                rows[:, j] = cols[name][start:stop]
+            r = np.linalg.qr(buf[:held + stop - start, :d + 1], mode="r")
+            held = r.shape[0]
+            buf[:held, :d + 1] = r
+        coef, _, rank, _ = np.linalg.lstsq(r[:d, :d], r[:d, d], rcond=np.finfo(float).eps * max(n, d))
         if rank < d:
             raise CausalError(f"{eq.name}: rank-deficient design matrix")
-        np.subtract(cols[eq.name], design @ coef, out=resid)
-        dof = max(n - d, 1)
+        resid = abs(r[d, d]) if held > d else 0.0
         equations.append(replace(
             eq, intercept=float(coef[0]), coeffs=tuple(float(c) for c in coef[1:]),
-            noise_std=float(np.sqrt(resid @ resid / dof))))
+            noise_std=float(resid / np.sqrt(max(n - d, 1)))))
     return replace(skeleton, pi=pi, equations=tuple(equations), edge_labels=dict(skeleton.edge_labels))
 
 

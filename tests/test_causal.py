@@ -133,15 +133,21 @@ class TestFit:
         with pytest.raises(CausalError, match="rank"):
             fit(cols, sem)
 
-    def test_working_set_is_one_design_and_two_columns(self):
+    def test_columns_of_other_lengths_rejected(self):
+        sem = college()
+        cols = simulate(sem, 50, seed=5)
+        cols["Q"] = np.concatenate([cols["Q"], [0.0]])
+        with pytest.raises(CausalError, match="one-dimensional and of one length"):
+            fit(cols, sem)
+
+    def test_working_set_is_below_one_column(self):
         sem, n = college(), 200_000
         cols = simulate(sem, n, seed=5)
         fit(cols, sem)  # numpy's first-call allocations
         _, peak = traced_peak(fit, cols, sem)
-        # the design (a column of ones and the most parents), the residual
-        # and the fitted values
-        width = 1 + max(len(eq.parents) for eq in sem.equations)
-        assert peak <= (width + 2) * n * 8 + 2**18
+        # a block of rows under R and its copy inside qr, and the sensitive
+        # check's three boolean columns; a whole design column would be 8n
+        assert peak < 8 * n
 
 
 class TestPathSpecificEffect:
@@ -508,24 +514,66 @@ class TestBlockedMonteCarlo:
 
 
 class TestFitAgainstReference:
-    """``fit`` from one reused design buffer equals a design stacked per equation, bit for bit."""
+    """``fit``'s blocked QR agrees with ``lstsq`` on a design stacked per equation, to the rounding both leave.
+
+    Two backward-stable least-squares solves differ by at most the forward
+    error bound of the problem (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, Thm. 20.1): of order eps x cond x (|coef| + cond x |resid| /
+    |design|) for the coefficients and eps x cond x |value| for the residual
+    norm.  The norms are max-abs ones bounding the 2-norms, since squares
+    underflow on subnormal-scale draws.  The constant grows as sqrt(n), as
+    rounding over n rows does, and with the number of blocks, each of which is
+    one more Householder pass over R; a floor of one subnormal spacing per
+    unit of cond covers values too small to carry eps-relative precision.
+    """
 
     @settings(max_examples=150, deadline=None)
-    @given(sem=small_sems(), n=st.integers(1, 2000), seed=st.integers(0, 2**32 - 1))
+    @given(sem=small_sems(), n=st.integers(1, 2000), seed=st.integers(0, 2**32 - 1),
+           block=st.sampled_from([causal._FIT_BLOCK, 7]))
     @example(sem=LinearSEM("A", 0.5, (Equation("V0", 0.5, (), (), 1.0),
                                       Equation("V1", 0.0, ("A", "V0"), (1.0, -1.0), 0.5)), "V1"),
-             n=300, seed=3)  # V0 has no parents
-    def test_equals_column_stack_reference(self, sem, n, seed):
+             n=300, seed=3, block=causal._FIT_BLOCK)  # V0 has no parents
+    @example(sem=scenario("college"), n=7 * 40 + 3, seed=4, block=7)  # a last block of 3 rows
+    def test_agrees_with_column_stack_reference(self, sem, n, seed, block):
         cols = simulate(sem, n, seed=seed)
-        try:
-            pi, equations = column_stack_fit(cols, sem)
-        except ValueError as exc:
-            with pytest.raises(CausalError) as refused:
-                fit(cols, sem)
-            assert str(refused.value) == str(exc)
-            return
-        fitted = fit(cols, sem)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(causal, "_FIT_BLOCK", block)
+            try:
+                pi, equations = column_stack_fit(cols, sem)
+            except ValueError as exc:
+                with pytest.raises(CausalError) as refused:
+                    fit(cols, sem)
+                assert str(refused.value) == str(exc)
+                return
+            fitted = fit(cols, sem)
         assert float.hex(fitted.pi) == float.hex(pi)
+        eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+        c = 4 * (np.sqrt(n) + -(-n // block))
         for eq, (intercept, coeffs, noise_std) in zip(fitted.equations, equations, strict=True):
-            assert list(map(float.hex, (eq.intercept, *eq.coeffs, eq.noise_std))) == \
-                list(map(float.hex, (intercept, *coeffs, noise_std))), eq.name
+            d = len(eq.parents) + 1
+            design = np.column_stack([np.ones(n)] + [cols[p] for p in eq.parents])
+            coef, y = np.array([intercept, *coeffs]), cols[eq.name]
+            kappa = np.linalg.cond(design)
+            resid = np.max(np.abs(y - design @ coef))
+            tol = c * kappa * (eps * (np.sqrt(d) * np.max(np.abs(coef)) + (kappa + 1) * np.sqrt(n) * resid
+                                      / np.max(np.abs(design))) + tiny)
+            assert np.all(np.abs(np.array([eq.intercept, *eq.coeffs]) - coef) <= tol), eq.name
+            dof = max(n - d, 1)
+            # the reference's sum of squares loses up to one subnormal spacing per record
+            floor = np.sqrt(n * tiny / dof)
+            tol = c * eps * (1 + 2 * kappa) * np.sqrt(n / dof) * np.max(np.abs(y)) + floor
+            assert abs(eq.noise_std - noise_std) <= tol, eq.name
+            if n == d:
+                assert eq.noise_std == 0.0, eq.name
+
+    def test_as_many_records_as_coefficients_leaves_no_noise(self):
+        sem = scenario("college")  # Y has an intercept and three parents
+        cols = simulate(sem, 4, seed=2)
+        assert 0 < cols["A"].sum() < 4
+        fitted = fit(cols, sem)
+        y = fitted.equation("Y")
+        assert y.noise_std == 0.0
+        _, equations = column_stack_fit(cols, sem)
+        assert equations[-1][2] > 0.0  # lstsq's residual keeps its rounding
+        design = np.column_stack([np.ones(4), cols["A"], cols["Q"], cols["D"]])
+        np.testing.assert_allclose(design @ (y.intercept, *y.coeffs), cols["Y"], rtol=0, atol=1e-12)
