@@ -32,7 +32,7 @@ import copy
 import numbers
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -46,6 +46,7 @@ __all__ = [
     "PathSelection",
     "simulate",
     "sample",
+    "write_sample",
     "fit",
     "path_specific_effect",
     "path_specific_effect_mc",
@@ -233,8 +234,9 @@ def _replay(
     noise: Mapping[str, np.ndarray | float],
     observed: Mapping[str, np.ndarray] | None = None,
     active: frozenset[tuple[str, str]] = frozenset(),
+    equations: Sequence[Equation] | None = None,
 ) -> dict[str, np.ndarray]:
-    """Every variable's values under the structural equations, given the root's.
+    """The values of the root and of ``equations`` (all of the model's by default) under the structural equations.
 
     An equation reads a parent from the replayed world when the edge is
     active or there is no ``observed`` table, and from ``observed``
@@ -242,7 +244,7 @@ def _replay(
     adding a zero would turn -0.0 into +0.0.
     """
     world = {sem.sensitive: root}
-    for eq in sem.equations:
+    for eq in sem.equations if equations is None else equations:
         value = np.full(np.shape(root), eq.intercept, dtype=float)
         for p, c in zip(eq.parents, eq.coeffs):
             value += c * (world if observed is None or (p, eq.name) in active else observed)[p]
@@ -252,10 +254,10 @@ def _replay(
     return world
 
 
-def _residuals(sem: LinearSEM, observed: Mapping[str, np.ndarray], names) -> dict[str, np.ndarray]:
-    """Abducted noise of the named equations: observed values minus their noiseless replay."""
-    fitted = _replay(sem, observed[sem.sensitive], {}, observed)
-    return {name: observed[name] - fitted[name] for name in names}
+def _residuals(sem: LinearSEM, observed: Mapping[str, np.ndarray], equations) -> dict[str, np.ndarray]:
+    """Abducted noise of ``equations``: observed values minus their noiseless replay."""
+    fitted = _replay(sem, observed[sem.sensitive], {}, observed, equations=equations)
+    return {eq.name: observed[eq.name] - fitted[eq.name] for eq in equations}
 
 
 def _draw_noise(sem: LinearSEM, streams, n: int) -> dict[str, np.ndarray]:
@@ -267,32 +269,92 @@ def _draw_noise(sem: LinearSEM, streams, n: int) -> dict[str, np.ndarray]:
     return noise
 
 
-def simulate(sem: LinearSEM, n: int, seed: int | np.random.Generator = 0) -> dict[str, np.ndarray]:
-    """Ancestral sampling of every variable, deterministic per seed.
+# Rows that sampling and the Monte-Carlo effect draw and replay at a time.
+_MC_BLOCK = 1 << 14
 
-    The draws are one uniform per record for the root, then one standard
-    normal per record for each equation in order.  The working set, the
-    root and each equation's noise and values, is (2 x equations + 1) x n
-    float64 values; above ``dataset.MAX_FEATURE_BYTES`` it is refused
-    before the first draw.
+
+def _streams(seed: int, n: int, draws: Sequence[str]) -> list[np.random.Generator]:
+    """One generator per stream of n draws, each at the state where its stream begins.
+
+    The streams are drawn one after the other from ``default_rng(seed)``,
+    stream i by the Generator method ``draws[i]`` ("random" or
+    "standard_normal").  One skip pass over the draws of all but the last
+    stream, ``_MC_BLOCK`` values at a time into one buffer, finds where each
+    begins.  Values drawn in blocks are the values drawn whole, so every
+    stream continues exactly as one generator drawing all of them in order.
     """
+    rng = np.random.default_rng(seed)
+    streams, skipped = [], np.empty(min(n, _MC_BLOCK))
+    for draw in draws[:-1]:
+        streams.append(copy.deepcopy(rng))
+        for start in range(0, n, _MC_BLOCK):
+            getattr(rng, draw)(out=skipped[:min(_MC_BLOCK, n - start)])
+    return streams + [rng]
+
+
+def _simulated_blocks(sem: LinearSEM, n: int, seed: int) -> Iterator[dict[str, np.ndarray]]:
+    """Every variable of ``simulate``'s sample, ``_MC_BLOCK`` records at a time; ``n`` is checked at the call."""
     if n < 1:
         raise CausalError("n must be >= 1")
     ds._refuse_above_cap(CausalError, f"sample of {n} records", n, 2 * len(sem.equations) + 1)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    root_rng, *streams = _streams(seed, n, ["random"] + ["standard_normal"] * len(sem.equations))
     v0, v1 = sem.sensitive_values
-    root = np.where(rng.random(n) < sem.pi, v1, v0)
-    return _replay(sem, root, _draw_noise(sem, [rng] * len(sem.equations), n))
+
+    def blocks():
+        for start in range(0, n, _MC_BLOCK):
+            size = min(_MC_BLOCK, n - start)
+            root = np.where(root_rng.random(size) < sem.pi, v1, v0)
+            yield _replay(sem, root, _draw_noise(sem, streams, size))
+
+    return blocks()
+
+
+def simulate(sem: LinearSEM, n: int, seed: int = 0) -> dict[str, np.ndarray]:
+    """Ancestral sampling of every variable, deterministic per seed.
+
+    The draws are one uniform per record for the root, then n standard
+    normals for each equation in order, as one generator makes them.  Each
+    stream draws from a generator of its own (``_streams``), and the model is
+    replayed ``_MC_BLOCK`` records at a time into the returned columns, so
+    the working set is those (equations + 1) x n float64 values and a few
+    blocks.  A sample whose (2 x equations + 1) x n float64 values, the
+    working set of a replay over all records at once, exceed
+    ``dataset.MAX_FEATURE_BYTES`` is refused before the first draw.
+    """
+    blocks = _simulated_blocks(sem, n, seed)
+    world, start = {name: np.empty(n) for name in sem.variables}, 0
+    for block in blocks:
+        size = len(block[sem.sensitive])
+        for name, values in block.items():
+            world[name][start:start + size] = values
+        start += size
+    return world
+
+
+def _observed(sem: LinearSEM) -> list[str]:
+    """The sensitive variable, then every observed one in equation order: the columns of a sample."""
+    return [name for name in sem.variables if name not in sem.unobserved]
 
 
 def sample(sem: LinearSEM, n: int, seed: int = 0) -> TabularDataset:
     """Sample a dataset of the observed variables (sensitive, features, outcome)."""
     cols = simulate(sem, n, seed)
-    order = [name for name in sem.variables if name not in sem.unobserved]
+    order = _observed(sem)
     roles = {name: "feature" for name in order}
     roles.update({sem.sensitive: "sensitive", sem.outcome: "outcome"})
     columns = {name: cols[name] for name in order}
     return dataset_from_columns(columns, roles, outcome_kind="regression", order=order)
+
+
+def write_sample(sem: LinearSEM, n: int, path, seed: int = 0) -> None:
+    """Write ``sample(sem, n, seed)`` to ``path`` as ``dataset.to_csv`` does, a block of records at a time.
+
+    Each block is written as soon as it is replayed, so the working set is a
+    few blocks whatever n is.  ``n`` is checked before the file is opened.
+    """
+    names = _observed(sem)
+    blocks = _simulated_blocks(sem, n, seed)
+    ds.write_blocks(path, names, ([block[name] for name in names] for block in blocks), whole_as_int=True)
 
 
 def _data_columns(data) -> Mapping[str, np.ndarray]:
@@ -380,10 +442,6 @@ def path_specific_effect(sem: LinearSEM, paths: PathSelection, a: float, a_bar: 
     return float(total * (a_bar - a))
 
 
-# Rows of both worlds that `path_specific_effect_mc` draws and replays at a time.
-_MC_BLOCK = 1 << 14
-
-
 def path_specific_effect_mc(
     sem: LinearSEM,
     paths: PathSelection,
@@ -398,39 +456,43 @@ def path_specific_effect_mc(
     linear models the estimate matches the closed form up to rounding.
 
     The draws are n standard normals per equation, in equation order, as
-    ``simulate`` makes them without the root.  One skip pass over the draws
-    of all but the last equation, ``_MC_BLOCK`` rows at a time into one
-    buffer, finds the generator state where each equation's draws begin;
-    each equation then draws its noise from a generator of its own, and
-    both worlds are replayed ``_MC_BLOCK`` rows at a time into their two
-    outcome columns.  The working set is 2 x n float64 values plus a few
-    blocks; above ``dataset.MAX_FEATURE_BYTES`` it is refused before the
-    first draw.  A column drawn in blocks holds the values drawn whole,
-    every value goes through the operations of a replay over all rows at
-    once, and the means see whole columns, so blocking changes no bit of
-    the estimate.  An estimate that overflows is inf or NaN, with no warning.
+    ``simulate`` makes them without the root; each equation draws from a
+    generator of its own (``_streams``).  The estimate is the mean of the
+    counterfactual outcomes minus the mean of the reference ones, and
+    ``np.mean`` sums by numpy's pairwise tree: a run of more than 128 values
+    is split after its first m//2 - (m//2) % 8 and each half summed the same
+    way (Higham, *Accuracy and Stability of Numerical Algorithms*, 4.2).
+    That tree is walked with leaves of at most max(``_MC_BLOCK``, 128) rows;
+    both worlds are replayed over each leaf, its two outcome blocks summed by
+    ``np.add.reduce``, and the sums added in tree order.  Every value goes
+    through the operations of a replay over all rows at once and every sum
+    through the operations of ``np.mean``, so the estimate is bit for bit
+    the mean over whole columns, while the working set is a few blocks.  An
+    effect whose two outcome columns would exceed ``dataset.MAX_FEATURE_BYTES``
+    is refused before the first draw.  An estimate that overflows is inf or
+    NaN, with no warning.
     """
     if n < 2:
         raise CausalError("n must be >= 2")
     ds._refuse_above_cap(CausalError, f"Monte-Carlo effect of {n} samples", n, 2)
     active = paths.edge_set(sem)
-    rng = np.random.default_rng(seed)
-    streams, skipped = [], np.empty(min(n, _MC_BLOCK))
-    for eq in sem.equations:
-        if streams:  # move past the previous equation's draws
-            for start in range(0, n, _MC_BLOCK):
-                rng.standard_normal(out=skipped[:min(_MC_BLOCK, n - start)])
-        streams.append(copy.deepcopy(rng))
-    ref_y, cf_y = np.empty(n), np.empty(n)
+    streams = _streams(seed, n, ["standard_normal"] * len(sem.equations))
+    leaf = max(_MC_BLOCK, 128)
+
+    def sums(size: int) -> tuple[float, float]:
+        """The pairwise sums of the next ``size`` counterfactual and reference outcomes."""
+        if size > leaf:
+            half = size // 2 - size // 2 % 8
+            (cf_a, ref_a), (cf_b, ref_b) = sums(half), sums(size - half)
+            return cf_a + cf_b, ref_a + ref_b
+        noise = _draw_noise(sem, streams, size)
+        ref = _replay(sem, np.full(size, float(a)), noise)
+        cf = _replay(sem, np.full(size, float(a_bar)), noise, ref, active)
+        return np.add.reduce(cf[sem.outcome]), np.add.reduce(ref[sem.outcome])
+
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n, _MC_BLOCK):
-            rows = slice(start, min(start + _MC_BLOCK, n))
-            size = rows.stop - start
-            block = _draw_noise(sem, streams, size)
-            ref = _replay(sem, np.full(size, float(a)), block)
-            ref_y[rows] = ref[sem.outcome]
-            cf_y[rows] = _replay(sem, np.full(size, float(a_bar)), block, ref, active)[sem.outcome]
-        return float(np.mean(cf_y) - np.mean(ref_y))
+        cf_sum, ref_sum = sums(n)
+        return float(cf_sum / n - ref_sum / n)
 
 
 def _record_columns(sem: LinearSEM, record: Mapping[str, float]) -> dict[str, np.ndarray]:
@@ -442,7 +504,7 @@ def _record_columns(sem: LinearSEM, record: Mapping[str, float]) -> dict[str, np
 
 def abduct(sem: LinearSEM, record: Mapping[str, float]) -> dict[str, float]:
     """Recover each equation's noise (its residual) from one fully observed record."""
-    residuals = _residuals(sem, _record_columns(sem, record), [eq.name for eq in sem.equations])
+    residuals = _residuals(sem, _record_columns(sem, record), sem.equations)
     return {k: float(v[0]) for k, v in residuals.items()}
 
 
@@ -488,12 +550,13 @@ def correct_scores(
     """
     cols = _data_columns(data)
     active = paths.edge_set(sem)
-    inputs = [sem.sensitive] + [eq.name for eq in sem.equations if eq.name != sem.outcome]
+    equations = tuple(eq for eq in sem.equations if eq.name != sem.outcome)
+    inputs = [sem.sensitive] + [eq.name for eq in equations]
     for name in inputs:
         if name not in cols:
             raise CausalError(f"data lacks variable {name!r}")
     n = cols[sem.sensitive].size
-    cf = _replay(sem, np.full(n, float(a_bar)), _residuals(sem, cols, inputs[1:]), cols, active)
+    cf = _replay(sem, np.full(n, float(a_bar)), _residuals(sem, cols, equations), cols, active, equations)
     # the model sees corrected values only along edges into the outcome
     corrected = {k: cf[k] if (k, sem.outcome) in active else cols[k] for k in inputs}
     try:

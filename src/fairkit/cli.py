@@ -329,7 +329,7 @@ def _paths(args, sem: causal.LinearSEM) -> causal.PathSelection:
 
 
 def cmd_sem_sample(args) -> int:
-    ds.to_csv(causal.sample(_resolve_sem(args), args.n, seed=args.seed), args.scores_output)
+    causal.write_sample(_resolve_sem(args), args.n, args.scores_output, seed=args.seed)
     return 0
 
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 import csv
 import itertools
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -27,6 +27,7 @@ __all__ = [
     "parse_numbers",
     "read_table",
     "write_table",
+    "write_blocks",
     "load_csv",
     "to_csv",
     "dataset_from_columns",
@@ -183,10 +184,6 @@ class TabularDataset:
         if name not in self.columns:
             raise DatasetError(f"no column named {name!r}")
         return self.columns[name]
-
-    def subset(self, indices) -> "TabularDataset":
-        idx = np.asarray(indices, dtype=int)
-        return replace(self, columns={name: np.asarray(arr)[idx] for name, arr in self.columns.items()})
 
 
 @dataclass(frozen=True, eq=False)
@@ -466,12 +463,22 @@ def write_table(path, header: Sequence[str], columns: Sequence, whole_as_int: bo
     Floats are written with ``repr`` and integers as ints; with ``whole_as_int``
     so is every whole float below 1e15 but -0.0.  Text is csv-quoted.
     """
-    columns = [np.asarray(c) for c in columns]
+    write_blocks(path, header, [columns], whole_as_int)
+
+
+def write_blocks(path, header: Sequence[str], blocks: Iterable[Sequence], whole_as_int: bool = False) -> None:
+    """``write_table`` of the rows of ``blocks``, each a sequence of equal-length columns, one after the other.
+
+    Each block is formatted ``_BLOCK_ROWS`` rows at a time as it arrives, so
+    a caller can make the next block after the last one is written.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(_cells(np.array(header, dtype=object), False)) + "\r\n")
-        for lo in range(0, len(columns[0]), _BLOCK_ROWS):
-            block = zip(*(_cells(c[lo:lo + _BLOCK_ROWS], whole_as_int) for c in columns))
-            fh.write("\r\n".join(map(",".join, block)) + "\r\n")
+        for columns in blocks:
+            columns = [np.asarray(c) for c in columns]
+            for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+                rows = zip(*(_cells(c[lo:lo + _BLOCK_ROWS], whole_as_int) for c in columns))
+                fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
 
 
 def to_csv(dataset: TabularDataset, path) -> None:

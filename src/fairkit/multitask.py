@@ -91,15 +91,34 @@ def task_from_dataset(dataset: TabularDataset) -> Task:
 
 
 def tasks_from_dataset(dataset: TabularDataset) -> "MultiTaskDataset":
-    """Split a dataset with a task column into per-task blocks."""
+    """Split a dataset with a task column into per-task blocks, in ascending task id, each in file order.
+
+    When the file lists the tasks one after the other in ascending id, each
+    task is a slice, a view, of the dataset's arrays; otherwise the rows are
+    gathered once in the order of a stable sort of the ids.
+    """
     ids = dataset.task_ids
     if ids is None:
         raise MtlError("dataset has no task column")
-    tasks = []
-    for t in np.unique(ids):
-        sub = dataset.subset(np.nonzero(ids == t)[0])
-        tasks.append(task_from_dataset(sub))
-    return MultiTaskDataset(tuple(tasks))
+    s, X, y = dataset.sensitive, dataset.features, dataset.outcome
+    ends = _run_ends(ids)
+    if ends is None:
+        order = np.argsort(ids, kind="stable")
+        ids, s, X, y = ids[order], s[order], X[order], y[order]
+        ends = _run_ends(ids)
+    return MultiTaskDataset(tuple(Task(s[a:b], X[a:b], y[a:b]) for a, b in zip([0, *ends], ends)))
+
+
+def _run_ends(ids: np.ndarray) -> list[int] | None:
+    """The index past each run of equal ids, or None unless the ids ascend; compares a block of ids at a time."""
+    ends = []
+    for lo in range(0, ids.size - 1, ds._BLOCK_ROWS):
+        hi = min(lo + ds._BLOCK_ROWS, ids.size - 1)
+        prev, nxt = ids[lo:hi], ids[lo + 1:hi + 1]
+        if (nxt < prev).any():
+            return None
+        ends.extend((np.flatnonzero(nxt != prev) + lo + 1).tolist())
+    return ends + [ids.size]
 
 
 @dataclass(frozen=True, eq=False)

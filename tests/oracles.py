@@ -233,6 +233,28 @@ def two_matrix_rbf_kernel(gamma, X, Z):
     return np.exp(out)
 
 
+def full_array_simulate(sem, n, seed):
+    """Ancestral sampling of every variable with each column drawn and replayed over all n records at once.
+
+    One generator draws n uniforms for the root, a record's sensitive value
+    being the second when its uniform is below pi, then noise_std times n
+    standard normals per equation, in equation order.  Each value goes
+    through the same floating-point operations as in the library's blocked
+    replay, so the two agree bit for bit.
+    """
+    rng = np.random.default_rng(seed)
+    v0, v1 = sem.sensitive_values
+    cols = {sem.sensitive: np.where(rng.random(n) < sem.pi, v1, v0)}
+    noise = {eq.name: eq.noise_std * rng.standard_normal(n) for eq in sem.equations}
+    for eq in sem.equations:
+        value = np.full(n, eq.intercept, dtype=float)
+        for parent, coeff in zip(eq.parents, eq.coeffs):
+            value += coeff * cols[parent]
+        value += noise[eq.name]
+        cols[eq.name] = value
+    return cols
+
+
 def full_array_pse_mc(sem, active, a, a_bar, n, seed):
     """Monte-Carlo path-specific effect with both worlds held over all n samples.
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from fairkit import causal, dataset
 from fairkit.causal import (
@@ -19,10 +19,11 @@ from fairkit.causal import (
     sample,
     scenario,
     simulate,
+    write_sample,
 )
 from fairkit.transport import EmpiricalDistribution, wasserstein
 
-from oracles import column_stack_fit, full_array_pse_mc
+from oracles import column_stack_fit, full_array_pse_mc, full_array_simulate
 from test_ferm import traced_peak
 
 
@@ -228,15 +229,16 @@ class TestPathSpecificEffectMC:
         with pytest.raises(CausalError):
             path_specific_effect_mc(college(), DIRECT, 0.0, 1.0, n=1)
 
-    def test_working_set_is_the_two_outcome_columns(self):
-        sem, n = college(), 200_000
+    def test_working_set_is_a_few_blocks(self):
+        sem, n = college(), 1_000_000
         path_specific_effect_mc(sem, BOTH_UNFAIR, 0.0, 1.0, n=1000)  # numpy's first-call allocations
         _, peak = traced_peak(path_specific_effect_mc, sem, BOTH_UNFAIR, 0.0, 1.0, n)
-        # a block of each world (the root and every variable), of each
+        # a leaf of each world (the root and every variable), of each
         # equation's noise, the skip buffer, a product temporary and a block
-        # of slack; holding each equation's noise in full would add 3 columns
+        # of slack, whatever n is; one outcome column of 10^6 samples would
+        # add 7.6 MiB
         blocks = 2 * (len(sem.equations) + 1) + len(sem.equations) + 3
-        assert peak <= 2 * n * 8 + blocks * 8 * causal._MC_BLOCK + 2**18
+        assert peak <= blocks * 8 * causal._MC_BLOCK + 2**18
 
 
 class TestWorkingSetLimit:
@@ -486,12 +488,19 @@ class TestDocstringInvariants:
 
 
 class TestBlockedMonteCarlo:
-    """The effect replayed in row blocks equals the replay over all samples at once, bit for bit."""
+    """The effect replayed and summed over the leaves of numpy's pairwise tree equals the replay over all samples
+    at once and ``np.mean``, bit for bit.
+
+    With ``_MC_BLOCK`` = 7 a leaf holds at most 128 rows, the pairwise sum's
+    own leaf size, so every n above 128 splits the tree.
+    """
 
     @settings(max_examples=200, deadline=None)
     @given(sem=small_sems(), mask=st.integers(0, 2**8 - 1), a=st.floats(-2.0, 2.0), a_bar=st.floats(-2.0, 2.0),
-           n=st.integers(2, 50), seed=st.integers(0, 2**32 - 1))
-    @example(sem=college(), mask=2**8 - 1, a=0.0, a_bar=1.0, n=2 * 7 + 3, seed=11)  # two blocks and 3 rows
+           n=st.integers(2, 2000), seed=st.integers(0, 2**32 - 1))
+    @example(sem=college(), mask=2**8 - 1, a=0.0, a_bar=1.0, n=2 * 7 + 3, seed=11)  # two skip blocks and 3 rows
+    @example(sem=college(), mask=2**8 - 1, a=0.0, a_bar=1.0, n=129, seed=14)  # leaves of 64 and 65 rows
+    @example(sem=college(), mask=1, a=0.0, a_bar=1.0, n=1003, seed=15)  # 9 leaves, the last two of 64 and 67 rows
     # equations with no noise still draw theirs: X and Y in music, and V0
     # before the noisy V1, whose stream starts past V0's draws
     @example(sem=scenario("music"), mask=0, a=-1.0, a_bar=1.0, n=2 * 7 + 3, seed=12)
@@ -511,6 +520,39 @@ class TestBlockedMonteCarlo:
         want = full_array_pse_mc(sem, active, a, a_bar, n, seed)
         assert got == want
         assert np.signbit(got) == np.signbit(want)
+
+
+class TestBlockedSample:
+    """A sample drawn and replayed in blocks equals ancestral sampling over all records at once, bit for bit."""
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(sem=st.one_of(st.sampled_from([scenario("college"), scenario("music")]), small_sems()),
+           n=st.integers(1, 300).filter(lambda n: n % 7), seed=st.integers(0, 2**32 - 1))
+    @example(sem=scenario("music"), n=7 * 5 + 3, seed=1)  # M is drawn and replayed but not written
+    def test_blocks_equal_full_arrays(self, tmp_path, sem, n, seed):
+        want = full_array_simulate(sem, n, seed)
+        names = [name for name in sem.variables if name not in sem.unobserved]
+        dataset.write_table(tmp_path / "want.csv", names, [want[name] for name in names], whole_as_int=True)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(causal, "_MC_BLOCK", 7)
+            write_sample(sem, n, tmp_path / "got.csv", seed=seed)
+            got = simulate(sem, n, seed)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert got.keys() == want.keys()
+        for name in sem.variables:
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+    def test_written_sample_holds_a_few_blocks(self, tmp_path):
+        sem, n = college(), 100_000
+        write_sample(sem, 10, tmp_path / "warm.csv")  # numpy's first-call allocations
+        _, peak = traced_peak(write_sample, sem, n, tmp_path / "s.csv")
+        # a block of the root, of each equation's noise and value, the skip
+        # buffer and a product temporary, and the cells of one block of rows
+        # being written, at most 160 bytes each, whatever n is; the sample
+        # held in full would add 3.1 MiB
+        blocks = 2 * len(sem.equations) + 3
+        cells = 160 * dataset._BLOCK_ROWS * len(sem.variables)
+        assert peak <= blocks * 8 * causal._MC_BLOCK + cells + 2**18
 
 
 class TestFitAgainstReference:

@@ -1038,6 +1038,10 @@ FRESH_PROCESS_EXITS = {
     "counterfactual_overflowing_a_bar": (["sem", "counterfactual", "--sem", "{g}/sem_fit.json", "--a-bar", "1e308",
                                           "--record", '{"A": 0, "Q": 0.37, "D": -1.25, "Y": 2.3}'], 3,
                                          "solver failure: the result holds NaN or infinity"),
+    # the corrected inputs stay finite; the outcome, which no score reads, would overflow
+    "correct_overflowing_a_bar": (["sem", "correct-scores", "--sem", "{g}/sem_fit.json",
+                                   "--model", "{g}/sem_ferm.model.json", "--input", "{g}/sem_college.csv",
+                                   "--schema", SEM_SCHEMA, "--a-bar", "1e308", "--scores-output", "c.csv"], 0, ""),
 }
 
 
@@ -1061,9 +1065,13 @@ class TestFreshProcess:
                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
         assert run.returncode == code, run.stderr
         assert shown in run.stderr
-        if code != 1:  # a usage error prints the usage after its line
+        written = {"model99.json", "tasks_fraction.csv"}
+        if code == 0:  # a success warns nothing and writes its output
+            assert run.stderr == ""
+            written.add(argv[argv.index("--scores-output") + 1])
+        elif code != 1:  # a usage error prints the usage after its line
             assert run.stderr.count("\n") == 1 and run.stderr.endswith("\n"), run.stderr
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["model99.json", "tasks_fraction.csv"]
+        assert {p.name for p in tmp_path.iterdir()} == written
 
 
 class TestFermCommands:

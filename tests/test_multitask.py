@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fairkit import multitask
+from fairkit import dataset, multitask
+from fairkit.dataset import dataset_from_columns, load_csv, read_table, write_table
 from fairkit.ferm import SolverError
 from fairkit.multitask import (
     MtlError,
@@ -12,11 +15,16 @@ from fairkit.multitask import (
     conditional_mean_gap,
     train_common_mean,
     train_representation,
+    tasks_from_dataset,
     train_sensitive_predictor,
     transfer,
 )
 
 from oracles import common_mean_objective, mtl_objective, reference_common_mean
+from test_ferm import traced_peak
+
+GOLDEN = Path(__file__).parent / "golden"
+MTL_SCHEMA = {"task": "task", "g": "sensitive", **{f"x{j}": "feature" for j in range(4)}, "y": "outcome"}
 
 
 def synthetic_tasks(rng, T=3, d=10, n=200, gap_direction=None, gap_scale=2.0, noise=0.1):
@@ -32,6 +40,68 @@ def synthetic_tasks(rng, T=3, d=10, n=200, gap_direction=None, gap_scale=2.0, no
         y = X @ w + noise * rng.standard_normal(n)
         tasks.append(Task(s, X, y))
     return MultiTaskDataset(tuple(tasks))
+
+
+class TestTasksFromDataset:
+    """Tasks come in ascending id, each holding its rows in file order; a file that lists them one after the
+    other in ascending id is split into views of the loaded arrays."""
+
+    def test_grouped_file_gives_views_of_the_loaded_block(self):
+        data = load_csv(GOLDEN / "tasks.csv", MTL_SCHEMA)
+        tasks = tasks_from_dataset(data).tasks
+        assert [t.n for t in tasks] == [40, 40, 40]
+        for t in tasks:
+            assert np.shares_memory(t.features, data.features)
+            assert np.shares_memory(t.outcome, data.columns["y"])
+
+    @pytest.mark.parametrize("order", ["round_robin", "descending"])
+    def test_reordered_file_gives_the_same_model(self, tmp_path, order):
+        header, cols = read_table(GOLDEN / "tasks.csv", set(MTL_SCHEMA), lambda h: None)
+        ids = cols["task"].astype(int)
+        if order == "round_robin":  # task 0's first row, task 1's first row, ...
+            rows = np.argsort(np.concatenate([np.arange(c) for c in np.bincount(ids)]), kind="stable")
+        else:  # task 2's rows, then task 1's, then task 0's
+            rows = np.argsort(-ids, kind="stable")
+        write_table(tmp_path / "tasks.csv", header, [cols[h][rows] for h in header], whole_as_int=True)
+        grouped = tasks_from_dataset(load_csv(GOLDEN / "tasks.csv", MTL_SCHEMA))
+        moved = tasks_from_dataset(load_csv(tmp_path / "tasks.csv", MTL_SCHEMA))
+        for a, b in zip(grouped.tasks, moved.tasks, strict=True):
+            for field in ("sensitive", "features", "outcome"):
+                assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+        # the arguments of the golden mtl_rep.json
+        want, got = (train_representation(t, r=2, lam=0.1, constraint="equality", seed=15) for t in (grouped, moved))
+        assert got.A.tobytes() == want.A.tobytes() and got.B.tobytes() == want.B.tobytes()
+        assert got.objective_history == want.objective_history
+
+    @settings(max_examples=100, deadline=None)
+    @given(ids=st.lists(st.integers(-3, 3), min_size=1, max_size=30), block=st.integers(1, 5))
+    def test_split_equals_a_mask_per_id(self, ids, block):
+        ids = np.array(ids)
+        rows = np.arange(ids.size, dtype=float)  # each value names its record
+        data = dataset_from_columns({"t": ids, "g": rows % 2, "x": rows, "y": -rows},
+                                    {"t": "task", "g": "sensitive", "x": "feature", "y": "outcome"})
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataset, "_BLOCK_ROWS", block)
+            tasks = tasks_from_dataset(data).tasks
+        for t, task in zip(np.unique(ids), tasks, strict=True):
+            mine = rows[ids == t]
+            np.testing.assert_array_equal(task.features[:, 0], mine)
+            np.testing.assert_array_equal(task.sensitive, mine % 2)
+            np.testing.assert_array_equal(task.outcome, -mine)
+
+    def test_working_set_holds_no_copy_of_the_rows(self, tmp_path):
+        T, n, d = 10, 2_000, 20
+        rng = np.random.default_rng(3)
+        names = ["t", "s", *(f"x{j}" for j in range(d)), "y"]
+        write_table(tmp_path / "tasks.csv", names,
+                    [np.repeat(np.arange(T), n), rng.integers(0, 2, T * n), *rng.standard_normal((d + 1, T * n))])
+        data = load_csv(tmp_path / "tasks.csv", {"t": "task", "s": "sensitive", "y": "outcome",
+                                                 **{f"x{j}": "feature" for j in range(d)}})
+        tasks, peak = traced_peak(tasks_from_dataset, data)
+        assert [t.n for t in tasks.tasks] == [n] * T
+        # T tasks and a block of id comparisons, whatever the number of rows;
+        # one copy of the features would be 3.1 MiB
+        assert peak <= 2**16
 
 
 class TestConditionalMeanGap:
