@@ -37,7 +37,6 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import dataset as ds
-from .dataset import TabularDataset, dataset_from_columns
 
 __all__ = [
     "CausalError",
@@ -45,7 +44,6 @@ __all__ = [
     "LinearSEM",
     "PathSelection",
     "simulate",
-    "sample",
     "write_sample",
     "fit",
     "path_specific_effect",
@@ -296,7 +294,6 @@ def _simulated_blocks(sem: LinearSEM, n: int, seed: int) -> Iterator[dict[str, n
     """Every variable of ``simulate``'s sample, ``_MC_BLOCK`` records at a time; ``n`` is checked at the call."""
     if n < 1:
         raise CausalError("n must be >= 1")
-    ds._refuse_above_cap(CausalError, f"sample of {n} records", n, 2 * len(sem.equations) + 1)
     root_rng, *streams = _streams(seed, n, ["random"] + ["standard_normal"] * len(sem.equations))
     v0, v1 = sem.sensitive_values
 
@@ -317,10 +314,10 @@ def simulate(sem: LinearSEM, n: int, seed: int = 0) -> dict[str, np.ndarray]:
     stream draws from a generator of its own (``_streams``), and the model is
     replayed ``_MC_BLOCK`` records at a time into the returned columns, so
     the working set is those (equations + 1) x n float64 values and a few
-    blocks.  A sample whose (2 x equations + 1) x n float64 values, the
-    working set of a replay over all records at once, exceed
-    ``dataset.MAX_FEATURE_BYTES`` is refused before the first draw.
+    blocks.  A sample whose columns would exceed ``dataset.MAX_FEATURE_BYTES``
+    is refused before the first draw.
     """
+    ds._refuse_above_cap(CausalError, f"sample of {n} records", n, len(sem.variables))
     blocks = _simulated_blocks(sem, n, seed)
     world, start = {name: np.empty(n) for name in sem.variables}, 0
     for block in blocks:
@@ -336,38 +333,23 @@ def _observed(sem: LinearSEM) -> list[str]:
     return [name for name in sem.variables if name not in sem.unobserved]
 
 
-def sample(sem: LinearSEM, n: int, seed: int = 0) -> TabularDataset:
-    """Sample a dataset of the observed variables (sensitive, features, outcome)."""
-    cols = simulate(sem, n, seed)
-    order = _observed(sem)
-    roles = {name: "feature" for name in order}
-    roles.update({sem.sensitive: "sensitive", sem.outcome: "outcome"})
-    columns = {name: cols[name] for name in order}
-    return dataset_from_columns(columns, roles, outcome_kind="regression", order=order)
-
-
 def write_sample(sem: LinearSEM, n: int, path, seed: int = 0) -> None:
-    """Write ``sample(sem, n, seed)`` to ``path`` as ``dataset.to_csv`` does, a block of records at a time.
+    """Write the observed columns (`_observed`) of ``simulate(sem, n, seed)`` to ``path``, whole numbers as ints.
 
     Each block is written as soon as it is replayed, so the working set is a
-    few blocks whatever n is.  ``n`` is checked before the file is opened.
+    few blocks whatever n is, and no n is refused for its size.  ``n`` is
+    checked before the file is opened.
     """
     names = _observed(sem)
     blocks = _simulated_blocks(sem, n, seed)
     ds.write_blocks(path, names, ([block[name] for name in names] for block in blocks), whole_as_int=True)
 
 
-def _data_columns(data) -> Mapping[str, np.ndarray]:
-    if isinstance(data, TabularDataset):
-        return {c.name: np.asarray(data.columns[c.name], dtype=float) for c in data.schema}
-    return {k: np.asarray(v, dtype=float) for k, v in data.items()}
-
-
 # Rows of the data that `fit` stacks under an equation's running R factor at a time.
 _FIT_BLOCK = 1 << 13
 
 
-def fit(data, skeleton: LinearSEM) -> LinearSEM:
+def fit(data: Mapping[str, np.ndarray], skeleton: LinearSEM) -> LinearSEM:
     """Refit a SEM's coefficients by per-equation least squares.
 
     The skeleton supplies the graph, edge labels, and sensitive coding; its
@@ -384,7 +366,7 @@ def fit(data, skeleton: LinearSEM) -> LinearSEM:
     |R[d, d]| / sqrt(max(n - d, 1)), and 0 when n == d.  The working set is
     one block of rows and R, whatever the number of records.
     """
-    cols = _data_columns(data)
+    cols = {k: np.asarray(v, dtype=float) for k, v in data.items()}
     for name in skeleton.variables:
         if name in skeleton.unobserved:
             raise CausalError(f"cannot fit: {name!r} is declared unobserved")
@@ -467,14 +449,11 @@ def path_specific_effect_mc(
     ``np.add.reduce``, and the sums added in tree order.  Every value goes
     through the operations of a replay over all rows at once and every sum
     through the operations of ``np.mean``, so the estimate is bit for bit
-    the mean over whole columns, while the working set is a few blocks.  An
-    effect whose two outcome columns would exceed ``dataset.MAX_FEATURE_BYTES``
-    is refused before the first draw.  An estimate that overflows is inf or
-    NaN, with no warning.
+    the mean over whole columns, while the working set is a few blocks
+    whatever n is.  An estimate that overflows is inf or NaN, with no warning.
     """
     if n < 2:
         raise CausalError("n must be >= 2")
-    ds._refuse_above_cap(CausalError, f"Monte-Carlo effect of {n} samples", n, 2)
     active = paths.edge_set(sem)
     streams = _streams(seed, n, ["standard_normal"] * len(sem.equations))
     leaf = max(_MC_BLOCK, 128)
@@ -536,7 +515,7 @@ def counterfactual(
 def correct_scores(
     sem: LinearSEM,
     model: Callable[[Mapping[str, np.ndarray]], np.ndarray],
-    data,
+    data: Mapping[str, np.ndarray],
     paths: PathSelection,
     a_bar: float,
 ) -> np.ndarray:
@@ -548,7 +527,7 @@ def correct_scores(
     observed values, and the model is re-evaluated on the corrected inputs.
     Outcome values are never consulted.
     """
-    cols = _data_columns(data)
+    cols = {k: np.asarray(v, dtype=float) for k, v in data.items()}
     active = paths.edge_set(sem)
     equations = tuple(eq for eq in sem.equations if eq.name != sem.outcome)
     inputs = [sem.sensitive] + [eq.name for eq in equations]

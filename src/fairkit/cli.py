@@ -336,7 +336,7 @@ def cmd_sem_sample(args) -> int:
 def cmd_sem_fit(args) -> int:
     skeleton = _resolve_sem(args)
     data = ds.load_csv(args.input, _parse_schema(args.schema), outcome_kind="regression")
-    cols = {c.name: data.column(c.name) for c in data.schema if c.role != "ignore"}
+    cols = {c.name: data.columns[c.name] for c in data.schema if c.role != "ignore"}
     fitted = causal.fit(cols, skeleton)
     _write_text(args.output, _json_text(_sem_to_json(fitted)))
     return 0
@@ -376,7 +376,7 @@ def cmd_sem_correct_scores(args) -> int:
     def score_fn(cols):
         return model.predict_dataset(dataclasses.replace(data, columns={**data.columns, **cols}))
 
-    cols = {c.name: data.column(c.name) for c in data.schema if c.role != "ignore"}
+    cols = {c.name: data.columns[c.name] for c in data.schema if c.role != "ignore"}
     corrected = causal.correct_scores(sem, score_fn, cols, paths, args.a_bar)
     ds.write_table(args.scores_output, ["id", "group", "score", "corrected_score"],
                    [np.arange(data.n_records), data.sensitive, model.predict_dataset(data), corrected])

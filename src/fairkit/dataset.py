@@ -29,7 +29,6 @@ __all__ = [
     "write_table",
     "write_blocks",
     "load_csv",
-    "to_csv",
     "dataset_from_columns",
     "make_grid",
     "DATASET_REGISTRY",
@@ -39,7 +38,7 @@ __all__ = [
 ROLES = ("sensitive", "feature", "outcome", "task", "ignore")
 OUTCOME_KINDS = ("regression", "classification")
 # Largest float64 array built (`_refuse_above_cap`): a feature matrix, one-hot blocks included,
-# an rbf kernel, a SEM sampler's working set or a multitask quadratic (common-mean or A-step).
+# an rbf kernel, a SEM sample's columns or a multitask quadratic (common-mean or A-step).
 MAX_FEATURE_BYTES = 2**30
 # Rows parsed per read and formatted per write, which bounds the Python strings alive at once.
 _BLOCK_ROWS = 4096
@@ -179,11 +178,6 @@ class TabularDataset:
     @property
     def d(self) -> int:
         return self.features.shape[1]
-
-    def column(self, name: str) -> np.ndarray:
-        if name not in self.columns:
-            raise DatasetError(f"no column named {name!r}")
-        return self.columns[name]
 
 
 @dataclass(frozen=True, eq=False)
@@ -479,21 +473,6 @@ def write_blocks(path, header: Sequence[str], blocks: Iterable[Sequence], whole_
             for lo in range(0, len(columns[0]), _BLOCK_ROWS):
                 rows = zip(*(_cells(c[lo:lo + _BLOCK_ROWS], whole_as_int) for c in columns))
                 fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
-
-
-def to_csv(dataset: TabularDataset, path) -> None:
-    """Re-emit a dataset with its original column order.
-
-    Numeric cells are written with ``repr``, a whole number below 1e15 as
-    an int, so finite values reload bit-exactly; categorical codes are
-    written back as their category strings.
-    """
-    columns = [
-        np.asarray(dataset.categories[c.name], dtype=object)[np.asarray(dataset.columns[c.name], dtype=int)]
-        if c.name in dataset.categories else dataset.columns[c.name]
-        for c in dataset.schema
-    ]
-    write_table(path, [c.name for c in dataset.schema], columns, whole_as_int=True)
 
 
 def dataset_from_columns(

@@ -660,6 +660,8 @@ def _report(values, epsilon, cs: ConstraintSystem) -> dict:
 def _train(problem: FairERMProblem, dataset: TabularDataset, cs: ConstraintSystem, max_iter: int) -> KernelModel:
     loss, lam, kernel = problem.loss, problem.lam, problem.kernel
     Z, y = design_matrix(dataset, problem.include_sensitive), dataset.outcome
+    if Z.shape[1] == 0:
+        raise FermError("the model has no inputs: declare a feature column or pass --use-sensitive")
     eff_epsilon = None if cs.degenerate else problem.epsilon
     if kernel.kind == "rbf":
         C = cs.matrix()

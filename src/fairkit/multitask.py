@@ -521,6 +521,8 @@ def train_common_mean(
     if bad:
         raise MtlError(f"constraint classes must be '+' or '-', got {bad}")
     X, y = task.features, task.outcome
+    if task.d == 0:
+        raise MtlError("common-mean training needs at least one feature column")
     if not set(np.unique(y)) <= {-1.0, 1.0}:
         raise MtlError("common-mean training needs outcomes in {-1, +1}")
 

@@ -24,28 +24,17 @@ __all__ = [
     "TransportError",
     "EmpiricalDistribution",
     "RepairPlan",
-    "quantile",
-    "inverse_quantile",
     "wasserstein",
     "pairwise_wasserstein",
     "barycenter",
     "sorted_by_group",
     "geodesic_repair",
     "expected_prediction_changes",
-    "default_bins",
 ]
 
 
 class TransportError(ValueError):
     """Invalid input to a transport operation."""
-
-
-def default_bins(group_sizes: Sequence[int]) -> int:
-    """Default bin count: min(100, smallest group size)."""
-    sizes = [int(s) for s in group_sizes]
-    if not sizes or min(sizes) < 1:
-        raise TransportError("every group must contain at least one score")
-    return min(100, min(sizes))
 
 
 def _quantile_table(sorted_values: np.ndarray, bins: int) -> np.ndarray:
@@ -75,7 +64,7 @@ class EmpiricalDistribution:
         if not np.all(np.isfinite(v)):
             raise TransportError("samples must be finite")
         v = np.sort(v)
-        b = default_bins([v.size]) if bins is None else int(bins)
+        b = min(100, v.size) if bins is None else int(bins)
         if b < 1:
             raise TransportError("bins must be >= 1")
         return cls(samples=v, bins=b, quantiles=_quantile_table(v, b))
@@ -87,8 +76,7 @@ def sorted_by_group(values, enc: GroupCodes, bins: int | None = None) -> tuple[l
     Group g's indices are segment g of the permutation, and its samples a view of segment g of the sorted values.
     """
     v = np.asarray(values, dtype=float).ravel()
-    b = default_bins(enc.counts)  # every group holds a score
-    b = b if bins is None else int(bins)
+    b = min(100, int(enc.counts.min())) if bins is None else int(bins)  # every group holds a score
     if b < 1:
         raise TransportError("bins must be >= 1")
     if not np.all(np.isfinite(v)):
@@ -97,22 +85,6 @@ def sorted_by_group(values, enc: GroupCodes, bins: int | None = None) -> tuple[l
     cuts = np.cumsum(enc.counts)[:-1]
     dists = [EmpiricalDistribution(s, b, _quantile_table(s, b)) for s in np.split(v[perm], cuts)]
     return np.split(perm, cuts), dists
-
-
-def quantile(dist: EmpiricalDistribution, i: int) -> float:
-    """i-th quantile of the distribution, i in [1, B]."""
-    if not 1 <= i <= dist.bins:
-        raise TransportError(f"quantile index {i} outside [1, {dist.bins}]")
-    return float(dist.quantiles[i - 1])
-
-
-def inverse_quantile(dist: EmpiricalDistribution, s: float) -> int:
-    """Largest bin index whose quantile does not exceed ``s``.
-
-    The supremum over an empty index set floors at 1, so the map is total.
-    """
-    idx = int(np.searchsorted(dist.quantiles, s, side="right"))
-    return max(idx, 1)
 
 
 def wasserstein(p: EmpiricalDistribution, q: EmpiricalDistribution, order: int = 2) -> float:

@@ -16,7 +16,6 @@ from fairkit.causal import (
     path_specific_effect,
     path_specific_effect_mc,
     reconstruct,
-    sample,
     scenario,
     simulate,
     write_sample,
@@ -79,11 +78,11 @@ class TestSampling:
         se = cols["Q"][ones].std() / np.sqrt(ones.sum())
         assert abs(cols["Q"][ones].mean() - 1.0) <= 4 * se
 
-    def test_sample_dataset_roles(self):
-        data = sample(college(), 50, seed=3)
-        assert data.sensitive_name == "A"
-        assert data.outcome_name == "Y"
-        assert data.feature_names == ("Q", "D")
+    def test_written_sample_columns(self, tmp_path):
+        # the sensitive variable, then the observed ones in equation order
+        for sem, header in ((college(), "A,Q,D,Y"), (scenario("music"), "S,X,Y")):
+            write_sample(sem, 5, tmp_path / "s.csv", seed=3)
+            assert (tmp_path / "s.csv").read_text().splitlines()[0] == header
 
     def test_deterministic_per_seed(self):
         a = simulate(college(), 20, seed=4)
@@ -242,26 +241,21 @@ class TestPathSpecificEffectMC:
 
 
 class TestWorkingSetLimit:
-    """Sample and effect sizes whose float64 columns exceed the cap are refused before any draw."""
+    """A sample whose returned float64 columns exceed the cap is refused before any draw;
+    the blocked commands hold a few blocks whatever n is, and refuse none."""
 
-    def test_limit_is_exact(self, monkeypatch):
-        sem = college()  # 3 equations: 2 columns for the effect, 7 for a sample
-        monkeypatch.setattr(dataset, "MAX_FEATURE_BYTES", 2 * 8 * 100)
-        path_specific_effect_mc(sem, DIRECT, 0.0, 1.0, n=100)
-        with pytest.raises(CausalError, match="Monte-Carlo effect of 101 samples needs"):
-            path_specific_effect_mc(sem, DIRECT, 0.0, 1.0, n=101)
-        monkeypatch.setattr(dataset, "MAX_FEATURE_BYTES", 7 * 8 * 100)
+    def test_limit_is_exact(self, monkeypatch, tmp_path):
+        sem = college()  # 4 variables, one column each
+        monkeypatch.setattr(dataset, "MAX_FEATURE_BYTES", 4 * 8 * 100)
         simulate(sem, 100)
         with pytest.raises(CausalError, match="sample of 101 records needs"):
             simulate(sem, 101)
+        path_specific_effect_mc(sem, DIRECT, 0.0, 1.0, n=1000)
+        write_sample(sem, 1000, tmp_path / "s.csv")
 
     def test_oversized_counts_are_refused(self):
-        sem = college()
-        with pytest.raises(CausalError, match=r"^Monte-Carlo effect of 3000000000 samples needs 44\.7 GiB, "
-                                              r"above the 1 GiB limit$"):
-            path_specific_effect_mc(sem, DIRECT, 0.0, 1.0, n=3_000_000_000)
-        with pytest.raises(CausalError, match=r"^sample of 3000000000 records needs 156\.5 GiB, above the 1 GiB limit$"):
-            sample(sem, 3_000_000_000)
+        with pytest.raises(CausalError, match=r"^sample of 3000000000 records needs 89\.4 GiB, above the 1 GiB limit$"):
+            simulate(college(), 3_000_000_000)
 
 
 class TestAbduction:
@@ -619,3 +613,21 @@ class TestFitAgainstReference:
         assert equations[-1][2] > 0.0  # lstsq's residual keeps its rounding
         design = np.column_stack([np.ones(4), cols["A"], cols["Q"], cols["D"]])
         np.testing.assert_allclose(design @ (y.intercept, *y.coeffs), cols["Y"], rtol=0, atol=1e-12)
+
+
+# each raise of the public API a caller can reach, with its message
+PUBLIC_RAISES = {
+    "outcome_not_a_variable": (lambda: LinearSEM(sensitive="A", pi=0.5, equations=(), outcome="Y"),
+                               "outcome 'Y' is not a variable"),
+    "no_equation": (lambda: college().equation("Z"), "no equation for 'Z'"),
+    "scores_of_another_shape": (lambda: correct_scores(college(), lambda cols: np.zeros(1), simulate(college(), 5),
+                                                       DIRECT, 1.0), "model must return one score per record"),
+}
+
+
+@pytest.mark.parametrize("name", PUBLIC_RAISES)
+def test_public_raise(name):
+    call, message = PUBLIC_RAISES[name]
+    with pytest.raises(CausalError) as caught:
+        call()
+    assert str(caught.value) == message

@@ -276,17 +276,6 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: n must be >= 2\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv,message", [
-        (["pse", "--mc-samples", "3000000000", "--output", "r.json"],
-         "Monte-Carlo effect of 3000000000 samples needs 44.7 GiB"),
-        (["sample", "--n", "3000000000", "--scores-output", "s.csv"], "sample of 3000000000 records needs 156.5 GiB"),
-    ])
-    def test_oversized_sem_count_is_data_error(self, argv, message, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert main(["sem", argv[0], "--scenario", "college", *argv[1:]]) == 2
-        assert capsys.readouterr().err == f"error: {message}, above the 1 GiB limit\n"
-        assert list(tmp_path.iterdir()) == []
-
     @pytest.mark.parametrize("command", [
         ["counterfactual", "--record", '{"A": 0, "Q": 0.37, "D": -1.25, "Y": 2.3}'], ["pse", "--mc-samples", "100"]])
     @pytest.mark.parametrize("field, value, shown", [
@@ -739,6 +728,7 @@ class TestScoresCsvFuzz:
 
 SEM_SCHEMA = json.dumps({"A": "sensitive", "Q": "feature", "D": "feature", "Y": "outcome"})
 CLS_SCHEMA = json.dumps({"g": "sensitive", "x0": "feature", "x1": "feature", "x2": "feature", "y": "outcome"})
+NO_INPUTS_SCHEMA = json.dumps({"g": "sensitive", "y": "outcome", "x0": "ignore", "x1": "ignore", "x2": "ignore"})
 MTL_FEATURES = {f"x{j}": "feature" for j in range(4)}
 MTL_SCHEMA = json.dumps({"task": "task", "g": "sensitive", **MTL_FEATURES, "y": "outcome"})
 NEW_TASK_SCHEMA = json.dumps({"task": "ignore", "g": "sensitive", **MTL_FEATURES, "y": "outcome"})
@@ -1042,6 +1032,14 @@ FRESH_PROCESS_EXITS = {
     "correct_overflowing_a_bar": (["sem", "correct-scores", "--sem", "{g}/sem_fit.json",
                                    "--model", "{g}/sem_ferm.model.json", "--input", "{g}/sem_college.csv",
                                    "--schema", SEM_SCHEMA, "--a-bar", "1e308", "--scores-output", "c.csv"], 0, ""),
+    # a model with no inputs, which crashed some solvers and fitted a constant in others
+    **{f"ferm_no_inputs_{loss}_{kernel}": (
+        ["ferm-train", "--input", "{g}/cls.csv", "--schema", NO_INPUTS_SCHEMA, "--loss", loss, "--kernel", kernel,
+         "--gamma", "0.5"], 2, "error: the model has no inputs: declare a feature column or pass --use-sensitive")
+       for loss, kernel in (("squared", "linear"), ("logistic", "linear"), ("hinge", "linear"), ("squared", "rbf"))},
+    "mtl_common_no_inputs": (["mtl", "train-common", "--input", "{g}/cls.csv", "--schema", NO_INPUTS_SCHEMA,
+                              "--outcome-kind", "classification"], 2,
+                             "error: common-mean training needs at least one feature column"),
 }
 
 
@@ -1122,7 +1120,7 @@ class TestFermCommands:
             "--scores-output", str(tmp_path / "scores.csv"),
         ]) == 0
 
-    @pytest.mark.parametrize("breakage", ["missing", "ill-typed", "non-finite", "include-sensitive"])
+    @pytest.mark.parametrize("breakage", ["missing", "ill-typed", "nested", "non-finite", "include-sensitive"])
     def test_broken_model_document_is_data_error(self, tmp_path, capsys, breakage):
         rng = np.random.default_rng(4)
         data, schema = write_classification_csv(tmp_path / "train.csv", rng, n=40)
@@ -1136,6 +1134,8 @@ class TestFermCommands:
             del doc["kernel"]["gamma"]
         elif breakage == "ill-typed":
             doc["coef"] = "abc"
+        elif breakage == "nested":
+            doc["coef"] = [doc["coef"]]
         elif breakage == "non-finite":
             doc["coef"][0] = float("nan")
         else:
@@ -1149,6 +1149,12 @@ class TestFermCommands:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: model document") and err.count("\n") == 1
+
+    def test_sensitive_attribute_alone_is_a_model_input(self, tmp_path):
+        model = tmp_path / "m.json"
+        assert main(["ferm-train", "--input", str(GOLDEN / "cls.csv"), "--schema", NO_INPUTS_SCHEMA, "--loss", "logistic",
+                     "--use-sensitive", "--model-output", str(model), "--output", str(tmp_path / "r.json")]) == 0
+        assert len(json.loads(model.read_text())["coef"]) == 1
 
     def test_model_for_other_features_is_data_error(self, tmp_path, capsys):
         code = main(["ferm-predict", "--model", str(GOLDEN / "ferm_logistic.model.json"),
@@ -1579,7 +1585,7 @@ class TestDocumentRoundTrips:
 
     def test_fitted_sem(self):
         skeleton = causal.scenario("college")
-        fitted = causal.fit(causal.sample(skeleton, 500, seed=3), skeleton)
+        fitted = causal.fit(causal.simulate(skeleton, 500, seed=3), skeleton)
         text = _json_text(_sem_to_json(fitted))
         read = _sem_from_json(json.loads(text))
         assert _json_text(_sem_to_json(read)) == text

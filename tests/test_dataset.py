@@ -9,12 +9,12 @@ from fairkit.cli import _read_scores_csv
 from fairkit.dataset import (
     MAX_FEATURE_BYTES,
     DatasetError,
+    DiscretizationGrid,
     dataset_from_columns,
     describe_dataset,
     factorize,
     load_csv,
     make_grid,
-    to_csv,
     write_table,
 )
 from oracles import ReferenceCsvError, reference_load_csv
@@ -100,16 +100,10 @@ class TestLoadCsv:
         schema = {"g": "sensitive", "x1": "feature", "y": "outcome"}
         first = load_csv(write(tmp_path, text), schema)
         out = tmp_path / "echo.csv"
-        to_csv(first, out)
+        write_table(out, list(first.columns), list(first.columns.values()), whole_as_int=True)
         second = load_csv(out, schema)
         for name in ("g", "x1", "y"):
-            np.testing.assert_array_equal(first.column(name), second.column(name))
-
-    def test_column_order_preserved_on_emit(self, tmp_path):
-        data = load_csv(write(tmp_path, BASIC), BASIC_SCHEMA, outcome_kind="classification")
-        out = tmp_path / "echo.csv"
-        to_csv(data, out)
-        assert out.read_text().splitlines()[0] == "gender,x1,x2,y"
+            np.testing.assert_array_equal(first.columns[name], second.columns[name])
 
     def test_bad_classification_labels(self, tmp_path):
         path = write(tmp_path, "g,x,y\n0,1.0,3\n1,2.0,4\n")
@@ -137,8 +131,8 @@ class TestLoadCsv:
     def test_python_number_syntax_numpy_does_not_take(self, tmp_path):
         text = "gender,x1,x2,y\nf,1_000,\u0661\u0662,1\nm,0.5,1.5,-1\n"
         data = load_csv(write(tmp_path, text), BASIC_SCHEMA, outcome_kind="classification")
-        np.testing.assert_array_equal(data.column("x1"), [1000.0, 0.5])
-        np.testing.assert_array_equal(data.column("x2"), [12.0, 1.5])
+        np.testing.assert_array_equal(data.columns["x1"], [1000.0, 0.5])
+        np.testing.assert_array_equal(data.columns["x2"], [12.0, 1.5])
 
     def test_byte_order_mark_is_dropped(self, tmp_path):
         plain = load_csv(write(tmp_path, BASIC), BASIC_SCHEMA, outcome_kind="classification")
@@ -146,7 +140,7 @@ class TestLoadCsv:
                           outcome_kind="classification")
         assert marked.schema == plain.schema
         for c in plain.schema:
-            np.testing.assert_array_equal(marked.column(c.name), plain.column(c.name))
+            np.testing.assert_array_equal(marked.columns[c.name], plain.columns[c.name])
 
     @pytest.mark.parametrize("body", [
         b"gender,x1,x2,y\nf,1.0,\xff2.0,1\n",  # in the first row, read with the header
@@ -302,7 +296,7 @@ class TestCsvProperties:
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.data())
-    def test_to_csv_load_csv_round_trip_is_bit_exact(self, tmp_path, data):
+    def test_write_table_load_csv_round_trip_is_bit_exact(self, tmp_path, data):
         n = data.draw(st.integers(1, 8))
         floats = st.one_of(
             st.floats(allow_nan=False, allow_infinity=False),
@@ -321,7 +315,9 @@ class TestCsvProperties:
             categories={"c": tuple(index)},
         )
         path = tmp_path / "echo.csv"
-        to_csv(dataset, path)
+        decoded = [np.asarray(dataset.categories[name], dtype=object)[codes] if name in dataset.categories else codes
+                   for name, codes in dataset.columns.items()]
+        write_table(path, list(dataset.columns), decoded, whole_as_int=True)
         back = load_csv(path, {c.name: c.role for c in dataset.schema})
         assert dict(back.categories) == {"c": tuple(index)}
         for name, values in dataset.columns.items():
@@ -514,3 +510,37 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(DatasetError):
             describe_dataset("nope")
+
+
+def roles_dataset(columns, roles, outcome_kind="regression"):
+    return dataset_from_columns({k: np.asarray(v, dtype=float) for k, v in columns.items()}, roles,
+                                outcome_kind=outcome_kind)
+
+
+GY = {"g": "sensitive", "y": "outcome"}
+
+# each raise of the public API a caller can reach, with its message
+PUBLIC_RAISES = {
+    "two_task_columns": (lambda: roles_dataset({"g": [0, 1], "y": [1, 2], "t": [0, 1], "u": [0, 1]},
+                                               {**GY, "t": "task", "u": "task"}), "at most one task column is allowed"),
+    "unknown_outcome_kind": (lambda: roles_dataset({"g": [0], "y": [1]}, GY, "ordinal"),
+                             "unknown outcome kind 'ordinal'"),
+    "columns_of_other_lengths": (lambda: roles_dataset({"g": [0, 1], "y": [1]}, GY), "columns must have equal length"),
+    "no_records": (lambda: roles_dataset({"g": [], "y": []}, GY), "dataset has no records"),
+    "classification_outcome": (lambda: roles_dataset({"g": [0, 1], "y": [0.5, 1]}, GY, "classification"),
+                               "classification outcomes must be in {-1, +1}"),
+    "one_edge": (lambda: DiscretizationGrid(np.array([0.0]), np.array([0.0, 1.0])),
+                 "y_edges needs at least two entries"),
+    "edges_not_increasing": (lambda: DiscretizationGrid(np.array([0.0, 0.0]), np.array([0.0, 1.0])),
+                             "y_edges must be strictly increasing"),
+    "quantile_edges_collapse": (lambda: make_grid(roles_dataset({"g": [0] * 12, "y": [0] * 10 + [1, 2]}, GY), 2, 1),
+                                "outcome: quantile edges collapse; use fewer bins"),
+}
+
+
+@pytest.mark.parametrize("name", PUBLIC_RAISES)
+def test_public_raise(name):
+    call, message = PUBLIC_RAISES[name]
+    with pytest.raises(DatasetError) as caught:
+        call()
+    assert str(caught.value) == message

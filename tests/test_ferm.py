@@ -964,3 +964,36 @@ class TestValidation:
         data = classification_dataset(rng, n=10)
         Z = design_matrix(data, include_sensitive=True)
         np.testing.assert_array_equal(Z[:, 0], data.sensitive)
+
+
+def three_groups(outcome_kind="classification", x="feature"):
+    return dataset_from_columns({"g": np.array([0.0, 1.0, 2.0, 0.0]), "x": np.array([0.5, 1.0, 1.5, 2.0]),
+                                 "y": np.array([1.0, -1.0, 1.0, -1.0])},
+                                {"g": "sensitive", "x": x, "y": "outcome"}, outcome_kind=outcome_kind)
+
+
+def linear_model(coef):
+    return KernelModel(KernelSpec(), False, np.array(coef), None, None, {}, 0.0)
+
+
+# each raise of the public API a caller can reach, with its message
+PUBLIC_RAISES = {
+    "three_groups": (lambda: binary_positive_constraint(three_groups()),
+                     "binary training needs exactly two sensitive groups"),
+    "nested_coef": (lambda: linear_model([[1.0, 2.0]]),
+                    "a linear model needs a coefficient vector, an rbf model one dual coefficient per row of its"
+                    " training inputs"),
+    "non_finite_coef": (lambda: linear_model([np.nan]), "model coefficients and training inputs must be finite"),
+    "regression_outcome": (lambda: train_ferm_binary(three_groups("regression")),
+                           "binary training needs a classification outcome"),
+    "no_inputs": (lambda: train_gferm(FairERMProblem(), three_groups(x="ignore"), make_grid(three_groups(), 2, 1)),
+                  "the model has no inputs: declare a feature column or pass --use-sensitive"),
+}
+
+
+@pytest.mark.parametrize("name", PUBLIC_RAISES)
+def test_public_raise(name):
+    call, message = PUBLIC_RAISES[name]
+    with pytest.raises(FermError) as caught:
+        call()
+    assert str(caught.value) == message

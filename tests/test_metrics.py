@@ -337,3 +337,30 @@ class TestFullReport:
         report = full_report(scores, grid=binary_grid(y, g), bins=5)
         doc = json.dumps(report, sort_keys=True)
         assert json.loads(doc)["general_fairness"]["value"] >= 0.0
+
+
+EDGES = make_grid(dataset_from_columns({"s": np.array([0.0, 1.0]), "y": np.array([-1.0, 1.0])},
+                                       {"s": "sensitive", "y": "outcome"}), 2, 2)
+
+# each raise of the public API a caller can reach, with its message
+PUBLIC_RAISES = {
+    "outcome_misaligned": (lambda: ScoreSet([0.1, 0.2], [0, 1], outcome=[1.0]), "outcome must align with scores"),
+    "no_scores": (lambda: ScoreSet([], []), "scores must be a non-empty vector"),
+    "group_misaligned": (lambda: ScoreSet([0.1, 0.2], [0]), "group must align with scores"),
+    "odds_without_outcomes": (lambda: equalized_odds_gaps(ScoreSet([0.1], [0], threshold=0.5)),
+                              "equalized odds needs outcomes"),
+    "parity_without_outcomes": (lambda: predictive_parity_gap(ScoreSet([0.1], [0], threshold=0.5)),
+                                "predictive parity needs outcomes"),
+    "cells_without_outcomes": (lambda: general_fairness_gap(ScoreSet([0.1], [0]), EDGES),
+                               "cell-based criteria need outcomes"),
+    "cells_of_text_groups": (lambda: general_fairness_gap(ScoreSet([0.1, 0.2], ["a", "b"], outcome=[-1.0, 1.0]), EDGES),
+                             "cell-based criteria need numeric group codes"),
+}
+
+
+@pytest.mark.parametrize("name", PUBLIC_RAISES)
+def test_public_raise(name):
+    call, message = PUBLIC_RAISES[name]
+    with pytest.raises(MetricError) as caught:
+        call()
+    assert str(caught.value) == message

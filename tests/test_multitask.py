@@ -510,3 +510,30 @@ class TestSensitivePredictor:
     def test_single_group_rejected(self):
         with pytest.raises(MtlError):
             train_sensitive_predictor(Task(np.zeros(10), np.ones((10, 2)), np.zeros(10)))
+
+
+ONE_FEATURE = Task([0.0, 1.0], np.array([[1.0], [2.0]]), [1.0, -1.0])
+
+# each raise of the public API a caller can reach, with its message
+PUBLIC_RAISES = {
+    "task_misaligned": (lambda: Task([0, 1], np.ones((3, 1)), [1.0, 2.0, 3.0]), "task arrays must align"),
+    "empty_task": (lambda: Task([], np.ones((0, 1)), []), "empty task"),
+    "no_tasks": (lambda: MultiTaskDataset(()), "need at least one task"),
+    "tasks_of_other_widths": (lambda: MultiTaskDataset((ONE_FEATURE, Task([0.0], np.ones((1, 2)), [1.0]))),
+                              "all tasks must share the feature dimension"),
+    "unknown_mode": (lambda: train_representation(MultiTaskDataset((ONE_FEATURE,)), 1, 0.1, constraint="bogus"),
+                     "unknown constraint mode 'bogus'"),
+    "epsilon_outside_relaxed": (lambda: train_representation(MultiTaskDataset((ONE_FEATURE,)), 1, 0.1, epsilon=0.1),
+                                "epsilon applies to the relaxed mode only, not 'equality'"),
+    "unknown_loss": (lambda: train_common_mean(ONE_FEATURE, loss="hinge"), "unknown loss 'hinge'"),
+    "common_mean_without_features": (lambda: train_common_mean(Task([0.0, 1.0], np.ones((2, 0)), [1.0, -1.0])),
+                                     "common-mean training needs at least one feature column"),
+}
+
+
+@pytest.mark.parametrize("name", PUBLIC_RAISES)
+def test_public_raise(name):
+    call, message = PUBLIC_RAISES[name]
+    with pytest.raises(MtlError) as caught:
+        call()
+    assert str(caught.value) == message

@@ -12,9 +12,7 @@ from fairkit.transport import (
     barycenter,
     expected_prediction_changes,
     geodesic_repair,
-    inverse_quantile,
     pairwise_wasserstein,
-    quantile,
     sorted_by_group,
     wasserstein,
 )
@@ -30,18 +28,16 @@ class TestQuantile:
     def test_two_point_support(self):
         # sup over s of {F(s) <= (i-1)/B}: for i=2 the set is (-inf, 1.0)
         d = dist([0.0, 1.0], 2)
-        assert quantile(d, 1) == 0.0
-        assert quantile(d, 2) == 1.0
+        assert d.quantiles.tolist() == [0.0, 1.0]
 
     def test_constant_samples(self):
         d = dist([3.5] * 7, 4)
-        assert all(quantile(d, i) == 3.5 for i in range(1, 5))
+        assert d.quantiles.tolist() == [3.5] * 4
 
     def test_uniform_grid_matches_order_statistics(self):
         values = np.arange(1, 11) / 10.0
         d = dist(values, 10)
-        for i in range(1, 11):
-            assert quantile(d, i) == pytest.approx(i / 10.0)
+        np.testing.assert_allclose(d.quantiles, np.arange(1, 11) / 10.0)
 
     def test_matches_sup_oracle_with_ties(self):
         rng = np.random.default_rng(3)
@@ -50,42 +46,38 @@ class TestQuantile:
             values = rng.integers(0, 6, size=n) / 3.0  # plenty of ties
             bins = int(rng.integers(1, 12))
             d = dist(values, bins)
-            for i in range(1, bins + 1):
-                assert quantile(d, i) == sup_quantile(values, bins, i)
-
-    def test_index_bounds(self):
-        d = dist([1.0, 2.0], 2)
-        with pytest.raises(TransportError):
-            quantile(d, 0)
-        with pytest.raises(TransportError):
-            quantile(d, 3)
+            assert d.quantiles.tolist() == [sup_quantile(values, bins, i) for i in range(1, bins + 1)]
 
     def test_empty_distribution(self):
         with pytest.raises(TransportError):
             EmpiricalDistribution.from_samples([])
 
 
-class TestInverseQuantile:
+class TestBinLookup:
+    """``RepairPlan.map_scores`` looks a score up in the largest bin whose quantile does not exceed it,
+    floored at bin 1; at t=0 a one-group plan returns that bin's quantile."""
+
+    @staticmethod
+    def lookup(values, bins, scores):
+        _, plan = geodesic_repair(values, np.zeros(len(values)), t=0.0, bins=bins)
+        return plan.map_scores(0.0, scores).tolist()
+
     def test_max_sample_maps_to_top_bin(self):
-        d = dist([0.1, 0.5, 0.9], 3)
-        assert inverse_quantile(d, 0.9) == 3
+        assert self.lookup([0.1, 0.5, 0.9], 3, [0.9]) == [0.9]
 
     def test_below_min_floors_at_one(self):
-        d = dist([0.1, 0.5, 0.9], 3)
-        assert inverse_quantile(d, -5.0) == 1
+        assert self.lookup([0.1, 0.5, 0.9], 3, [-5.0]) == [0.1]
 
     def test_three_point_enumeration(self):
         # q(1..3) = (0.2, 0.4, 0.6); entries <= 0.5 are the first two
-        d = dist([0.2, 0.4, 0.6], 3)
-        assert inverse_quantile(d, 0.5) == 2
+        assert self.lookup([0.2, 0.4, 0.6], 3, [0.5]) == [0.4]
 
     def test_band_consistency(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
             values = rng.normal(size=rng.integers(2, 50))
             d = dist(values, int(rng.integers(1, 20)))
-            for i in range(1, d.bins + 1):
-                assert inverse_quantile(d, quantile(d, i)) >= i - 1
+            assert self.lookup(values, d.bins, d.quantiles) == d.quantiles.tolist()
 
 
 class TestWasserstein:
@@ -372,3 +364,30 @@ class TestExpectedPredictionChanges:
         d = dist([0.5, 1.2], 2)
         with pytest.raises(TransportError):
             expected_prediction_changes(d, lambda x: x)
+
+
+TWO_BINS, THREE_BINS = dist([0.0, 1.0], 2), dist([0.0, 0.5, 1.0], 3)
+
+# each raise of the public API a caller can reach, with its message
+PUBLIC_RAISES = {
+    "non_finite_samples": (lambda: EmpiricalDistribution.from_samples([0.5, np.nan]), "samples must be finite"),
+    "no_bins": (lambda: EmpiricalDistribution.from_samples([0.5], bins=0), "bins must be >= 1"),
+    "wasserstein_order": (lambda: wasserstein(TWO_BINS, TWO_BINS, order=3), "order must be 1 or 2"),
+    "barycenter_order": (lambda: barycenter([TWO_BINS], [1.0], order=3), "order must be 1 or 2"),
+    "no_distributions": (lambda: barycenter([], []), "need at least one distribution"),
+    "negative_weight": (lambda: barycenter([TWO_BINS], [-1.0]), "weights must be non-negative, one per distribution"),
+    "bin_counts_differ": (lambda: barycenter([TWO_BINS, THREE_BINS], [0.5, 0.5]),
+                          "all distributions must share the bin count"),
+    "groups_misaligned": (lambda: geodesic_repair([0.1, 0.2], [0], t=0.5), "values and groups must align"),
+    "no_scores": (lambda: geodesic_repair([], [], t=0.5), "no scores to repair"),
+    "map_changes_shape": (lambda: expected_prediction_changes(TWO_BINS, lambda x: x[:1]),
+                          "transport map must preserve the sample shape"),
+}
+
+
+@pytest.mark.parametrize("name", PUBLIC_RAISES)
+def test_public_raise(name):
+    call, message = PUBLIC_RAISES[name]
+    with pytest.raises(TransportError) as caught:
+        call()
+    assert str(caught.value) == message
