@@ -40,8 +40,8 @@ OUTCOME_KINDS = ("regression", "classification")
 # Largest float64 array built (`_refuse_above_cap`): a feature matrix, one-hot blocks included,
 # an rbf kernel, a SEM sample's columns or a multitask quadratic (common-mean or A-step).
 MAX_FEATURE_BYTES = 2**30
-# Rows parsed per read and formatted per write, which bounds the Python strings alive at once.
-_BLOCK_ROWS = 4096
+# Rows per CSV read or write step and per `factorize` step, which bounds the Python objects alive at once.
+_BLOCK_ROWS = 512
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
 _TEXT = np.dtypes.StringDType()
 

@@ -639,9 +639,12 @@ class KernelModel:
         width = self.coef.size if self.kernel.kind == "linear" else self.training_inputs.shape[1]
         if Z.shape[1] != width:
             raise FermError(f"the model takes {width} inputs per record, the data gives {Z.shape[1]}")
-        if self.kernel.kind == "linear":
-            return Z @ self.coef
-        return _kernel_dot(self.kernel, Z, self.training_inputs, self.dual_coef)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a failure, not a warning
+            f = (Z @ self.coef if self.kernel.kind == "linear"
+                 else _kernel_dot(self.kernel, Z, self.training_inputs, self.dual_coef))
+        if not np.isfinite(f).all():
+            raise SolverError("the model's scores hold NaN or infinity")
+        return f
 
     def predict_dataset(self, dataset: TabularDataset) -> np.ndarray:
         return self.decision_function(design_matrix(dataset, self.include_sensitive))

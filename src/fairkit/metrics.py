@@ -87,9 +87,13 @@ class ScoreSet:
 
     @property
     def predictions(self) -> np.ndarray:
+        return self._positive.astype(float)
+
+    @property
+    def _positive(self) -> np.ndarray:
         if self.threshold is None:
             raise MetricError("this criterion needs a threshold")
-        return (self.scores > self.threshold).astype(float)
+        return self.scores > self.threshold
 
     @cached_property
     def outcome_table(self) -> np.ndarray:
@@ -100,8 +104,13 @@ class ScoreSet:
         value as the mean of the 0/1 indicators it replaces.
         """
         enc, y = self.encoding, self.outcome
-        sign = 1 if y is None else 1 + (y > 0).astype(int) - (y < 0)
-        cell = (enc.codes * 2 + (self.predictions > 0)) * 3 + sign
+        cell = enc.codes * 2  # (code * 2 + prediction) * 3 + 1 + sign(y), built in one buffer
+        cell += self._positive
+        cell *= 3
+        cell += 1
+        if y is not None:
+            cell += y > 0
+            cell -= y < 0
         return np.bincount(cell, minlength=6 * len(enc.labels)).reshape(-1, 2, 3)
 
 
@@ -223,8 +232,8 @@ def _cell_result(cell: np.ndarray, counts: np.ndarray, values: np.ndarray) -> Ce
 
 
 def _accuracy_gap(scores: ScoreSet, grid: DiscretizationGrid, cell, counts) -> CellGapResult:
-    f, edges, k_idx = scores.scores, grid.y_edges, cell // grid.n_s_bins
-    return _cell_result(cell, counts, (f >= edges[k_idx]) & (f < edges[k_idx + 1]))
+    k = np.searchsorted(grid.y_edges, scores.scores, "right") - 1  # t_k <= f < t_{k+1}, as the edges increase
+    return _cell_result(cell, counts, k == cell // grid.n_s_bins)  # the record's own outcome bin
 
 
 def general_fairness_gap(scores: ScoreSet, grid: DiscretizationGrid) -> CellGapResult:
@@ -240,7 +249,9 @@ def general_fairness_gap(scores: ScoreSet, grid: DiscretizationGrid) -> CellGapR
 def _linear_loss_gap(scores: ScoreSet, outcome_kind: str, cell, counts) -> CellGapResult:
     f, y = scores.scores, scores.outcome
     if outcome_kind == "classification":
-        losses = (1.0 - f * y) / 2.0
+        losses = f * y  # (1 - f*y) / 2 in one buffer
+        np.subtract(1.0, losses, out=losses)
+        losses /= 2.0
     elif outcome_kind == "regression":
         losses = f - y
     else:

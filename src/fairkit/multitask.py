@@ -400,8 +400,9 @@ def transfer(model: RepresentationModel, task: Task, lam: float) -> TransferResu
     if np.allclose(task.features.var(axis=0), 0.0):
         raise MtlError("degenerate task: features have zero variance")
     XA = task.features @ model.A
-    r = model.A.shape[1]
-    b = np.linalg.solve(XA.T @ XA + lam * task.n * np.eye(r), XA.T @ task.outcome)
+    if not np.isfinite(ridge := lam * task.n):
+        raise SolverError(f"the ridge --lambda {lam:g} times {task.n} records overflows")
+    b = np.linalg.solve(XA.T @ XA + ridge * np.eye(model.A.shape[1]), XA.T @ task.outcome)
     try:
         diag = float(np.linalg.norm(model.normalized_A().T @ conditional_mean_gap(task)))
     except MtlError:

@@ -641,17 +641,19 @@ class TestScorePathMemory:
         grid = make_grid(dataset_from_columns({"g": scoreset.group, "y": y}, {"g": "sensitive", "y": "outcome"},
                                               outcome_kind="classification"), 2, 32)
         report, peak = traced_peak(full_report, scoreset, grid)
-        # a layout and its accuracy table built once, the codes used as floats without a copy: 6.3 MiB,
-        # where one built per criterion took 7.8 MiB
-        assert peak < 7 * 2**20
+        # a layout and its accuracy table built once, the codes used as floats without a copy and each
+        # per-record pass built in one buffer: 4.8 MiB, where record-sized temporaries took 6.3 MiB
+        assert peak < 5.5 * 2**20
         assert len(report) == 8
 
     @pytest.mark.parametrize("command, bound_mib", [
-        # 3.95 MiB, where holding the ids and the group text through the report took 5.55 MiB
-        (["metrics", "--threshold", "0.5", "--grid-k", "2", "--grid-q", "32"], 4.75),
-        # 3.91 MiB, where holding the outcome and the group text, and sorting every group's
-        # repaired scores again for the summary and each sweep point, took 5.22 MiB
-        (["repair", "--t", "1", "--sweep", "0,0.25,0.5,0.75,1", "--sweep-output", "{out}/sweep.csv"], 4.5),
+        # 3.0 MiB, where 4,096-row CSV blocks and the metrics' record-sized temporaries took 3.95-4.1 MiB,
+        # and holding the ids and the group text through the report 5.55 MiB
+        (["metrics", "--threshold", "0.5", "--grid-k", "2", "--grid-q", "32"], 3.5),
+        # 3.0 MiB, where 4,096-row CSV blocks took 3.93 MiB, and holding the outcome and the group
+        # text, and sorting every group's repaired scores again for the summary and each sweep
+        # point, 5.22 MiB
+        (["repair", "--t", "1", "--sweep", "0,0.25,0.5,0.75,1", "--sweep-output", "{out}/sweep.csv"], 3.5),
     ])
     def test_command_peak(self, scores_csv, tmp_path, command, bound_mib):
         argv = [a.replace("{out}", str(tmp_path)) for a in command]
@@ -1009,8 +1011,9 @@ class TestNoTracebackOrWarning:
 
 
 # name -> (argv, exit code, text stderr holds).  "{g}" is tests/golden; model99.json
-# (a model document of schema version "99") and tasks_fraction.csv (tasks.csv
-# whose last task id is 1.5) are written by the test
+# (a model document of schema version "99"), model1e308.json (one whose coefficients
+# are all 1e308) and tasks_fraction.csv (tasks.csv whose last task id is 1.5) are
+# written by the test
 FRESH_PROCESS_EXITS = {
     "unknown_schema_version": (["ferm-predict", "--model", "model99.json", "--input", "{g}/cls.csv",
                                 "--schema", CLS_SCHEMA, "--scores-output", "s.csv"], 2, 'schema_version "99"'),
@@ -1018,6 +1021,13 @@ FRESH_PROCESS_EXITS = {
     # K + lambda I that is not positive definite
     "rbf_vanishing_ridge": (["ferm-train", "--input", "{g}/cls.csv", "--schema", CLS_SCHEMA, "--kernel", "rbf",
                              "--gamma", "0.01", "--epsilon", "0", "--lambda", "1e-300"], 3, "--lambda"),
+    # decision values that overflow, which numpy would also warn about
+    "predict_overflowing_scores": (["ferm-predict", "--model", "model1e308.json", "--input", "{g}/cls.csv",
+                                    "--schema", CLS_SCHEMA, "--scores-output", "s.csv"], 3,
+                                   "solver failure: the model's scores hold NaN or infinity"),
+    # a ridge lambda * n beyond the float range, which numpy would also warn about
+    "transfer_overflowing_lambda": (["mtl", "transfer", "--model", "{g}/mtl_rep.json", "--input", "{g}/task_new.csv",
+                                     "--schema", NEW_TASK_SCHEMA, "--lambda", "1e308"], 3, "--lambda"),
     "fractional_task_id": (["mtl", "train-rep", "--input", "tasks_fraction.csv", "--schema", MTL_SCHEMA], 2,
                            "task id 1.5 is not a whole number"),
     # a sensitive value whose replay overflows, which numpy would also warn about
@@ -1055,6 +1065,9 @@ class TestFreshProcess:
         argv, code, shown = FRESH_PROCESS_EXITS[name]
         model = (GOLDEN / "ferm_logistic.model.json").read_text()
         (tmp_path / "model99.json").write_text(model.replace('"schema_version": "1"', '"schema_version": "99"'))
+        doc = json.loads(model)
+        doc["coef"] = [1e308] * len(doc["coef"])
+        (tmp_path / "model1e308.json").write_text(json.dumps(doc))
         tasks = (GOLDEN / "tasks.csv").read_text().splitlines()
         tasks[-1] = "1.5," + tasks[-1].split(",", 1)[1]
         (tmp_path / "tasks_fraction.csv").write_text("\n".join(tasks) + "\n")
@@ -1063,7 +1076,7 @@ class TestFreshProcess:
                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
         assert run.returncode == code, run.stderr
         assert shown in run.stderr
-        written = {"model99.json", "tasks_fraction.csv"}
+        written = {"model99.json", "model1e308.json", "tasks_fraction.csv"}
         if code == 0:  # a success warns nothing and writes its output
             assert run.stderr == ""
             written.add(argv[argv.index("--scores-output") + 1])
