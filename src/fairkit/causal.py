@@ -32,7 +32,7 @@ import copy
 import numbers
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -51,7 +51,7 @@ __all__ = [
     "abduct",
     "reconstruct",
     "counterfactual",
-    "correct_scores",
+    "counterfactual_inputs",
     "scenario",
     "all_unfair_paths",
 ]
@@ -512,42 +512,31 @@ def counterfactual(
     return float(world[sem.outcome][0])
 
 
-def correct_scores(
+def counterfactual_inputs(
     sem: LinearSEM,
-    model: Callable[[Mapping[str, np.ndarray]], np.ndarray],
     data: Mapping[str, np.ndarray],
     paths: PathSelection,
     a_bar: float,
-) -> np.ndarray:
-    """Replace model scores by their path-specific counterfactuals.
+) -> dict[str, np.ndarray]:
+    """The model inputs that move in the path-specific counterfactual world.
 
     Every record is moved to the world where the sensitive attribute equals
     ``a_bar`` along the selected paths: descendants on those paths are
     recomputed from their abducted noise, other variables stay at their
-    observed values, and the model is re-evaluated on the corrected inputs.
-    Outcome values are never consulted.
+    observed values.  Only the inputs with an active edge into the outcome
+    move, and only they are returned; a model evaluated on ``data`` with
+    them in place gives the corrected scores.  Outcome values are never
+    consulted.
     """
     cols = {k: np.asarray(v, dtype=float) for k, v in data.items()}
     active = paths.edge_set(sem)
     equations = tuple(eq for eq in sem.equations if eq.name != sem.outcome)
-    inputs = [sem.sensitive] + [eq.name for eq in equations]
-    for name in inputs:
+    for name in [sem.sensitive] + [eq.name for eq in equations]:
         if name not in cols:
             raise CausalError(f"data lacks variable {name!r}")
     n = cols[sem.sensitive].size
     cf = _replay(sem, np.full(n, float(a_bar)), _residuals(sem, cols, equations), cols, active, equations)
-    # the model sees corrected values only along edges into the outcome
-    corrected = {k: cf[k] if (k, sem.outcome) in active else cols[k] for k in inputs}
-    try:
-        scores = np.asarray(model(corrected), dtype=float)
-    except Exception as exc:
-        raise CausalError(f"model evaluation failed: {exc}") from exc
-    if scores.shape != (n,):
-        raise CausalError("model must return one score per record")
-    if not np.all(np.isfinite(scores)):
-        bad = int(np.argmax(~np.isfinite(scores)))
-        raise CausalError(f"model returned a non-finite score for record {bad}")
-    return scores
+    return {k: v for k, v in cf.items() if (k, sem.outcome) in active}
 
 
 def all_unfair_paths(sem: LinearSEM) -> PathSelection:

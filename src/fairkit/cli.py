@@ -188,16 +188,17 @@ def _read_scores_csv(path):
 
 def cmd_metrics(args) -> int:
     groups, scores, outcome = _read_scores_csv(args.input)[1:]
+    outcome_kind = "regression"
+    if outcome is not None and set(np.unique(outcome)) <= {-1.0, 0.0, 1.0}:
+        outcome_kind = "classification"
+        outcome[outcome == 0.0] = -1.0  # 0/1 labels read as -1/+1
     scoreset = metrics.ScoreSet(scores=scores, group=ds.factorize(groups), outcome=outcome, threshold=args.threshold)
     del groups  # the report needs only the codes
     grid = None
-    outcome_kind = "regression"
     if args.grid_k and outcome is not None:
-        outcome_kind = "classification" if set(np.unique(outcome)) <= {-1.0, 0.0, 1.0} else "regression"
-        y = outcome if outcome_kind == "regression" else np.where(outcome > 0, 1.0, -1.0)
-        grid = ds.make_grid(ds.dataset_from_columns({"group": scoreset.group, "y": y}, {"group": "sensitive", "y": "outcome"},
+        grid = ds.make_grid(ds.dataset_from_columns({"group": scoreset.group, "y": outcome},
+                                                    {"group": "sensitive", "y": "outcome"},
                                                     outcome_kind=outcome_kind), args.grid_k, args.grid_q)
-        del y
     report = metrics.full_report(scoreset, grid=grid, bins=args.bins, outcome_kind=outcome_kind)
     _write_text(args.output, _report_doc("metrics", args.seed, report))
     return 0
@@ -372,12 +373,10 @@ def cmd_sem_correct_scores(args) -> int:
     paths = _paths(args, sem)
     model = _read_document(args.model, "model", _model_from_json)
     data = ds.load_csv(args.input, _parse_schema(args.schema), outcome_kind="regression")
-
-    def score_fn(cols):
-        return model.predict_dataset(dataclasses.replace(data, columns={**data.columns, **cols}))
-
     cols = {c.name: data.columns[c.name] for c in data.schema if c.role != "ignore"}
-    corrected = causal.correct_scores(sem, score_fn, cols, paths, args.a_bar)
+    # the moved inputs are held only while the model scores them, not while the scores are written
+    corrected = model.predict_dataset(dataclasses.replace(
+        data, columns={**data.columns, **causal.counterfactual_inputs(sem, cols, paths, args.a_bar)}))
     ds.write_table(args.scores_output, ["id", "group", "score", "corrected_score"],
                    [np.arange(data.n_records), data.sensitive, model.predict_dataset(data), corrected])
     return 0

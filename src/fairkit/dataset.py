@@ -305,7 +305,8 @@ def _finite_floats(cells) -> np.ndarray | None:
 
 
 def _read_cells(path, header, floats: list[bool], block) -> dict[str, np.ndarray]:
-    """Columns from csv.reader, for the files numpy's reader does not take.
+    """Columns from csv.reader, for the files numpy's reader does not take and
+    those where it reads a numeric cell that is not a finite number.
 
     Records are read ``_BLOCK_ROWS`` at a time into columns of one entry per
     line (`_empty_columns`), as every record takes at least one line.  A ``floats``
@@ -367,11 +368,8 @@ def read_table(path, numeric, check_header, block=()) -> tuple[tuple[str, ...], 
         # the first row picks each column's dtype for numpy; a wrong pick only costs the fallback
         floats = [h in numeric and (j >= len(first) or _is_number(first[j])) for j, h in enumerate(header)]
         columns = _bulk_columns(path, header, skip, floats, block) if first else None
-        failed = header if columns is None else [
-            h for h, f in zip(header, floats) if f and not np.isfinite(columns[h]).all()]
-        if failed:
-            cells = _read_cells(path, header, floats, block)
-            columns = {h: cells[h] if h in failed else columns[h] for h in header}
+        if columns is None or any(f and not np.isfinite(columns[h]).all() for h, f in zip(header, floats)):
+            columns = _read_cells(path, header, floats, block)
         else:
             _check_missing(columns)
         return header, columns
@@ -480,12 +478,10 @@ def dataset_from_columns(
     roles: Mapping[str, str],
     outcome_kind: str = "regression",
     categories: Mapping[str, tuple[str, ...]] | None = None,
-    order: Sequence[str] | None = None,
 ) -> TabularDataset:
     """Build a dataset from in-memory arrays (synthetic data, SEM samples)."""
-    names = list(order) if order is not None else list(columns)
-    spec = tuple(ColumnSpec(n, roles[n]) for n in names)
-    cols = {n: np.asarray(columns[n]) for n in names}
+    spec = tuple(ColumnSpec(n, roles[n]) for n in columns)
+    cols = {n: np.asarray(v) for n, v in columns.items()}
     return TabularDataset(
         schema=spec,
         outcome_kind=outcome_kind,

@@ -386,14 +386,18 @@ def _newton(D, y, R, loss: str, beta: np.ndarray, model, max_iter: int):
     Armijo condition, so every iterate is feasible.  A run stops once the decrement is at most
     1e-12 (1 + |J|) or that rounding error, which bounds what a step can resolve.  J >= 0, so
     backtracking starts below the t with 1e-4 t (-g^T d) = 2 J, and a model flat but for a
-    vanishing ridge steps about 1/lambda far; reaching max_iter steps raises SolverError.
+    vanishing ridge steps about 1/lambda far; reaching max_iter steps raises SolverError, as does
+    a penalty whose curvature 2 lambda overflows.
     """
+    if not math.isfinite(2.0 * (lam := float(np.max(R)))):
+        raise SolverError(f"twice --lambda {lam:g}, the penalty's curvature, overflows")
     f, steps = np.zeros_like(y) if D is None else D @ beta, 0
     for delta in _HINGE_WIDTHS if loss == "hinge" else (0.0,):
         obj = _Objective(D, y, R, loss, delta)
         value = obj.value(beta, f)
         while True:
-            d, decrement, rounding, scores = model(beta, f, *obj.derivatives(f), value)
+            with np.errstate(over="ignore", invalid="ignore"):  # a step that overflows is refused below
+                d, decrement, rounding, scores = model(beta, f, *obj.derivatives(f), value)
             if not (np.isfinite(value) and np.isfinite(decrement)):
                 raise SolverError("non-finite Newton objective or step")
             if decrement <= max(1e-12 * (1.0 + abs(value)), rounding):
@@ -501,7 +505,8 @@ def _kernel_step(spec, Z, C, epsilon, w, ridge, r, size=None):
     band, off = np.flatnonzero(w > 0.0), np.flatnonzero(w == 0.0)
     s = np.sqrt(w[band])[:, None]
     PV = np.column_stack([r, C])
-    rhs, rows, PV = PV[band] / s, [], PV / ridge
+    rhs, rows = PV[band] / s, []
+    PV[off] /= ridge
     Zb, Zoff, PVoff = Z[band], Z[off], PV[off]
     for r0 in range(0, band.size, _SOLVE_BLOCK):
         r1 = min(r0 + _SOLVE_BLOCK, band.size)

@@ -393,21 +393,23 @@ def transfer(model: RepresentationModel, task: Task, lam: float) -> TransferResu
     The diagnostic reports ||A^T c(task)|| with A renormalized to unit
     Frobenius norm, estimating how well the representation's group-mean
     orthogonality carries over to the new task; it is None when the task
-    does not hold exactly two groups, where c(task) is undefined.
+    does not hold exactly two groups, where c(task) is undefined.  A result
+    that overflows holds inf or NaN, with no warning.
     """
     if task.d != model.A.shape[0]:
         raise MtlError("feature dimension mismatch")
     if np.allclose(task.features.var(axis=0), 0.0):
         raise MtlError("degenerate task: features have zero variance")
-    XA = task.features @ model.A
     if not np.isfinite(ridge := lam * task.n):
         raise SolverError(f"the ridge --lambda {lam:g} times {task.n} records overflows")
-    b = np.linalg.solve(XA.T @ XA + ridge * np.eye(model.A.shape[1]), XA.T @ task.outcome)
-    try:
-        diag = float(np.linalg.norm(model.normalized_A().T @ conditional_mean_gap(task)))
-    except MtlError:
-        diag = None
-    return TransferResult(coefficients=b, weights=model.A @ b, fairness_diagnostic=diag)
+    with np.errstate(over="ignore", invalid="ignore"):  # a result that overflows is refused where it is written
+        XA = task.features @ model.A
+        b = np.linalg.solve(XA.T @ XA + ridge * np.eye(model.A.shape[1]), XA.T @ task.outcome)
+        try:
+            diag = float(np.linalg.norm(model.normalized_A().T @ conditional_mean_gap(task)))
+        except MtlError:
+            diag = None
+        return TransferResult(coefficients=b, weights=model.A @ b, fairness_diagnostic=diag)
 
 
 @dataclass(frozen=True, eq=False)

@@ -163,7 +163,6 @@ class RepairPlan:
     trade_off: float
     order: int
     bins: int
-    weights: np.ndarray
     group_distributions: Mapping[object, EmpiricalDistribution]
     barycenter_table: np.ndarray
 
@@ -246,7 +245,6 @@ def geodesic_repair(
         trade_off=float(t),
         order=order,
         bins=dists[0].bins,
-        weights=w,
         group_distributions=dict(zip(codes, dists)),
         barycenter_table=barycenter(dists, w, order=order).quantiles,
     )

@@ -10,8 +10,8 @@ from fairkit.causal import (
     PathSelection,
     abduct,
     all_unfair_paths,
-    correct_scores,
     counterfactual,
+    counterfactual_inputs,
     fit,
     path_specific_effect,
     path_specific_effect_mc,
@@ -308,12 +308,26 @@ class TestCounterfactual:
         assert counterfactual(college(), record, BOTH_UNFAIR, 1.0) == pytest.approx(5.0)
 
 
+def corrected_scores(sem, model, cols, paths, a_bar):
+    """The model's scores on ``cols`` with the counterfactual inputs in place."""
+    return model({**cols, **counterfactual_inputs(sem, cols, paths, a_bar)})
+
+
 class TestCorrectScores:
+    def test_returns_only_the_inputs_that_move(self):
+        sem = college()
+        cols = simulate(sem, 10, seed=12)
+        assert counterfactual_inputs(sem, cols, PathSelection(()), 1.0) == {}
+        moved = counterfactual_inputs(sem, cols, DIRECT, 1.0)
+        assert list(moved) == ["A"]
+        np.testing.assert_array_equal(moved["A"], np.ones(10))
+        assert sorted(counterfactual_inputs(sem, cols, BOTH_UNFAIR, 1.0)) == ["A", "D"]
+
     def test_model_ignoring_intervened_variables(self):
         sem = college()
         cols = simulate(sem, 40, seed=13)
         original = 2.0 * cols["Q"]
-        corrected = correct_scores(sem, lambda c: 2.0 * c["Q"], cols, BOTH_UNFAIR, 1.0)
+        corrected = corrected_scores(sem, lambda c: 2.0 * c["Q"], cols, BOTH_UNFAIR, 1.0)
         np.testing.assert_allclose(corrected, original, atol=1e-12)
 
     def test_linear_model_zero_noise(self):
@@ -323,23 +337,11 @@ class TestCorrectScores:
         def model(c):
             return 1.0 * c["A"] + 2.0 * c["Q"] + 3.0 * c["D"]
 
-        corrected = correct_scores(sem, model, cols, BOTH_UNFAIR, 1.0)
+        corrected = corrected_scores(sem, model, cols, BOTH_UNFAIR, 1.0)
         # A -> 1, D -> coefficient 3.0 evaluated at a_bar, Q observed
         d_cf = 3.0 * 1.0  # structural D at A=1, zero noise
         expected = 1.0 * 1.0 + 2.0 * cols["Q"] + 3.0 * d_cf
         np.testing.assert_allclose(corrected, expected, atol=1e-9)
-
-    def test_model_failure_names_record(self):
-        sem = college()
-        cols = simulate(sem, 5, seed=16)
-
-        def broken(c):
-            out = np.asarray(c["Q"], dtype=float).copy()
-            out[3] = np.nan
-            return out
-
-        with pytest.raises(CausalError, match="record 3"):
-            correct_scores(sem, broken, cols, BOTH_UNFAIR, 1.0)
 
     def test_reduces_group_gap_on_unfair_model(self):
         sem = college()
@@ -349,7 +351,7 @@ class TestCorrectScores:
             return 2.0 * c["A"] + 1.0 * c["Q"] + 0.5 * c["D"]
 
         original = model(cols)
-        corrected = correct_scores(sem, model, cols, BOTH_UNFAIR, 1.0)
+        corrected = corrected_scores(sem, model, cols, BOTH_UNFAIR, 1.0)
         a = cols["A"]
 
         def gap(values):
@@ -456,7 +458,7 @@ class TestDocstringInvariants:
 
         v0, v1 = sem.sensitive_values
         none = PathSelection(())
-        np.testing.assert_array_equal(correct_scores(sem, model, cols, none, v1), model(cols))
+        np.testing.assert_array_equal(corrected_scores(sem, model, cols, none, v1), model(cols))
         for i in range(3):
             record = {k: float(v[i]) for k, v in cols.items()}
             a_bar = v0 if record[sem.sensitive] == v1 else v1
@@ -620,8 +622,6 @@ PUBLIC_RAISES = {
     "outcome_not_a_variable": (lambda: LinearSEM(sensitive="A", pi=0.5, equations=(), outcome="Y"),
                                "outcome 'Y' is not a variable"),
     "no_equation": (lambda: college().equation("Z"), "no equation for 'Z'"),
-    "scores_of_another_shape": (lambda: correct_scores(college(), lambda cols: np.zeros(1), simulate(college(), 5),
-                                                       DIRECT, 1.0), "model must return one score per record"),
 }
 
 

@@ -518,6 +518,14 @@ class TestMetricsCommand:
         ):
             assert name in doc["results"]
 
+    @pytest.mark.parametrize("options", [["--threshold", "0.5"], ["--threshold", "0.5", "--grid-k", "2", "--grid-q", "6"]])
+    def test_zero_one_labels_read_as_minus_one_plus_one(self, tmp_path, options):
+        binary = tmp_path / "binary.csv"
+        binary.write_text((GOLDEN / "scores.csv").read_text().replace(",-1.0\n", ",0\n").replace(",1.0\n", ",1\n"))
+        for path, out in ((GOLDEN / "scores.csv", "signed.json"), (binary, "binary.json")):
+            assert main(["metrics", "--input", str(path), *options, "--output", str(tmp_path / out)]) == 0
+        assert (tmp_path / "binary.json").read_bytes() == (tmp_path / "signed.json").read_bytes()
+
     def test_score_only_report(self, tmp_path):
         scores = write_scores(tmp_path / "s.csv", np.random.default_rng(1), with_outcome=False)
         out = tmp_path / "r.json"
@@ -799,7 +807,7 @@ DATA_ERRORS = {
     "correct_with_a_model_of_other_inputs": (
         ["sem", "correct-scores", "--sem", "{g}/sem_fit.json", "--model", "{g}/ferm_logistic.model.json",
          "--input", "{g}/sem_college.csv", "--schema", SEM_SCHEMA, "--scores-output", "c.csv"],
-        "model evaluation failed: the model takes 3 inputs per record, the data gives 2"),
+        "the model takes 3 inputs per record, the data gives 2"),
     "schema_not_an_object": (["ferm-train", "--input", "{g}/cls.csv", "--schema", "[1]", *FERM_OUT],
                              "schema must be a JSON object mapping column -> role"),
     "regression_with_two_outcomes": (
@@ -1010,10 +1018,13 @@ class TestNoTracebackOrWarning:
         assert np.isfinite(weights(json.loads((tmp_path / "doc.json").read_text()))).all()
 
 
+# documents the fresh-process test writes: a golden document whose field holds 1e308 in every entry
+OVERFLOWING_DOCUMENTS = {"model1e308.json": ("ferm_logistic.model.json", "coef"),
+                         "sem_model1e308.json": ("sem_ferm.model.json", "coef"),
+                         "rep1e308.json": ("mtl_rep.json", "A")}
 # name -> (argv, exit code, text stderr holds).  "{g}" is tests/golden; model99.json
-# (a model document of schema version "99"), model1e308.json (one whose coefficients
-# are all 1e308) and tasks_fraction.csv (tasks.csv whose last task id is 1.5) are
-# written by the test
+# (a model document of schema version "99"), the OVERFLOWING_DOCUMENTS and
+# tasks_fraction.csv (tasks.csv whose last task id is 1.5) are written by the test
 FRESH_PROCESS_EXITS = {
     "unknown_schema_version": (["ferm-predict", "--model", "model99.json", "--input", "{g}/cls.csv",
                                 "--schema", CLS_SCHEMA, "--scores-output", "s.csv"], 2, 'schema_version "99"'),
@@ -1028,6 +1039,20 @@ FRESH_PROCESS_EXITS = {
     # a ridge lambda * n beyond the float range, which numpy would also warn about
     "transfer_overflowing_lambda": (["mtl", "transfer", "--model", "{g}/mtl_rep.json", "--input", "{g}/task_new.csv",
                                      "--schema", NEW_TASK_SCHEMA, "--lambda", "1e308"], 3, "--lambda"),
+    "transfer_overflowing_representation": (["mtl", "transfer", "--model", "rep1e308.json", "--input",
+                                             "{g}/task_new.csv", "--schema", NEW_TASK_SCHEMA], 3,
+                                            "solver failure: the result holds NaN or infinity"),
+    # a subnormal ridge that only the rows without curvature are divided by
+    "rbf_subnormal_lambda": (["ferm-train", "--input", "{g}/cls.csv", "--schema", CLS_SCHEMA, "--kernel", "rbf",
+                              "--gamma", "0.1", "--lambda", "1e-320", *FERM_OUT], 0, ""),
+    # a penalty whose curvature 2 lambda overflows, and one just below whose Hessian's trace overflows
+    **{f"ferm_overflowing_lambda_{loss}_{kernel}": (
+        ["ferm-train", "--input", "{g}/cls.csv", "--schema", CLS_SCHEMA, "--loss", loss, "--kernel", kernel,
+         "--gamma", "0.1", "--lambda", "1e308", *FERM_OUT], 3,
+        "solver failure: twice --lambda 1e+308, the penalty's curvature, overflows")
+       for loss in ("logistic", "hinge") for kernel in ("linear", "rbf")},
+    "ferm_large_lambda": (["ferm-train", "--input", "{g}/cls.csv", "--schema", CLS_SCHEMA, "--loss", "logistic",
+                           "--lambda", "8e307", *FERM_OUT], 0, ""),
     "fractional_task_id": (["mtl", "train-rep", "--input", "tasks_fraction.csv", "--schema", MTL_SCHEMA], 2,
                            "task id 1.5 is not a whole number"),
     # a sensitive value whose replay overflows, which numpy would also warn about
@@ -1042,6 +1067,11 @@ FRESH_PROCESS_EXITS = {
     "correct_overflowing_a_bar": (["sem", "correct-scores", "--sem", "{g}/sem_fit.json",
                                    "--model", "{g}/sem_ferm.model.json", "--input", "{g}/sem_college.csv",
                                    "--schema", SEM_SCHEMA, "--a-bar", "1e308", "--scores-output", "c.csv"], 0, ""),
+    # a model whose scores overflow fails as in ferm-predict
+    "correct_overflowing_scores": (["sem", "correct-scores", "--sem", "{g}/sem_fit.json",
+                                    "--model", "sem_model1e308.json", "--input", "{g}/sem_college.csv",
+                                    "--schema", SEM_SCHEMA, "--scores-output", "c.csv"], 3,
+                                   "solver failure: the model's scores hold NaN or infinity"),
     # a model with no inputs, which crashed some solvers and fitted a constant in others
     **{f"ferm_no_inputs_{loss}_{kernel}": (
         ["ferm-train", "--input", "{g}/cls.csv", "--schema", NO_INPUTS_SCHEMA, "--loss", loss, "--kernel", kernel,
@@ -1065,9 +1095,10 @@ class TestFreshProcess:
         argv, code, shown = FRESH_PROCESS_EXITS[name]
         model = (GOLDEN / "ferm_logistic.model.json").read_text()
         (tmp_path / "model99.json").write_text(model.replace('"schema_version": "1"', '"schema_version": "99"'))
-        doc = json.loads(model)
-        doc["coef"] = [1e308] * len(doc["coef"])
-        (tmp_path / "model1e308.json").write_text(json.dumps(doc))
+        for document, (source, key) in OVERFLOWING_DOCUMENTS.items():
+            doc = json.loads((GOLDEN / source).read_text())
+            doc[key] = np.full(np.shape(doc[key]), 1e308).tolist()
+            (tmp_path / document).write_text(json.dumps(doc))
         tasks = (GOLDEN / "tasks.csv").read_text().splitlines()
         tasks[-1] = "1.5," + tasks[-1].split(",", 1)[1]
         (tmp_path / "tasks_fraction.csv").write_text("\n".join(tasks) + "\n")
@@ -1076,10 +1107,10 @@ class TestFreshProcess:
                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
         assert run.returncode == code, run.stderr
         assert shown in run.stderr
-        written = {"model99.json", "model1e308.json", "tasks_fraction.csv"}
-        if code == 0:  # a success warns nothing and writes its output
+        written = {"model99.json", "tasks_fraction.csv", *OVERFLOWING_DOCUMENTS}
+        if code == 0:  # a success warns nothing and writes its outputs
             assert run.stderr == ""
-            written.add(argv[argv.index("--scores-output") + 1])
+            written.update(value for option, value in zip(argv, argv[1:]) if option.endswith("-output"))
         elif code != 1:  # a usage error prints the usage after its line
             assert run.stderr.count("\n") == 1 and run.stderr.endswith("\n"), run.stderr
         assert {p.name for p in tmp_path.iterdir()} == written
