@@ -188,17 +188,12 @@ def _read_scores_csv(path):
 
 def cmd_metrics(args) -> int:
     groups, scores, outcome = _read_scores_csv(args.input)[1:]
-    outcome_kind = "regression"
-    if outcome is not None and set(np.unique(outcome)) <= {-1.0, 0.0, 1.0}:
-        outcome_kind = "classification"
-        outcome[outcome == 0.0] = -1.0  # 0/1 labels read as -1/+1
+    outcome_kind = "classification" if outcome is not None and ds._classification_labels(outcome) else "regression"
     scoreset = metrics.ScoreSet(scores=scores, group=ds.factorize(groups), outcome=outcome, threshold=args.threshold)
     del groups  # the report needs only the codes
     grid = None
     if args.grid_k and outcome is not None:
-        grid = ds.make_grid(ds.dataset_from_columns({"group": scoreset.group, "y": outcome},
-                                                    {"group": "sensitive", "y": "outcome"},
-                                                    outcome_kind=outcome_kind), args.grid_k, args.grid_q)
+        grid = ds.make_grid(outcome, scoreset.group, args.grid_k, args.grid_q)
     report = metrics.full_report(scoreset, grid=grid, bins=args.bins, outcome_kind=outcome_kind)
     _write_text(args.output, _report_doc("metrics", args.seed, report))
     return 0
@@ -263,7 +258,7 @@ def cmd_ferm_train(args) -> int:
         kernel=kernel,
         include_sensitive=args.use_sensitive,
     )
-    grid = ds.make_grid(data, args.grid_k, args.grid_q)
+    grid = ds.make_grid(data.outcome, data.sensitive, args.grid_k, args.grid_q)
     model = ferm.train_gferm(problem, data, grid)
     _write_text(args.model_output, _json_text(_model_to_json(model)))
     results = {
@@ -284,7 +279,7 @@ def cmd_ferm_train(args) -> int:
 
 def cmd_ferm_predict(args) -> int:
     model = _read_document(args.model, "model", _model_from_json)
-    data = _load_dataset(args)
+    data = ds.load_csv(args.input, _parse_schema(args.schema), outcome_kind="regression")  # the outcome is not read
     scores = model.predict_dataset(data)
     ds.write_table(args.scores_output, ["id", "group", "score"],
                    [np.arange(data.n_records), data.sensitive, np.asarray(scores, dtype=float)])
@@ -505,7 +500,6 @@ def build_parser() -> _Parser:
 
     p = _leaf(sub, "ferm-predict", cmd_ferm_predict, "score a dataset with a trained model",
               "--model", "--input", "--schema", "--scores-output")
-    p.add_argument("--outcome-kind", choices=list(ds.OUTCOME_KINDS), default="classification")
 
     sem = sub.add_parser("sem", help="structural equation model tooling").add_subparsers(
         dest="sem_command", required=True)

@@ -236,14 +236,13 @@ def _is_number(cell: str) -> bool:
     return True
 
 
-def _classification_labels(values: np.ndarray, name: str) -> np.ndarray:
-    got = np.unique(values).tolist()
-    if set(got) <= {-1.0, 1.0}:
-        return values
-    if set(got) <= {0.0, 1.0}:
-        return np.where(values > 0, 1.0, -1.0)
-    more = f" and {len(got) - 5} more" if len(got) > 5 else ""  # the first five of a continuous column
-    raise DatasetError(f"column {name!r}: classification labels must be in {{-1,+1}} or {{0,1}}, got {got[:5]}{more}")
+def _classification_labels(values: np.ndarray) -> bool:
+    """Whether ``values`` are class labels: all in {-1,+1}, or all in {0,1} with each 0 set to -1 in place."""
+    got = set(np.unique(values)[:3].tolist())
+    if not (got <= {-1.0, 1.0} or got <= {0.0, 1.0}):
+        return False
+    values[values == 0.0] = -1.0
+    return True
 
 
 def _check_missing(cells: Mapping[str, np.ndarray]) -> None:
@@ -425,8 +424,11 @@ def load_csv(path, schema: Mapping[str, str], outcome_kind: str = "regression") 
                     raise DatasetError(f"row {n + 2}, column {name!r}: task id {float(values[n])!r}"
                                        " is not a whole number in the int64 range")
                 values = values.astype(np.int64)
-            elif role == "outcome" and outcome_kind == "classification":
-                values = _classification_labels(values, name)
+            elif role == "outcome" and outcome_kind == "classification" and not _classification_labels(values):
+                got = np.unique(values).tolist()
+                more = f" and {len(got) - 5} more" if len(got) > 5 else ""  # the first five of a continuous column
+                raise DatasetError(f"column {name!r}: classification labels must be in {{-1,+1}} or {{0,1}},"
+                                   f" got {got[:5]}{more}")
             columns[name] = values
 
     spec = tuple(ColumnSpec(name, schema[name]) for name in header)
@@ -557,8 +559,8 @@ def _axis_edges(values: np.ndarray, bins: int, what: str) -> np.ndarray:
     return edges
 
 
-def make_grid(dataset: TabularDataset, k_bins: int, q_bins: int) -> DiscretizationGrid:
-    """Build a discretization grid over the outcome and sensitive values.
+def make_grid(outcome: np.ndarray, sensitive: np.ndarray, k_bins: int, q_bins: int) -> DiscretizationGrid:
+    """Build a discretization grid over the ``outcome`` and ``sensitive`` arrays of the records.
 
     Interior edges sit at empirical quantiles, the outer edges at the data
     minimum and just past the maximum, so the half-open cells cover every
@@ -570,8 +572,8 @@ def make_grid(dataset: TabularDataset, k_bins: int, q_bins: int) -> Discretizati
     if k_bins < 1 or q_bins < 1:
         raise DatasetError("k_bins and q_bins must be >= 1")
     return DiscretizationGrid(
-        _axis_edges(dataset.outcome, k_bins, "outcome"),
-        _axis_edges(dataset.sensitive, q_bins, "sensitive"),
+        _axis_edges(outcome, k_bins, "outcome"),
+        _axis_edges(sensitive, q_bins, "sensitive"),
     )
 
 

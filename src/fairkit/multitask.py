@@ -335,9 +335,9 @@ def train_representation(
     gaps: tuple[np.ndarray, ...] = ()
     basis = np.eye(d)
     if constraint != "none":
-        missing = tuple(i for i, t in enumerate(tasks) if np.unique(t.sensitive).size < 2)
-        if missing:
-            raise MtlError(f"tasks {missing} lack a sensitive group; their gap is undefined")
+        bad = tuple(i for i, t in enumerate(tasks) if np.unique(t.sensitive).size != 2)
+        if bad:
+            raise MtlError(f"tasks {bad} do not hold exactly two sensitive groups; their gap is undefined")
         gaps = tuple(conditional_mean_gap(t) for t in tasks)
     if constraint == "equality":
         basis = _null_basis(np.column_stack(gaps))
@@ -398,6 +398,8 @@ def transfer(model: RepresentationModel, task: Task, lam: float) -> TransferResu
     """
     if task.d != model.A.shape[0]:
         raise MtlError("feature dimension mismatch")
+    if not lam > 0:
+        raise MtlError("lam must be > 0")
     if np.allclose(task.features.var(axis=0), 0.0):
         raise MtlError("degenerate task: features have zero variance")
     if not np.isfinite(ridge := lam * task.n):

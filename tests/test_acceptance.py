@@ -182,7 +182,7 @@ def test_ac05_feasibility_and_fairness_trend():
         rng = np.random.default_rng(seed)
         train = planted_unfair_dataset(rng, 400)
         test = planted_unfair_dataset(rng, 2000)
-        grid = make_grid(train, 2, 2)
+        grid = make_grid(train.outcome, train.sensitive, 2, 2)
         for epsilon in (0.0, 0.05, 0.3):
             model = train_gferm(FairERMProblem(lam=1.0, epsilon=epsilon), train, grid)
             worst_violation = max(
@@ -190,7 +190,7 @@ def test_ac05_feasibility_and_fairness_trend():
             )
         fair = train_gferm(FairERMProblem(lam=1.0, epsilon=0.0), train, grid)
         free = train_gferm(FairERMProblem(lam=1.0, epsilon=None), train, grid)
-        test_grid = make_grid(test, 2, 2)
+        test_grid = make_grid(test.outcome, test.sensitive, 2, 2)
 
         def cell_metric(model):
             scores = ScoreSet(model.predict_dataset(test), test.sensitive, test.outcome)
@@ -301,7 +301,7 @@ def test_ac09_metric_reductions():
         data = dataset_from_columns(
             {"s": g, "y": y}, {"s": "sensitive", "y": "outcome"}, outcome_kind="classification"
         )
-        grid = make_grid(data, 2, 2)
+        grid = make_grid(data.outcome, data.sensitive, 2, 2)
         scores = ScoreSet(f, g, y, threshold=0.0)
         value = general_fairness_gap(scores, grid).value
         odds = equalized_odds_gaps(scores)

@@ -30,7 +30,7 @@ from fairkit.cli import (
     build_parser,
     main,
 )
-from fairkit.dataset import MAX_FEATURE_BYTES, dataset_from_columns, factorize, load_csv, make_grid, write_table
+from fairkit.dataset import MAX_FEATURE_BYTES, DatasetError, factorize, load_csv, make_grid, write_table
 from fairkit.metrics import ScoreSet, full_report
 from fairkit.multitask import RepresentationModel, tasks_from_dataset, train_representation
 from fairkit.transport import EmpiricalDistribution, geodesic_repair, wasserstein
@@ -526,6 +526,33 @@ class TestMetricsCommand:
             assert main(["metrics", "--input", str(path), *options, "--output", str(tmp_path / out)]) == 0
         assert (tmp_path / "binary.json").read_bytes() == (tmp_path / "signed.json").read_bytes()
 
+    @pytest.mark.parametrize("values", [(-1, 1), (0, 1), (1,), (0,), (-1, 0), (-1, 0, 1), (0, 2)],
+                             ids=lambda v: "y" + "_".join(map(str, v)))
+    def test_labels_are_read_as_load_csv_reads_them(self, tmp_path, capsys, values):
+        # metrics reads y as class labels exactly when load_csv takes it as a classification outcome
+        y = np.resize(np.array(values, dtype=float), 6)
+        group, scores = np.repeat([0.0, 1.0], 3), np.linspace(-0.9, 0.7, 6)
+        path = tmp_path / "s.csv"
+        write_table(path, ["id", "group", "score", "y"], [np.arange(6), group, scores, y])
+        schema = {"id": "ignore", "group": "sensitive", "score": "feature", "y": "outcome"}
+        try:
+            load_csv(path, schema, "classification")
+            labels = True
+        except DatasetError:
+            labels = False
+        assert labels == (set(values) <= {-1, 1} or set(values) <= {0, 1})
+        assert main(["metrics", "--input", str(path), "--grid-k", "1", "--grid-q", "2",
+                     "--output", str(tmp_path / "r.json")]) == 0
+        table = json.loads((tmp_path / "r.json").read_text())["results"]["loss_general_fairness_linear"]["table"]
+        loss = (1.0 - scores * np.where(y == 0.0, -1.0, y)) / 2.0 if labels else scores - y
+        np.testing.assert_allclose(table, [[loss[:3].mean(), loss[3:].mean()]], rtol=1e-15)
+        if not labels:  # and the classifier refuses the column in one line
+            assert main(["ferm-train", "--input", str(path), "--schema", json.dumps(schema),
+                         "--outcome-kind", "classification", "--output", str(tmp_path / "f.json")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: column 'y': classification labels must be in") and err.count("\n") == 1
+            assert not (tmp_path / "f.json").exists()
+
     def test_score_only_report(self, tmp_path):
         scores = write_scores(tmp_path / "s.csv", np.random.default_rng(1), with_outcome=False)
         out = tmp_path / "r.json"
@@ -646,8 +673,7 @@ class TestScorePathMemory:
     def test_full_report_builds_one_cell_layout(self, records):
         groups, scores, y = records
         scoreset = ScoreSet(scores=scores, group=factorize(groups), outcome=y, threshold=0.5)
-        grid = make_grid(dataset_from_columns({"g": scoreset.group, "y": y}, {"g": "sensitive", "y": "outcome"},
-                                              outcome_kind="classification"), 2, 32)
+        grid = make_grid(y, scoreset.group, 2, 32)
         report, peak = traced_peak(full_report, scoreset, grid)
         # a layout and its accuracy table built once, the codes used as floats without a copy and each
         # per-record pass built in one buffer: 4.8 MiB, where record-sized temporaries took 6.3 MiB
@@ -776,6 +802,11 @@ DATA_ERRORS = {
                       "constraint classes must be '+' or '-', got ['x']"),
     "train_rep_lambda_0": (["mtl", "train-rep", "--input", "{g}/tasks.csv", "--schema", MTL_SCHEMA, "--lambda", "0",
                             "--output", "r.json"], "lam must be > 0"),
+    "transfer_lambda_0": (["mtl", "transfer", "--model", "{g}/mtl_rep.json", "--input", "{g}/task_new.csv",
+                           "--schema", NEW_TASK_SCHEMA, "--lambda", "0", "--output", "r.json"], "lam must be > 0"),
+    "transfer_lambda_negative": (["mtl", "transfer", "--model", "{g}/mtl_rep.json", "--input", "{g}/task_new.csv",
+                                  "--schema", NEW_TASK_SCHEMA, "--lambda", "-1", "--output", "r.json"],
+                                 "lam must be > 0"),
     "relaxed_eps_0": (["mtl", "train-rep", "--input", "{g}/tasks.csv", "--schema", MTL_SCHEMA, "--mode", "relaxed",
                        "--eps", "0", "--output", "r.json"], "epsilon must be > 0"),
     "relaxed_without_penalty": (["mtl", "train-rep", "--input", "{g}/tasks.csv", "--schema", MTL_SCHEMA,
@@ -1202,7 +1233,7 @@ class TestFermCommands:
 
     def test_model_for_other_features_is_data_error(self, tmp_path, capsys):
         code = main(["ferm-predict", "--model", str(GOLDEN / "ferm_logistic.model.json"),
-                     "--input", str(GOLDEN / "sem_college.csv"), "--schema", SEM_SCHEMA, "--outcome-kind", "regression",
+                     "--input", str(GOLDEN / "sem_college.csv"), "--schema", SEM_SCHEMA,
                      "--scores-output", str(tmp_path / "s.csv")])
         assert code == 2
         assert capsys.readouterr().err == "error: the model takes 3 inputs per record, the data gives 2\n"
@@ -1320,8 +1351,7 @@ class TestSemCommands:
         data = ["--input", str(sample), "--schema", SEM_SCHEMA]
         assert main(["ferm-train", *data, "--outcome-kind", "regression", "--epsilon", "-1", "--use-sensitive",
                      "--model-output", str(model), "--output", str(tmp_path / "r.json")]) == 0
-        assert main(["ferm-predict", "--model", str(model), *data, "--outcome-kind", "regression",
-                     "--scores-output", str(predicted)]) == 0
+        assert main(["ferm-predict", "--model", str(model), *data, "--scores-output", str(predicted)]) == 0
         assert main(["sem", "correct-scores", "--sem", str(GOLDEN / "sem_fit.json"), "--model", str(model),
                      *data, "--scores-output", str(corrected)]) == 0
         with open(predicted) as fh, open(corrected) as gh:
@@ -1459,6 +1489,18 @@ class TestMtlCommands:
         results = json.loads(report.read_text(), parse_constant=refuse)["results"]
         assert results["fairness_diagnostic"] is None
         assert np.all(np.isfinite(results["coefficients"]))
+
+    def test_transfer_with_a_zero_representation(self, tmp_path):
+        # a representation of zeros has no direction to normalize: it is used as it is
+        doc = json.loads((GOLDEN / "mtl_rep.json").read_text())
+        doc["A"] = np.zeros_like(doc["A"]).tolist()
+        (tmp_path / "zero.json").write_text(json.dumps(doc))
+        report = tmp_path / "transfer.json"
+        assert main(["mtl", "transfer", "--model", str(tmp_path / "zero.json"), "--input", str(GOLDEN / "task_new.csv"),
+                     "--schema", NEW_TASK_SCHEMA, "--lambda", "0.1", "--output", str(report)]) == 0
+        results = json.loads(report.read_text())["results"]
+        assert results["fairness_diagnostic"] == 0.0
+        assert results["coefficients"] == [0.0] * len(doc["A"][0])
 
     def test_train_rep_document_round_trip(self, tmp_path):
         data, schema = write_multitask_csv(tmp_path / "tasks.csv", np.random.default_rng(9))
@@ -1619,7 +1661,7 @@ class TestDocumentRoundTrips:
     def test_kernel_model(self, kernel):
         data = load_csv(GOLDEN / "cls.csv", json.loads(CLS_SCHEMA), outcome_kind="classification")
         problem = ferm.FairERMProblem(loss="logistic", lam=0.5, epsilon=0.1, kernel=kernel)
-        model = ferm.train_gferm(problem, data, make_grid(data, 2, 2))
+        model = ferm.train_gferm(problem, data, make_grid(data.outcome, data.sensitive, 2, 2))
         text = _json_text(_model_to_json(model))
         read = _model_from_json(json.loads(text))
         assert _json_text(_model_to_json(read)) == text

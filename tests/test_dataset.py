@@ -449,14 +449,14 @@ def toy_dataset(y, s, **extra):
 class TestMakeGrid:
     def test_binary_binary_reproduces_half_unit_edges(self):
         data = toy_dataset([1, -1, 1, -1], [0, 1, 0, 1])
-        grid = make_grid(data, 2, 2)
+        grid = make_grid(data.outcome, data.sensitive, 2, 2)
         np.testing.assert_allclose(grid.y_edges, [-1.5, 0.0, 1.5])
         np.testing.assert_allclose(grid.s_edges, [-0.5, 0.5, 1.5])
 
     def test_single_bin_covers_everything(self):
         rng = np.random.default_rng(1)
         data = toy_dataset(rng.normal(size=50), rng.integers(0, 2, 50))
-        grid = make_grid(data, 1, 2)
+        grid = make_grid(data.outcome, data.sensitive, 1, 2)
         assert grid.n_y_bins == 1
         k, _ = grid.cell_of(data.outcome, data.sensitive)
         assert set(k) == {0}
@@ -465,13 +465,13 @@ class TestMakeGrid:
         rng = np.random.default_rng(2)
         y = rng.uniform(size=100)
         data = toy_dataset(y, rng.integers(0, 2, 100))
-        grid = make_grid(data, 4, 2)
+        grid = make_grid(data.outcome, data.sensitive, 4, 2)
         np.testing.assert_allclose(grid.y_edges[1:4], np.quantile(y, [0.25, 0.5, 0.75]))
 
     def test_too_few_distinct_values(self):
         data = toy_dataset([1, -1, 1, -1], [0, 1, 0, 1])
         with pytest.raises(DatasetError, match="distinct"):
-            make_grid(data, 3, 2)
+            make_grid(data.outcome, data.sensitive, 3, 2)
 
 
 class TestPartition:
@@ -479,12 +479,12 @@ class TestPartition:
 
     def test_four_singleton_cells(self):
         data = toy_dataset([1, 1, -1, -1], [0, 1, 0, 1])
-        _, counts = make_grid(data, 2, 2).cell_ids(data.outcome, data.sensitive)
+        _, counts = make_grid(data.outcome, data.sensitive, 2, 2).cell_ids(data.outcome, data.sensitive)
         assert counts.tolist() == [[1, 1], [1, 1]]
 
     def test_degenerate_single_cell(self):
         data = toy_dataset([1.0] * 5 + [2.0], [0.0] * 5 + [1.0])
-        cell, counts = make_grid(data, 1, 1).cell_ids(data.outcome, data.sensitive)
+        cell, counts = make_grid(data.outcome, data.sensitive, 1, 1).cell_ids(data.outcome, data.sensitive)
         assert counts.tolist() == [[6]]
         assert cell.tolist() == [0] * 6
 
@@ -493,7 +493,7 @@ class TestPartition:
         y = rng.normal(size=1000)
         s = rng.normal(size=1000)
         data = toy_dataset(y, s)
-        grid = make_grid(data, 3, 3)
+        grid = make_grid(data.outcome, data.sensitive, 3, 3)
         cell, counts = grid.cell_ids(data.outcome, data.sensitive)
         brute = np.zeros((3, 3), dtype=int)
         for yi, si in zip(y, s):
@@ -514,7 +514,7 @@ class TestPartition:
 
     def test_record_outside_grid(self):
         data = toy_dataset([0.0, 10.0], [0, 1])
-        grid = make_grid(toy_dataset([0.0, 1.0], [0, 1]), 2, 2)
+        grid = make_grid(np.array([0.0, 1.0]), np.array([0.0, 1.0]), 2, 2)
         with pytest.raises(DatasetError, match="outside the grid"):
             grid.cell_ids(data.outcome, data.sensitive)
 
@@ -557,7 +557,7 @@ PUBLIC_RAISES = {
                  "y_edges needs at least two entries"),
     "edges_not_increasing": (lambda: DiscretizationGrid(np.array([0.0, 0.0]), np.array([0.0, 1.0])),
                              "y_edges must be strictly increasing"),
-    "quantile_edges_collapse": (lambda: make_grid(roles_dataset({"g": [0] * 12, "y": [0] * 10 + [1, 2]}, GY), 2, 1),
+    "quantile_edges_collapse": (lambda: make_grid(np.array([0.0] * 10 + [1, 2]), np.zeros(12), 2, 1),
                                 "outcome: quantile edges collapse; use fewer bins"),
 }
 

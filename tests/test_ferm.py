@@ -57,7 +57,7 @@ def classification_dataset(rng, n=80, d=4, shift=1.5):
         roles[f"x{j}"] = "feature"
     data = dataset_from_columns(cols, roles, outcome_kind="classification")
     # make sure every (k, q) cell is populated
-    assert build_constraints(data, make_grid(data, 2, 2)).n_constraints == 2
+    assert build_constraints(data, make_grid(data.outcome, data.sensitive, 2, 2)).n_constraints == 2
     return data
 
 
@@ -104,7 +104,7 @@ class TestConstraintConstruction:
             {"s": "sensitive", "y": "outcome", "x": "feature"},
             outcome_kind="classification",
         )
-        cs = build_constraints(data, make_grid(data, 2, 3))
+        cs = build_constraints(data, make_grid(data.outcome, data.sensitive, 2, 3))
         assert cs.n_constraints == 6
         assert not cs.degenerate
 
@@ -114,13 +114,13 @@ class TestConstraintConstruction:
             {"s": np.zeros(10), "y": rng.normal(size=10), "x": rng.normal(size=10)},
             {"s": "sensitive", "y": "outcome", "x": "feature"},
         )
-        cs = build_constraints(data, make_grid(data, 2, 1))
+        cs = build_constraints(data, make_grid(data.outcome, data.sensitive, 2, 1))
         assert cs.degenerate and cs.n_constraints == 0
 
     def test_cell_weights_reproduce_mean_differences(self):
         rng = np.random.default_rng(2)
         data = classification_dataset(rng)
-        grid = make_grid(data, 2, 2)
+        grid = make_grid(data.outcome, data.sensitive, 2, 2)
         cs = build_constraints(data, grid)
         X = data.features
         A = cs.mean_differences(X)
@@ -284,7 +284,7 @@ class TestUnconstrainedAndEquality:
     def test_unconstrained_matches_ridge(self):
         rng = np.random.default_rng(5)
         data = classification_dataset(rng)
-        grid = make_grid(data, 2, 2)
+        grid = make_grid(data.outcome, data.sensitive, 2, 2)
         model = train_gferm(FairERMProblem(lam=0.7, epsilon=None), data, grid)
         X, y = data.features, data.outcome
         ridge = np.linalg.solve(X.T @ X + 0.7 * np.eye(X.shape[1]), X.T @ y)
@@ -307,7 +307,7 @@ class TestUnconstrainedAndEquality:
     def test_equality_mode_residual(self):
         rng = np.random.default_rng(6)
         data = classification_dataset(rng, n=120)
-        grid = make_grid(data, 2, 2)
+        grid = make_grid(data.outcome, data.sensitive, 2, 2)
         model = train_gferm(FairERMProblem(lam=0.5, epsilon=0.0), data, grid)
         assert model.constraint_report["achieved_l1"] <= 1e-8
 
@@ -315,7 +315,7 @@ class TestUnconstrainedAndEquality:
         # the linear-kernel dual route must reproduce primal predictions
         rng = np.random.default_rng(7)
         data = classification_dataset(rng, n=40)
-        grid = make_grid(data, 2, 2)
+        grid = make_grid(data.outcome, data.sensitive, 2, 2)
         cs = build_constraints(data, grid)
         X, y = data.features, data.outcome
         lam = 0.3
@@ -401,7 +401,7 @@ class TestKernelSquared:
             {"s": "sensitive", "y": "outcome", "x0": "feature", "x1": "feature"},
             outcome_kind="classification",
         )
-        grid = make_grid(data, 2, 2)
+        grid = make_grid(data.outcome, data.sensitive, 2, 2)
         problem = FairERMProblem(lam=1.0, epsilon=0.0, kernel=KernelSpec("rbf", gamma=0.1))
         base = train_gferm(problem, data, grid).dual_coef
         exact = ferm.kernel_matrix
@@ -588,7 +588,7 @@ class TestKernelWorkingSet:
         monkeypatch.setattr(ferm, "_KERNEL_BLOCK", 1 << 12)
         data = classification_dataset(np.random.default_rng(3), n=n, d=3)
         problem = FairERMProblem(loss="logistic", lam=0.1, epsilon=0.05, kernel=KernelSpec("rbf", gamma=0.5))
-        model, peak = traced_peak(train_gferm, problem, data, make_grid(data, 2, 2))
+        model, peak = traced_peak(train_gferm, problem, data, make_grid(data.outcome, data.sensitive, 2, 2))
         assert model.solver["iterations"] > 0
         # each step holds the lower block triangle of S K S + 2 lam I, blocks of kernel or
         # factor rows and O(n) vectors
@@ -618,7 +618,7 @@ class TestLinearWorkingSet:
         path = tmp_path / "reg.csv"
         write_table(path, ["s", "x0", "x1", "x2", "x3", "y"], [s, *X.T, X @ [1.0, -0.5, 0.25, 2.0] + s])
         data = load_csv(path, {"s": "sensitive", **{f"x{j}": "feature" for j in range(4)}, "y": "outcome"})
-        grid = make_grid(data, bins, bins)
+        grid = make_grid(data.outcome, data.sensitive, bins, bins)
         model, peak = traced_peak(train_gferm, FairERMProblem("squared", 1.0, 0.0), data, grid)
         assert model.constraint_report["achieved_l1"] <= 1e-10
         # cells, weights and scores: 4.1 n-vectors at 10 x 10 and 4.4 at 2 x 2, where a stacked
@@ -631,7 +631,7 @@ class TestBudgetedSolver:
     def test_squared_loss_matches_reference(self, epsilon):
         rng = np.random.default_rng(8)
         data = classification_dataset(rng, n=60)
-        grid = make_grid(data, 2, 2)
+        grid = make_grid(data.outcome, data.sensitive, 2, 2)
         model = train_gferm(FairERMProblem(lam=0.4, epsilon=epsilon), data, grid)
         assert model.constraint_report["achieved_l1"] <= epsilon + 1e-6
         cs = build_constraints(data, grid)
@@ -643,7 +643,7 @@ class TestBudgetedSolver:
     def test_hinge_loss_feasible_and_near_reference(self):
         rng = np.random.default_rng(9)
         data = classification_dataset(rng, n=50)
-        grid = make_grid(data, 2, 2)
+        grid = make_grid(data.outcome, data.sensitive, 2, 2)
         model = train_gferm(
             FairERMProblem(loss="hinge", lam=0.5, epsilon=0.1), data, grid, max_iter=20_000
         )
@@ -657,7 +657,7 @@ class TestBudgetedSolver:
     def test_logistic_loss_runs_and_is_feasible(self):
         rng = np.random.default_rng(10)
         data = classification_dataset(rng, n=50)
-        grid = make_grid(data, 2, 2)
+        grid = make_grid(data.outcome, data.sensitive, 2, 2)
         model = train_gferm(
             FairERMProblem(loss="logistic", lam=0.5, epsilon=0.1), data, grid, max_iter=5000
         )
@@ -674,7 +674,7 @@ class TestBudgetedSolver:
             {"s": s, "y": y, **{f"x{j}": X[:, j] for j in range(4)}},
             {"s": "sensitive", "y": "outcome", **{f"x{j}": "feature" for j in range(4)}},
         )
-        grid = make_grid(data, 10, 10)
+        grid = make_grid(data.outcome, data.sensitive, 10, 10)
         A = build_constraints(data, grid).mean_differences(X)
         assert A.shape == (4, 450)
         # the 450 equalities leave only beta = 0 at a zero budget
@@ -689,7 +689,7 @@ class TestBudgetedSolver:
 
     def test_benchmark_geometry_not_above_feasible_points(self):
         data = benchmark_classification(137)
-        grid = make_grid(data, 2, 2)
+        grid = make_grid(data.outcome, data.sensitive, 2, 2)
         X, y = data.features, data.outcome
         A = build_constraints(data, grid).mean_differences(X)
         cosine = A[:, 0] @ A[:, 1] / np.linalg.norm(A, axis=0).prod()
@@ -706,7 +706,7 @@ class TestBudgetedSolver:
     def test_newton_step_cap_raises(self, loss):
         rng = np.random.default_rng(10)
         data = classification_dataset(rng, n=50)
-        grid = make_grid(data, 2, 2)
+        grid = make_grid(data.outcome, data.sensitive, 2, 2)
         with pytest.raises(SolverError, match="did not converge within max_iter=1"):
             train_gferm(FairERMProblem(loss=loss, lam=0.5, epsilon=0.1), data, grid, max_iter=1)
 
@@ -716,7 +716,7 @@ class TestBudgetedSolver:
         # flat but for the 1e-300 ridge, and its curvature is floored
         rng = np.random.default_rng(9)
         data = classification_dataset(rng, n=50)
-        grid = make_grid(data, 2, 2)
+        grid = make_grid(data.outcome, data.sensitive, 2, 2)
         model = train_gferm(FairERMProblem(loss="hinge", lam=1e-300, epsilon=epsilon), data, grid)
         assert np.all(np.isfinite(model.coef))
         X, y = data.features, data.outcome
@@ -737,7 +737,7 @@ class TestBudgetedSolver:
     def test_vanishing_ridge_rbf_newton_converges(self, loss, epsilon):
         # below the rounding level of S K S the ridge of the Newton model is floored
         data = golden_classification()
-        grid = make_grid(data, 2, 2)
+        grid = make_grid(data.outcome, data.sensitive, 2, 2)
         model = train_gferm(FairERMProblem(loss, 1e-300, epsilon, KernelSpec("rbf", gamma=0.5)), data, grid)
         assert np.all(np.isfinite(model.dual_coef))
         assert epsilon is None or model.constraint_report["achieved_l1"] <= epsilon + 1e-9
@@ -749,7 +749,7 @@ class TestBudgetedSolver:
         # budget, so it is the optimum; a solver that drops the directions where K^2 + lambda K
         # is below n eps times its largest eigenvalue stops far above it (2.92 against 1.06)
         data = golden_classification()
-        grid = make_grid(data, 2, 2)
+        grid = make_grid(data.outcome, data.sensitive, 2, 2)
         spec, y = KernelSpec("rbf", gamma=0.5), data.outcome
         model = train_gferm(FairERMProblem(lam=1e-6, epsilon=0.05, kernel=spec), data, grid)
         K = kernel_matrix(spec, data.features)
@@ -761,7 +761,7 @@ class TestBudgetedSolver:
     def test_solver_trace(self):
         rng = np.random.default_rng(10)
         data = classification_dataset(rng, n=50)
-        grid = make_grid(data, 2, 2)
+        grid = make_grid(data.outcome, data.sensitive, 2, 2)
         for epsilon in (0.0, 0.1, None):
             model = train_gferm(FairERMProblem(lam=0.5, epsilon=epsilon), data, grid)
             assert model.solver == {"iterations": 0, "stop_reason": "closed_form"}
@@ -775,7 +775,7 @@ class TestBudgetedSolver:
     def test_risk_non_increasing_in_budget(self):
         rng = np.random.default_rng(11)
         data = classification_dataset(rng, n=60)
-        grid = make_grid(data, 2, 2)
+        grid = make_grid(data.outcome, data.sensitive, 2, 2)
         X, y = data.features, data.outcome
         risks = []
         for eps in (0.0, 0.05, 0.2, 0.5, None):
@@ -787,7 +787,7 @@ class TestBudgetedSolver:
     def test_stored_objective_reproducible(self):
         rng = np.random.default_rng(22)
         data = classification_dataset(rng, n=50)
-        grid = make_grid(data, 2, 2)
+        grid = make_grid(data.outcome, data.sensitive, 2, 2)
         for spec in (KernelSpec(), KernelSpec("rbf", gamma=0.3)):
             model = train_gferm(FairERMProblem(lam=0.4, epsilon=0.1, kernel=spec), data, grid)
             f = model.predict_dataset(data)
@@ -802,7 +802,7 @@ class TestBudgetedSolver:
     def test_rbf_kernel_feasibility(self):
         rng = np.random.default_rng(12)
         data = classification_dataset(rng, n=40)
-        grid = make_grid(data, 2, 2)
+        grid = make_grid(data.outcome, data.sensitive, 2, 2)
         model = train_gferm(
             FairERMProblem(lam=0.5, epsilon=0.0, kernel=KernelSpec("rbf", gamma=0.5)),
             data,
@@ -917,7 +917,7 @@ class TestSurrogateGap:
     def test_constrained_model_shrinks_gap_components(self):
         rng = np.random.default_rng(20)
         data = classification_dataset(rng, n=150)
-        grid = make_grid(data, 2, 2)
+        grid = make_grid(data.outcome, data.sensitive, 2, 2)
         fair = train_gferm(FairERMProblem(lam=0.5, epsilon=0.0), data, grid)
         scores = ScoreSet(fair.predict_dataset(data), data.sensitive, data.outcome)
         linear = loss_general_fairness_gap(scores, grid, loss="linear")
@@ -986,7 +986,8 @@ PUBLIC_RAISES = {
     "non_finite_coef": (lambda: linear_model([np.nan]), "model coefficients and training inputs must be finite"),
     "regression_outcome": (lambda: train_ferm_binary(three_groups("regression")),
                            "binary training needs a classification outcome"),
-    "no_inputs": (lambda: train_gferm(FairERMProblem(), three_groups(x="ignore"), make_grid(three_groups(), 2, 1)),
+    "no_inputs": (lambda: train_gferm(FairERMProblem(), three_groups(x="ignore"),
+                                      make_grid(three_groups().outcome, three_groups().sensitive, 2, 1)),
                   "the model has no inputs: declare a feature column or pass --use-sensitive"),
 }
 

@@ -26,7 +26,7 @@ def binary_grid(y, s):
         {"s": "sensitive", "y": "outcome"},
         outcome_kind="classification",
     )
-    return make_grid(data, 2, 2)
+    return make_grid(data.outcome, data.sensitive, 2, 2)
 
 
 class TestDemographicParity:
@@ -226,7 +226,7 @@ class TestGeneralFairness:
         data = dataset_from_columns(
             {"s": g, "y": y}, {"s": "sensitive", "y": "outcome"}, outcome_kind="regression"
         )
-        grid = make_grid(data, 3, 3)
+        grid = make_grid(data.outcome, data.sensitive, 3, 3)
         scores = ScoreSet(f, g, y)
         mine = general_fairness_gap(scores, grid)
         oracle_value, oracle_table, _ = cell_metric_double_loop(
@@ -271,7 +271,7 @@ class TestLossGeneralFairness:
         data = dataset_from_columns(
             {"s": g, "y": y}, {"s": "sensitive", "y": "outcome"}, outcome_kind="regression"
         )
-        grid = make_grid(data, 1, 2)
+        grid = make_grid(data.outcome, data.sensitive, 1, 2)
         result = loss_general_fairness_gap(
             ScoreSet(f, g, y), grid, loss="linear", outcome_kind="regression"
         )
@@ -339,8 +339,7 @@ class TestFullReport:
         assert json.loads(doc)["general_fairness"]["value"] >= 0.0
 
 
-EDGES = make_grid(dataset_from_columns({"s": np.array([0.0, 1.0]), "y": np.array([-1.0, 1.0])},
-                                       {"s": "sensitive", "y": "outcome"}), 2, 2)
+EDGES = make_grid(np.array([-1.0, 1.0]), np.array([0.0, 1.0]), 2, 2)
 
 # each raise of the public API a caller can reach, with its message
 PUBLIC_RAISES = {

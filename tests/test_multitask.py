@@ -312,9 +312,9 @@ class TestTrainRepresentation:
 
     def test_missing_group_task_rejected(self):
         rng = np.random.default_rng(8)
-        bad = Task(np.zeros(10), rng.normal(size=(10, 3)), rng.normal(size=10))
-        data = MultiTaskDataset((bad,))
-        with pytest.raises(MtlError, match="lack"):
+        one, two, three = (Task(np.arange(10) % k, rng.normal(size=(10, 3)), rng.normal(size=10)) for k in (1, 2, 3))
+        data = MultiTaskDataset((one, two, three))
+        with pytest.raises(MtlError, match=r"^tasks \(0, 2\) do not hold exactly two sensitive groups"):
             train_representation(data, r=1, lam=0.1, constraint="equality")
 
     @pytest.mark.parametrize("r", [0, 11])
