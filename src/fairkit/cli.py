@@ -364,14 +364,23 @@ def cmd_sem_counterfactual(args) -> int:
 
 
 def cmd_sem_correct_scores(args) -> int:
+    """Write each record's observed and corrected score.
+
+    The moved inputs are abducted, replayed and scored ``causal._MC_BLOCK``
+    records at a time into one corrected column, so the working set is the
+    loaded data, its two score columns and a few blocks.
+    """
     sem = _resolve_sem(args)
     paths = _paths(args, sem)
     model = _read_document(args.model, "model", _model_from_json)
     data = ds.load_csv(args.input, _parse_schema(args.schema), outcome_kind="regression")
-    cols = {c.name: data.columns[c.name] for c in data.schema if c.role != "ignore"}
-    # the moved inputs are held only while the model scores them, not while the scores are written
-    corrected = model.predict_dataset(dataclasses.replace(
-        data, columns={**data.columns, **causal.counterfactual_inputs(sem, cols, paths, args.a_bar)}))
+    names = [c.name for c in data.schema if c.role != "ignore"]
+    corrected = np.empty(data.n_records)
+    for start in range(0, data.n_records, causal._MC_BLOCK):
+        rows = slice(start, start + causal._MC_BLOCK)
+        block = {name: values[rows] for name, values in data.columns.items()}
+        block.update(causal.counterfactual_inputs(sem, {name: block[name] for name in names}, paths, args.a_bar))
+        corrected[rows] = model.predict_dataset(dataclasses.replace(data, columns=block))
     ds.write_table(args.scores_output, ["id", "group", "score", "corrected_score"],
                    [np.arange(data.n_records), data.sensitive, model.predict_dataset(data), corrected])
     return 0
@@ -389,9 +398,9 @@ def _rep_from_json(doc: dict) -> multitask.RepresentationModel:
 def cmd_mtl_train_rep(args) -> int:
     if args.eps is not None and args.mode != "relaxed":
         raise UsageError(f"mtl train-rep: --eps applies to --mode relaxed only, not {args.mode}")
-    tasks = multitask.tasks_from_dataset(_load_dataset(args))
+    # no name holds the tasks, so train_representation frees the rows before it loads numpy.random
     model = multitask.train_representation(
-        tasks, r=args.r, lam=args.lam, constraint=args.mode,
+        multitask.tasks_from_dataset(_load_dataset(args)), r=args.r, lam=args.lam, constraint=args.mode,
         penalty=args.penalty, epsilon=args.eps, seed=args.seed,
     )
     _write_text(args.output, _json_text(_rep_to_json(model)))

@@ -98,8 +98,8 @@ class TabularDataset:
         if self.n_records == 0:
             raise DatasetError("dataset has no records")
         if self.outcome_kind == "classification":
-            y = self.outcome
-            if not set(np.unique(y)) <= {-1.0, 1.0}:
+            y = self.outcome  # compared elementwise: a sort would copy the whole column
+            if not ((y == 1.0) | (y == -1.0)).all():
                 raise DatasetError("classification outcomes must be in {-1, +1}")
 
     def _column_by_role(self, role: str) -> str:
@@ -542,14 +542,28 @@ class DiscretizationGrid:
 
 
 def _axis_edges(values: np.ndarray, bins: int, what: str) -> np.ndarray:
-    distinct = np.unique(values)
-    if distinct.size < bins:
-        raise DatasetError(f"{what}: {distinct.size} distinct values cannot fill {bins} bins")
-    if distinct.size == bins:
+    """Edges of one grid axis (see `make_grid`), from one sorted copy of ``values`` at a time.
+
+    The copy is sorted as `np.unique` sorts, and a run of equal values starts
+    with the value `np.unique` keeps, so the distinct count and the outer
+    edges are its.  The quantiles are taken from ``values`` once the copy is
+    freed: partitioning the sorted copy can give a zero edge the other sign
+    where -0.0 and 0.0 are mixed.
+    """
+    ordered = np.sort(values)
+    starts = np.empty(ordered.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    count = int(np.count_nonzero(starts))
+    if count < bins:
+        raise DatasetError(f"{what}: {count} distinct values cannot fill {bins} bins")
+    if count == bins:
         # discrete axis: cut at midpoints, pad the outside by half a unit
+        distinct = ordered[starts]
         inner = (distinct[:-1] + distinct[1:]) / 2.0
         return np.concatenate(([distinct[0] - 0.5], inner, [distinct[-1] + 0.5]))
-    lo, hi = float(distinct[0]), float(np.nextafter(distinct[-1], np.inf))
+    lo, hi = float(ordered[0]), float(np.nextafter(ordered[-1], np.inf))  # a run's values are equal
+    del ordered, starts
     if bins == 1:
         return np.array([lo, hi])
     inner = np.quantile(values, np.arange(1, bins) / bins)

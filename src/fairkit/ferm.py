@@ -246,9 +246,12 @@ class _Objective:
         self.D, self.y, self.R, self.loss, self.delta = D, y, R, loss, delta
 
     def value(self, beta: np.ndarray, f: np.ndarray | None = None) -> float:
-        f = self.D @ beta if f is None else f
+        given = f is not None
+        f = f if given else self.D @ beta
         if self.loss == "squared":
-            data = np.sum((f - self.y) ** 2)
+            # one n-sized buffer: the residual overwrites scores made here, never the caller's
+            residual = np.subtract(f, self.y, out=None if given else f)
+            data = np.sum(np.square(residual, out=residual))
         elif self.loss == "hinge":
             r = 1.0 - self.y * f
             if self.delta > 0:

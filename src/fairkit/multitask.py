@@ -310,10 +310,16 @@ def train_representation(
     non-increasing throughout (asserted).  The loop sees the data only
     through each task's (X^T X, X^T y, y^T y, n), computed once, so an
     alternation costs O(T r^2 d^2 + r^3 d^3) whatever the number of rows.
-    Equality mode parametrizes A on an orthonormal basis of the joint
-    orthogonal complement of the task gap vectors, which makes
-    A^T c(tau_t) = 0 hold to machine precision; relaxed mode adds the
-    quadratic penalty (penalty / T) sum_t ||A^T c(tau_t)||^2 instead.
+    The rows are read only for those statistics and the gap vectors, and
+    ``data`` is dropped before the random start A is drawn: when the caller
+    passes the only reference, as ``mtl train-rep`` does (Python 3.11 and
+    later hand it to the callee; 3.10 keeps it on the caller's stack), the
+    rows are freed before ``numpy.random`` first loads, and the working set
+    from there on is T d x d statistics.  Equality mode parametrizes A on
+    an orthonormal basis of the joint orthogonal complement of the task gap
+    vectors, which makes A^T c(tau_t) = 0 hold to machine precision;
+    relaxed mode adds the quadratic penalty (penalty / T) sum_t
+    ||A^T c(tau_t)||^2 instead.
     Passing ``epsilon`` (relaxed mode only) escalates the penalty tenfold,
     retraining from the same start, until the mean squared alignment
     (1/T) sum_t ||A^T c(tau_t)||^2 drops to the tolerance; the result is
@@ -350,12 +356,13 @@ def train_representation(
         raise MtlError("relaxed mode needs a positive penalty")
 
     stats = _task_stats(tasks)
+    del data, tasks  # the rows are freed here, before np.random loads, when no caller holds them
     gap_outer = sum(np.outer(c, c) for c in gaps)
     rng = np.random.default_rng(seed)
     A0 = basis @ basis.T @ np.linalg.qr(rng.standard_normal((d, r)))[0][:, :r]  # start feasible
 
     def fit(weight):
-        penalty_matrix = None if weight is None else (weight / len(tasks)) * gap_outer
+        penalty_matrix = None if weight is None else (weight / len(stats)) * gap_outer
         A, B, history, trace = _alternate(stats, A0, lam, basis, penalty_matrix, max_iter, tol)
         return RepresentationModel(
             A=A,

@@ -12,7 +12,8 @@ equality-constrained quadratics (the common-mean multitask fit among them)
 by least squares on their dense KKT system, and L1-ball constrained ones
 by one such system per face of the ball.
 The CSV loader is the row-at-a-time loop (csv.reader, one Python ``float``
-per cell) that the bulk reader replaced.
+per cell) that the bulk reader replaced, and a grid axis's edges come from
+``np.unique`` and ``np.quantile`` over the values, each with a copy of its own.
 """
 
 from __future__ import annotations
@@ -529,3 +530,29 @@ def reference_load_csv(path, schema, outcome_kind="regression"):
                     f"column {name!r}: classification labels must be in {{-1,+1}} or {{0,1}}, got {got[:5]}{more}")
         columns[name] = values
     return header, columns, categories
+
+
+class ReferenceGridError(ValueError):
+    """An axis the reference grid rejects; the message is the one the library gives."""
+
+
+def reference_axis_edges(values, bins: int, what: str) -> np.ndarray:
+    """One grid axis's edges from ``np.unique`` and ``np.quantile``, or ReferenceGridError.
+
+    As many distinct values as bins cut at midpoints padded by half a unit;
+    otherwise the minimum, the interior quantiles and the float just past
+    the maximum, which must increase strictly.
+    """
+    distinct = np.unique(values)
+    if distinct.size < bins:
+        raise ReferenceGridError(f"{what}: {distinct.size} distinct values cannot fill {bins} bins")
+    if distinct.size == bins:
+        inner = (distinct[:-1] + distinct[1:]) / 2.0
+        return np.concatenate(([distinct[0] - 0.5], inner, [distinct[-1] + 0.5]))
+    lo, hi = float(distinct[0]), float(np.nextafter(distinct[-1], np.inf))
+    if bins == 1:
+        return np.array([lo, hi])
+    edges = np.concatenate(([lo], np.quantile(values, np.arange(1, bins) / bins), [hi]))
+    if not np.all(np.diff(edges) > 0):
+        raise ReferenceGridError(f"{what}: quantile edges collapse; use fewer bins")
+    return edges

@@ -11,6 +11,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import fairkit
-from fairkit import causal, ferm
+from fairkit import causal, ferm, multitask
 from fairkit.cli import (
     _json_text,
     _model_from_json,
@@ -1357,6 +1358,32 @@ class TestSemCommands:
         with open(predicted) as fh, open(corrected) as gh:
             assert [r["score"] for r in csv.DictReader(fh)] == [r["score"] for r in csv.DictReader(gh)]
 
+    @pytest.mark.parametrize("model_options", [
+        ["--use-sensitive"],
+        ["--kernel", "rbf", "--gamma", "0.5"],
+    ], ids=["linear", "rbf"])
+    def test_correct_scores_in_blocks_give_the_bytes_of_one_block(self, tmp_path, monkeypatch, model_options):
+        train, sample, model = tmp_path / "train.csv", tmp_path / "sample.csv", tmp_path / "m.json"
+        assert main(["sem", "sample", "--scenario", "college", "--n", "300", "--seed", "2",
+                     "--scores-output", str(train)]) == 0
+        # 1,000 records: seven blocks of 128 and a last one of 104 below, one block of 16,384 otherwise
+        assert main(["sem", "sample", "--scenario", "college", "--n", "1000", "--seed", "3",
+                     "--scores-output", str(sample)]) == 0
+        assert main(["ferm-train", "--input", str(train), "--schema", SEM_SCHEMA, "--outcome-kind", "regression",
+                     "--epsilon", "-1", *model_options, "--model-output", str(model),
+                     "--output", str(tmp_path / "r.json")]) == 0
+        argv = ["sem", "correct-scores", "--scenario", "college", "--model", str(model),
+                "--input", str(sample), "--schema", SEM_SCHEMA, "--scores-output"]
+        assert main([*argv, str(tmp_path / "whole.csv")]) == 0
+        monkeypatch.setattr(causal, "_MC_BLOCK", 128)
+        assert main([*argv, str(tmp_path / "blocks.csv")]) == 0
+        whole = (tmp_path / "whole.csv").read_bytes()
+        assert (tmp_path / "blocks.csv").read_bytes() == whole
+        with open(tmp_path / "whole.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        moved = [r["group"] for r in rows if r["score"] != r["corrected_score"]]
+        assert len(rows) == 1000 and len(moved) > 300 and set(moved) == {"0.0"}  # --a-bar 1 moves A = 0 only
+
     def test_requires_scenario_or_model(self):
         assert main(["sem", "pse"]) == 1
 
@@ -1409,6 +1436,100 @@ class TestSemCommands:
         schema = json.dumps({"A": "sensitive", "Q": "feature", "D": "feature", "Y": "outcome"})
         assert main(["sem", "fit", "--scenario", "college", "--input", str(sample), "--schema", schema]) == 2
         assert capsys.readouterr().err == "error: not a UTF-8 text file: cannot decode byte 0xff\n"
+
+
+ARGUMENTS_ON_CALLERS_STACK = pytest.mark.skipif(
+    sys.version_info < (3, 11), reason="Python 3.10 keeps a call's arguments alive on the caller's stack until the"
+    " call returns, so train_representation cannot free the rows mtl train-rep passes it")
+
+
+class TestCausalMultitaskMemory:
+    """Traced peaks of the commands that set the causal_multitask benchmark's peak: each holds its data
+    plus a fixed number of blocks.
+
+    The sample has 100,000 records (A, Q, D, Y: 3.05 MiB loaded), the tasks file 4 tasks of 10,000
+    records with 20 features (task, group, features and outcome: 7.02 MiB loaded).  A block is
+    ``causal._MC_BLOCK`` = 16,384 float64 values, 128 KiB.
+    """
+
+    N, T, ROWS, D = 100_000, 4, 10_000, 20
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("causal_memory")
+        assert main(["sem", "sample", "--scenario", "college", "--n", str(self.N), "--seed", "1",
+                     "--scores-output", str(out / "sample.csv")]) == 0
+        assert main(["ferm-train", "--input", str(out / "sample.csv"), "--schema", SEM_SCHEMA,
+                     "--outcome-kind", "regression", "--epsilon", "0",
+                     "--model-output", str(out / "model.json"), "--output", str(out / "ferm.json")]) == 0
+        rng = np.random.default_rng(4)
+        n = self.T * self.ROWS
+        group = (rng.random(n) < 0.5).astype(float)
+        X = rng.standard_normal((n, self.D))
+        X[:, 0] += group
+        write_table(out / "tasks.csv", ["t", "g", *(f"x{j}" for j in range(self.D)), "y"],
+                    [np.repeat(np.arange(self.T), self.ROWS), group, *X.T, X @ rng.standard_normal(self.D)])
+        return out
+
+    def tasks_argv(self, files):
+        schema = {"t": "task", "g": "sensitive", **{f"x{j}": "feature" for j in range(self.D)}, "y": "outcome"}
+        return ["mtl", "train-rep", "--input", str(files / "tasks.csv"), "--schema", json.dumps(schema),
+                "--r", "5", "--output", str(files / "rep.json")]
+
+    # importing numpy.random adds about 6 MiB to a fresh process's RSS, out of tracemalloc's sight; an
+    # allocation of that size where np.random.default_rng is called stands in for it
+    NUMPY_RANDOM_MIB = 6.0
+
+    @pytest.mark.parametrize("command, bound_mib", [
+        # 7.74 MiB: the loaded table and the reader's 512-row text blocks, then the stand-in for numpy.random
+        # over T d x d statistics; holding the rows while numpy.random loaded took 12.85 MiB
+        pytest.param("train-rep", 7.02 + 1.0, marks=ARGUMENTS_ON_CALLERS_STACK),
+        # 5.74 MiB: the sample, the three written columns (ids, scores, corrected scores: 2.29 MiB)
+        # and about 3 blocks, where six whole-column replay temporaries took 7.76 MiB
+        ("correct-scores", 3.05 + 2.29 + 6 * 0.125),
+        # 5.56 MiB: the sample, the constraint system's cell ids and weights (1.53 MiB) and one n-row column
+        # (0.76 MiB: the scores, overwritten by their squared residuals, or mean_differences' sort order) with
+        # a cell's gathers; the residuals and their squares in buffers of their own took 6.23 MiB.  32 outcome
+        # bins keep each cell's gather below that column.
+        ("ferm-train", 3.05 + 1.53 + 1.3),
+    ])
+    def test_command_peak(self, files, monkeypatch, command, bound_mib):
+        sample = ["--input", str(files / "sample.csv"), "--schema", SEM_SCHEMA]
+        argv = {
+            "train-rep": self.tasks_argv(files),
+            "correct-scores": ["sem", "correct-scores", "--scenario", "college", "--model",
+                               str(files / "model.json"), *sample, "--scores-output", str(files / "c.csv")],
+            "ferm-train": ["ferm-train", *sample, "--outcome-kind", "regression", "--epsilon", "0", "--grid-k", "32",
+                           "--model-output", str(files / "m.json"), "--output", str(files / "r.json")],
+        }[command]
+        default_rng = np.random.default_rng
+
+        def rng(seed):
+            numpy_random = bytearray(int(self.NUMPY_RANDOM_MIB * 2**20))  # noqa: F841 (held through the call)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", rng)
+        code, peak = traced_peak(main, argv)
+        assert code == 0
+        assert peak < bound_mib * 2**20
+
+    @ARGUMENTS_ON_CALLERS_STACK
+    def test_train_rep_frees_rows_before_numpy_random(self, files, monkeypatch):
+        blocks, alive = [], []
+        split, default_rng = multitask.tasks_from_dataset, np.random.default_rng
+
+        def tasks_from_dataset(dataset):
+            blocks.append(weakref.ref(dataset.features.base))  # the loaded feature block
+            return split(dataset)
+
+        def rng(seed):
+            alive.append(blocks[0]() is not None)
+            return default_rng(seed)
+
+        monkeypatch.setattr(multitask, "tasks_from_dataset", tasks_from_dataset)
+        monkeypatch.setattr(np.random, "default_rng", rng)
+        assert main(self.tasks_argv(files)) == 0
+        assert alive == [False]
 
 
 def write_multitask_csv(path, rng, T=3, n=60, d=4):

@@ -19,7 +19,7 @@ from fairkit.dataset import (
     read_table,
     write_table,
 )
-from oracles import ReferenceCsvError, reference_load_csv
+from oracles import ReferenceCsvError, ReferenceGridError, reference_axis_edges, reference_load_csv
 from test_ferm import traced_peak
 
 
@@ -473,6 +473,39 @@ class TestMakeGrid:
         with pytest.raises(DatasetError, match="distinct"):
             make_grid(data.outcome, data.sensitive, 3, 2)
 
+    @settings(max_examples=400, deadline=None)
+    @given(
+        values=st.lists(st.one_of(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0]),
+                                  st.floats(-1e6, 1e6, allow_nan=False)), min_size=1, max_size=60),
+        bins=st.integers(1, 6),
+        stride=st.integers(1, 2),
+    )
+    @example(values=[0.0, -0.0, 1.0], bins=2, stride=1)  # discrete: as many distinct values as bins
+    @example(values=[-0.0, 0.0, 1.0, 2.0], bins=1, stride=1)  # one bin from a zero of either sign
+    @example(values=[0.0] * 10 + [1.0, 2.0], bins=2, stride=1)  # the quantiles collapse
+    @example(values=[-1.0, -0.0, 0.0, 0.0, -0.0, 2.0, 3.0], bins=3, stride=1)  # a zero quantile
+    def test_axis_edges_match_unique_and_quantile(self, values, bins, stride):
+        values = np.array(values)[::stride]
+        kept = values.copy()
+        try:
+            expected = reference_axis_edges(values, bins, "outcome")
+        except ReferenceGridError as exc:
+            with pytest.raises(DatasetError) as caught:
+                dataset._axis_edges(values, bins, "outcome")
+            assert str(caught.value) == str(exc)
+        else:
+            assert dataset._axis_edges(values, bins, "outcome").tobytes() == expected.tobytes()  # signs of zero too
+        assert values.tobytes() == kept.tobytes()
+
+    def test_axis_edges_hold_one_copy_of_the_values(self):
+        y = np.random.default_rng(3).standard_normal(200_000)
+        make_grid(y[:10], np.zeros(10), 4, 1)  # np.quantile's first call imports numpy.ma
+        grid, peak = traced_peak(make_grid, y, np.zeros(y.size), 4, 1)
+        # one sorted copy of the outcome and its run-start mask, 1.7 MiB; np.unique's copy, its mask
+        # and its distinct values with np.quantile's copy took 3.2 MiB
+        assert peak < 1.2 * y.nbytes
+        assert grid.n_y_bins == 4
+
 
 class TestPartition:
     """``DiscretizationGrid.cell_ids``: each record's flat cell k * Q + q and the cell counts."""
@@ -560,6 +593,19 @@ PUBLIC_RAISES = {
     "quantile_edges_collapse": (lambda: make_grid(np.array([0.0] * 10 + [1, 2]), np.zeros(12), 2, 1),
                                 "outcome: quantile edges collapse; use fewer bins"),
 }
+
+
+@pytest.mark.parametrize("y", [[1, 0], [1, 0.5], [-1, 2], [1, np.nan], [-1.0, -0.0]])
+def test_classification_outcomes_are_checked_without_a_sort(monkeypatch, y):
+    def no_sort(*args, **kwargs):
+        raise AssertionError("the label check sorted the outcome")
+
+    monkeypatch.setattr(np, "unique", no_sort)
+    monkeypatch.setattr(np, "sort", no_sort)
+    assert roles_dataset({"g": [0, 1], "y": [1, -1]}, GY, "classification").n_records == 2
+    with pytest.raises(DatasetError) as caught:
+        roles_dataset({"g": [0, 1], "y": y}, GY, "classification")
+    assert str(caught.value) == "classification outcomes must be in {-1, +1}"
 
 
 @pytest.mark.parametrize("name", PUBLIC_RAISES)

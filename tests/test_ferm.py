@@ -625,6 +625,23 @@ class TestLinearWorkingSet:
         # copy of the features (and at 10 x 10 the full SVD's 450 x 450 v) took 10.1 and 8.4
         assert peak <= 5 * 8 * n
 
+    def test_squared_objective_works_in_one_buffer(self):
+        n = 200_000
+        rng = np.random.default_rng(7)
+        X, y, R = rng.normal(size=(n, 2)), rng.normal(size=n), 0.5 * np.eye(2)
+        beta = np.array([0.5, -1.0])
+        value, peak = traced_peak(_Objective(X, y, R, "squared").value, beta)
+        assert value == float(np.sum((X @ beta - y) ** 2) + beta @ R @ beta)
+        # the scores, overwritten by their residuals, where the residuals took a second n-vector
+        assert peak < 1.2 * 8 * n
+        # scores the caller passes (a kernel model's) are read, not overwritten
+        K, dual = rng.normal(size=(50, 50)), rng.normal(size=50)
+        f = K @ dual
+        kept = f.copy()
+        value = _Objective(None, y[:50], 0.5, "squared").value(dual, f)
+        assert value == float(np.sum((kept - y[:50]) ** 2) + 0.5 * (dual @ kept))
+        assert f.tobytes() == kept.tobytes()
+
 
 class TestBudgetedSolver:
     @pytest.mark.parametrize("epsilon", [0.05, 0.2, 0.6])
