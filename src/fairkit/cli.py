@@ -309,15 +309,7 @@ def _parse_record(text: str) -> dict[str, float]:
     record = json.loads(text)
     if not isinstance(record, dict):
         raise causal.CausalError(f"--record must be a JSON object of variable values, got {text!r}")
-    for name, value in record.items():
-        try:
-            number = float(value)
-        except (TypeError, ValueError, OverflowError):
-            number = math.nan
-        if not math.isfinite(number):
-            raise causal.CausalError(f"--record: {name!r} must be a finite number, got {value!r}")
-        record[name] = number
-    return record
+    return {name: causal._finite(value, f"--record: {name!r}") for name, value in record.items()}
 
 
 def _paths(args, sem: causal.LinearSEM) -> causal.PathSelection:

@@ -155,7 +155,7 @@ class TabularDataset:
         values = [self.columns[c.name] for c in self.schema if c.role == "feature"]
         owner = values[0].base if values else None
         if isinstance(owner, np.ndarray) and owner.dtype == np.float64 and owner.shape[1:] == (len(values),):
-            block = owner[:self.n_records]  # the csv.reader fallback allocates a row per line
+            block = owner[:self.n_records]  # `read_table` allocates a row per line, and a record may take more
             # each column is the block's own: the same memory, dtype, shape and strides
             if all(v.base is owner and v.__array_interface__ == c.__array_interface__ for v, c in zip(values, block.T)):
                 return block
@@ -267,31 +267,27 @@ def _empty_columns(header, floats: list[bool], rows: int, block) -> dict[str, np
     return {h: views[h] if h in views else np.empty(rows, np.float64 if f else _TEXT) for h, f in zip(header, floats)}
 
 
-def _bulk_columns(path, header, skip: int, floats: list[bool], block) -> dict | None:
-    """Columns parsed by numpy's reader a block of lines at a time into arrays
-    allocated once (`_empty_columns`); None when it fails or its records are not the file's lines.
+def _numpy_rows(lines, header, floats: list[bool], columns) -> int:
+    """How many of ``lines`` numpy's reader parses into ``columns``, a block of lines at a time: all,
+    or those before the first block it fails on or whose records are not its lines.
     """
     dtype = [(f"c{j}", np.float64 if f else object) for j, f in enumerate(floats)]
-    with open(path, encoding="utf-8") as fh:  # universal newlines end every line in LF
-        n = sum(1 for _ in fh) - skip
-        columns = _empty_columns(header, floats, n, block)
-        fh.seek(0)
-        rest = itertools.islice(fh, skip, None)
-        for lo in range(0, n, _BLOCK_ROWS):
-            block = list(itertools.islice(rest, _BLOCK_ROWS))
-            # numpy skips blank lines, joins quoted line breaks and closes a quote the
-            # block leaves open, where csv.reader would take in the next line
-            if "\n" in block or '"' in block[-1] and len(list(csv.reader([block[-1], "\n"]))) < 2:
-                return None
-            try:
-                table = np.loadtxt(block, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1)
-            except ValueError:
-                return None
-            if len(table) != len(block):
-                return None
-            for j, (h, f) in enumerate(zip(header, floats)):
-                columns[h][lo:lo + len(block)] = table[f"c{j}"] if f else _text(table[f"c{j}"])
-    return columns
+    done = 0
+    while block := list(itertools.islice(lines, _BLOCK_ROWS)):
+        # numpy skips blank lines, joins quoted line breaks and closes a quote the
+        # block leaves open, where csv.reader would take in the next line
+        if "\n" in block or '"' in block[-1] and len(list(csv.reader([block[-1], "\n"]))) < 2:
+            break
+        try:
+            table = np.loadtxt(block, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1)
+        except ValueError:
+            break
+        if len(table) != len(block):
+            break
+        for j, (h, f) in enumerate(zip(header, floats)):
+            columns[h][done:done + len(block)] = table[f"c{j}"] if f else _text(table[f"c{j}"])
+        done += len(block)
+    return done
 
 
 def _finite_floats(cells) -> np.ndarray | None:
@@ -303,53 +299,22 @@ def _finite_floats(cells) -> np.ndarray | None:
     return values if np.isfinite(values).all() else None
 
 
-def _read_cells(path, header, floats: list[bool], block) -> dict[str, np.ndarray]:
-    """Columns from csv.reader, for the files numpy's reader does not take and
-    those where it reads a numeric cell that is not a finite number.
-
-    Records are read ``_BLOCK_ROWS`` at a time into columns of one entry per
-    line (`_empty_columns`), as every record takes at least one line.  A ``floats``
-    column is float64 until a cell is not a finite number; from there on it is a
-    text column, its earlier values written as text that parses back to them.
-    """
-    with open(path, newline="", encoding="utf-8") as fh:
-        lines = sum(1 for _ in fh)
-        columns = _empty_columns(header, floats, lines, block)
-        fh.seek(0)
-        records = csv.reader(fh)
-        next(records)
-        end, short = 0, None
-        while short is None and (block := list(itertools.islice(records, _BLOCK_ROWS))):
-            ragged = [i for i, row in enumerate(block) if len(row) != len(header)]
-            if ragged:
-                block, short = block[:ragged[0]], len(block[ragged[0]])
-            for j, h in enumerate(header):
-                cells = [row[j] for row in block]
-                column = columns[h]
-                values = _finite_floats(cells) if column.dtype == np.float64 else None
-                if values is None and column.dtype == np.float64:
-                    columns[h] = np.empty(lines, _TEXT)
-                    columns[h][:end] = column[:end]
-                columns[h][end:end + len(block)] = _text(cells) if values is None else values
-            end += len(block)
-    cells = {h: v[:end] for h, v in columns.items()}
-    _check_missing(cells)
-    if short is not None:
-        raise DatasetError(f"row {end + 2}: expected {len(header)} cells, found {short}")
-    return cells
-
-
 def read_table(path, numeric, check_header, block=()) -> tuple[tuple[str, ...], dict[str, np.ndarray]]:
     """Header and columns of a comma-separated UTF-8 file with a header row and csv quoting.
 
     A leading byte-order mark is dropped; bytes that are not UTF-8 and a cell above csv's field
     size limit are a ``DatasetError``.  Header names are stripped and distinct;
     ``check_header`` may reject them.  Each row needs one cell per name (a
-    blank line has none) and no cell may be empty once stripped.  numpy's reader parses
-    ``_BLOCK_ROWS`` rows at a time; ``numeric`` columns come back as float64 when it
-    parses them to finite values, all others as StringDType arrays of stripped
-    text for ``parse_numbers``; the float64 ones named in ``block`` are filled into,
-    and come back as views of, the columns of one C-order block.  The header is row 1.
+    blank line has none) and no cell may be empty once stripped.  The header is row 1.
+
+    One pass counts the lines and allocates the columns, an entry per line (`_empty_columns`).
+    numpy's reader parses ``_BLOCK_ROWS`` lines at a time while a block's records are its lines;
+    csv.reader reads on, ``_BLOCK_ROWS`` records at a time, from the first block numpy's reader
+    cannot take or the first record with a non-finite number.  ``numeric`` columns come back as
+    float64 when every cell is a finite number, else, for ``parse_numbers``, as stripped StringDType
+    text (cells read as floats by then written as text that parses back to them), like the others.
+    The float64 ones named in ``block`` are filled into, and come back as views of, the columns of
+    one C-order block.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -364,13 +329,37 @@ def read_table(path, numeric, check_header, block=()) -> tuple[tuple[str, ...], 
             skip, first = reader.line_num, next(reader, None)
         if first is None:
             raise DatasetError("no data rows")
-        # the first row picks each column's dtype for numpy; a wrong pick only costs the fallback
+        # the first row picks each column's dtype for numpy; a wrong pick only hands over to csv.reader
         floats = [h in numeric and (j >= len(first) or _is_number(first[j])) for j, h in enumerate(header)]
-        columns = _bulk_columns(path, header, skip, floats, block) if first else None
-        if columns is None or any(f and not np.isfinite(columns[h]).all() for h, f in zip(header, floats)):
-            columns = _read_cells(path, header, floats, block)
-        else:
-            _check_missing(columns)
+        with open(path, encoding="utf-8") as fh:  # universal newlines end every line in LF
+            lines = sum(1 for _ in fh) - skip
+            columns = _empty_columns(header, floats, lines, block)
+            fh.seek(0)
+            end = _numpy_rows(itertools.islice(fh, skip, None), header, floats, columns)
+        for h, f in zip(header, floats):
+            if f and not np.isfinite(columns[h][:end]).all():
+                end = int(np.isfinite(columns[h][:end]).argmin())
+        short = None
+        if end < lines:
+            with open(path, newline="", encoding="utf-8") as fh:
+                records = csv.reader(itertools.islice(fh, skip + end, None))
+                while short is None and (rows := list(itertools.islice(records, _BLOCK_ROWS))):
+                    ragged = [i for i, row in enumerate(rows) if len(row) != len(header)]
+                    if ragged:
+                        rows, short = rows[:ragged[0]], len(rows[ragged[0]])
+                    for j, h in enumerate(header):
+                        cells = [row[j] for row in rows]
+                        column = columns[h]
+                        values = _finite_floats(cells) if column.dtype == np.float64 else None
+                        if values is None and column.dtype == np.float64:
+                            columns[h] = np.empty(lines, _TEXT)
+                            columns[h][:end] = column[:end]
+                        columns[h][end:end + len(rows)] = _text(cells) if values is None else values
+                    end += len(rows)
+            columns = {h: v[:end] for h, v in columns.items()}
+        _check_missing(columns)
+        if short is not None:
+            raise DatasetError(f"row {end + 2}: expected {len(header)} cells, found {short}")
         return header, columns
     except UnicodeDecodeError as exc:
         raise DatasetError(f"not a UTF-8 text file: cannot decode byte 0x{exc.object[exc.start]:02x}") from None
@@ -384,8 +373,9 @@ def load_csv(path, schema: Mapping[str, str], outcome_kind: str = "regression") 
     ``schema`` maps column name -> role in {sensitive, feature, outcome,
     task, ignore}; columns absent from the mapping are an error, as are
     missing, unparseable or non-finite cells, ragged rows and blank lines
-    (see ``read_table``, which reads a block of rows at a time; ignored columns
-    stay its StringDType text), and task ids that are not whole int64 values.
+    (see ``read_table``: one pass, numpy's reader a block of lines at a time until csv.reader
+    takes over at the first block it cannot take; ignored columns stay its StringDType text),
+    and task ids that are not whole int64 values.
     Non-numeric sensitive or feature columns (detected from their first
     cell) are coded as categoricals in first-appearance order; categorical
     features are one-hot expanded when the feature matrix is built; without

@@ -771,14 +771,15 @@ MTL_SCHEMA = json.dumps({"task": "task", "g": "sensitive", **MTL_FEATURES, "y": 
 NEW_TASK_SCHEMA = json.dumps({"task": "ignore", "g": "sensitive", **MTL_FEATURES, "y": "outcome"})
 
 # name -> (argv, message): a bad input that ends in exit 2 and "error: message" alone.
-# "{g}" is tests/golden; header.csv, foo.model.json and a2.csv (sem_college.csv
-# with a sensitive value of 2) are written by the test
+# "{g}" is tests/golden; header.csv, empty.csv (zero bytes), foo.model.json and
+# a2.csv (sem_college.csv with a sensitive value of 2) are written by the test
 FERM_OUT = ["--model-output", "m.json", "--output", "r.json"]
 DATA_ERRORS = {
     "two_sensitive_columns": (
         ["ferm-train", "--input", "{g}/cls.csv", "--schema", CLS_SCHEMA.replace('"x0": "feature"', '"x0": "sensitive"'),
          *FERM_OUT], "exactly one sensitive column is required"),
     "header_only_csv": (["ferm-train", "--input", "header.csv", "--schema", CLS_SCHEMA, *FERM_OUT], "no data rows"),
+    "empty_csv": (["ferm-train", "--input", "empty.csv", "--schema", CLS_SCHEMA, *FERM_OUT], "empty file"),
     "unknown_role": (
         ["ferm-train", "--input", "{g}/cls.csv", "--schema", CLS_SCHEMA.replace('"x0": "feature"', '"x0": "label"'),
          *FERM_OUT], "column 'x0': unknown role 'label'"),
@@ -857,13 +858,14 @@ class TestDataErrors:
         argv, message = DATA_ERRORS[name]
         monkeypatch.chdir(tmp_path)
         (tmp_path / "header.csv").write_text("g,x0,x1,x2,y\n")
+        (tmp_path / "empty.csv").write_bytes(b"")
         doc = json.loads((GOLDEN / "ferm_logistic.model.json").read_text())
         doc["kernel"]["kind"] = "foo"
         (tmp_path / "foo.model.json").write_text(json.dumps(doc))
         (tmp_path / "a2.csv").write_text((GOLDEN / "sem_college.csv").read_text().replace("\n1,", "\n2,", 1))
         assert main([a.replace("{g}", str(GOLDEN)) for a in argv]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["a2.csv", "foo.model.json", "header.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a2.csv", "empty.csv", "foo.model.json", "header.csv"]
 
 # name -> (argv, files written).  "{g}" is tests/golden, which holds the
 # inputs (scores.csv, cls.csv, tasks.csv, task_new.csv) and every earlier
@@ -1425,6 +1427,11 @@ class TestSemCommands:
          "--record: 'Q' must be a finite number, got 'x'"),
         (["counterfactual", "--record", '{"A": 0, "Q": NaN, "D": 1, "Y": 2}'],
          "--record: 'Q' must be a finite number, got nan"),
+        # values a SEM document refuses: a bool and a number written as a string
+        (["counterfactual", "--record", '{"A": true, "Q": 0.37, "D": -1.25, "Y": 2.3}'],
+         "--record: 'A' must be a finite number, got True"),
+        (["counterfactual", "--record", '{"A": 1, "Q": "0.37", "D": -1.25, "Y": 2.3}'],
+         "--record: 'Q' must be a finite number, got '0.37'"),
     ])
     def test_bad_or_non_finite_value_is_data_error(self, argv, message, capsys):
         assert main(["sem", *argv, "--scenario", "college"]) == 2

@@ -144,6 +144,12 @@ class TestLoadCsv:
         for c in plain.schema:
             np.testing.assert_array_equal(marked.columns[c.name], plain.columns[c.name])
 
+    def test_byte_order_mark_before_a_header_with_a_line_break(self, tmp_path):
+        # csv.reader takes over at the last record's line break, past the header's two lines
+        text = '"g\nh",y\na,1\nb,2\n"c\nd",3\n'
+        marked = write(tmp_path, "\ufeff" + text, "bom.csv")
+        assert_loads_like_reference(marked, write(tmp_path, text), {"g\nh": "sensitive", "y": "outcome"}, "regression")
+
     @pytest.mark.parametrize("body", [
         b"gender,x1,x2,y\nf,1.0,\xff2.0,1\n",  # in the first row, read with the header
         b"gender,x1,x2,y\n" + b"f,1.0,2.0,1\n" * 5000 + b"m,\xff,1.5,-1\n",  # past the header's read buffer
@@ -171,19 +177,33 @@ class TestLoadCsv:
             data.features
 
 
+def spy_on_numpy_reader(monkeypatch) -> list:
+    """The blocks of lines np.loadtxt is called on, in call order."""
+    loadtxt, parsed = np.loadtxt, []
+
+    def spy(lines, *args, **kwargs):
+        parsed.append(list(lines))
+        return loadtxt(lines, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    return parsed
+
+
+def line_blocks(path) -> list:
+    """The lines after a one-line header, read with universal newlines, in blocks of ``_BLOCK_ROWS``."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.readlines()[1:]
+    return [lines[lo:lo + dataset._BLOCK_ROWS] for lo in range(0, len(lines), dataset._BLOCK_ROWS)]
+
+
 class TestFeatureBlock:
     """Numeric features are read into one n x p block, which ``features`` is."""
 
-    # write_table quotes a label with a line break, which sends the file to the csv.reader fallback
-    @pytest.mark.parametrize("label, fallback", [("f", False), ("f\nx", True)])
-    def test_features_are_the_block_the_columns_view(self, tmp_path, monkeypatch, label, fallback):
-        read_cells, calls = dataset._read_cells, []
-
-        def spy(*args):
-            calls.append(args)
-            return read_cells(*args)
-
-        monkeypatch.setattr(dataset, "_read_cells", spy)
+    # write_table quotes a label with a line break, which csv.reader takes over at: the last of 10 blocks
+    @pytest.mark.parametrize("label, handed_over", [("f", False), ("f\nx", True)])
+    def test_features_are_the_block_the_columns_view(self, tmp_path, monkeypatch, label, handed_over):
+        parsed, finite_floats, csv_cells = spy_on_numpy_reader(monkeypatch), dataset._finite_floats, []
+        monkeypatch.setattr(dataset, "_finite_floats", lambda cells: csv_cells.extend(cells) or finite_floats(cells))
         rng = np.random.default_rng(7)
         X = rng.normal(size=(5000, 3))
         X[0, 1], X[1, 2] = -0.0, 5e-324
@@ -192,7 +212,12 @@ class TestFeatureBlock:
         path = tmp_path / "data.csv"
         write_table(path, ["g", "x0", "x1", "x2", "y"], [labels, *X.T, rng.normal(size=5000)])
         data = load_csv(path, {"g": "sensitive", "x0": "feature", "x1": "feature", "x2": "feature", "y": "outcome"})
-        assert bool(calls) == fallback
+        # numpy's reader was given each of the 10 blocks once and parsed every block before the one
+        # holding the line break, whose records are not its lines; csv.reader read the 392 records
+        # of that block, 4 numeric cells each
+        blocks = line_blocks(path)
+        assert len(blocks) == 10 and parsed == blocks
+        assert len(csv_cells) == (4 * (5000 - 9 * 512) if handed_over else 0)
         F = data.features
         columns = [data.columns[name] for name in ("x0", "x1", "x2")]
         assert F.shape == (5000, 3) and F.dtype == np.float64 and F.flags.c_contiguous
@@ -295,6 +320,23 @@ class TestCsvProperties:
         text, schema, kind = table
         plain = write(tmp_path, text)
         assert_loads_like_reference(write(tmp_path, "\ufeff" + text, "bom.csv") if bom else plain, plain, schema, kind)
+
+    # the eighth record, in the fourth block of two lines: a blank line and a quoted line break
+    # (which leaves a quote open) are seen before numpy's reader is called, a short row makes it
+    # fail, and a non-finite number it parses, so the finiteness pass hands over
+    @pytest.mark.parametrize("late, calls", [("", 3), ("m,7.5,-1", 4), ("m,inf,7.25,-1", 5), ('"m\nn",7.5,7.25,-1', 3)],
+                             ids=["blank", "ragged", "inf", "line-break"])
+    def test_late_fault_hands_over_to_csv_reader(self, tmp_path, monkeypatch, late, calls):
+        monkeypatch.setattr(dataset, "_BLOCK_ROWS", 2)
+        parsed, finite_floats, csv_cells = spy_on_numpy_reader(monkeypatch), dataset._finite_floats, []
+        monkeypatch.setattr(dataset, "_finite_floats", lambda cells: csv_cells.extend(cells) or finite_floats(cells))
+        rows = [f"{'fm'[i % 2]},{i}.5,{i}.25,{1 - 2 * (i % 2)}" for i in range(10)]
+        rows[7] = late
+        path = write(tmp_path, "\n".join(["gender,x1,x2,y", *rows]) + "\n")
+        assert_loads_like_reference(path, path, BASIC_SCHEMA, "classification")
+        # numpy's reader parsed each block before the fourth exactly once, and csv.reader none of them
+        assert parsed == line_blocks(path)[:calls]
+        assert not {f"{i}.5" for i in range(6)} & set(csv_cells)
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.data())
@@ -410,7 +452,7 @@ class TestTextColumnMemory:
         assert peak - held < held / 3
 
     def test_csv_reader_fallback_reads_in_record_blocks(self, tmp_path):
-        # one quoted line break, in the last id, sends the file to the csv.reader fallback
+        # one quoted line break, in the last id, hands the last block over to csv.reader
         rng = np.random.default_rng(4)
         n = 100_000
         ids = np.arange(n).astype(str).astype(object)
